@@ -513,20 +513,62 @@ def hom_basis(dom, cod):
     if cached is not None:
         return [Morphism(dom, cod, m, check=False) for m in cached]
     system = LinearSystem(dom.p)
-    f = system.var("f", cod.dim, dom.dim)
-    zero_rhs = FieldMatrix.zeros(dom.p, cod.dim, dom.dim)
-    for i in range(dom.algebra.dim):
-        system.add_equation(
-            [(None, f, dom.action[i]), (-cod.action[i], f, None)], zero_rhs
-        )
+    module_map_var(system, "f", dom, cod)
     _, basis = system.solution_space()
     mats = [entry["f"] for entry in basis]
     _HOM_CACHE[key] = mats
     return [Morphism(dom, cod, m, check=False) for m in mats]
 
 
+def module_map_var(system, name, dom, cod):
+    """Declare an unknown matrix dom -> cod in ``system`` and constrain it
+    to be a module map: F ρ_dom(e_i) = ρ_cod(e_i) F for every basis element.
+
+    Returns the variable, so callers can add further constraints on it.
+    """
+    var = system.var(name, cod.dim, dom.dim)
+    zero_rhs = FieldMatrix.zeros(dom.p, cod.dim, dom.dim)
+    for i in range(dom.algebra.dim):
+        system.add_equation(
+            [(None, var, dom.action[i]), (-cod.action[i], var, None)], zero_rhs
+        )
+    return var
+
+
 def hom_dim(dom, cod):
     return len(hom_basis(dom, cod))
+
+
+def combine(dom, cod, basis, coeffs):
+    """The module map sum_k coeffs[k] * basis[k] from dom to cod."""
+    total = np.zeros((cod.dim, dom.dim), dtype=np.int64)
+    for c, b in zip(coeffs, basis):
+        if c:
+            total = (total + int(c) * b.matrix.a) % dom.p
+    return Morphism(dom, cod, total, check=False)
+
+
+def maps(dom, cod, cap=None, samples=0):
+    """Module maps dom -> cod as combinations of the hom basis.
+
+    All p**k combinations, in ``itertools.product`` order, when there is no
+    ``cap`` or p**k is at most ``cap``; otherwise the basis followed by
+    ``samples`` random combinations seeded by the two digests.
+    """
+    basis = hom_basis(dom, cod)
+    p = dom.p
+    if not basis:
+        return [zero_morphism(dom, cod)]
+    if cap is None or p ** len(basis) <= cap:
+        return [
+            combine(dom, cod, basis, coeffs)
+            for coeffs in itertools.product(range(p), repeat=len(basis))
+        ]
+    rng = np.random.default_rng(int(dom.digest[:8], 16) ^ int(cod.digest[:8], 16))
+    out = list(basis)
+    for _ in range(samples):
+        out.append(combine(dom, cod, basis, rng.integers(0, p, size=len(basis))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +693,7 @@ def pushout(f, g):
     """
     if f.dom != g.dom:
         raise ValidationError("pushout legs must share a domain")
-    summed, (inj_b, inj_c), _ = _sum_pair(f.cod, g.cod)
+    summed, (inj_b, inj_c), _ = direct_sum([f.cod, g.cod])
     diff = (inj_b @ f) - (inj_c @ g)
     _, proj = cokernel(diff)
     return proj.cod, proj @ inj_b, proj @ inj_c
@@ -661,15 +703,10 @@ def pullback(f, g):
     """Pullback of f: B -> A and g: C -> A; returns (module, to_B, to_C)."""
     if f.cod != g.cod:
         raise ValidationError("pullback legs must share a codomain")
-    summed, _, (proj_b, proj_c) = _sum_pair(f.dom, g.dom)
+    summed, _, (proj_b, proj_c) = direct_sum([f.dom, g.dom])
     diff = (f @ proj_b) - (g @ proj_c)
     ker, incl = kernel(diff)
     return ker, proj_b @ incl, proj_c @ incl
-
-
-def _sum_pair(m1, m2):
-    summed, injections, projections = direct_sum([m1, m2])
-    return summed, injections, projections
 
 
 class ShortExactSequence:
@@ -703,16 +740,11 @@ class ShortExactSequence:
     def is_split(self):
         """True when the epi admits a module-map section."""
         system = LinearSystem(self.mid.p)
-        s = system.var("s", self.mid.dim, self.quot.dim)
+        s = module_map_var(system, "s", self.quot, self.mid)
         system.add_equation(
             [(self.epi.matrix, s, None)],
             FieldMatrix.identity(self.mid.p, self.quot.dim),
         )
-        for i in range(self.mid.algebra.dim):
-            system.add_equation(
-                [(None, s, self.quot.action[i]), (-self.mid.action[i], s, None)],
-                FieldMatrix.zeros(self.mid.p, self.mid.dim, self.quot.dim),
-            )
         return system.solve() is not None
 
     def __repr__(self):
@@ -794,12 +826,19 @@ def submodule_from_columns(module, cols):
     return sub, Morphism(sub, module, cols, check=False)
 
 
+_SIMPLES_CACHE = {}
+
+
 def simple_modules(algebra, budget=DEFAULT_BUDGET):
     """One representative per isomorphism class of simple modules.
 
     Every simple is a quotient of the regular module by a maximal proper
     submodule, so enumerate those and deduplicate up to isomorphism.
+    Results are cached by algebra digest and budget.
     """
+    key = (algebra.digest, int(budget))
+    if key in _SIMPLES_CACHE:
+        return list(_SIMPLES_CACHE[key])
     reg = regular_module(algebra)
     subs = invariant_subspaces(reg, budget=budget)
     proper = [c for c in subs if c.shape[1] < reg.dim]
@@ -821,6 +860,7 @@ def simple_modules(algebra, budget=DEFAULT_BUDGET):
         if all(is_isomorphic(quot, seen) is None for seen in simples):
             simples.append(quot)
     simples.sort(key=lambda m: (m.dim, m.digest))
+    _SIMPLES_CACHE[key] = list(simples)
     return simples
 
 
@@ -846,14 +886,6 @@ def fingerprint(module):
     return fp
 
 
-def _combo(mats, coeffs, p):
-    total = np.zeros(mats[0].shape, dtype=np.int64)
-    for c, m in zip(coeffs, mats):
-        if c:
-            total = (total + c * m.a) % p
-    return FieldMatrix(p, total)
-
-
 _ENUMERATION_CAP = 4096
 _RANDOM_TRIES = 500
 
@@ -862,25 +894,25 @@ def _find_invertible_combination(basis, p, dim):
     """Search the span of hom-basis matrices for an invertible one."""
     if dim == 0:
         return FieldMatrix.zeros(p, 0, 0)
-    mats = [b.matrix for b in basis]
-    if not mats:
+    if not basis:
         return None
-    if p ** len(mats) <= _ENUMERATION_CAP:
-        for coeffs in itertools.product(range(p), repeat=len(mats)):
+    dom, cod = basis[0].dom, basis[0].cod
+    if p ** len(basis) <= _ENUMERATION_CAP:
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
             if not any(coeffs):
                 continue
-            cand = _combo(mats, coeffs, p)
+            cand = combine(dom, cod, basis, coeffs).matrix
             if rank(cand) == dim:
                 return cand
         return None
-    for m in mats:
-        if rank(m) == dim:
-            return m
+    for b in basis:
+        if rank(b.matrix) == dim:
+            return b.matrix
     seed = int(_digest("invcombo", *(b.matrix.a.tobytes() for b in basis))[:8], 16)
     rng = np.random.default_rng(seed)
     for _ in range(_RANDOM_TRIES):
-        coeffs = rng.integers(0, p, size=len(mats))
-        cand = _combo(mats, [int(c) for c in coeffs], p)
+        coeffs = rng.integers(0, p, size=len(basis))
+        cand = combine(dom, cod, basis, coeffs).matrix
         if rank(cand) == dim:
             return cand
     return None
@@ -902,14 +934,11 @@ def is_isomorphic(m1, m2):
     basis = hom_basis(m1, m2)
     if not basis and m1.dim > 0:
         return None
-    if m1.p ** len(basis) <= _ENUMERATION_CAP:
-        mat = _find_invertible_combination(basis, m1.p, m1.dim)
-        if mat is None:
-            return None
-        return Morphism(m1, m2, mat, check=False)
     mat = _find_invertible_combination(basis, m1.p, m1.dim)
     if mat is not None:
         return Morphism(m1, m2, mat, check=False)
+    if m1.p ** len(basis) <= _ENUMERATION_CAP:
+        return None
     return _isomorphism_by_decomposition(m1, m2)
 
 
@@ -1009,7 +1038,7 @@ def _find_splitting_endo(module):
         for coeffs in itertools.product(range(p), repeat=len(mats)):
             if not any(coeffs):
                 continue
-            res = check(_combo(mats, coeffs, p))
+            res = check(combine(module, module, basis, coeffs).matrix)
             if res is not None:
                 return res
         return None
@@ -1027,7 +1056,7 @@ def _find_splitting_endo(module):
         coeffs = [int(c) for c in rng.integers(0, p, size=len(mats))]
         if not any(coeffs):
             continue
-        res = check(_combo(mats, coeffs, p))
+        res = check(combine(module, module, basis, coeffs).matrix)
         if res is not None:
             return res
     return None
@@ -1166,16 +1195,7 @@ def _complement_representatives(inner_flat, outer_basis_flat, p):
     ranging over a set of coset representatives of the inner span.  The
     zero tuple is always included.
     """
-    if not outer_basis_flat:
-        return [()]
-    length = len(outer_basis_flat[0])
-    inner_rows = np.array(inner_flat, dtype=np.int64).reshape(len(inner_flat), length) if inner_flat else np.zeros((0, length), dtype=np.int64)
-    free_indices = []
-    for idx, vec in enumerate(outer_basis_flat):
-        stacked = np.concatenate([inner_rows, np.array([vec], dtype=np.int64)], axis=0)
-        if rank(FieldMatrix(p, stacked.T)) > rank(FieldMatrix(p, inner_rows.T)):
-            free_indices.append(idx)
-            inner_rows = stacked
+    free_indices = _complement_indices(inner_flat, outer_basis_flat, p)
     combos = []
     for assignment in itertools.product(range(p), repeat=len(free_indices)):
         coeffs = [0] * len(outer_basis_flat)
@@ -1183,3 +1203,24 @@ def _complement_representatives(inner_flat, outer_basis_flat, p):
             coeffs[pos] = val
         combos.append(tuple(coeffs))
     return combos
+
+
+def _complement_indices(inner_vectors, outer_vectors, p):
+    """Indices of outer vectors forming a basis modulo the span of inner ones."""
+    if not outer_vectors:
+        return []
+    length = len(outer_vectors[0])
+    if inner_vectors:
+        rows = np.array(inner_vectors, dtype=np.int64).reshape(len(inner_vectors), length)
+    else:
+        rows = np.zeros((0, length), dtype=np.int64)
+    chosen = []
+    current_rank = rank(FieldMatrix(p, rows.T)) if rows.size else 0
+    for idx, vec in enumerate(outer_vectors):
+        stacked = np.concatenate([rows, np.array([vec], dtype=np.int64)], axis=0)
+        new_rank = rank(FieldMatrix(p, stacked.T))
+        if new_rank > current_rank:
+            chosen.append(idx)
+            rows = stacked
+            current_rank = new_rank
+    return chosen

@@ -16,6 +16,7 @@ from .algebra import (
     direct_sum,
     identity_morphism,
     kernel,
+    module_map_var,
     zero_module,
     zero_morphism,
 )
@@ -218,23 +219,16 @@ def is_contractible(x):
         here = x.obj(n)
         if here.dim == 0:
             continue
-        var = system.var("h%d" % n, up.dim, here.dim)
-        hs[n] = (var, here, up)
-    for n, (var, here, up) in hs.items():
-        for idx in range(x.algebra.dim):
-            system.add_equation(
-                [(None, var, here.action[idx]), (-up.action[idx], var, None)],
-                FieldMatrix.zeros(x.algebra.p, up.dim, here.dim),
-            )
+        hs[n] = module_map_var(system, "h%d" % n, here, up)
     for n in x.degrees():
         here = x.obj(n)
         if here.dim == 0:
             continue
         terms = []
         if n in hs:
-            terms.append((x.diff(n + 1).matrix, hs[n][0], None))
+            terms.append((x.diff(n + 1).matrix, hs[n], None))
         if (n - 1) in hs:
-            terms.append((None, hs[n - 1][0], x.diff(n).matrix))
+            terms.append((None, hs[n - 1], x.diff(n).matrix))
         if not terms:
             return False
         system.add_equation(terms, FieldMatrix.identity(x.algebra.p, here.dim))

@@ -3,9 +3,10 @@
 Ext1 is computed from a length-two free presentation: for a free cover
 0 -> K -> F -> c -> 0, the group Ext1(c, a) is Hom(K, a) modulo maps that
 extend to F.  Extensions are realised by pushing the kernel inclusion out
-along a cocycle.  Projectivity and injectivity are decided by solving for
-a section of the free cover, respectively a retraction of an embedding
-into a power of the dual regular module.
+along a cocycle.  Projectivity and injectivity are decided by Ext1
+against the simple modules: over a finite-dimensional algebra a module m
+is projective iff Ext1(m, S) = 0 for every simple S, and injective iff
+Ext1(S, m) = 0 for every simple S.
 
 The module also hosts the two module-level cotorsion pairs used
 throughout: (all, injectives) and (projectives, all), each with its
@@ -21,7 +22,9 @@ from .algebra import (
     Module,
     Morphism,
     ShortExactSequence,
+    _complement_indices,
     cokernel,
+    combine,
     direct_sum,
     dual_regular_module,
     enumerate_modules,
@@ -29,7 +32,10 @@ from .algebra import (
     identity_morphism,
     indecomposable_summands,
     kernel,
+    maps,
+    module_map_var,
     regular_module,
+    simple_modules,
     zero_module,
     zero_morphism,
 )
@@ -44,7 +50,6 @@ from .linalg import (
     column_space_basis,
     in_column_space,
     kernel_basis,
-    rank,
     solve,
 )
 
@@ -148,48 +153,20 @@ _PROJ_CACHE = {}
 _INJ_CACHE = {}
 
 
-def _section_exists(epi):
-    """Module-map section s with epi o s = id."""
-    if epi.cod.dim == 0:
-        return True
-    system = LinearSystem(epi.p)
-    s = system.var("s", epi.dom.dim, epi.cod.dim)
-    system.add_equation([(epi.matrix, s, None)], FieldMatrix.identity(epi.p, epi.cod.dim))
-    for i in range(epi.dom.algebra.dim):
-        system.add_equation(
-            [(None, s, epi.cod.action[i]), (-epi.dom.action[i], s, None)],
-            FieldMatrix.zeros(epi.p, epi.dom.dim, epi.cod.dim),
-        )
-    return system.solve() is not None
-
-
-def _retraction_exists(mono):
-    """Module-map retraction r with r o mono = id."""
-    if mono.dom.dim == 0:
-        return True
-    system = LinearSystem(mono.p)
-    r = system.var("r", mono.dom.dim, mono.cod.dim)
-    system.add_equation([(None, r, mono.matrix)], FieldMatrix.identity(mono.p, mono.dom.dim))
-    for i in range(mono.dom.algebra.dim):
-        system.add_equation(
-            [(None, r, mono.cod.action[i]), (-mono.dom.action[i], r, None)],
-            FieldMatrix.zeros(mono.p, mono.dom.dim, mono.cod.dim),
-        )
-    return system.solve() is not None
-
-
 def is_projective(m):
+    """Ext1(m, S) = 0 for every simple module S."""
     cached = _PROJ_CACHE.get(m.digest)
     if cached is None:
-        cached = _section_exists(free_cover(m))
+        cached = all(ext1(m, s).dimension == 0 for s in simple_modules(m.algebra))
         _PROJ_CACHE[m.digest] = cached
     return cached
 
 
 def is_injective(m):
+    """Ext1(S, m) = 0 for every simple module S."""
     cached = _INJ_CACHE.get(m.digest)
     if cached is None:
-        cached = _retraction_exists(injective_embedding(m))
+        cached = all(ext1(s, m).dimension == 0 for s in simple_modules(m.algebra))
         _INJ_CACHE[m.digest] = cached
     return cached
 
@@ -241,11 +218,7 @@ class Ext1Result:
         return ExtClass(self, coeffs)
 
     def cocycle(self, coeffs):
-        phi = zero_morphism(self.kappa.dom, self.a)
-        for c_val, rep in zip(coeffs, self.cocycle_reps):
-            for _ in range(int(c_val) % self.p):
-                phi = phi + rep
-        return phi
+        return combine(self.kappa.dom, self.a, self.cocycle_reps, coeffs)
 
     def realize(self, coeffs):
         """Short exact sequence 0 -> a -> E -> c -> 0 for the given class.
@@ -253,18 +226,13 @@ class Ext1Result:
         E is the pushout of the kernel inclusion along the chosen cocycle.
         """
         phi = self.cocycle(coeffs)
-        summed, (inj_f, inj_a), (proj_f, _) = _sum_with_maps(self.kappa.cod, self.a)
+        summed, (inj_f, inj_a), (proj_f, _) = direct_sum([self.kappa.cod, self.a])
         diff = (inj_f @ self.kappa) - (inj_a @ phi)
         _, q = cokernel(diff)
         mono = q @ inj_a
         killer = self.pi @ proj_f
         epi = induced_on_cokernel(q, killer)
         return ShortExactSequence(mono, epi)
-
-
-def _sum_with_maps(m1, m2):
-    summed, injections, projections = direct_sum([m1, m2])
-    return summed, injections, projections
 
 
 def induced_on_cokernel(proj, killer):
@@ -282,27 +250,6 @@ def induced_on_cokernel(proj, killer):
     if (induced @ proj).matrix != killer.matrix:
         raise InternalInconsistencyError("map does not kill the collapsed image")
     return induced
-
-
-def _complement_indices(inner_vectors, outer_vectors, p):
-    """Indices of outer vectors forming a basis modulo the span of inner ones."""
-    if not outer_vectors:
-        return []
-    length = len(outer_vectors[0])
-    if inner_vectors:
-        rows = np.array(inner_vectors, dtype=np.int64).reshape(len(inner_vectors), length)
-    else:
-        rows = np.zeros((0, length), dtype=np.int64)
-    chosen = []
-    current_rank = rank(FieldMatrix(p, rows.T)) if rows.size else 0
-    for idx, vec in enumerate(outer_vectors):
-        stacked = np.concatenate([rows, np.array([vec], dtype=np.int64)], axis=0)
-        new_rank = rank(FieldMatrix(p, stacked.T))
-        if new_rank > current_rank:
-            chosen.append(idx)
-            rows = stacked
-            current_rank = new_rank
-    return chosen
 
 
 def ext1(c, a):
@@ -345,8 +292,8 @@ def ext1_class_count_oracle(c, a, budget=DEFAULT_ORACLE_BUDGET):
     ]
     sequences = []
     for e in middles:
-        monos = _all_maps(a, e, lambda f: f.is_mono())
-        epis = _all_maps(e, c, lambda f: f.is_epi())
+        monos = [f for f in maps(a, e) if f.is_mono()]
+        epis = [f for f in maps(e, c) if f.is_epi()]
         for i_map in monos:
             for p_map in epis:
                 if (p_map @ i_map).is_zero():
@@ -357,24 +304,6 @@ def ext1_class_count_oracle(c, a, budget=DEFAULT_ORACLE_BUDGET):
             continue
         classes.append(seq)
     return len(classes)
-
-
-def _all_maps(m, n, keep):
-    basis = hom_basis(m, n)
-    out = []
-    if not basis:
-        if keep(zero_morphism(m, n)):
-            out.append(zero_morphism(m, n))
-        return out
-    p = m.p
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        f = zero_morphism(m, n)
-        for c_val, b in zip(coeffs, basis):
-            for _ in range(c_val):
-                f = f + b
-        if keep(f):
-            out.append(f)
-    return out
 
 
 def _ladder_equivalent(seq1, seq2):
@@ -388,15 +317,9 @@ def _ladder_equivalent(seq1, seq2):
     if i1.cod.dim != i2.cod.dim:
         return False
     system = LinearSystem(i1.p)
-    h = system.var("h", i2.cod.dim, i1.cod.dim)
+    h = module_map_var(system, "h", i1.cod, i2.cod)
     system.add_equation([(None, h, i1.matrix)], i2.matrix)
     system.add_equation([(p2.matrix, h, None)], p1.matrix)
-    mid1, mid2 = i1.cod, i2.cod
-    for idx in range(mid1.algebra.dim):
-        system.add_equation(
-            [(None, h, mid1.action[idx]), (-mid2.action[idx], h, None)],
-            FieldMatrix.zeros(i1.p, mid2.dim, mid1.dim),
-        )
     return system.solve() is not None
 
 
@@ -487,7 +410,7 @@ def pair_validate(pair, samples):
     checked_epis = 0
     for m in left:
         for n in left:
-            for f in _some_maps(m, n):
+            for f in maps(m, n, cap=256, samples=32):
                 if not f.is_epi():
                     continue
                 checked_epis += 1
@@ -498,7 +421,7 @@ def pair_validate(pair, samples):
     checked_monos = 0
     for m in right:
         for n in right:
-            for f in _some_maps(m, n):
+            for f in maps(m, n, cap=256, samples=32):
                 if not f.is_mono():
                     continue
                 checked_monos += 1
@@ -516,37 +439,6 @@ def pair_validate(pair, samples):
             "monos": checked_monos,
         },
     }
-
-
-_MAP_SAMPLE_CAP = 256
-
-
-def _some_maps(m, n):
-    """All maps m -> n when the hom space is small, a seeded sample otherwise."""
-    basis = hom_basis(m, n)
-    p = m.p
-    if not basis:
-        return [zero_morphism(m, n)]
-    if p ** len(basis) <= _MAP_SAMPLE_CAP:
-        out = []
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            f = zero_morphism(m, n)
-            for c_val, b in zip(coeffs, basis):
-                if c_val:
-                    for _ in range(c_val):
-                        f = f + b
-            out.append(f)
-        return out
-    rng = np.random.default_rng(int(m.digest[:8], 16) ^ int(n.digest[:8], 16))
-    out = list(basis)
-    for _ in range(32):
-        coeffs = rng.integers(0, p, size=len(basis))
-        f = zero_morphism(m, n)
-        for c_val, b in zip(coeffs, basis):
-            for _ in range(int(c_val)):
-                f = f + b
-        out.append(f)
-    return out
 
 
 # ---------------------------------------------------------------------------

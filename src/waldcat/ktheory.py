@@ -27,6 +27,7 @@ from .errors import BudgetExceededError, HypothesisError, ValidationError
 from .homological import all_injectives_pair, ext1, is_injective
 from .linalg import (
     IntegerMatrix,
+    _mat_mul,
     row_lattice_member,
     row_lattices_equal,
     smith_invariant_factors,
@@ -86,18 +87,7 @@ class K0Presentation:
 
     def generator_index(self, m):
         """Index of the generator isomorphic to ``m``, or None."""
-        cached = self._index_cache.get(m.digest)
-        if cached is not None:
-            return cached if cached >= 0 else None
-        found = None
-        for idx, rep in enumerate(self.modules):
-            if rep.dim != m.dim:
-                continue
-            if rep.digest == m.digest or is_isomorphic(m, rep) is not None:
-                found = idx
-                break
-        self._index_cache[m.digest] = found if found is not None else -1
-        return found
+        return _match_generator(self.modules, self._index_cache, m)
 
     def class_vector(self, m):
         """The basis vector of [m], as a list over the generators."""
@@ -130,6 +120,24 @@ class K0Presentation:
         )
 
 
+def _match_generator(generators, index_of, m):
+    """Index of the first generator isomorphic to ``m``, or None.
+
+    ``index_of`` caches the answer by digest, with -1 for no match.
+    """
+    hit = index_of.get(m.digest)
+    if hit is None:
+        hit = -1
+        for idx, rep in enumerate(generators):
+            if rep.dim != m.dim:
+                continue
+            if rep.digest == m.digest or is_isomorphic(m, rep) is not None:
+                hit = idx
+                break
+        index_of[m.digest] = hit
+    return hit if hit >= 0 else None
+
+
 def _harvest_relations(generators, class_budget):
     """Relation rows from all realizable short exact sequences.
 
@@ -142,24 +150,7 @@ def _harvest_relations(generators, class_budget):
     if count == 0:
         return IntegerMatrix([], cols=0)
     max_dim = max(m.dim for m in generators)
-    index_of = {}
-
-    def match(m):
-        hit = index_of.get(m.digest)
-        if hit is not None:
-            return hit if hit >= 0 else None
-        found = -1
-        for idx, rep in enumerate(generators):
-            if rep.dim != m.dim:
-                continue
-            if rep.digest == m.digest or is_isomorphic(m, rep) is not None:
-                found = idx
-                break
-        index_of[m.digest] = found
-        return found if found >= 0 else None
-
-    for idx, rep in enumerate(generators):
-        index_of[rep.digest] = idx
+    index_of = {rep.digest: idx for idx, rep in enumerate(generators)}
 
     rows = []
     seen = set()
@@ -175,7 +166,7 @@ def _harvest_relations(generators, class_budget):
                 )
             for cls in ext.all_classes():
                 mid = cls.realize().mid
-                i_mid = match(mid)
+                i_mid = _match_generator(generators, index_of, mid)
                 if i_mid is None:
                     continue
                 row = [0] * count
@@ -328,7 +319,7 @@ def localization_k0_report(
     # composite K0(A) -> K0(B, w_A) must be zero: the image of every
     # A-generator must lie in the acyclic-kill relation lattice
     composite = IntegerMatrix(
-        _mul(first.data, second.data), cols=len(kbw.generators)
+        _mat_mul(first.data, second.data), cols=len(kbw.generators)
     )
     composite_zero = all(kbw.is_relation(r) for r in composite.data)
 
@@ -368,21 +359,6 @@ def localization_k0_report(
     report["ok"] = bool(composite_zero and surjective and im_eq_ker)
     report["presentations"] = {"KA": ka, "KB": kb, "KBwA": kbw}
     return report
-
-
-def _mul(a, b):
-    if not a:
-        return []
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for coeff, brow in zip(row, b):
-            if coeff:
-                for j, val in enumerate(brow):
-                    acc[j] += coeff * val
-        out.append(acc)
-    return out
 
 
 def _pullback_rows(second, target_relations):

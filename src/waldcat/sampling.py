@@ -12,10 +12,12 @@ from .algebra import (
     Morphism,
     ShortExactSequence,
     cokernel,
+    combine,
     direct_sum,
     enumerate_modules,
     hom_basis,
     identity_morphism,
+    module_map_var,
     zero_morphism,
 )
 from .chains import (
@@ -38,14 +40,9 @@ from .waldhausen import (
 def random_combination(rng, dom, cod):
     """A random morphism as a coefficient combination of the hom basis."""
     basis = hom_basis(dom, cod)
-    f = zero_morphism(dom, cod)
     if not basis:
-        return f
-    coeffs = rng.integers(0, dom.p, size=len(basis))
-    for c_val, b in zip(coeffs, basis):
-        for _ in range(int(c_val)):
-            f = f + b
-    return f
+        return zero_morphism(dom, cod)
+    return combine(dom, cod, basis, rng.integers(0, dom.p, size=len(basis)))
 
 
 def random_automorphism(rng, m, tries=50):
@@ -318,19 +315,9 @@ def random_span_morphism(rng, dom, cod):
     """
     p = dom.apex.p
     system = LinearSystem(p)
-    v_left = system.var("left", cod.left.dim, dom.left.dim)
-    v_apex = system.var("apex", cod.apex.dim, dom.apex.dim)
-    v_right = system.var("right", cod.right.dim, dom.right.dim)
-    for var, d_mod, c_mod in (
-        (v_left, dom.left, cod.left),
-        (v_apex, dom.apex, cod.apex),
-        (v_right, dom.right, cod.right),
-    ):
-        for idx in range(dom.apex.algebra.dim):
-            system.add_equation(
-                [(None, var, d_mod.action[idx]), (-c_mod.action[idx], var, None)],
-                FieldMatrix.zeros(p, c_mod.dim, d_mod.dim),
-            )
+    v_left = module_map_var(system, "left", dom.left, cod.left)
+    v_apex = module_map_var(system, "apex", dom.apex, cod.apex)
+    v_right = module_map_var(system, "right", dom.right, cod.right)
     system.add_equation(
         [(None, v_left, dom.g.matrix), (-cod.g.matrix, v_apex, None)],
         FieldMatrix.zeros(p, cod.left.dim, dom.apex.dim),
@@ -380,12 +367,7 @@ def random_chain_complex(rng, algebra, max_len=3, max_dim=3):
     for k in range(1, length):
         dom, cod = objects[k], objects[k - 1]
         system = LinearSystem(p)
-        var = system.var("d", cod.dim, dom.dim)
-        for idx in range(algebra.dim):
-            system.add_equation(
-                [(None, var, dom.action[idx]), (-cod.action[idx], var, None)],
-                FieldMatrix.zeros(p, cod.dim, dom.dim),
-            )
+        var = module_map_var(system, "d", dom, cod)
         if diffs:
             system.add_equation(
                 [(diffs[-1].matrix, var, None)],
@@ -407,13 +389,7 @@ def random_chain_map(rng, x, y):
         dom, cod = x.obj(n), y.obj(n)
         if dom.dim == 0 or cod.dim == 0:
             continue
-        var = system.var("f%d" % n, cod.dim, dom.dim)
-        vars_by_degree[n] = var
-        for idx in range(x.algebra.dim):
-            system.add_equation(
-                [(None, var, dom.action[idx]), (-cod.action[idx], var, None)],
-                FieldMatrix.zeros(p, cod.dim, dom.dim),
-            )
+        vars_by_degree[n] = module_map_var(system, "f%d" % n, dom, cod)
     for n in range(lo, hi + 1):
         terms = []
         if n in vars_by_degree:
@@ -475,13 +451,7 @@ def random_chain_extension(rng, sub, quot):
         dom, cod = quot.obj(n), sub.obj(n - 1)
         if dom.dim == 0 or cod.dim == 0:
             continue
-        var = system.var("x%d" % n, cod.dim, dom.dim)
-        xi[n] = var
-        for idx in range(algebra.dim):
-            system.add_equation(
-                [(None, var, dom.action[idx]), (-cod.action[idx], var, None)],
-                FieldMatrix.zeros(p, cod.dim, dom.dim),
-            )
+        xi[n] = module_map_var(system, "x%d" % n, dom, cod)
     for n in range(lo, hi + 1):
         terms = []
         if n in xi:

@@ -20,6 +20,7 @@ from .algebra import (
     direct_sum,
     identity_morphism,
     kernel,
+    module_map_var,
     pullback,
     zero_module,
     zero_morphism,
@@ -192,12 +193,9 @@ def span_section(e):
     """A span morphism s with e o s = identity, or None."""
     q = e.cod
     system = LinearSystem(q.apex.p)
-    s_left = system.var("left", e.dom.left.dim, q.left.dim)
-    s_apex = system.var("apex", e.dom.apex.dim, q.apex.dim)
-    s_right = system.var("right", e.dom.right.dim, q.right.dim)
-    _add_equivariance(system, s_left, q.left, e.dom.left)
-    _add_equivariance(system, s_apex, q.apex, e.dom.apex)
-    _add_equivariance(system, s_right, q.right, e.dom.right)
+    s_left = module_map_var(system, "left", q.left, e.dom.left)
+    s_apex = module_map_var(system, "apex", q.apex, e.dom.apex)
+    s_right = module_map_var(system, "right", q.right, e.dom.right)
     # naturality of the section
     system.add_equation(
         [(None, s_left, q.g.matrix), (-e.dom.g.matrix, s_apex, None)],
@@ -227,15 +225,6 @@ def span_section(e):
         Morphism(q.apex, e.dom.apex, sol["apex"], check=False),
         Morphism(q.right, e.dom.right, sol["right"], check=False),
     )
-
-
-def _add_equivariance(system, var, dom_mod, cod_mod):
-    p = dom_mod.p
-    for idx in range(dom_mod.algebra.dim):
-        system.add_equation(
-            [(None, var, dom_mod.action[idx]), (-cod_mod.action[idx], var, None)],
-            FieldMatrix.zeros(p, cod_mod.dim, dom_mod.dim),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +307,7 @@ def _lift_through(epi, target):
     """A map l with epi o l = target (exists when the domain of ``target``
     is left-class and the kernel of ``epi`` is right-class)."""
     system = LinearSystem(epi.p)
-    l = system.var("l", epi.dom.dim, target.dom.dim)
-    _add_equivariance(system, l, target.dom, epi.dom)
+    l = module_map_var(system, "l", target.dom, epi.dom)
     system.add_equation([(epi.matrix, l, None)], target.matrix)
     sol = system.solve()
     if sol is None:
@@ -331,8 +319,7 @@ def _extend_through(mono, target):
     """A map e with e o mono = target (exists when the cokernel of ``mono``
     is left-class and the codomain of ``target`` is right-class)."""
     system = LinearSystem(mono.p)
-    e = system.var("e", target.cod.dim, mono.cod.dim)
-    _add_equivariance(system, e, mono.cod, target.cod)
+    e = module_map_var(system, "e", mono.cod, target.cod)
     system.add_equation([(None, e, mono.matrix)], target.matrix)
     sol = system.solve()
     if sol is None:
@@ -517,8 +504,7 @@ def _pullback_induced(f, g, to_b, to_c, leg_b, leg_c=None):
     if (f @ leg_b) != (g @ leg_c):
         raise InternalInconsistencyError("pullback legs do not agree")
     system = LinearSystem(f.p)
-    u = system.var("u", to_b.dom.dim, dom.dim)
-    _add_equivariance(system, u, dom, to_b.dom)
+    u = module_map_var(system, "u", dom, to_b.dom)
     system.add_equation([(to_b.matrix, u, None)], leg_b.matrix)
     system.add_equation([(to_c.matrix, u, None)], leg_c.matrix)
     sol = system.solve()
@@ -581,12 +567,9 @@ def span_lift(i, p, top, bottom):
     dom_s = i.cod
     cod_s = p.dom
     system = LinearSystem(dom_s.apex.p)
-    h_left = system.var("left", cod_s.left.dim, dom_s.left.dim)
-    h_apex = system.var("apex", cod_s.apex.dim, dom_s.apex.dim)
-    h_right = system.var("right", cod_s.right.dim, dom_s.right.dim)
-    _add_equivariance(system, h_left, dom_s.left, cod_s.left)
-    _add_equivariance(system, h_apex, dom_s.apex, cod_s.apex)
-    _add_equivariance(system, h_right, dom_s.right, cod_s.right)
+    h_left = module_map_var(system, "left", dom_s.left, cod_s.left)
+    h_apex = module_map_var(system, "apex", dom_s.apex, cod_s.apex)
+    h_right = module_map_var(system, "right", dom_s.right, cod_s.right)
     p_field = dom_s.apex.p
     system.add_equation(
         [(None, h_left, dom_s.g.matrix), (-cod_s.g.matrix, h_apex, None)],

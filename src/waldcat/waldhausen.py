@@ -16,7 +16,6 @@ subcategory P into one by Z-intersect-P.
 """
 
 import hashlib
-import itertools
 
 from .algebra import (
     Morphism,
@@ -27,10 +26,11 @@ from .algebra import (
     hom_basis,
     is_isomorphic,
     kernel,
+    maps,
+    module_map_var,
     pullback,
     pushout,
     zero_module,
-    zero_morphism,
 )
 from .errors import (
     BudgetExceededError,
@@ -46,8 +46,6 @@ from .homological import (
     is_projective,
 )
 from .linalg import FieldMatrix, LinearSystem
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,7 @@ class WaldhausenData:
         lefts = [m for m in samples if self.pair.in_left(m)]
         for m in lefts:
             for n in lefts:
-                for f in _small_map_sample(m, n):
+                for f in maps(m, n, cap=64, samples=16):
                     if f.is_epi():
                         ker_mod, _ = kernel(f)
                         if not self.pair.in_left(ker_mod):
@@ -247,42 +245,13 @@ class WaldhausenData:
         # Z-intersect-C closed under cokernels of injections in C
         for m in zc:
             for n in zc:
-                for f in _small_map_sample(m, n):
+                for f in maps(m, n, cap=64, samples=16):
                     if f.is_mono():
                         cok_mod, _ = cokernel(f)
                         if self.c_spec.contains(cok_mod) and not self.in_zc(cok_mod):
                             raise HypothesisError(
                                 "Z-intersect-C not closed under cokernels of injections"
                             )
-
-
-_SMALL_MAP_CAP = 64
-
-
-def _small_map_sample(m, n):
-    basis = hom_basis(m, n)
-    p = m.p
-    if not basis:
-        return [zero_morphism(m, n)]
-    if p ** len(basis) <= _SMALL_MAP_CAP:
-        out = []
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            f = zero_morphism(m, n)
-            for c_val, b in zip(coeffs, basis):
-                for _ in range(c_val):
-                    f = f + b
-            out.append(f)
-        return out
-    rng = np.random.default_rng(int(m.digest[:8], 16) ^ int(n.digest[:8], 16))
-    out = list(basis)
-    for _ in range(16):
-        coeffs = rng.integers(0, p, size=len(basis))
-        f = zero_morphism(m, n)
-        for c_val, b in zip(coeffs, basis):
-            for _ in range(int(c_val)):
-                f = f + b
-        out.append(f)
-    return out
 
 
 def check_z_two_of_three(algebra, c_spec, z_spec, bound):
@@ -298,7 +267,7 @@ def check_z_two_of_three(algebra, c_spec, z_spec, bound):
         for sub in samples:
             if sub.dim > mid.dim:
                 continue
-            for f in _small_map_sample(sub, mid):
+            for f in maps(sub, mid, cap=64, samples=16):
                 if not f.is_mono():
                     continue
                 quot, _ = cokernel(f)
@@ -392,7 +361,7 @@ def factor(w, f):
     _require_in_c(w, f)
     res = w.pair.resolve_right(f.dom)
     j = res.mono
-    middle, (inj_i, inj_b), (proj_i, proj_b) = _sum_with_maps(j.cod, f.cod)
+    middle, (inj_i, inj_b), (proj_i, proj_b) = direct_sum([j.cod, f.cod])
     i = (inj_i @ j) + (inj_b @ f)
     p = proj_b
     if (p @ i) != f:
@@ -408,11 +377,6 @@ def factor(w, f):
     return Factorization(i, p, middle, coker_mod, ker_mod)
 
 
-def _sum_with_maps(m1, m2):
-    total, injections, projections = direct_sum([m1, m2])
-    return total, injections, projections
-
-
 def lift(i, p, top, bottom):
     """Diagonal filler h with h o i = top and p o h = bottom.
 
@@ -425,14 +389,9 @@ def lift(i, p, top, bottom):
     dom_mid = i.cod
     cod_mid = p.dom
     system = LinearSystem(i.p)
-    h = system.var("h", cod_mid.dim, dom_mid.dim)
+    h = module_map_var(system, "h", dom_mid, cod_mid)
     system.add_equation([(None, h, i.matrix)], top.matrix)
     system.add_equation([(p.matrix, h, None)], bottom.matrix)
-    for idx in range(dom_mid.algebra.dim):
-        system.add_equation(
-            [(None, h, dom_mid.action[idx]), (-cod_mid.action[idx], h, None)],
-            FieldMatrix.zeros(i.p, cod_mid.dim, dom_mid.dim),
-        )
     sol = system.solve()
     if sol is None:
         raise InternalInconsistencyError(
@@ -475,8 +434,6 @@ def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=100000,
     factorization whenever the right resolution of the domain has middle
     dimension at most dim(dom) + dim(cod).
     """
-    from .homological import _all_maps
-
     bound = f.dom.dim + f.cod.dim + extra_dim
     p = f.dom.p
     if enum_budget is None:
@@ -497,7 +454,7 @@ def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=100000,
             cok_mod, _ = cokernel(g)
             return w.in_zc(cok_mod)
 
-        good_monos = _all_maps(f.dom, middle, _is_good_mono)
+        good_monos = [g for g in maps(f.dom, middle) if _is_good_mono(g)]
         if not good_monos:
             continue
 
@@ -507,7 +464,7 @@ def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=100000,
             ker_mod, _ = kernel(g)
             return w.pair.in_right(ker_mod)
 
-        good_epis = _all_maps(middle, f.cod, _is_good_epi)
+        good_epis = [g for g in maps(middle, f.cod) if _is_good_epi(g)]
         for g in good_monos:
             for q in good_epis:
                 if (q @ g) == f:
@@ -578,7 +535,7 @@ class GluingInstance:
 
 def _pushout_with_projection(i, j):
     """Pushout of a span plus the quotient epi off the direct sum."""
-    summed, (inj_b, inj_c), _ = _sum_with_maps(i.cod, j.cod)
+    summed, (inj_b, inj_c), _ = direct_sum([i.cod, j.cod])
     diff = (inj_b @ i) - (inj_c @ j)
     _, q = cokernel(diff)
     return q, q @ inj_b, q @ inj_c, inj_b, inj_c
@@ -878,17 +835,12 @@ def _cokernel_epi_matching(sub_leg, old_epi, other_leg):
     q_mod = sub_leg.cod
     # reconstruct the quotient epi: it kills the image of the pushed mono
     system = LinearSystem(sub_leg.p)
-    h = system.var("h", old_epi.cod.dim, q_mod.dim)
+    h = module_map_var(system, "h", q_mod, old_epi.cod)
     system.add_equation([(None, h, other_leg.matrix)], old_epi.matrix)
     system.add_equation(
         [(None, h, sub_leg.matrix)],
         FieldMatrix.zeros(sub_leg.p, old_epi.cod.dim, sub_leg.dom.dim),
     )
-    for idx in range(q_mod.algebra.dim):
-        system.add_equation(
-            [(None, h, q_mod.action[idx]), (-old_epi.cod.action[idx], h, None)],
-            FieldMatrix.zeros(sub_leg.p, old_epi.cod.dim, q_mod.dim),
-        )
     sol = system.solve()
     if sol is None:
         raise InternalInconsistencyError("pushout quotient map could not be built")

@@ -24,6 +24,8 @@ from waldcat.algebra import (
     is_isomorphic,
     kernel,
     regular_module,
+    ses_from_epi,
+    ses_from_mono,
     simple_modules,
     zero_module,
     zero_morphism,
@@ -178,6 +180,15 @@ def test_injectivity_matches_ext_vanishing():
     for m in mods:
         expected = all(ext1(x, m).dimension == 0 for x in mods)
         assert is_injective(m) == expected
+
+
+def test_membership_matches_splitting_of_cover_and_embedding():
+    # m is projective iff its free cover splits, injective iff its
+    # embedding into a power of the dual regular module splits
+    for algebra in (fx2_algebra(), a1_algebra(), line_algebra()):
+        for m in enumerate_modules(algebra, 3):
+            assert is_projective(m) == ses_from_epi(free_cover(m)).is_split()
+            assert is_injective(m) == ses_from_mono(injective_embedding(m)).is_split()
 
 
 def test_projective_equals_injective_over_truncated_polynomials():

@@ -12,6 +12,7 @@ import pytest
 
 from waldcat.algebra import (
     Algebra,
+    Module,
     QuiverPresentation,
     algebra_from_quiver,
     direct_sum,
@@ -49,6 +50,7 @@ from waldcat.spans import (
     span_resolve_right,
     span_zero,
 )
+from waldcat.workspace import corpus_path, load_workspace
 
 
 def fx2_algebra():
@@ -299,6 +301,27 @@ def test_dual_resolution_on_quiver_algebra():
         ses = span_resolve_dual(x, pair)
         assert span_in_I(ses.mid, pair)
         assert span_in_P(ses.quot, pair)
+
+
+def test_dual_resolution_injectives_pair_on_quiver_corpus_span():
+    """The (all, injectives) dual resolution of the quiver_a1 span with
+    zero legs from a 2-dim vertex-0 apex to a 1-dim and a 2-dim module
+    concentrated at vertex 1 (the 17th ``random_span`` draw of seed 12)."""
+    a = load_workspace(corpus_path("quiver_a1")).algebras["quiver_a1"]
+    eye = np.eye(2, dtype=int)
+    zero = np.zeros((2, 2), dtype=int)
+    apex = Module(a, [eye, zero, zero, zero])
+    left = Module(a, [[[0]], [[1]], [[0]], [[0]]])
+    right = Module(a, [zero, eye, zero, zero])
+    x = SpanObject(zero_morphism(apex, left), zero_morphism(apex, right))
+    pair = all_injectives_pair(a)
+    ses = span_resolve_dual(x, pair)
+    assert isinstance(ses, SpanSES)
+    assert ses.validate() == []
+    assert ses.sub == x
+    assert (ses.mid.apex.dim, ses.mid.left.dim, ses.mid.right.dim) == (12, 4, 48)
+    assert span_in_I(ses.mid, pair)
+    assert span_in_P(ses.quot, pair)
 
 
 # ---------------------------------------------------------------------------

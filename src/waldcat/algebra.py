@@ -29,6 +29,7 @@ from .linalg import (
     column_space_basis,
     kernel_basis,
     rank,
+    rank_stack,
     rref,
     solve,
 )
@@ -872,7 +873,15 @@ _FINGERPRINT_CACHE = {}
 
 
 def fingerprint(module):
-    """Cheap isomorphism invariants: dimension plus action-word ranks."""
+    """Dimension plus the ranks of the action matrices and their products.
+
+    These ranks are read off the action in the algebra's chosen basis, so
+    the fingerprint depends on that basis: two isomorphic algebras can give
+    one module class different fingerprints, and over f2c2 (where every
+    action matrix of g is invertible) it separates few classes.  It is the
+    ordering key of ``enumerate_modules`` and a cheap reject for
+    ``is_isomorphic``, not a decision.
+    """
     cached = _FINGERPRINT_CACHE.get(module.digest)
     if cached is not None:
         return cached
@@ -888,27 +897,54 @@ def fingerprint(module):
 
 _ENUMERATION_CAP = 4096
 _RANDOM_TRIES = 500
+_SCAN_CELLS = 2**12
+
+
+def _first_in_span(mats, p, accept):
+    """First nonzero combination sum_k c_k mats[k] that ``accept`` takes.
+
+    Combinations are visited in ``itertools.product`` order of the
+    coefficients (the last one varies fastest).  They are formed in chunks
+    of about ``_SCAN_CELLS`` entries, each as one coefficient-by-basis
+    product, and ``accept`` maps an (N, rows, cols) stack of them to a
+    boolean mask.  Returns the first accepted matrix as an array, or None.
+    """
+    k = len(mats)
+    shape = mats[0].shape
+    flat = np.stack([m.a.reshape(-1) for m in mats])
+    chunk = max(1, _SCAN_CELLS // max(1, flat.shape[1]))
+    weights = p ** np.arange(k - 1, -1, -1)
+    total = p**k
+    for lo in range(1, total, chunk):
+        index = np.arange(lo, min(lo + chunk, total))
+        coeffs = (index[:, None] // weights) % p
+        stack = ((coeffs @ flat) % p).reshape(-1, *shape)
+        hits = np.flatnonzero(accept(stack))
+        if hits.size:
+            return stack[hits[0]]
+    return None
 
 
 def _find_invertible_combination(basis, p, dim):
-    """Search the span of hom-basis matrices for an invertible one."""
+    """Search the span of hom-basis matrices for an invertible one.
+
+    Up to ``_ENUMERATION_CAP`` combinations the whole span is scanned, so
+    the answer is exact; beyond it the basis and seeded random
+    combinations are tried.
+    """
     if dim == 0:
         return FieldMatrix.zeros(p, 0, 0)
     if not basis:
         return None
+    mats = [b.matrix for b in basis]
+    if p ** len(mats) <= _ENUMERATION_CAP:
+        hit = _first_in_span(mats, p, lambda stack: rank_stack(stack, p) == dim)
+        return None if hit is None else FieldMatrix(p, hit)
+    for m in mats:
+        if rank(m) == dim:
+            return m
     dom, cod = basis[0].dom, basis[0].cod
-    if p ** len(basis) <= _ENUMERATION_CAP:
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            cand = combine(dom, cod, basis, coeffs).matrix
-            if rank(cand) == dim:
-                return cand
-        return None
-    for b in basis:
-        if rank(b.matrix) == dim:
-            return b.matrix
-    seed = int(_digest("invcombo", *(b.matrix.a.tobytes() for b in basis))[:8], 16)
+    seed = int(_digest("invcombo", *(m.a.tobytes() for m in mats))[:8], 16)
     rng = np.random.default_rng(seed)
     for _ in range(_RANDOM_TRIES):
         coeffs = rng.integers(0, p, size=len(basis))
@@ -921,9 +957,12 @@ def _find_invertible_combination(basis, p, dim):
 def is_isomorphic(m1, m2):
     """Explicit isomorphism m1 -> m2, or None when none exists.
 
-    Fast dimension/fingerprint rejection first; then a search for an
-    invertible element of Hom(m1, m2), falling back to matching
-    indecomposable summands when the hom space is too large to scan.
+    Different dimensions or fingerprints reject at once.  Otherwise the
+    decision is a search for an invertible element of Hom(m1, m2): when
+    the hom space has at most ``_ENUMERATION_CAP`` elements, one batched
+    rank scan over all of it decides exactly; larger hom spaces try the
+    basis and seeded random combinations, then fall back to matching
+    indecomposable summands.
     """
     if m1.algebra.digest != m2.algebra.digest or m1.dim != m2.dim:
         return None
@@ -1017,15 +1056,24 @@ def _split_and_recurse(module, ker_cols, im_cols):
 
 
 def _find_splitting_endo(module):
-    """Look for an endomorphism whose stable kernel/image split the module."""
+    """Look for an endomorphism whose stable kernel/image split the module.
+
+    The stable kernel and image are those of the power mat**(2**b) with
+    b = max(1, dim.bit_length()), which is at least dim.  Up to
+    ``_ENUMERATION_CAP`` combinations the whole endomorphism span is
+    scanned in one batch, taking the first combination whose power has
+    0 < rank < dim; larger spans try the basis, pairwise sums and seeded
+    random combinations.
+    """
     p = module.p
     dim = module.dim
     basis = hom_basis(module, module)
     mats = [b.matrix for b in basis]
+    squarings = max(1, dim.bit_length())
 
     def check(mat):
         power = mat
-        for _ in range(max(1, dim.bit_length())):
+        for _ in range(squarings):
             power = power @ power
         r = rank(power)
         if 0 < r < dim:
@@ -1034,14 +1082,15 @@ def _find_splitting_endo(module):
             return ker_cols, im_cols
         return None
 
+    def splits(stack):
+        for _ in range(squarings):
+            stack = np.matmul(stack, stack) % p
+        r = rank_stack(stack, p)
+        return (0 < r) & (r < dim)
+
     if p ** len(mats) <= _ENUMERATION_CAP:
-        for coeffs in itertools.product(range(p), repeat=len(mats)):
-            if not any(coeffs):
-                continue
-            res = check(combine(module, module, basis, coeffs).matrix)
-            if res is not None:
-                return res
-        return None
+        hit = _first_in_span(mats, p, splits)
+        return None if hit is None else check(FieldMatrix(p, hit))
     for m in mats:
         res = check(m)
         if res is not None:

@@ -216,6 +216,12 @@ def k0_waldhausen(
     base = k0_exact_category(
         w.algebra, w.c_spec, dim_bound, enum_budget, class_budget
     )
+    return _kill_acyclics(w, base)
+
+
+def _kill_acyclics(w, base):
+    """``base``, the exact-category K0 on w's C, with [Z] = 0 for every
+    acyclic generator Z.  Callers have checked w's 2-out-of-3 gate."""
     count = len(base.generators)
     kill = []
     for idx, m in enumerate(base.modules):
@@ -311,7 +317,8 @@ def localization_k0_report(
 
     ka = k0_exact_category(algebra, a_spec, dim_bound, enum_budget, class_budget)
     kb = k0_exact_category(algebra, spec_all(), dim_bound, enum_budget, class_budget)
-    kbw = k0_waldhausen(w, dim_bound, enum_budget, class_budget)
+    # w's C is spec_all(), so kb is the base presentation of K0(B, w_A)
+    kbw = _kill_acyclics(w, kb)
 
     first = _transfer_matrix(ka, kb)
     second = _transfer_matrix(kb, kbw)

@@ -1,9 +1,13 @@
 """Exact dense linear algebra over GF(p) and over the integers.
 
 All field computations are done with numpy int64 arrays holding residues
-in [0, p).  Primes and dimensions stay small enough (p <= 5, dims in the
-hundreds) that int64 products never overflow.  Integer matrices use
-arbitrary-precision Python ints so Smith normal form is exact.
+in [0, p).  Every kernel here, ``rank_stack`` and the batched span scans
+built on it included, forms products of two residues and sums them, so
+the prime must satisfy p < MODULUS_LIMIT = 2**16: then each product is
+below 2**32 and a sum of up to 2**31 of them (any matrix product or
+elimination step at desk scale) is exact in int64.  Workspace loading
+rejects larger p.  Integer matrices use arbitrary-precision Python ints
+so Smith normal form is exact.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+MODULUS_LIMIT = 2**16
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     for q in range(2, int(p**0.5) + 1):
@@ -32,7 +36,7 @@ class FieldMatrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, data):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         a = np.array(data, dtype=np.int64)
         if a.ndim != 2:
@@ -140,6 +144,32 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
 
 def rank(m: FieldMatrix) -> int:
     return len(rref(m)[1])
+
+
+def rank_stack(stack, p: int) -> np.ndarray:
+    """Rank over GF(p) of each matrix in an (N, rows, cols) stack.
+
+    One elimination runs over the whole stack at once.  Each column step
+    picks the first nonzero row of every matrix as its pivot row and
+    replaces every row by pivot * row - row[c] * pivot_row: scaling a row
+    by the nonzero pivot keeps the rank, so no inverse is needed, and the
+    pivot row itself becomes zero and drops out.  A matrix gains one rank
+    for each column in which it still had a nonzero entry.
+    """
+    a = np.array(stack, dtype=np.int64) % p
+    count, rows, cols = a.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    if rows == 0:
+        return ranks
+    picks = np.arange(count)
+    for c in range(cols):
+        nonzero = a[:, :, c] != 0
+        has = nonzero.any(axis=1)
+        pivot_row = a[picks, nonzero.argmax(axis=1)]
+        pivot = np.where(has, pivot_row[:, c], 1)
+        a = (pivot[:, None, None] * a - a[:, :, c, None] * pivot_row[:, None, :]) % p
+        ranks += has
+    return ranks
 
 
 def solve(a: FieldMatrix, b: FieldMatrix) -> Optional[FieldMatrix]:

@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .chains import ChainComplex
 from .errors import MalformedInputError, ValidationError
+from .linalg import MODULUS_LIMIT, is_prime
 from .spans import SpanObject
 
 
@@ -115,6 +116,16 @@ def algebra_from_entry(entry):
     _require(isinstance(entry, dict), "algebra entry must be an object")
     _require("p" in entry, "algebra entry needs the prime p")
     p = entry["p"]
+    _require(
+        isinstance(p, int) and not isinstance(p, bool),
+        "the prime p must be an integer, got %r" % (p,),
+    )
+    _require(
+        p < MODULUS_LIMIT,
+        "the prime p = %d is too large: GF(p) arithmetic is exact in int64 "
+        "only for p below %d" % (p, MODULUS_LIMIT),
+    )
+    _require(is_prime(p), "p = %d is not prime" % p)
     if "quiver" in entry:
         q = entry["quiver"]
         _require(isinstance(q, dict), "quiver description must be an object")

@@ -20,6 +20,7 @@ from waldcat.algebra import (
     ShortExactSequence,
     algebra_from_quiver,
     cokernel,
+    combine,
     direct_sum,
     enumerate_modules,
     fingerprint,
@@ -42,7 +43,10 @@ from waldcat.algebra import (
     zero_morphism,
 )
 from waldcat.errors import BudgetExceededError, ValidationError
-from waldcat.linalg import FieldMatrix, rank, solve
+from waldcat.linalg import FieldMatrix, column_space_basis, kernel_basis, rank, solve
+from waldcat.workspace import corpus_path, load_workspace
+
+CORPUS_NAMES = ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"]
 
 
 def fx2_algebra():
@@ -580,6 +584,109 @@ def test_indecomposable_summands_of_mixed_sum():
         assert (proj @ incl) == identity_morphism(piece)
         acc = acc + (incl @ proj)
     assert acc == identity_morphism(total)
+
+
+# ---------------------------------------------------------------------------
+# batched span scans against the scalar loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _corpus_algebra(name):
+    return load_workspace(corpus_path(name)).only_algebra()
+
+
+def _random_conjugate(m, rng):
+    """m with its action rewritten in a random basis."""
+    while True:
+        h = FieldMatrix(m.p, rng.integers(0, m.p, size=(m.dim, m.dim)))
+        if rank(h) == m.dim:
+            break
+    hinv = solve(h, FieldMatrix.identity(m.p, m.dim))
+    return Module(m.algebra, [h @ a @ hinv for a in m.action])
+
+
+def _scalar_invertible_combination(basis, p, dim):
+    """First invertible combination in itertools.product order, one rank each."""
+    dom, cod = basis[0].dom, basis[0].cod
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        cand = combine(dom, cod, basis, coeffs).matrix
+        if rank(cand) == dim:
+            return cand
+    return None
+
+
+def _scalar_splitting_endo(module, batched):
+    """The exhaustive splitting scan as a scalar loop; larger spans go to
+    ``batched``, whose fallbacks are shared."""
+    p, dim = module.p, module.dim
+    basis = hom_basis(module, module)
+    if p ** len(basis) > alg._ENUMERATION_CAP:
+        return batched(module)
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        power = combine(module, module, basis, coeffs).matrix
+        for _ in range(max(1, dim.bit_length())):
+            power = power @ power
+        if 0 < rank(power) < dim:
+            return kernel_basis(power), column_space_basis(power)
+    return None
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("scan_cells", [alg._SCAN_CELLS, 8])
+def test_batched_invertible_search_matches_scalar_scan(name, scan_cells, monkeypatch):
+    # 8 cells puts at most two candidates in a chunk, so the scan crosses chunks
+    monkeypatch.setattr(alg, "_SCAN_CELLS", scan_cells)
+    a = _corpus_algebra(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    found = []
+    for m1 in mods:
+        for m2 in mods:
+            if m1.dim != m2.dim:
+                continue
+            twisted = _random_conjugate(m2, rng)
+            basis = hom_basis(m1, twisted)
+            if not basis or a.p ** len(basis) > alg._ENUMERATION_CAP:
+                continue
+            expected = _scalar_invertible_combination(basis, a.p, m1.dim)
+            got = alg._find_invertible_combination(basis, a.p, m1.dim)
+            assert (got is None) == (expected is None)
+            assert got is None or got == expected
+            found.append(got is not None)
+    # both outcomes occur: isomorphic and non-isomorphic pairs were scanned
+    assert set(found) == {True, False}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_indecomposable_summands_match_scalar_splitting(name, monkeypatch):
+    a = _corpus_algebra(name)
+    rng = np.random.default_rng(7 + sum(map(ord, name)))
+    mods = [m for m in enumerate_modules(a, 2) if m.dim > 0]
+    fixtures = []
+    for m1, m2 in itertools.combinations_with_replacement(mods, 2):
+        total, _, _ = direct_sum([m1, m2])
+        fixtures.append(_random_conjugate(total, rng))
+    if name == "fx2":
+        reg = regular_module(a)
+        s = simple_modules(a)[0]
+        fixtures.append(direct_sum([reg, s, s])[0])
+
+    def summands(module):
+        return [
+            (piece.digest, incl.matrix, proj.matrix)
+            for piece, incl, proj in indecomposable_summands(module)
+        ]
+
+    batched = [summands(m) for m in fixtures]
+    original = alg._find_splitting_endo
+    monkeypatch.setattr(
+        alg, "_find_splitting_endo", lambda m: _scalar_splitting_endo(m, original)
+    )
+    assert [summands(m) for m in fixtures] == batched
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,21 @@ def test_exit_three_unknown_subcommand():
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "p, reason",
+    [(4, "not prime"), (2.5, "integer"), ("2", "integer"), (True, "integer"),
+     (65537, "too large")],
+)
+def test_exit_three_bad_prime(tmp_path, p, reason):
+    doc = {"algebras": {"a": {"p": p, "structure": [[[1]]], "unit": [1]}}}
+    path = tmp_path / "badp.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj("validate", "--input", str(path))
+    assert code == 3
+    assert out["error"]["type"] == "malformed"
+    assert reason in out["error"]["message"]
+
+
 def test_exit_two_budget_exceeded():
     code, out = runj("k0", "--input", FX2, "--dim-bound", "4",
                      "--budget", "10")

@@ -33,6 +33,7 @@ from waldcat.waldhausen import (
     spec_injectives,
     spec_projectives,
 )
+from waldcat.workspace import corpus_path, load_workspace
 
 
 def field_algebra():
@@ -247,6 +248,21 @@ def test_fx2_localization_sequence():
     # every row of the first map is a single generator hit
     for row in rep["maps"]["KA_to_KB"]:
         assert sorted(row)[-1] == 1 and sum(row) == 1
+
+
+def test_twin_algebras_f2c2_and_fx2_localize_alike():
+    # F_2[C_2] = F_2[x]/(x^2) with x = g + 1: same groups in different bases
+    reports = [
+        localization_k0_report(
+            load_workspace(corpus_path(name)).only_algebra(), spec_projectives(), 4
+        )
+        for name in ("f2c2", "fx2")
+    ]
+    assert all(rep["ok"] for rep in reports)
+    for key in ("KA", "KB", "KBwA"):
+        f2c2, fx2 = (rep["groups"][key]["invariant_factors"] for rep in reports)
+        assert f2c2 == fx2
+    assert reports[0]["cokernel"] == reports[1]["cokernel"]
 
 
 def test_fx3_localization_cokernel_is_z_mod_three():

@@ -18,6 +18,7 @@ from waldcat.linalg import (
     in_column_space,
     kernel_basis,
     rank,
+    rank_stack,
     row_lattice_member,
     row_lattices_equal,
     rref,
@@ -103,6 +104,28 @@ def test_rank_nullity_random():
         cols = rng.randrange(1, 9)
         m = FieldMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
         assert rank(m) + kernel_basis(m).cols == cols
+
+
+def test_rank_stack_agrees_with_rank():
+    rng = np.random.default_rng(20261018)
+    for p in (2, 3, 5):
+        for rows, cols in ((0, 0), (1, 1), (0, 3), (3, 0), (3, 3), (4, 6), (6, 4)):
+            stack = [np.zeros((rows, cols), dtype=np.int64)]
+            if rows == cols:
+                stack.append(np.eye(rows, dtype=np.int64))
+            stack.extend(rng.integers(0, p, size=(40, rows, cols)))
+            # low-rank members: products through a thin middle dimension
+            for inner in range(min(rows, cols) + 1):
+                left = rng.integers(0, p, size=(rows, inner))
+                right = rng.integers(0, p, size=(inner, cols))
+                stack.append(left @ right)
+            stack = np.stack(stack).astype(np.int64)
+            expected = [rank(FieldMatrix(p, m)) for m in stack]
+            assert rank_stack(stack, p).tolist() == expected
+
+
+def test_rank_stack_of_empty_stack():
+    assert rank_stack(np.zeros((0, 3, 3), dtype=np.int64), 2).tolist() == []
 
 
 def test_solve_iff_in_column_space_random():

@@ -24,9 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    MODULUS_LIMIT,
     FieldMatrix,
     LinearSystem,
     column_space_basis,
+    is_prime,
     kernel_basis,
     rank,
     rank_stack,
@@ -55,6 +57,10 @@ class Algebra:
 
     def __init__(self, p, structure, unit, basis_labels=None):
         self.p = int(p)
+        if not (self.p < MODULUS_LIMIT and is_prime(self.p)):
+            raise ValidationError(
+                "p = %d must be a prime below %d" % (self.p, MODULUS_LIMIT)
+            )
         tensor = np.asarray(structure, dtype=np.int64) % self.p
         if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
             raise ValidationError("structure constants must form a cubic tensor")
@@ -473,14 +479,8 @@ class Morphism:
     def inverse(self):
         if not self.is_iso():
             raise ValidationError("map is not invertible")
-        inv = solve(self.matrix, FieldMatrix.identity(self.p, self.dim_cod()))
+        inv = solve(self.matrix, FieldMatrix.identity(self.p, self.cod.dim))
         return Morphism(self.cod, self.dom, inv, check=False)
-
-    def dim_cod(self):
-        return self.cod.dim
-
-    def digest_pair(self):
-        return (self.dom.digest, self.cod.digest)
 
     def __repr__(self):
         return "Morphism(%d -> %d)" % (self.dom.dim, self.cod.dim)
@@ -536,8 +536,23 @@ def module_map_var(system, name, dom, cod):
     return var
 
 
-def hom_dim(dom, cod):
-    return len(hom_basis(dom, cod))
+def solve_map(dom, cod, post=(), pre=()):
+    """A module map x: dom -> cod with g @ x == t for each (g, t) in ``post``
+    and x @ f == t for each (f, t) in ``pre``, or None when there is none.
+
+    One dense system in the entries of x; free coordinates are set to zero,
+    so the answer does not depend on the order of the constraints.
+    """
+    system = LinearSystem(dom.p)
+    x = module_map_var(system, "x", dom, cod)
+    for g, t in post:
+        system.add_equation([(g.matrix, x, None)], t.matrix)
+    for f, t in pre:
+        system.add_equation([(None, x, f.matrix)], t.matrix)
+    sol = system.solve()
+    if sol is None:
+        return None
+    return Morphism(dom, cod, sol["x"], check=False)
 
 
 def combine(dom, cod, basis, coeffs):
@@ -740,13 +755,10 @@ class ShortExactSequence:
 
     def is_split(self):
         """True when the epi admits a module-map section."""
-        system = LinearSystem(self.mid.p)
-        s = module_map_var(system, "s", self.quot, self.mid)
-        system.add_equation(
-            [(self.epi.matrix, s, None)],
-            FieldMatrix.identity(self.mid.p, self.quot.dim),
+        section = solve_map(
+            self.quot, self.mid, post=[(self.epi, identity_morphism(self.quot))]
         )
-        return system.solve() is not None
+        return section is not None
 
     def __repr__(self):
         return "SES(%d -> %d -> %d)" % (self.sub.dim, self.mid.dim, self.quot.dim)

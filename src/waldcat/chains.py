@@ -69,9 +69,6 @@ class ChainComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def total_dim(self):
-        return sum(m.dim for m in self.objects)
-
     def __eq__(self, other):
         return (
             isinstance(other, ChainComplex)
@@ -153,10 +150,6 @@ def identity_chain_map(x):
     return ChainMap(
         x, x, {n: identity_morphism(x.obj(n)) for n in x.degrees()}, check=False
     )
-
-
-def zero_chain_map(dom, cod):
-    return ChainMap(dom, cod, {}, check=False)
 
 
 # ---------------------------------------------------------------------------

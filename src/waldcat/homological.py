@@ -33,9 +33,9 @@ from .algebra import (
     indecomposable_summands,
     kernel,
     maps,
-    module_map_var,
     regular_module,
     simple_modules,
+    solve_map,
     zero_module,
     zero_morphism,
 )
@@ -46,7 +46,6 @@ from .errors import (
 )
 from .linalg import (
     FieldMatrix,
-    LinearSystem,
     column_space_basis,
     in_column_space,
     kernel_basis,
@@ -316,11 +315,7 @@ def _ladder_equivalent(seq1, seq2):
     i2, p2 = seq2
     if i1.cod.dim != i2.cod.dim:
         return False
-    system = LinearSystem(i1.p)
-    h = module_map_var(system, "h", i1.cod, i2.cod)
-    system.add_equation([(None, h, i1.matrix)], i2.matrix)
-    system.add_equation([(p2.matrix, h, None)], p1.matrix)
-    return system.solve() is not None
+    return solve_map(i1.cod, i2.cod, post=[(p2, p1)], pre=[(i1, i2)]) is not None
 
 
 # ---------------------------------------------------------------------------

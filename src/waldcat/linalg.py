@@ -5,9 +5,9 @@ in [0, p).  Every kernel here, ``rank_stack`` and the batched span scans
 built on it included, forms products of two residues and sums them, so
 the prime must satisfy p < MODULUS_LIMIT = 2**16: then each product is
 below 2**32 and a sum of up to 2**31 of them (any matrix product or
-elimination step at desk scale) is exact in int64.  Workspace loading
-rejects larger p.  Integer matrices use arbitrary-precision Python ints
-so Smith normal form is exact.
+elimination step at desk scale) is exact in int64.  ``FieldMatrix``,
+``Algebra`` and workspace loading reject larger p.  Integer matrices use
+arbitrary-precision Python ints so Smith normal form is exact.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class FieldMatrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, data):
+        if p >= MODULUS_LIMIT:
+            raise ValueError(f"modulus {p} is not below {MODULUS_LIMIT}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         a = np.array(data, dtype=np.int64)

@@ -29,7 +29,13 @@ from .chains import (
 )
 from .errors import ValidationError
 from .linalg import FieldMatrix, LinearSystem
-from .spans import SpanMorphism, SpanObject, SpanSES
+from .spans import (
+    SpanMorphism,
+    SpanObject,
+    SpanSES,
+    solved_span_morphism,
+    span_map_var,
+)
 from .waldhausen import (
     ExtensionInstance,
     GluingInstance,
@@ -313,27 +319,9 @@ def random_span_morphism(rng, dom, cod):
     Samples the solution space of the naturality-and-equivariance system,
     so the result can be any morphism, not just a block construction.
     """
-    p = dom.apex.p
-    system = LinearSystem(p)
-    v_left = module_map_var(system, "left", dom.left, cod.left)
-    v_apex = module_map_var(system, "apex", dom.apex, cod.apex)
-    v_right = module_map_var(system, "right", dom.right, cod.right)
-    system.add_equation(
-        [(None, v_left, dom.g.matrix), (-cod.g.matrix, v_apex, None)],
-        FieldMatrix.zeros(p, cod.left.dim, dom.apex.dim),
-    )
-    system.add_equation(
-        [(None, v_right, dom.f.matrix), (-cod.f.matrix, v_apex, None)],
-        FieldMatrix.zeros(p, cod.right.dim, dom.apex.dim),
-    )
-    parts = _sample_solution(rng, system)
-    return SpanMorphism(
-        dom,
-        cod,
-        Morphism(dom.left, cod.left, parts["left"], check=False),
-        Morphism(dom.apex, cod.apex, parts["apex"], check=False),
-        Morphism(dom.right, cod.right, parts["right"], check=False),
-    )
+    system = LinearSystem(dom.apex.p)
+    span_map_var(system, dom, cod)
+    return solved_span_morphism(dom, cod, _sample_solution(rng, system))
 
 
 def _sample_solution(rng, system):
@@ -395,7 +383,7 @@ def random_chain_map(rng, x, y):
         if n in vars_by_degree:
             terms.append((y.diff(n).matrix, vars_by_degree[n], None))
         if (n - 1) in vars_by_degree:
-            terms.append((None, vars_by_degree[n - 1], x.diff(n).matrix))
+            terms.append((None, vars_by_degree[n - 1], -x.diff(n).matrix))
         if terms:
             system.add_equation(
                 terms, FieldMatrix.zeros(p, y.obj(n - 1).dim, x.obj(n).dim)

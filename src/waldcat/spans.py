@@ -22,6 +22,7 @@ from .algebra import (
     kernel,
     module_map_var,
     pullback,
+    solve_map,
     zero_module,
     zero_morphism,
 )
@@ -31,6 +32,9 @@ from .errors import (
 )
 from .homological import induced_on_cokernel
 from .linalg import FieldMatrix, LinearSystem
+
+
+_COMPONENTS = ("left", "apex", "right")
 
 
 class SpanObject:
@@ -138,6 +142,41 @@ def identity_span_morphism(s):
     )
 
 
+def span_map_var(system, dom, cod):
+    """Declare unknown module maps ``left``, ``apex`` and ``right`` from the
+    components of ``dom`` to those of ``cod`` in ``system``, and constrain
+    them to be a span morphism: both leg squares commute.
+
+    Returns the three variables, so callers can add further constraints.
+    """
+    parts = tuple(
+        module_map_var(system, name, getattr(dom, name), getattr(cod, name))
+        for name in _COMPONENTS
+    )
+    h_left, h_apex, h_right = parts
+    system.add_equation(
+        [(None, h_left, dom.g.matrix), (-cod.g.matrix, h_apex, None)],
+        FieldMatrix.zeros(dom.apex.p, cod.left.dim, dom.apex.dim),
+    )
+    system.add_equation(
+        [(None, h_right, dom.f.matrix), (-cod.f.matrix, h_apex, None)],
+        FieldMatrix.zeros(dom.apex.p, cod.right.dim, dom.apex.dim),
+    )
+    return parts
+
+
+def solved_span_morphism(dom, cod, sol):
+    """The span morphism dom -> cod read off a solution of ``span_map_var``."""
+    return SpanMorphism(
+        dom,
+        cod,
+        *(
+            Morphism(getattr(dom, name), getattr(cod, name), sol[name], check=False)
+            for name in _COMPONENTS
+        ),
+    )
+
+
 def span_direct_sum(s1, s2):
     """Componentwise direct sum with injection and projection span maps."""
     left, (il1, il2), (pl1, pl2) = direct_sum([s1.left, s2.left])
@@ -171,7 +210,7 @@ class SpanSES:
         problems = []
         if self.mono.cod != self.epi.dom:
             return ["mono and epi do not share the middle span"]
-        for name in ("left", "apex", "right"):
+        for name in _COMPONENTS:
             m = getattr(self.mono, name)
             e = getattr(self.epi, name)
             strand = ShortExactSequence(m, e, check=False)
@@ -193,38 +232,16 @@ def span_section(e):
     """A span morphism s with e o s = identity, or None."""
     q = e.cod
     system = LinearSystem(q.apex.p)
-    s_left = module_map_var(system, "left", q.left, e.dom.left)
-    s_apex = module_map_var(system, "apex", q.apex, e.dom.apex)
-    s_right = module_map_var(system, "right", q.right, e.dom.right)
-    # naturality of the section
-    system.add_equation(
-        [(None, s_left, q.g.matrix), (-e.dom.g.matrix, s_apex, None)],
-        FieldMatrix.zeros(q.apex.p, e.dom.left.dim, q.apex.dim),
-    )
-    system.add_equation(
-        [(None, s_right, q.f.matrix), (-e.dom.f.matrix, s_apex, None)],
-        FieldMatrix.zeros(q.apex.p, e.dom.right.dim, q.apex.dim),
-    )
+    parts = span_map_var(system, q, e.dom)
     # e o s = 1
-    system.add_equation(
-        [(e.left.matrix, s_left, None)], FieldMatrix.identity(q.apex.p, q.left.dim)
-    )
-    system.add_equation(
-        [(e.apex.matrix, s_apex, None)], FieldMatrix.identity(q.apex.p, q.apex.dim)
-    )
-    system.add_equation(
-        [(e.right.matrix, s_right, None)], FieldMatrix.identity(q.apex.p, q.right.dim)
-    )
+    for var, e_c in zip(parts, e.components()):
+        system.add_equation(
+            [(e_c.matrix, var, None)], FieldMatrix.identity(q.apex.p, e_c.cod.dim)
+        )
     sol = system.solve()
     if sol is None:
         return None
-    return SpanMorphism(
-        q,
-        e.dom,
-        Morphism(q.left, e.dom.left, sol["left"], check=False),
-        Morphism(q.apex, e.dom.apex, sol["apex"], check=False),
-        Morphism(q.right, e.dom.right, sol["right"], check=False),
-    )
+    return solved_span_morphism(q, e.dom, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +320,6 @@ def span_is_acyclic_fibration(m, pair):
 # ---------------------------------------------------------------------------
 
 
-def _lift_through(epi, target):
-    """A map l with epi o l = target (exists when the domain of ``target``
-    is left-class and the kernel of ``epi`` is right-class)."""
-    system = LinearSystem(epi.p)
-    l = module_map_var(system, "l", target.dom, epi.dom)
-    system.add_equation([(epi.matrix, l, None)], target.matrix)
-    sol = system.solve()
-    if sol is None:
-        return None
-    return Morphism(target.dom, epi.dom, sol["l"], check=False)
-
-
-def _extend_through(mono, target):
-    """A map e with e o mono = target (exists when the cokernel of ``mono``
-    is left-class and the codomain of ``target`` is right-class)."""
-    system = LinearSystem(mono.p)
-    e = module_map_var(system, "e", mono.cod, target.cod)
-    system.add_equation([(None, e, mono.matrix)], target.matrix)
-    sol = system.solve()
-    if sol is None:
-        return None
-    return Morphism(mono.cod, target.cod, sol["e"], check=False)
-
-
 def _require(cond, message):
     if not cond:
         raise ValidationError(message)
@@ -350,7 +343,7 @@ def span_resolve_right(x, pair):
     alpha2, alpha1 = res_a.mono, res_a.epi
     i_c, p_c = res_c.sub, res_c.mid
     gamma2, gamma1 = res_c.mono, res_c.epi
-    g1 = _lift_through(gamma1, x.g @ alpha1)
+    g1 = solve_map(p_a, p_c, post=[(gamma1, x.g @ alpha1)])
     if g1 is None:
         raise InternalInconsistencyError("left-leg lift through the resolution failed")
     g2 = corestrict(g1 @ alpha2, gamma2)
@@ -379,7 +372,7 @@ def span_resolve_right(x, pair):
     res_b = pair.resolve_left(b)
     i_b, p_b = res_b.sub, res_b.mid
     beta2, beta1 = res_b.mono, res_b.epi
-    f1 = _lift_through(beta1, x.f @ epi2)
+    f1 = solve_map(pa2_mod, p_b, post=[(beta1, x.f @ epi2)])
     if f1 is None:
         raise InternalInconsistencyError("right-leg lift through the resolution failed")
     # factor f1 as a cofibration followed by an acyclic fibration
@@ -428,7 +421,7 @@ def span_resolve_dual(x, pair):
     gamma = res_c.mono      # c into I_C
     pi_c = res_c.epi
     i_c = gamma.cod
-    g1 = _extend_through(alpha, gamma @ x.g)
+    g1 = solve_map(alpha.cod, i_c, pre=[(alpha, gamma @ x.g)])
     if g1 is None:
         raise InternalInconsistencyError("left-leg extension over the embedding failed")
     res_ic = pair.resolve_left(i_c)
@@ -455,7 +448,7 @@ def span_resolve_dual(x, pair):
     res_b = pair.resolve_right(b)
     beta = res_b.mono
     pi_b = res_b.epi
-    f1 = _extend_through(mono_a, beta @ x.f)
+    f1 = solve_map(ia2_mod, beta.cod, pre=[(mono_a, beta @ x.f)])
     if f1 is None:
         raise InternalInconsistencyError("right-leg extension over the embedding failed")
     c_right = induced_on_cokernel(pi_a, pi_b @ f1)
@@ -503,14 +496,10 @@ def _pullback_induced(f, g, to_b, to_c, leg_b, leg_c=None):
         leg_c = zero_morphism(dom, g.dom)
     if (f @ leg_b) != (g @ leg_c):
         raise InternalInconsistencyError("pullback legs do not agree")
-    system = LinearSystem(f.p)
-    u = module_map_var(system, "u", dom, to_b.dom)
-    system.add_equation([(to_b.matrix, u, None)], leg_b.matrix)
-    system.add_equation([(to_c.matrix, u, None)], leg_c.matrix)
-    sol = system.solve()
-    if sol is None:
+    u = solve_map(dom, to_b.dom, post=[(to_b, leg_b), (to_c, leg_c)])
+    if u is None:
         raise InternalInconsistencyError("pullback factorization failed")
-    return Morphism(dom, to_b.dom, sol["u"], check=False)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -564,42 +553,16 @@ def span_lift(i, p, top, bottom):
     """
     if (p @ top) != (bottom @ i):
         raise ValidationError("span lifting square does not commute")
-    dom_s = i.cod
-    cod_s = p.dom
-    system = LinearSystem(dom_s.apex.p)
-    h_left = module_map_var(system, "left", dom_s.left, cod_s.left)
-    h_apex = module_map_var(system, "apex", dom_s.apex, cod_s.apex)
-    h_right = module_map_var(system, "right", dom_s.right, cod_s.right)
-    p_field = dom_s.apex.p
-    system.add_equation(
-        [(None, h_left, dom_s.g.matrix), (-cod_s.g.matrix, h_apex, None)],
-        FieldMatrix.zeros(p_field, cod_s.left.dim, dom_s.apex.dim),
-    )
-    system.add_equation(
-        [(None, h_right, dom_s.f.matrix), (-cod_s.f.matrix, h_apex, None)],
-        FieldMatrix.zeros(p_field, cod_s.right.dim, dom_s.apex.dim),
-    )
-    for var, i_c, top_c in (
-        (h_left, i.left, top.left),
-        (h_apex, i.apex, top.apex),
-        (h_right, i.right, top.right),
+    system = LinearSystem(i.cod.apex.p)
+    parts = span_map_var(system, i.cod, p.dom)
+    for var, i_c, top_c, p_c, bot_c in zip(
+        parts, i.components(), top.components(), p.components(), bottom.components()
     ):
         system.add_equation([(None, var, i_c.matrix)], top_c.matrix)
-    for var, p_c, bot_c in (
-        (h_left, p.left, bottom.left),
-        (h_apex, p.apex, bottom.apex),
-        (h_right, p.right, bottom.right),
-    ):
         system.add_equation([(p_c.matrix, var, None)], bot_c.matrix)
     sol = system.solve()
     if sol is None:
         raise InternalInconsistencyError(
             "no span lift exists; preconditions were not satisfied"
         )
-    return SpanMorphism(
-        dom_s,
-        cod_s,
-        Morphism(dom_s.left, cod_s.left, sol["left"], check=False),
-        Morphism(dom_s.apex, cod_s.apex, sol["apex"], check=False),
-        Morphism(dom_s.right, cod_s.right, sol["right"], check=False),
-    )
+    return solved_span_morphism(i.cod, p.dom, sol)

@@ -27,10 +27,11 @@ from .algebra import (
     is_isomorphic,
     kernel,
     maps,
-    module_map_var,
     pullback,
     pushout,
+    solve_map,
     zero_module,
+    zero_morphism,
 )
 from .errors import (
     BudgetExceededError,
@@ -45,7 +46,6 @@ from .homological import (
     is_injective,
     is_projective,
 )
-from .linalg import FieldMatrix, LinearSystem
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +386,12 @@ def lift(i, p, top, bottom):
     """
     if (p @ top) != (bottom @ i):
         raise ValidationError("lifting square does not commute")
-    dom_mid = i.cod
-    cod_mid = p.dom
-    system = LinearSystem(i.p)
-    h = module_map_var(system, "h", dom_mid, cod_mid)
-    system.add_equation([(None, h, i.matrix)], top.matrix)
-    system.add_equation([(p.matrix, h, None)], bottom.matrix)
-    sol = system.solve()
-    if sol is None:
+    h = solve_map(i.cod, p.dom, post=[(p, bottom)], pre=[(i, top)])
+    if h is None:
         raise InternalInconsistencyError(
             "no lift exists; preconditions were not satisfied"
         )
-    return Morphism(dom_mid, cod_mid, sol["h"], check=False)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -832,19 +826,13 @@ def _cokernel_epi_matching(sub_leg, old_epi, other_leg):
     the new sequence 0 -> M -> pushout -> C -> 0 keeps its quotient; the
     epi is induced by (0, old_epi) on the direct sum.
     """
-    q_mod = sub_leg.cod
     # reconstruct the quotient epi: it kills the image of the pushed mono
-    system = LinearSystem(sub_leg.p)
-    h = module_map_var(system, "h", q_mod, old_epi.cod)
-    system.add_equation([(None, h, other_leg.matrix)], old_epi.matrix)
-    system.add_equation(
-        [(None, h, sub_leg.matrix)],
-        FieldMatrix.zeros(sub_leg.p, old_epi.cod.dim, sub_leg.dom.dim),
+    kills_sub = zero_morphism(sub_leg.dom, old_epi.cod)
+    epi = solve_map(
+        sub_leg.cod, old_epi.cod, pre=[(other_leg, old_epi), (sub_leg, kills_sub)]
     )
-    sol = system.solve()
-    if sol is None:
+    if epi is None:
         raise InternalInconsistencyError("pushout quotient map could not be built")
-    epi = Morphism(q_mod, old_epi.cod, sol["h"], check=False)
     if not epi.is_epi():
         raise InternalInconsistencyError("pushout quotient map is not surjective")
     return epi

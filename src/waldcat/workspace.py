@@ -15,6 +15,8 @@ builders byte for byte.
 import json
 import pathlib
 
+import numpy as np
+
 from .algebra import (
     Algebra,
     Module,
@@ -106,6 +108,27 @@ def _require(cond, message):
         raise MalformedInputError(message)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_array(value, ndim):
+    """Is ``value`` a rectangular ``ndim``-dimensional array of JSON integers
+    that fit in int64?"""
+    try:
+        arr = np.array(value, dtype=object)
+    except ValueError:
+        return False
+    return arr.ndim == ndim and all(_is_int(v) and abs(v) < 2**63 for v in arr.flat)
+
+
+def _require_matrices(values, what):
+    _require(
+        isinstance(values, list) and all(_int_array(m, 2) for m in values),
+        "%s must be a list of integer matrices" % what,
+    )
+
+
 def _as_dict(doc, key, optional=False):
     value = doc.get(key, {} if optional else None)
     _require(isinstance(value, dict), "%r must be a JSON object" % key)
@@ -116,10 +139,7 @@ def algebra_from_entry(entry):
     _require(isinstance(entry, dict), "algebra entry must be an object")
     _require("p" in entry, "algebra entry needs the prime p")
     p = entry["p"]
-    _require(
-        isinstance(p, int) and not isinstance(p, bool),
-        "the prime p must be an integer, got %r" % (p,),
-    )
+    _require(_is_int(p), "the prime p must be an integer, got %r" % (p,))
     _require(
         p < MODULUS_LIMIT,
         "the prime p = %d is too large: GF(p) arithmetic is exact in int64 "
@@ -129,6 +149,18 @@ def algebra_from_entry(entry):
     if "quiver" in entry:
         q = entry["quiver"]
         _require(isinstance(q, dict), "quiver description must be an object")
+        _require(
+            _is_int(q.get("vertices", 0)) and _is_int(q.get("nil_bound", 2)),
+            "quiver vertices and nil_bound must be integers",
+        )
+        _require(
+            isinstance(q.get("arrows", []), list)
+            and all(
+                isinstance(a, list) and len(a) == 3 and _is_int(a[0]) and _is_int(a[1])
+                for a in q.get("arrows", [])
+            ),
+            "quiver arrows must be [source, target, label] triples",
+        )
         pres = QuiverPresentation(
             p,
             q.get("vertices", 0),
@@ -143,6 +175,10 @@ def algebra_from_entry(entry):
     _require(
         "structure" in entry and "unit" in entry,
         "algebra entry needs structure constants and a unit (or a quiver)",
+    )
+    _require(
+        _int_array(entry["structure"], 3) and _int_array(entry["unit"], 1),
+        "structure constants must be an integer cube and the unit an integer vector",
     )
     return Algebra(
         p, entry["structure"], entry["unit"],
@@ -231,6 +267,8 @@ def load_workspace(source, collect_failures=False):
         broken.add((kind, obj_name))
 
     def resolve(table, kind, obj_name, ref_kind, ref):
+        _require(isinstance(ref, str), "%s %r: a %s reference must be a name"
+                 % (kind, obj_name, ref_kind))
         if ref in table:
             return table[ref]
         if (ref_kind, ref) in broken:
@@ -250,6 +288,7 @@ def load_workspace(source, collect_failures=False):
         _require(isinstance(entry, dict), "module entry must be an object")
         _require("algebra" in entry and "action" in entry,
                  "module entry needs an algebra reference and action matrices")
+        _require_matrices(entry["action"], "module %r action" % mod_name)
         algebra = resolve(ws.algebras, "module", mod_name, "algebra", entry["algebra"])
         if algebra is None:
             continue
@@ -262,6 +301,8 @@ def load_workspace(source, collect_failures=False):
         _require(isinstance(entry, dict), "morphism entry must be an object")
         _require(all(k in entry for k in ("dom", "cod", "matrix")),
                  "morphism entry needs dom, cod, and a matrix")
+        _require(_int_array(entry["matrix"], 2),
+                 "morphism %r matrix must be an integer matrix" % mor_name)
         dom = resolve(ws.modules, "morphism", mor_name, "module", entry["dom"])
         cod = resolve(ws.modules, "morphism", mor_name, "module", entry["cod"])
         if dom is None or cod is None:
@@ -275,6 +316,8 @@ def load_workspace(source, collect_failures=False):
         _require(isinstance(entry, dict), "span entry must be an object")
         _require(all(k in entry for k in ("left", "apex", "right", "g", "f")),
                  "span entry needs left, apex, right, g, f")
+        _require(_int_array(entry["g"], 2) and _int_array(entry["f"], 2),
+                 "span %r legs must be integer matrices" % sp_name)
         parts = {}
         for key in ("left", "apex", "right"):
             parts[key] = resolve(ws.modules, "span", sp_name, "module", entry[key])
@@ -291,6 +334,9 @@ def load_workspace(source, collect_failures=False):
         _require(isinstance(entry, dict), "complex entry must be an object")
         _require(all(k in entry for k in ("algebra", "lo", "objects", "differentials")),
                  "complex entry needs algebra, lo, objects, differentials")
+        _require(_is_int(entry["lo"]) and isinstance(entry["objects"], list),
+                 "complex %r needs an integer lo and a list of objects" % cx_name)
+        _require_matrices(entry["differentials"], "complex %r differentials" % cx_name)
         algebra = resolve(ws.algebras, "complex", cx_name, "algebra", entry["algebra"])
         if algebra is None:
             continue

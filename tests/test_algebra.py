@@ -31,19 +31,28 @@ from waldcat.algebra import (
     invariant_subspaces,
     is_isomorphic,
     kernel,
+    maps,
     pullback,
     pushout,
     regular_module,
     ses_from_epi,
     ses_from_mono,
     simple_modules,
+    solve_map,
     submodule_from_columns,
     validate_algebra,
     zero_module,
     zero_morphism,
 )
 from waldcat.errors import BudgetExceededError, ValidationError
-from waldcat.linalg import FieldMatrix, column_space_basis, kernel_basis, rank, solve
+from waldcat.linalg import (
+    FieldMatrix,
+    LinearSystem,
+    column_space_basis,
+    kernel_basis,
+    rank,
+    solve,
+)
 from waldcat.workspace import corpus_path, load_workspace
 
 CORPUS_NAMES = ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"]
@@ -108,6 +117,12 @@ def test_validate_fx2_ok():
 def test_validate_one_dimensional_field():
     f3 = Algebra(3, [[[1]]], [1])
     assert validate_algebra(f3)["ok"]
+
+
+@pytest.mark.parametrize("p", [4, 1, 65537, 2**31 - 1])
+def test_algebra_rejects_p_not_prime_or_too_large(p):
+    with pytest.raises(ValidationError, match="prime below"):
+        Algebra(p, [[[1]]], [1])
 
 
 def test_validate_broken_unit_reported():
@@ -687,6 +702,122 @@ def test_indecomposable_summands_match_scalar_splitting(name, monkeypatch):
         alg, "_find_splitting_endo", lambda m: _scalar_splitting_endo(m, original)
     )
     assert [summands(m) for m in fixtures] == batched
+
+
+# ---------------------------------------------------------------------------
+# solve_map against the hand-built systems it replaced
+# ---------------------------------------------------------------------------
+
+
+def _hand_built_solve(dom, cod, post=(), pre=()):
+    """One map x: dom -> cod as the callers used to build it: equivariance,
+    then the x @ f == t equations, then the g @ x == t ones."""
+    system = LinearSystem(dom.p)
+    h = system.var("h", cod.dim, dom.dim)
+    zero = FieldMatrix.zeros(dom.p, cod.dim, dom.dim)
+    for i in range(dom.algebra.dim):
+        system.add_equation([(None, h, dom.action[i]), (-cod.action[i], h, None)], zero)
+    for f, t in pre:
+        system.add_equation([(None, h, f.matrix)], t.matrix)
+    for g, t in post:
+        system.add_equation([(g.matrix, h, None)], t.matrix)
+    sol = system.solve()
+    return None if sol is None else sol["h"]
+
+
+def _assert_matches_hand_built(dom, cod, post=(), pre=()):
+    got = solve_map(dom, cod, post=post, pre=pre)
+    expected = _hand_built_solve(dom, cod, post=post, pre=pre)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.matrix == expected
+        assert got.is_equivariant()
+    return got
+
+
+def _some_maps(dom, cod):
+    return maps(dom, cod, cap=16, samples=3)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_solve_map_matches_hand_built_lift_squares(name):
+    a = _corpus_algebra(name)
+    rng = random.Random(sum(map(ord, name)))
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    outcomes = set()
+    for _ in range(40):
+        m_a, m_b, m_x, m_y = (rng.choice(mods) for _ in range(4))
+        i = rng.choice(_some_maps(m_a, m_b))
+        p = rng.choice(_some_maps(m_x, m_y))
+        # a square with a known filler h, and one whose corners are arbitrary
+        h = rng.choice(_some_maps(m_b, m_x))
+        assert _assert_matches_hand_built(
+            m_b, m_x, post=[(p, p @ h)], pre=[(i, h @ i)]
+        ) is not None
+        top = rng.choice(_some_maps(m_a, m_x))
+        bottom = rng.choice(_some_maps(m_b, m_y))
+        if (p @ top) == (bottom @ i):
+            got = _assert_matches_hand_built(m_b, m_x, post=[(p, bottom)], pre=[(i, top)])
+            outcomes.add(got is not None)
+    assert True in outcomes
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_solve_map_matches_hand_built_ladders(name):
+    a = _corpus_algebra(name)
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    outcomes = set()
+    for sub, quot in itertools.product(mods, repeat=2):
+        mid_dim = sub.dim + quot.dim
+        if mid_dim > 3:
+            continue
+        sequences = [
+            (i, q)
+            for mid in mods
+            if mid.dim == mid_dim
+            for i in _some_maps(sub, mid)
+            if i.is_mono()
+            for q in _some_maps(mid, quot)
+            if q.is_epi() and (q @ i).is_zero()
+        ]
+        for (i1, p1), (i2, p2) in itertools.product(sequences[:6], repeat=2):
+            got = _assert_matches_hand_built(
+                i1.cod, i2.cod, post=[(p2, p1)], pre=[(i1, i2)]
+            )
+            outcomes.add(got is not None)
+    assert outcomes == {True, False}
+
+
+def test_solve_map_ignores_constraint_order():
+    a = _corpus_algebra("quiver_a1")
+    rng = random.Random(11)
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    for _ in range(15):
+        m_b, m_x = rng.choice(mods), rng.choice(mods)
+        h = rng.choice(_some_maps(m_b, m_x))
+        pre = [(f, h @ f) for f in (rng.choice(_some_maps(m, m_b)) for m in mods[:3])]
+        post = [(g, g @ h) for g in (rng.choice(_some_maps(m_x, m)) for m in mods[:3])]
+        expected = _assert_matches_hand_built(m_b, m_x, post=post, pre=pre)
+        for post_order in itertools.permutations(post):
+            for pre_order in itertools.permutations(pre):
+                got = solve_map(m_b, m_x, post=post_order, pre=pre_order)
+                assert got.matrix == expected.matrix
+
+
+def test_solve_map_none_on_square_without_filler():
+    # over F_2[x]/(x^2): the socle S -> A, the top A -> S, and the commuting
+    # square with top corner 0 and bottom corner the top map; a filler
+    # h: A -> A would kill the socle and still map onto the top
+    a = fx2_algebra()
+    reg = regular_module(a)
+    s = simple_over_fx2()
+    socle = [f for f in hom_basis(s, reg) if f.is_mono()][0]
+    top = [f for f in hom_basis(reg, s) if f.is_epi()][0]
+    zero = zero_morphism(s, reg)
+    assert (top @ zero) == (top @ socle)
+    assert _assert_matches_hand_built(reg, reg, post=[(top, top)], pre=[(socle, zero)]) is None
+    assert solve_map(reg, reg, post=[(top, top)]) is not None
+    assert solve_map(reg, reg, pre=[(socle, zero)]) is not None
 
 
 # ---------------------------------------------------------------------------

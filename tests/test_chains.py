@@ -313,6 +313,28 @@ def test_weq_agrees_with_quasi_iso_on_random_maps():
             assert (verdict == "yes") == is_quasi_iso(f)
 
 
+def test_random_chain_maps_commute_over_odd_prime():
+    # over F_3 a chain map needs d f - f d = 0, which differs from d f + f d = 0
+    c = np.zeros((2, 2, 2), dtype=int)
+    c[0, 0, 0] = 1
+    c[0, 1, 1] = 1
+    c[1, 0, 1] = 1
+    a = Algebra(3, c, [1, 0])
+    rng = np.random.default_rng(5)
+    both_nonzero = 0
+    for _ in range(40):
+        x = random_chain_complex(rng, a, 3, 2)
+        y = random_chain_complex(rng, a, 3, 2)
+        if any(not d.is_zero() for d in x.differentials) and any(
+            not d.is_zero() for d in y.differentials
+        ):
+            both_nonzero += 1
+        f = random_chain_map(rng, x, y)
+        for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
+            assert (y.diff(n) @ f.component(n)) == (f.component(n - 1) @ x.diff(n))
+    assert both_nonzero >= 5
+
+
 def test_weq_verdict_matches_cone_exactness():
     a, _, _, _, _ = fx2_parts()
     rng = np.random.default_rng(47)

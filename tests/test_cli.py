@@ -286,6 +286,35 @@ def test_exit_three_bad_prime(tmp_path, p, reason):
     assert reason in out["error"]["message"]
 
 
+_ALGEBRA = {"p": 2, "structure": [[[1]]], "unit": [1]}
+_MODULE = {"algebra": "a", "action": [[[1]]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"algebras": {"a": dict(_ALGEBRA, unit="ab")}},
+        {"algebras": {"a": dict(_ALGEBRA, structure=None)}},
+        {"algebras": {"a": {"p": 2, "quiver": {"vertices": "x", "arrows": []}}}},
+        {"algebras": {"a": _ALGEBRA}, "modules": {"m": dict(_MODULE, action=None)}},
+        {"algebras": {"a": _ALGEBRA}, "modules": {"m": dict(_MODULE, action=["x"])}},
+        {
+            "algebras": {"a": _ALGEBRA},
+            "modules": {"m": _MODULE},
+            "morphisms": {"f": {"dom": "m", "cod": "m", "matrix": None}},
+        },
+    ],
+    ids=["unit_ab", "structure_null", "vertices_x", "action_null", "action_entry_x",
+         "matrix_null"],
+)
+def test_exit_three_malformed_workspace_data(tmp_path, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj("validate", "--input", str(path))
+    assert code == 3
+    assert out["error"]["type"] == "malformed"
+
+
 def test_exit_two_budget_exceeded():
     code, out = runj("k0", "--input", FX2, "--dim-bound", "4",
                      "--budget", "10")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from waldcat.linalg import (
+    MODULUS_LIMIT,
     FieldMatrix,
     IntegerMatrix,
     LinearSystem,
@@ -48,6 +49,21 @@ def test_rref_zero():
     red, piv = rref(m)
     assert red.is_zero()
     assert piv == ()
+
+
+def test_field_matrix_rejects_modulus_beyond_exact_range():
+    # 2**31 - 1 is prime, and a 1x3 by 3x1 product of entries p - 1 would
+    # overflow int64 (it came out as p - 1 instead of 3)
+    p = 2**31 - 1
+    with pytest.raises(ValueError, match="not below"):
+        FieldMatrix(p, [[p - 1] * 3])
+    with pytest.raises(ValueError, match="not below"):
+        FieldMatrix(MODULUS_LIMIT + 1, [[1]])
+    with pytest.raises(ValueError, match="not prime"):
+        FieldMatrix(4, [[1]])
+    largest = 65521  # the largest prime below MODULUS_LIMIT
+    row = FieldMatrix(largest, [[largest - 1] * 3])
+    assert (row @ row.transpose()).tolist() == [[3]]
 
 
 def test_solve_identity():

@@ -13,7 +13,9 @@ isomorphism classes up to a dimension limit, and an isomorphism test that
 produces an explicit invertible intertwiner.
 """
 
+import functools
 import hashlib
+import inspect
 import itertools
 
 import numpy as np
@@ -50,6 +52,32 @@ def _digest(*parts):
             h.update(str(part).encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
+
+
+def memoized(fn):
+    """``fn`` with a table of its results, keyed by the arguments with defaults
+    applied and each Algebra or Module replaced by its digest.  ``fn`` takes
+    positional-or-keyword parameters only and returns immutable data, since
+    every caller gets the stored value.  ``cache_clear()`` empties the table."""
+    sig = inspect.signature(fn)
+    defaults = tuple(p.default for p in sig.parameters.values())
+    required = sum(d is inspect.Parameter.empty for d in defaults)
+    table = {}
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) < required:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        args += defaults[len(args):]
+        key = tuple([a.digest if isinstance(a, (Algebra, Module)) else a for a in args])
+        if key not in table:
+            table[key] = fn(*args)
+        return table[key]
+
+    wrapper.cache_clear = table.clear
+    return wrapper
 
 
 class Algebra:
@@ -154,7 +182,7 @@ class QuiverPresentation:
         self.vertices = int(vertices)
         self.arrows = tuple((int(s), int(t), str(lbl)) for s, t, lbl in arrows)
         self.relations = tuple(
-            tuple((int(c), tuple(str(x) for x in path)) for c, path in rel)
+            tuple((int(c) % self.p, tuple(str(x) for x in path)) for c, path in rel)
             for rel in relations
         )
         self.nil_bound = int(nil_bound)
@@ -199,7 +227,7 @@ def algebra_from_quiver(q):
         if len(paths) > _MAX_QUIVER_PATHS:
             raise BudgetExceededError("quiver has too many paths below the bound")
     paths.sort(key=lambda pr: (len(pr[1]), pr[1], pr[0]))
-    index_of = {path: i for i, path in enumerate(paths)}
+    path_index = {path: i for i, path in enumerate(paths)}
     n_paths = len(paths)
 
     def relation_vector(rel):
@@ -227,8 +255,8 @@ def algebra_from_quiver(q):
                 raise ValidationError("relation mixes paths with different endpoints")
             if len(steps) >= q.nil_bound:
                 continue
-            vec[index_of[(src, tuple(steps))]] = (
-                vec[index_of[(src, tuple(steps))]] + coeff
+            vec[path_index[(src, tuple(steps))]] = (
+                vec[path_index[(src, tuple(steps))]] + coeff
             ) % p
         return vec, endpoints
 
@@ -253,7 +281,7 @@ def algebra_from_quiver(q):
                     steps = y[1] + mid_steps + x[1]
                     if len(steps) >= q.nil_bound:
                         continue
-                    j = index_of[(y[0], steps)]
+                    j = path_index[(y[0], steps)]
                     row[j] = (row[j] + int(vec[i])) % p
                     alive = True
                 if alive and row.any():
@@ -293,11 +321,11 @@ def algebra_from_quiver(q):
             if len(steps) >= q.nil_bound:
                 continue
             vec = np.zeros(n_paths, dtype=np.int64)
-            vec[index_of[(right[0], steps)]] = 1
+            vec[path_index[(right[0], steps)]] = 1
             structure[bi, bj, :] = quotient_coords(vec)
     unit = np.zeros(n_basis, dtype=np.int64)
     for v in range(q.vertices):
-        trivial_idx = index_of[(v, ())]
+        trivial_idx = path_index[(v, ())]
         if trivial_idx in pivot_set:
             raise InternalInconsistencyError("trivial path eliminated by relations")
         unit[pos[trivial_idx]] = 1
@@ -396,13 +424,6 @@ def regular_module(algebra):
     return Module(algebra, [algebra.left_multiplication(i) for i in range(algebra.dim)])
 
 
-def free_module(algebra, k):
-    """Direct sum of k copies of the regular module."""
-    reg = regular_module(algebra)
-    total, _, _ = direct_sum([reg] * k) if k else (zero_module(algebra), [], [])
-    return total
-
-
 def dual_regular_module(algebra):
     """Linear dual of the regular module, a left module via right multiplication.
 
@@ -498,27 +519,24 @@ def zero_morphism(dom, cod):
 # Hom spaces
 # ---------------------------------------------------------------------------
 
-_HOM_CACHE = {}
-
 
 def hom_basis(dom, cod):
     """Basis of the space of module maps dom -> cod, as a list of morphisms.
 
     The defining equations F ρ_dom(e_i) = ρ_cod(e_i) F are solved as one
-    linear system; results are cached by the digest pair.
+    linear system; the solution is memoized by the digest pair.
     """
     if dom.algebra.digest != cod.algebra.digest:
         raise ValidationError("hom spaces need a common parent algebra")
-    key = (dom.digest, cod.digest)
-    cached = _HOM_CACHE.get(key)
-    if cached is not None:
-        return [Morphism(dom, cod, m, check=False) for m in cached]
+    return [Morphism(dom, cod, m, check=False) for m in _hom_matrices(dom, cod)]
+
+
+@memoized
+def _hom_matrices(dom, cod):
     system = LinearSystem(dom.p)
     module_map_var(system, "f", dom, cod)
     _, basis = system.solution_space()
-    mats = [entry["f"] for entry in basis]
-    _HOM_CACHE[key] = mats
-    return [Morphism(dom, cod, m, check=False) for m in mats]
+    return tuple(entry["f"] for entry in basis)
 
 
 def module_map_var(system, name, dom, cod):
@@ -594,20 +612,7 @@ def maps(dom, cod, cap=None, samples=0):
 
 def kernel(f):
     """Kernel submodule with its inclusion map; returns (module, mono)."""
-    cols = kernel_basis(f.matrix)
-    k = cols.shape[1]
-    if k == 0:
-        ker = zero_module(f.dom.algebra)
-        return ker, Morphism(ker, f.dom, cols, check=False)
-    action = []
-    for i in range(f.dom.algebra.dim):
-        moved = f.dom.action[i] @ cols
-        inside = solve(cols, moved)
-        if inside is None:
-            raise InternalInconsistencyError("kernel is not an invariant subspace")
-        action.append(inside)
-    ker = Module(f.dom.algebra, action, check=False)
-    return ker, Morphism(ker, f.dom, cols, check=False)
+    return submodule_from_columns(f.dom, kernel_basis(f.matrix))
 
 
 def cokernel(f):
@@ -645,24 +650,8 @@ def _unit_vector(n, i):
 
 def image_factorization(f):
     """Split f as (mono) o (epi) through its image; returns (img, epi, mono)."""
-    cols = column_space_basis(f.matrix)
-    k = cols.shape[1]
-    if k == 0:
-        img = zero_module(f.dom.algebra)
-        return img, zero_morphism(f.dom, img), Morphism(img, f.cod, cols, check=False)
-    action = []
-    for i in range(f.cod.algebra.dim):
-        inside = solve(cols, f.cod.action[i] @ cols)
-        if inside is None:
-            raise InternalInconsistencyError("image is not an invariant subspace")
-        action.append(inside)
-    img = Module(f.cod.algebra, action, check=False)
-    onto = solve(cols, f.matrix)
-    return (
-        img,
-        Morphism(f.dom, img, onto, check=False),
-        Morphism(img, f.cod, cols, check=False),
-    )
+    img, incl = submodule_from_columns(f.cod, column_space_basis(f.matrix))
+    return img, corestrict(f, incl), incl
 
 
 def corestrict(f, mono):
@@ -839,19 +828,13 @@ def submodule_from_columns(module, cols):
     return sub, Morphism(sub, module, cols, check=False)
 
 
-_SIMPLES_CACHE = {}
-
-
+@memoized
 def simple_modules(algebra, budget=DEFAULT_BUDGET):
-    """One representative per isomorphism class of simple modules.
+    """One representative per isomorphism class of simple modules, as a tuple.
 
     Every simple is a quotient of the regular module by a maximal proper
     submodule, so enumerate those and deduplicate up to isomorphism.
-    Results are cached by algebra digest and budget.
     """
-    key = (algebra.digest, int(budget))
-    if key in _SIMPLES_CACHE:
-        return list(_SIMPLES_CACHE[key])
     reg = regular_module(algebra)
     subs = invariant_subspaces(reg, budget=budget)
     proper = [c for c in subs if c.shape[1] < reg.dim]
@@ -873,17 +856,15 @@ def simple_modules(algebra, budget=DEFAULT_BUDGET):
         if all(is_isomorphic(quot, seen) is None for seen in simples):
             simples.append(quot)
     simples.sort(key=lambda m: (m.dim, m.digest))
-    _SIMPLES_CACHE[key] = list(simples)
-    return simples
+    return tuple(simples)
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism testing
 # ---------------------------------------------------------------------------
 
-_FINGERPRINT_CACHE = {}
 
-
+@memoized
 def fingerprint(module):
     """Dimension plus the ranks of the action matrices and their products.
 
@@ -894,17 +875,12 @@ def fingerprint(module):
     ordering key of ``enumerate_modules`` and a cheap reject for
     ``is_isomorphic``, not a decision.
     """
-    cached = _FINGERPRINT_CACHE.get(module.digest)
-    if cached is not None:
-        return cached
     d = module.algebra.dim
     singles = tuple(rank(module.action[i]) for i in range(d))
     pairs = tuple(
         rank(module.action[i] @ module.action[j]) for i in range(d) for j in range(d)
     )
-    fp = (module.dim, singles, pairs)
-    _FINGERPRINT_CACHE[module.digest] = fp
-    return fp
+    return (module.dim, singles, pairs)
 
 
 _ENUMERATION_CAP = 4096
@@ -1127,11 +1103,10 @@ def _find_splitting_endo(module):
 # Enumeration of all modules up to a dimension bound
 # ---------------------------------------------------------------------------
 
-_ENUM_CACHE = {}
 
-
+@memoized
 def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
-    """All isomorphism classes of modules of dimension <= max_dim.
+    """All isomorphism classes of modules of dimension <= max_dim, as a tuple.
 
     Builds the list in layers: simples first, then for each dimension all
     extensions of previously found modules by simples, realised from
@@ -1142,9 +1117,6 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     The budget guards p**(max_dim**2), the nominal size of the raw search
     space the layering replaces.
     """
-    key = (algebra.digest, int(max_dim), int(budget))
-    if key in _ENUM_CACHE:
-        return list(_ENUM_CACHE[key])
     if algebra.p ** (max_dim * max_dim) > budget:
         raise BudgetExceededError(
             "module enumeration for dimension %d exceeds budget %d" % (max_dim, budget)
@@ -1166,8 +1138,7 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     for m in range(0, max_dim + 1):
         result.extend(by_dim.get(m, []))
     result.sort(key=lambda mod: (mod.dim, fingerprint(mod), mod.digest))
-    _ENUM_CACHE[key] = list(result)
-    return result
+    return tuple(result)
 
 
 def _extension_candidates(sub, quot):

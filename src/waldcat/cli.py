@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .algebra import (
+    DEFAULT_BUDGET,
     ShortExactSequence,
     enumerate_modules,
     validate_algebra,
@@ -181,9 +182,14 @@ def _config_int(ws, args, attr, key, fallback):
     if value is not None:
         return value
     raw = ws.config.get(key, fallback)
-    if not isinstance(raw, int):
+    if not isinstance(raw, int) or isinstance(raw, bool):
         raise MalformedInputError("config %r must be an integer" % key)
     return raw
+
+
+def _enum_budget(ws, args):
+    """Module enumeration budget: --budget, else config, else the default."""
+    return _config_int(ws, args, "budget", "budget", DEFAULT_BUDGET)
 
 
 def _pick_algebra(ws, args):
@@ -299,11 +305,7 @@ def _cmd_enumerate(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
     bound = _config_int(ws, args, "dim_bound", "dim_bound", 3)
-    budget = getattr(args, "budget", None) or ws.config.get("budget")
-    if budget is None:
-        mods = enumerate_modules(algebra, bound)
-    else:
-        mods = enumerate_modules(algebra, bound, budget=budget)
+    mods = enumerate_modules(algebra, bound, budget=_enum_budget(ws, args))
     return {
         "command": "enumerate",
         "dim_bound": bound,
@@ -575,11 +577,13 @@ def _cmd_k0(args):
     bound = _config_int(ws, args, "dim_bound", "dim_bound", 3)
     if args.acyclics is not None:
         w = _build_waldhausen(ws, args, algebra)
-        pres = k0_waldhausen(w, bound, enum_budget=args.budget)
+        pres = k0_waldhausen(w, bound, enum_budget=_enum_budget(ws, args))
         kind = "waldhausen"
     else:
         c_spec = _parse_class(ws, _class_flag(ws, args, "c_class", "class", "all"))
-        pres = k0_exact_category(algebra, c_spec, bound, enum_budget=args.budget)
+        pres = k0_exact_category(
+            algebra, c_spec, bound, enum_budget=_enum_budget(ws, args)
+        )
         kind = "exact_category"
     return {
         "command": "k0",
@@ -596,7 +600,7 @@ def _cmd_localize(args):
     z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
     a_spec = _parse_class(ws, z_name)
     report = localization_k0_report(
-        algebra, a_spec, bound, enum_budget=args.budget
+        algebra, a_spec, bound, enum_budget=_enum_budget(ws, args)
     )
     report.pop("presentations", None)
     report["command"] = "localize"

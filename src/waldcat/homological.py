@@ -33,6 +33,7 @@ from .algebra import (
     indecomposable_summands,
     kernel,
     maps,
+    memoized,
     regular_module,
     simple_modules,
     solve_map,
@@ -148,26 +149,17 @@ def injective_embedding(m):
 # projectivity and injectivity
 # ---------------------------------------------------------------------------
 
-_PROJ_CACHE = {}
-_INJ_CACHE = {}
 
-
+@memoized
 def is_projective(m):
     """Ext1(m, S) = 0 for every simple module S."""
-    cached = _PROJ_CACHE.get(m.digest)
-    if cached is None:
-        cached = all(ext1(m, s).dimension == 0 for s in simple_modules(m.algebra))
-        _PROJ_CACHE[m.digest] = cached
-    return cached
+    return all(ext1(m, s).dimension == 0 for s in simple_modules(m.algebra))
 
 
+@memoized
 def is_injective(m):
     """Ext1(S, m) = 0 for every simple module S."""
-    cached = _INJ_CACHE.get(m.digest)
-    if cached is None:
-        cached = all(ext1(s, m).dimension == 0 for s in simple_modules(m.algebra))
-        _INJ_CACHE[m.digest] = cached
-    return cached
+    return all(ext1(s, m).dimension == 0 for s in simple_modules(m.algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ whole module category, and of the Waldhausen structure, then checks
 right-exactness of the induced two-map sequence.
 """
 
-from .algebra import enumerate_modules, is_isomorphic
+from .algebra import DEFAULT_BUDGET, enumerate_modules, is_isomorphic, memoized
 from .errors import BudgetExceededError, HypothesisError, ValidationError
 from .homological import all_injectives_pair, ext1, is_injective
 from .linalg import (
@@ -63,6 +63,8 @@ class K0Presentation:
     ``invariant_factors`` has one entry per generator (0 meaning a free
     Z summand); ``reduced_factors`` drops the trivial entries and is the
     part that must be stable under growing the enumeration bound.
+    ``generator_index(m)`` is the index of the generator isomorphic to m,
+    or None.
     """
 
     def __init__(self, generators, modules, relations, description=None):
@@ -83,11 +85,7 @@ class K0Presentation:
             if description is not None
             else describe_group(self.invariant_factors)
         )
-        self._index_cache = {}
-
-    def generator_index(self, m):
-        """Index of the generator isomorphic to ``m``, or None."""
-        return _match_generator(self.modules, self._index_cache, m)
+        self.generator_index = memoized(lambda m: _match_generator(self.modules, m))
 
     def class_vector(self, m):
         """The basis vector of [m], as a list over the generators."""
@@ -120,25 +118,19 @@ class K0Presentation:
         )
 
 
-def _match_generator(generators, index_of, m):
-    """Index of the first generator isomorphic to ``m``, or None.
-
-    ``index_of`` caches the answer by digest, with -1 for no match.
-    """
-    hit = index_of.get(m.digest)
-    if hit is None:
-        hit = -1
-        for idx, rep in enumerate(generators):
-            if rep.dim != m.dim:
-                continue
-            if rep.digest == m.digest or is_isomorphic(m, rep) is not None:
-                hit = idx
-                break
-        index_of[m.digest] = hit
-    return hit if hit >= 0 else None
+def _match_generator(generators, m):
+    """Index of the generator with m's digest, else of the first one isomorphic
+    to ``m``, or None (enumerated generators are pairwise non-isomorphic)."""
+    for idx, rep in enumerate(generators):
+        if rep.digest == m.digest:
+            return idx
+    for idx, rep in enumerate(generators):
+        if rep.dim == m.dim and is_isomorphic(m, rep) is not None:
+            return idx
+    return None
 
 
-def _harvest_relations(generators, class_budget):
+def _harvest_relations(generators):
     """Relation rows from all realizable short exact sequences.
 
     For each ordered generator pair (quot, sub) with total dimension
@@ -150,7 +142,7 @@ def _harvest_relations(generators, class_budget):
     if count == 0:
         return IntegerMatrix([], cols=0)
     max_dim = max(m.dim for m in generators)
-    index_of = {rep.digest: idx for idx, rep in enumerate(generators)}
+    match = memoized(lambda m: _match_generator(generators, m))
 
     rows = []
     seen = set()
@@ -159,14 +151,14 @@ def _harvest_relations(generators, class_budget):
             if quot.dim + sub.dim > max_dim:
                 continue
             ext = ext1(quot, sub)
-            if quot.p ** ext.dimension > class_budget:
+            if quot.p ** ext.dimension > DEFAULT_CLASS_BUDGET:
                 raise BudgetExceededError(
                     "Ext class enumeration (%d^%d) exceeds the budget"
                     % (quot.p, ext.dimension)
                 )
             for cls in ext.all_classes():
                 mid = cls.realize().mid
-                i_mid = _match_generator(generators, index_of, mid)
+                i_mid = match(mid)
                 if i_mid is None:
                     continue
                 row = [0] * count
@@ -180,9 +172,7 @@ def _harvest_relations(generators, class_budget):
     return IntegerMatrix(rows, cols=count)
 
 
-def k0_exact_category(
-    algebra, c_spec, dim_bound, enum_budget=None, class_budget=DEFAULT_CLASS_BUDGET
-):
+def k0_exact_category(algebra, c_spec, dim_bound, enum_budget=DEFAULT_BUDGET):
     """K0 of the full subcategory on C, restricted to the dimension bound.
 
     Generators are the enumerated iso classes lying in C (the zero module
@@ -190,18 +180,13 @@ def k0_exact_category(
     come from every short exact sequence with all three terms among the
     generators.
     """
-    if enum_budget is None:
-        mods = enumerate_modules(algebra, dim_bound)
-    else:
-        mods = enumerate_modules(algebra, dim_bound, budget=enum_budget)
+    mods = enumerate_modules(algebra, dim_bound, budget=enum_budget)
     generators = [m for m in mods if c_spec.contains(m)]
-    relations = _harvest_relations(generators, class_budget)
+    relations = _harvest_relations(generators)
     return K0Presentation([m.digest for m in generators], generators, relations)
 
 
-def k0_waldhausen(
-    w, dim_bound, enum_budget=None, class_budget=DEFAULT_CLASS_BUDGET
-):
+def k0_waldhausen(w, dim_bound, enum_budget=DEFAULT_BUDGET):
     """K0 of the Waldhausen structure: exact-category K0 with acyclics killed.
 
     Requires the saturation gate (the verified 2-out-of-3 flag for the
@@ -213,9 +198,7 @@ def k0_waldhausen(
             "acyclic class lacks the 2-out-of-3 gate; "
             "the acyclic-kill presentation needs saturated weak equivalences"
         )
-    base = k0_exact_category(
-        w.algebra, w.c_spec, dim_bound, enum_budget, class_budget
-    )
+    base = k0_exact_category(w.algebra, w.c_spec, dim_bound, enum_budget)
     return _kill_acyclics(w, base)
 
 
@@ -246,9 +229,7 @@ def _transfer_matrix(source, target):
     return IntegerMatrix(rows, cols=len(target.generators))
 
 
-def localization_k0_report(
-    algebra, a_spec, dim_bound, enum_budget=None, class_budget=DEFAULT_CLASS_BUDGET
-):
+def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGET):
     """Right-exactness check of K0(A) -> K0(B) -> K0(B, w_A) -> 0.
 
     A is the full subcategory on ``a_spec`` (the acyclics), B the whole
@@ -260,10 +241,7 @@ def localization_k0_report(
     the groups and verdicts are withheld.
     """
     failures = []
-    if enum_budget is None:
-        mods = enumerate_modules(algebra, dim_bound)
-    else:
-        mods = enumerate_modules(algebra, dim_bound, budget=enum_budget)
+    mods = enumerate_modules(algebra, dim_bound, budget=enum_budget)
 
     missing = [
         m for m in mods if is_injective(m) and not a_spec.contains(m)
@@ -315,8 +293,8 @@ def localization_k0_report(
     if failures:
         return report
 
-    ka = k0_exact_category(algebra, a_spec, dim_bound, enum_budget, class_budget)
-    kb = k0_exact_category(algebra, spec_all(), dim_bound, enum_budget, class_budget)
+    ka = k0_exact_category(algebra, a_spec, dim_bound, enum_budget)
+    kb = k0_exact_category(algebra, spec_all(), dim_bound, enum_budget)
     # w's C is spec_all(), so kb is the base presentation of K0(B, w_A)
     kbw = _kill_acyclics(w, kb)
 

@@ -18,6 +18,7 @@ subcategory P into one by Z-intersect-P.
 import hashlib
 
 from .algebra import (
+    DEFAULT_BUDGET,
     Morphism,
     ShortExactSequence,
     cokernel,
@@ -27,6 +28,7 @@ from .algebra import (
     is_isomorphic,
     kernel,
     maps,
+    memoized,
     pullback,
     pushout,
     solve_map,
@@ -81,26 +83,24 @@ class SubcategorySpec:
             raise ValidationError("explicit subcategory needs representatives")
         if kind == "intersection" and not self.parts:
             raise ValidationError("intersection needs at least one part")
-        self._cache = {}
+        # per instance: an explicit spec's answer depends on its members
+        self._contains = memoized(self._decide)
 
     def contains(self, m):
-        cached = self._cache.get(m.digest)
-        if cached is not None:
-            return cached
+        return self._contains(m)
+
+    def _decide(self, m):
         if self.kind == "all":
-            out = True
-        elif self.kind == "projectives":
-            out = is_projective(m)
-        elif self.kind == "injectives":
-            out = is_injective(m)
-        elif self.kind == "finite_inj_dim":
-            out = injective_dimension_within(m, self.bound) is not None
-        elif self.kind == "explicit":
-            out = any(is_isomorphic(m, rep) is not None for rep in self.members)
-        else:
-            out = all(part.contains(m) for part in self.parts)
-        self._cache[m.digest] = out
-        return out
+            return True
+        if self.kind == "projectives":
+            return is_projective(m)
+        if self.kind == "injectives":
+            return is_injective(m)
+        if self.kind == "finite_inj_dim":
+            return injective_dimension_within(m, self.bound) is not None
+        if self.kind == "explicit":
+            return any(is_isomorphic(m, rep) is not None for rep in self.members)
+        return all(part.contains(m) for part in self.parts)
 
     def describe(self):
         if self.kind == "finite_inj_dim":
@@ -417,7 +417,7 @@ def is_weak_equivalence(w, f):
 
 
 def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=100000,
-                            enum_budget=None):
+                            enum_budget=DEFAULT_BUDGET):
     """Exhaustive search for an acyclic-cofibration/acyclic-fibration split.
 
     Tries every middle object of dimension up to dim(dom) + dim(cod) +
@@ -430,10 +430,7 @@ def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=100000,
     """
     bound = f.dom.dim + f.cod.dim + extra_dim
     p = f.dom.p
-    if enum_budget is None:
-        middles = enumerate_modules(f.dom.algebra, bound)
-    else:
-        middles = enumerate_modules(f.dom.algebra, bound, budget=enum_budget)
+    middles = enumerate_modules(f.dom.algebra, bound, budget=enum_budget)
     for middle in middles:
         if middle.dim < max(f.dom.dim, f.cod.dim):
             continue

@@ -114,12 +114,22 @@ def _is_int(value):
 
 def _int_array(value, ndim):
     """Is ``value`` a rectangular ``ndim``-dimensional array of JSON integers
-    that fit in int64?"""
+    that fit in int64?  For a matrix, ``[]`` (no rows) counts."""
     try:
         arr = np.array(value, dtype=object)
     except ValueError:
         return False
+    if ndim == 2 and arr.shape == (0,):
+        return True
     return arr.ndim == ndim and all(_is_int(v) and abs(v) < 2**63 for v in arr.flat)
+
+
+def _matrix(value, cols):
+    """A JSON matrix, reading ``[]`` as the matrix with no rows and ``cols``
+    columns: JSON cannot give the width of a matrix with no rows."""
+    if isinstance(value, list) and not value:
+        return np.zeros((0, cols), dtype=np.int64)
+    return value
 
 
 def _require_matrices(values, what):
@@ -161,14 +171,25 @@ def algebra_from_entry(entry):
             ),
             "quiver arrows must be [source, target, label] triples",
         )
+        relations = q.get("relations", [])
+        _require(
+            isinstance(relations, list)
+            and all(
+                isinstance(rel, list)
+                and all(
+                    isinstance(term, list) and len(term) == 2 and _is_int(term[0])
+                    and isinstance(term[1], list)
+                    for term in rel
+                )
+                for rel in relations
+            ),
+            "quiver relations must be lists of [coefficient, [label, ...]] terms",
+        )
         pres = QuiverPresentation(
             p,
             q.get("vertices", 0),
             [tuple(a) for a in q.get("arrows", [])],
-            relations=[
-                [(c, list(path)) for c, path in rel]
-                for rel in q.get("relations", [])
-            ],
+            relations=[[(c, list(path)) for c, path in rel] for rel in relations],
             nil_bound=q.get("nil_bound", 2),
         )
         return algebra_from_quiver(pres)
@@ -180,9 +201,15 @@ def algebra_from_entry(entry):
         _int_array(entry["structure"], 3) and _int_array(entry["unit"], 1),
         "structure constants must be an integer cube and the unit an integer vector",
     )
+    labels = entry.get("basis_labels")
+    _require(
+        labels is None
+        or (isinstance(labels, list) and all(isinstance(x, str) for x in labels)),
+        "basis_labels must be a list of strings",
+    )
     return Algebra(
         p, entry["structure"], entry["unit"],
-        basis_labels=entry.get("basis_labels"),
+        basis_labels=labels,
     )
 
 
@@ -293,7 +320,9 @@ def load_workspace(source, collect_failures=False):
         if algebra is None:
             continue
         try:
-            ws.modules[mod_name] = Module(algebra, entry["action"])
+            ws.modules[mod_name] = Module(
+                algebra, [_matrix(m, 0) for m in entry["action"]]
+            )
         except ValidationError as err:
             fail("module", mod_name, str(err))
 
@@ -308,7 +337,9 @@ def load_workspace(source, collect_failures=False):
         if dom is None or cod is None:
             continue
         try:
-            ws.morphisms[mor_name] = Morphism(dom, cod, entry["matrix"])
+            ws.morphisms[mor_name] = Morphism(
+                dom, cod, _matrix(entry["matrix"], dom.dim)
+            )
         except ValidationError as err:
             fail("morphism", mor_name, str(err))
 
@@ -324,8 +355,9 @@ def load_workspace(source, collect_failures=False):
         if any(v is None for v in parts.values()):
             continue
         try:
-            g = Morphism(parts["apex"], parts["left"], entry["g"])
-            f = Morphism(parts["apex"], parts["right"], entry["f"])
+            apex = parts["apex"]
+            g = Morphism(apex, parts["left"], _matrix(entry["g"], apex.dim))
+            f = Morphism(apex, parts["right"], _matrix(entry["f"], apex.dim))
             ws.spans[sp_name] = SpanObject(g, f)
         except ValidationError as err:
             fail("span", sp_name, str(err))
@@ -352,7 +384,7 @@ def load_workspace(source, collect_failures=False):
             continue
         try:
             diffs = [
-                Morphism(objects[i + 1], objects[i], mat)
+                Morphism(objects[i + 1], objects[i], _matrix(mat, objects[i + 1].dim))
                 for i, mat in enumerate(entry["differentials"])
             ]
             ws.complexes[cx_name] = ChainComplex(algebra, entry["lo"], objects, diffs)

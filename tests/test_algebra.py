@@ -32,6 +32,7 @@ from waldcat.algebra import (
     is_isomorphic,
     kernel,
     maps,
+    memoized,
     pullback,
     pushout,
     regular_module,
@@ -175,6 +176,17 @@ def test_quiver_loop_with_square_relation_matches_truncated_polynomials():
     assert np.array_equal(a.unit, b.unit)
 
 
+def test_quiver_relation_coefficients_are_reduced_mod_p():
+    def loop(coeff):
+        q = QuiverPresentation(2, 1, [(0, 0, "x")], relations=[[(coeff, ["x", "x"])]],
+                               nil_bound=3)
+        return algebra_from_quiver(q)
+
+    # coefficients beyond int64 are exact: only their residue mod p counts
+    assert loop(2**70 + 1).digest == loop(1).digest == fx2_algebra().digest
+    assert loop(2**70).digest == loop(0).digest == fx3_algebra().digest
+
+
 def test_quiver_three_vertex_dimension_six():
     a = a2_algebra()
     assert a.dim == 6
@@ -215,6 +227,33 @@ def test_hom_dimensions_over_fx2():
     assert len(hom_basis(s, s)) == 1
     assert len(hom_basis(s, reg)) == 1
     assert len(hom_basis(reg, s)) == 1
+    assert len(hom_basis(reg, reg)) == 2
+
+
+def test_memoized_keys_by_digest_with_defaults_applied():
+    calls = []
+
+    @memoized
+    def size(m, extra=1):
+        calls.append(m.digest)
+        return m.dim + extra
+
+    m = regular_module(fx2_algebra())
+    twin = Module(fx2_algebra(), [x.a for x in m.action])
+    assert twin is not m and twin.algebra is not m.algebra
+    assert size(m) == size(m, 1) == size(twin) == size(m, extra=1) == 3
+    assert len(calls) == 1
+    assert size(m, 2) == 4
+    assert len(calls) == 2
+    size.cache_clear()
+    assert size(m) == 3
+    assert len(calls) == 3
+
+
+def test_hom_basis_callers_get_their_own_list():
+    reg = regular_module(fx2_algebra())
+    first = hom_basis(reg, reg)
+    first.append(first[0])
     assert len(hom_basis(reg, reg)) == 2
 
 
@@ -531,9 +570,9 @@ def test_enumerate_budget_guard():
 
 
 def test_enumerate_is_deterministic():
-    alg._ENUM_CACHE.clear()
+    enumerate_modules.cache_clear()
     first = [m.digest for m in enumerate_modules(a1_algebra(), 2)]
-    alg._ENUM_CACHE.clear()
+    enumerate_modules.cache_clear()
     second = [m.digest for m in enumerate_modules(a1_algebra(), 2)]
     assert first == second
 

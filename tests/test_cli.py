@@ -288,6 +288,7 @@ def test_exit_three_bad_prime(tmp_path, p, reason):
 
 _ALGEBRA = {"p": 2, "structure": [[[1]]], "unit": [1]}
 _MODULE = {"algebra": "a", "action": [[[1]]]}
+_LOOP = {"vertices": 1, "arrows": [[0, 0, "x"]], "nil_bound": 3}
 
 
 @pytest.mark.parametrize(
@@ -303,14 +304,28 @@ _MODULE = {"algebra": "a", "action": [[[1]]]}
             "modules": {"m": _MODULE},
             "morphisms": {"f": {"dom": "m", "cod": "m", "matrix": None}},
         },
+        {"algebras": {"a": {"p": 2, "quiver": dict(_LOOP, relations="x")}}},
+        {"algebras": {"a": {"p": 2, "quiver": dict(_LOOP, relations=[[["x", ["x"]]]])}}},
+        {"algebras": {"a": dict(_ALGEBRA, basis_labels=5)}},
     ],
     ids=["unit_ab", "structure_null", "vertices_x", "action_null", "action_entry_x",
-         "matrix_null"],
+         "matrix_null", "relations_x", "relation_coefficient_x", "basis_labels_5"],
 )
 def test_exit_three_malformed_workspace_data(tmp_path, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     code, out = runj("validate", "--input", str(path))
+    assert code == 3
+    assert out["error"]["type"] == "malformed"
+
+
+@pytest.mark.parametrize("budget", ["x", [1], 2.5, True])
+def test_exit_three_bad_config_budget(tmp_path, budget):
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["config"]["budget"] = budget
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj("enumerate", "--input", str(path))
     assert code == 3
     assert out["error"]["type"] == "malformed"
 

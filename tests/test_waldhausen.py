@@ -156,6 +156,17 @@ def test_spec_explicit_is_closed_under_isomorphism():
     assert not sp.contains(zero_module(a))
 
 
+def test_explicit_specs_keep_their_own_answers():
+    # membership is memoized per spec: the same module gets each spec's answer
+    a = fx2_algebra()
+    reg = regular_module(a)
+    s = [m for m in enumerate_modules(a, 1) if m.dim == 1][0]
+    with_reg = spec_explicit([reg])
+    with_s = spec_explicit([s])
+    assert with_reg.contains(reg) and not with_s.contains(reg)
+    assert with_s.contains(s) and not with_reg.contains(s)
+
+
 def test_spec_intersection():
     a = line_algebra()
     both = spec_intersection([spec_projectives(), spec_injectives()])

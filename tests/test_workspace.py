@@ -12,13 +12,15 @@ import json
 
 import pytest
 
-from waldcat.algebra import validate_algebra
+from waldcat.algebra import validate_algebra, zero_module, zero_morphism
 from waldcat.errors import MalformedInputError, ValidationError
 from waldcat.workspace import (
     corpus_dir,
     corpus_path,
     dump_workspace,
     load_workspace,
+    module_to_entry,
+    morphism_to_entry,
     standard_corpus,
 )
 
@@ -174,3 +176,25 @@ def test_counts_match_sections():
     assert counts["morphisms"] == len(ws.morphisms)
     assert counts["spans"] == 1
     assert counts["complexes"] == 1
+
+
+def test_zero_module_and_maps_into_it_round_trip():
+    # a matrix with no rows is written as []; loading reads its width from
+    # the referenced domain
+    doc = fx2_doc()
+    ws = load_workspace(doc)
+    a = ws.module("A")
+    zero = zero_module(ws.algebra("fx2"))
+    doc["modules"]["Z"] = module_to_entry("fx2", zero)
+    doc["morphisms"]["to_zero"] = morphism_to_entry("A", "Z", zero_morphism(a, zero))
+    doc["morphisms"]["from_zero"] = morphism_to_entry("Z", "A", zero_morphism(zero, a))
+    doc["spans"]["onto_zero"] = {"left": "Z", "apex": "A", "right": "Z",
+                                 "g": [], "f": []}
+    doc["complexes"]["a_to_zero"] = {"algebra": "fx2", "lo": 0, "objects": ["Z", "A"],
+                                     "differentials": [[]]}
+    back = load_workspace(json.loads(dump_workspace(doc)))
+    assert back.module("Z").digest == zero.digest
+    assert back.morphism("to_zero") == zero_morphism(a, zero)
+    assert back.morphism("from_zero") == zero_morphism(zero, a)
+    assert back.span("onto_zero").g == zero_morphism(a, zero)
+    assert back.complex("a_to_zero").differentials[0] == zero_morphism(a, zero)

@@ -559,7 +559,11 @@ def solve_map(dom, cod, post=(), pre=()):
     and x @ f == t for each (f, t) in ``pre``, or None when there is none.
 
     One dense system in the entries of x; free coordinates are set to zero,
-    so the answer does not depend on the order of the constraints.
+    so the answer does not depend on the order of the constraints.  It is
+    for maps that involve a choice: lifts, sections, extensions over an
+    embedding, ladder maps between extensions.  A map that is unique comes from its structure maps instead:
+    ``corestrict`` into a submodule, ``induced_on_cokernel`` out of a
+    quotient, ``from_pushout`` and ``into_pullback``.
     """
     system = LinearSystem(dom.p)
     x = module_map_var(system, "x", dom, cod)
@@ -660,6 +664,60 @@ def corestrict(f, mono):
     if lifted is None:
         raise ValidationError("map does not land inside the given submodule")
     return Morphism(f.dom, mono.dom, lifted, check=False)
+
+
+def induced_on_cokernel(proj, killer):
+    """Map out of a cokernel induced by one that kills the collapsed image.
+
+    ``proj`` is the quotient epi B -> Q; ``killer`` is defined on B and
+    vanishes on the kernel of ``proj``.  Returns the unique map Q -> cod
+    through which ``killer`` factors.
+    """
+    section = solve(proj.matrix, FieldMatrix.identity(proj.p, proj.cod.dim))
+    if section is None:
+        raise InternalInconsistencyError("quotient map admits no linear section")
+    mat = killer.matrix @ section
+    induced = Morphism(proj.cod, killer.cod, mat, check=False)
+    if (induced @ proj).matrix != killer.matrix:
+        raise InternalInconsistencyError("map does not kill the collapsed image")
+    return induced
+
+
+def from_pushout(from_b, from_c, u, v):
+    """The unique map x out of a pushout with x o from_b == u and
+    x o from_c == v, for the structure maps ``from_b``, ``from_c`` returned
+    by ``pushout``.
+
+    [from_b | from_c] is the pushout's quotient map B (+) C -> P, so x is
+    induced on that cokernel by [u | v]; legs that disagree on A do not
+    kill the collapsed image and raise.
+    """
+    if u.cod != v.cod:
+        raise ValidationError("maps out of a pushout need a common codomain")
+    summed, _, _ = direct_sum([from_b.dom, from_c.dom])
+    quotient = Morphism(
+        summed, from_b.cod, np.hstack([from_b.matrix.a, from_c.matrix.a]), check=False
+    )
+    legs = Morphism(summed, u.cod, np.hstack([u.matrix.a, v.matrix.a]), check=False)
+    return induced_on_cokernel(quotient, legs)
+
+
+def into_pullback(to_b, to_c, u, v):
+    """The unique map x into a pullback with to_b o x == u and to_c o x == v,
+    for the structure maps ``to_b``, ``to_c`` returned by ``pullback``.
+
+    [to_b ; to_c] is the pullback's kernel inclusion P -> B (+) C, so x is
+    [u ; v] corestricted to it; legs that disagree on A do not land in the
+    kernel and raise.
+    """
+    if u.dom != v.dom:
+        raise ValidationError("maps into a pullback need a common domain")
+    summed, _, _ = direct_sum([to_b.cod, to_c.cod])
+    inclusion = Morphism(
+        to_b.dom, summed, np.vstack([to_b.matrix.a, to_c.matrix.a]), check=False
+    )
+    legs = Morphism(u.dom, summed, np.vstack([u.matrix.a, v.matrix.a]), check=False)
+    return corestrict(legs, inclusion)
 
 
 def direct_sum(modules):
@@ -1238,21 +1296,15 @@ def _complement_representatives(inner_flat, outer_basis_flat, p):
 
 
 def _complement_indices(inner_vectors, outer_vectors, p):
-    """Indices of outer vectors forming a basis modulo the span of inner ones."""
+    """Indices of outer vectors forming a basis modulo the span of inner ones.
+
+    The pivot columns of [inner | outer] that fall among the outer vectors:
+    each is the first outer vector outside the span of everything before
+    it, which is the greedy left-to-right choice.
+    """
     if not outer_vectors:
         return []
-    length = len(outer_vectors[0])
-    if inner_vectors:
-        rows = np.array(inner_vectors, dtype=np.int64).reshape(len(inner_vectors), length)
-    else:
-        rows = np.zeros((0, length), dtype=np.int64)
-    chosen = []
-    current_rank = rank(FieldMatrix(p, rows.T)) if rows.size else 0
-    for idx, vec in enumerate(outer_vectors):
-        stacked = np.concatenate([rows, np.array([vec], dtype=np.int64)], axis=0)
-        new_rank = rank(FieldMatrix(p, stacked.T))
-        if new_rank > current_rank:
-            chosen.append(idx)
-            rows = stacked
-            current_rank = new_rank
-    return chosen
+    vectors = list(inner_vectors) + list(outer_vectors)
+    columns = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(outer_vectors[0]))
+    _, pivots = rref(FieldMatrix(p, columns.T))
+    return [c - len(inner_vectors) for c in pivots if c >= len(inner_vectors)]

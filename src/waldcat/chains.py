@@ -15,13 +15,13 @@ from .algebra import (
     corestrict,
     direct_sum,
     identity_morphism,
+    induced_on_cokernel,
     kernel,
     module_map_var,
     zero_module,
     zero_morphism,
 )
 from .errors import InternalInconsistencyError, ValidationError
-from .homological import induced_on_cokernel
 from .linalg import FieldMatrix, LinearSystem
 
 

@@ -54,6 +54,7 @@ from .spans import (
     span_resolve_right,
 )
 from .waldhausen import (
+    DEFAULT_MAP_BUDGET,
     WaldhausenData,
     build_zp_resolution,
     check_extension_axiom,
@@ -232,31 +233,26 @@ def _class_flag(ws, args, attr, key, fallback):
     return value
 
 
+_PAIRS = {"all": all_injectives_pair, "projectives": projectives_all_pair}
+
+
+def _cotorsion_pair(algebra, name, what):
+    """The module cotorsion pair whose left class is ``name``; ``what`` names
+    the flag in the error message."""
+    if name not in _PAIRS:
+        raise MalformedInputError(
+            "%s must be 'all' or 'projectives'; got %r" % (what, name)
+        )
+    return _PAIRS[name](algebra)
+
+
 def _build_waldhausen(ws, args, algebra):
     c_name = _class_flag(ws, args, "c_class", "class", "all")
     z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
-    if c_name == "all":
-        pair = all_injectives_pair(algebra)
-    elif c_name == "projectives":
-        pair = projectives_all_pair(algebra)
-    else:
-        raise MalformedInputError(
-            "the cofibrant class must be 'all' or 'projectives'; got %r" % c_name
-        )
+    pair = _cotorsion_pair(algebra, c_name, "the cofibrant class")
     c_spec = _parse_class(ws, c_name)
     z_spec = _parse_class(ws, z_name)
     return WaldhausenData(algebra, c_spec, z_spec, pair)
-
-
-def _pair_for(ws, args, algebra):
-    name = _class_flag(ws, args, "c_class", "class", "all")
-    if name == "all":
-        return all_injectives_pair(algebra), spec_all()
-    if name == "projectives":
-        return projectives_all_pair(algebra), spec_projectives()
-    raise MalformedInputError(
-        "the class must be 'all' or 'projectives'; got %r" % name
-    )
 
 
 def _rng(ws, args):
@@ -330,8 +326,7 @@ def _cmd_ext(args):
         "class_count": quot.p ** ext.dimension,
     }
     if args.oracle:
-        budget = args.budget if args.budget is not None else 10 ** 8
-        count = ext1_class_count_oracle(quot, sub, budget=budget)
+        count = ext1_class_count_oracle(quot, sub, budget=_enum_budget(ws, args))
         out["oracle_class_count"] = count
         out["oracle_agrees"] = count == out["class_count"]
         if not out["oracle_agrees"]:
@@ -401,7 +396,7 @@ def _cmd_weq(args):
     verdict = is_weak_equivalence(w, f)
     out = {"command": "weq", "map": args.map, "verdict": verdict}
     if args.oracle:
-        budget = args.budget if args.budget is not None else 10 ** 5
+        budget = args.budget if args.budget is not None else DEFAULT_MAP_BUDGET
         oracle = weak_equivalence_oracle(w, f, map_budget=budget)
         out["oracle_verdict"] = oracle
         out["oracle_agrees"] = verdict == "indeterminate" or oracle == verdict
@@ -469,7 +464,8 @@ def _cmd_span(args):
         if args.span is None:
             raise MalformedInputError("--span is required for this operation")
         sp = ws.span(args.span)
-        pair, _ = _pair_for(ws, args, sp.apex.algebra)
+        name = _class_flag(ws, args, "c_class", "class", "all")
+        pair = _cotorsion_pair(sp.apex.algebra, name, "the class")
         if args.op == "membership":
             return {
                 "command": "span",
@@ -502,7 +498,8 @@ def _cmd_span(args):
             dom, cod,
             ws.morphism(args.left), ws.morphism(args.apex), ws.morphism(args.right),
         )
-        pair, _ = _pair_for(ws, args, dom.apex.algebra)
+        name = _class_flag(ws, args, "c_class", "class", "all")
+        pair = _cotorsion_pair(dom.apex.algebra, name, "the class")
         i, p = span_factor(m, pair)
         return {
             "command": "span",
@@ -614,14 +611,7 @@ def _cmd_resolve_zp(args):
     target = ws.module(args.module)
     algebra = target.algebra
     w = _build_waldhausen(ws, args, algebra)
-    if args.p_class == "all":
-        pair_p = all_injectives_pair(algebra)
-    elif args.p_class == "projectives":
-        pair_p = projectives_all_pair(algebra)
-    else:
-        raise MalformedInputError(
-            "--p-class must be 'all' or 'projectives'; got %r" % args.p_class
-        )
+    pair_p = _cotorsion_pair(algebra, args.p_class, "--p-class")
     pres = []
     for chunk in [c for c in args.resolution.split(",") if c]:
         if ":" not in chunk:

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .algebra import (
-    Module,
+    DEFAULT_BUDGET,
     Morphism,
     ShortExactSequence,
     _complement_indices,
@@ -28,33 +28,27 @@ from .algebra import (
     direct_sum,
     dual_regular_module,
     enumerate_modules,
+    from_pushout,
     hom_basis,
     identity_morphism,
     indecomposable_summands,
     kernel,
     maps,
     memoized,
+    pushout,
     regular_module,
     simple_modules,
     solve_map,
     zero_module,
     zero_morphism,
 )
-from .errors import (
-    HypothesisError,
-    InternalInconsistencyError,
-    ValidationError,
-)
+from .errors import InternalInconsistencyError, ValidationError
 from .linalg import (
     FieldMatrix,
     column_space_basis,
     in_column_space,
     kernel_basis,
-    solve,
 )
-
-DEFAULT_ORACLE_BUDGET = 10**8
-
 
 # ---------------------------------------------------------------------------
 # covers and embeddings
@@ -216,31 +210,9 @@ class Ext1Result:
 
         E is the pushout of the kernel inclusion along the chosen cocycle.
         """
-        phi = self.cocycle(coeffs)
-        summed, (inj_f, inj_a), (proj_f, _) = direct_sum([self.kappa.cod, self.a])
-        diff = (inj_f @ self.kappa) - (inj_a @ phi)
-        _, q = cokernel(diff)
-        mono = q @ inj_a
-        killer = self.pi @ proj_f
-        epi = induced_on_cokernel(q, killer)
+        _, from_f, mono = pushout(self.kappa, self.cocycle(coeffs))
+        epi = from_pushout(from_f, mono, self.pi, zero_morphism(self.a, self.c))
         return ShortExactSequence(mono, epi)
-
-
-def induced_on_cokernel(proj, killer):
-    """Map out of a cokernel induced by one that kills the collapsed image.
-
-    ``proj`` is the quotient epi B -> Q; ``killer`` is defined on B and
-    vanishes on the kernel of ``proj``.  Returns the unique map Q -> cod
-    through which ``killer`` factors.
-    """
-    section = solve(proj.matrix, FieldMatrix.identity(proj.p, proj.cod.dim))
-    if section is None:
-        raise InternalInconsistencyError("quotient map admits no linear section")
-    mat = killer.matrix @ section
-    induced = Morphism(proj.cod, killer.cod, mat, check=False)
-    if (induced @ proj).matrix != killer.matrix:
-        raise InternalInconsistencyError("map does not kill the collapsed image")
-    return induced
 
 
 def ext1(c, a):
@@ -267,7 +239,7 @@ def realize_extension(ext_class):
 # ---------------------------------------------------------------------------
 
 
-def ext1_class_count_oracle(c, a, budget=DEFAULT_ORACLE_BUDGET):
+def ext1_class_count_oracle(c, a, budget=DEFAULT_BUDGET):
     """Count equivalence classes of extensions 0 -> a -> E -> c -> 0 directly.
 
     Enumerates every module E of the right dimension, every exact pair of
@@ -365,6 +337,16 @@ class CotorsionPair:
         # (all, injectives): the left class is everything
         z = zero_module(self.algebra)
         return ShortExactSequence(zero_morphism(z, m), identity_morphism(m))
+
+    def factor(self, f):
+        """f = p o i through resolve_right(f.dom) (+) f.cod; returns (i, p).
+
+        With 0 -> dom -(j)-> I -> P -> 0, the injection is x |-> (j x, f x)
+        and p keeps the second coordinate, so p o i is exactly f.
+        """
+        j = self.resolve_right(f.dom).mono
+        _, (inj_i, inj_b), (_, proj_b) = direct_sum([j.cod, f.cod])
+        return (inj_i @ j) + (inj_b @ f), proj_b
 
     def _check_parent(self, m):
         if m.algebra.digest != self.algebra.digest:

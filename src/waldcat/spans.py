@@ -19,6 +19,8 @@ from .algebra import (
     corestrict,
     direct_sum,
     identity_morphism,
+    induced_on_cokernel,
+    into_pullback,
     kernel,
     module_map_var,
     pullback,
@@ -30,7 +32,6 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .homological import induced_on_cokernel
 from .linalg import FieldMatrix, LinearSystem
 
 
@@ -75,8 +76,7 @@ def span_zero(algebra):
 
 
 def span_of_module(m):
-    """The span 0 <- 0 -> 0 enlarged at one slot is rarely what is wanted;
-    this builds m <- m -> m with identity legs."""
+    """The span m <- m -> m with identity legs."""
     return SpanObject(identity_morphism(m), identity_morphism(m))
 
 
@@ -376,11 +376,7 @@ def span_resolve_right(x, pair):
     if f1 is None:
         raise InternalInconsistencyError("right-leg lift through the resolution failed")
     # factor f1 as a cofibration followed by an acyclic fibration
-    res_pa2 = pair.resolve_right(pa2_mod)
-    j = res_pa2.mono
-    pbar_mod, (inj_j, inj_pb), (proj_j, proj_pb) = direct_sum([j.cod, p_b])
-    i_map = (inj_j @ j) + (inj_pb @ f1)
-    p_map = proj_pb
+    i_map, p_map = pair.factor(f1)
     _require(i_map.is_mono(), "right strand: factored injection is not injective")
     cok_i, _ = cokernel(i_map)
     _require(
@@ -453,11 +449,7 @@ def span_resolve_dual(x, pair):
         raise InternalInconsistencyError("right-leg extension over the embedding failed")
     c_right = induced_on_cokernel(pi_a, pi_b @ f1)
     # factor the induced cokernel map as cofibration then acyclic fibration
-    res_pa2 = pair.resolve_right(pa2_mod)
-    j = res_pa2.mono
-    q_mod, (inj_j, inj_pb), (proj_j, proj_pb) = direct_sum([j.cod, pi_b.cod])
-    i_c_map = (inj_j @ j) + (inj_pb @ c_right)
-    p_c_map = proj_pb
+    i_c_map, p_c_map = pair.factor(c_right)
     _require(i_c_map.is_mono(), "right strand: factored injection is not injective")
     cok_ic, _ = cokernel(i_c_map)
     _require(
@@ -470,12 +462,10 @@ def span_resolve_dual(x, pair):
         "right strand: kernel of the factored surjection is not right-class",
     )
     # pull the co-resolution of b back along the acyclic fibration
-    ib_hat, to_ib, to_q = pullback(pi_b, p_c_map)
+    _, to_ib, to_q = pullback(pi_b, p_c_map)
     _require(to_q.is_epi(), "right strand: pullback projection is not surjective")
-    ker_hat, _ = kernel(to_q)
-    # mono b -> pullback induced by (beta, 0)
-    mono_b = _pullback_induced(pi_b, p_c_map, to_ib, to_q, beta)
-    f_hat = _pullback_induced(pi_b, p_c_map, to_ib, to_q, f1, i_c_map @ pi_a)
+    mono_b = into_pullback(to_ib, to_q, beta, zero_morphism(b, p_c_map.dom))
+    f_hat = into_pullback(to_ib, to_q, f1, i_c_map @ pi_a)
     i_span = SpanObject(g_i, f_hat)
     p_span = SpanObject(c_left, i_c_map)
     mono = SpanMorphism(x, i_span, gamma, mono_a, mono_b)
@@ -484,22 +474,6 @@ def span_resolve_dual(x, pair):
     _require(span_in_I(i_span, pair), "middle span failed the right-class test")
     _require(span_in_P(p_span, pair), "quotient span failed the left-class test")
     return out
-
-
-def _pullback_induced(f, g, to_b, to_c, leg_b, leg_c=None):
-    """Map into the pullback of (f: B -> A, g: C -> A) from compatible legs.
-
-    ``leg_c`` may be omitted when it is the zero map.
-    """
-    dom = leg_b.dom
-    if leg_c is None:
-        leg_c = zero_morphism(dom, g.dom)
-    if (f @ leg_b) != (g @ leg_c):
-        raise InternalInconsistencyError("pullback legs do not agree")
-    u = solve_map(dom, to_b.dom, post=[(to_b, leg_b), (to_c, leg_c)])
-    if u is None:
-        raise InternalInconsistencyError("pullback factorization failed")
-    return u
 
 
 # ---------------------------------------------------------------------------

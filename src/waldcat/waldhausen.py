@@ -19,11 +19,10 @@ import hashlib
 
 from .algebra import (
     DEFAULT_BUDGET,
-    Morphism,
     ShortExactSequence,
     cokernel,
-    direct_sum,
     enumerate_modules,
+    from_pushout,
     hom_basis,
     is_isomorphic,
     kernel,
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .homological import (
     ext1,
-    induced_on_cokernel,
     injective_dimension_within,
     is_injective,
     is_projective,
@@ -352,18 +350,10 @@ class Factorization:
 
 
 def factor(w, f):
-    """Canonical factorization through resolve_right(dom) plus the codomain.
-
-    With 0 -> A -> I -> P -> 0 the middle is I (+) cod f, the injection is
-    x |-> (j x, f x), and the projection keeps the second coordinate, so
-    the composite is exactly f.
-    """
+    """The canonical factorization ``w.pair.factor(f)``, with each leg's
+    class checked."""
     _require_in_c(w, f)
-    res = w.pair.resolve_right(f.dom)
-    j = res.mono
-    middle, (inj_i, inj_b), (proj_i, proj_b) = direct_sum([j.cod, f.cod])
-    i = (inj_i @ j) + (inj_b @ f)
-    p = proj_b
+    i, p = w.pair.factor(f)
     if (p @ i) != f:
         raise InternalInconsistencyError("factorization does not compose to f")
     if not i.is_mono() or not p.is_epi():
@@ -374,7 +364,7 @@ def factor(w, f):
         raise InternalInconsistencyError("cokernel of the injection left C")
     if not w.pair.in_right(ker_mod):
         raise InternalInconsistencyError("kernel of the projection left C-perp")
-    return Factorization(i, p, middle, coker_mod, ker_mod)
+    return Factorization(i, p, i.cod, coker_mod, ker_mod)
 
 
 def lift(i, p, top, bottom):
@@ -416,7 +406,10 @@ def is_weak_equivalence(w, f):
     return "indeterminate"
 
 
-def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=100000,
+DEFAULT_MAP_BUDGET = 10**5
+
+
+def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=DEFAULT_MAP_BUDGET,
                             enum_budget=DEFAULT_BUDGET):
     """Exhaustive search for an acyclic-cofibration/acyclic-fibration split.
 
@@ -524,14 +517,6 @@ class GluingInstance:
         )
 
 
-def _pushout_with_projection(i, j):
-    """Pushout of a span plus the quotient epi off the direct sum."""
-    summed, (inj_b, inj_c), _ = direct_sum([i.cod, j.cod])
-    diff = (inj_b @ i) - (inj_c @ j)
-    _, q = cokernel(diff)
-    return q, q @ inj_b, q @ inj_c, inj_b, inj_c
-
-
 def check_gluing(w, inst):
     """Verify that the induced map on pushouts is a weak equivalence."""
     digest = inst.digest()
@@ -546,20 +531,14 @@ def check_gluing(w, inst):
             return _report("gluing", digest, "INAPPLICABLE", {"reason": "vertical map %s is indeterminate" % name})
         if verdicts[name] == "no":
             return _report("gluing", digest, "INAPPLICABLE", {"reason": "vertical map %s is not a weak equivalence" % name})
-    q, from_b, from_c, inj_b, inj_c = _pushout_with_projection(inst.i, inst.j)
-    q_pr, from_b_pr, from_c_pr, inj_b_pr, inj_c_pr = _pushout_with_projection(
-        inst.i_primed, inst.j_primed
-    )
-    # induced map on pushouts via the universal property
-    sum_map = (inj_b_pr @ inst.vb @ _proj_of(inj_b)) + (inj_c_pr @ inst.vc @ _proj_of(inj_c))
-    killer = q_pr @ sum_map
-    phi = induced_on_cokernel(q, killer)
-    if (phi @ from_b) != (from_b_pr @ inst.vb) or (phi @ from_c) != (from_c_pr @ inst.vc):
-        raise InternalInconsistencyError("induced pushout map fails naturality")
+    glued, from_b, from_c = pushout(inst.i, inst.j)
+    glued_pr, from_b_pr, from_c_pr = pushout(inst.i_primed, inst.j_primed)
+    # the induced map on pushouts, by the universal property
+    phi = from_pushout(from_b, from_c, from_b_pr @ inst.vb, from_c_pr @ inst.vc)
     verdict = is_weak_equivalence(w, phi)
     details = {
         "vertical_verdicts": verdicts,
-        "pushout_dims": (q.cod.dim, q_pr.cod.dim),
+        "pushout_dims": (glued.dim, glued_pr.dim),
         "induced_verdict": verdict,
     }
     if verdict == "yes":
@@ -567,11 +546,6 @@ def check_gluing(w, inst):
     if verdict == "no":
         return _report("gluing", digest, "FAIL", details)
     return _report("gluing", digest, "INAPPLICABLE", details)
-
-
-def _proj_of(inj):
-    """Projection corresponding to a canonical direct-sum injection."""
-    return Morphism(inj.cod, inj.dom, inj.matrix.transpose(), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -773,12 +747,20 @@ def build_zp_resolution(w, a, pres, pair_p, sample_bound=2):
             )
         return ses.mono
 
+    def push_out(along, ses):
+        """Push ``ses`` = 0 -> K -> P -> C -> 0 out along ``along``: K -> M;
+        returns (Q, M -> Q, Q -> C) for the pushout Q = M +_K P."""
+        big, from_m, from_p = pushout(along, ses.mono)
+        epi = from_pushout(from_m, from_p, zero_morphism(along.cod, ses.quot), ses.epi)
+        if not epi.is_epi():
+            raise InternalInconsistencyError("pushout quotient map is not surjective")
+        return big, from_m, epi
+
     out = []
     top = pres[n - 1]
     mu = resolve_mono(top.sub)  # K_n into Z_n
     # first pushout: Q = Z_n +_{K_n} P_{n-1}, keeping the quotient C_{n-1}
-    big, from_z, from_p = pushout(mu, top.mono)
-    epi_to_c = _cokernel_epi_matching(from_z, top.epi, from_p)
+    big, from_z, epi_to_c = push_out(mu, top)
     if n == 1:
         z0 = big
         final = ShortExactSequence(from_z, epi_to_c)
@@ -801,12 +783,9 @@ def build_zp_resolution(w, a, pres, pair_p, sample_bound=2):
         else:
             mono_top = j @ mono_into_d
         out.append(ShortExactSequence(mono_top, from_zk))
-        mono_into_d = from_ck  # C_k -> D_k, feeds the next pushout
         prev_d = d_k
-        nxt = pres[k - 1]  # 0 -> C_k -> P_{k-1} -> C_{k-1} -> 0
-        big, from_d, from_p = pushout(mono_into_d, nxt.mono)
-        epi_to_c = _cokernel_epi_matching(from_d, nxt.epi, from_p)
-        mono_into_d = from_d  # D_k -> Q_{k-1}
+        # push 0 -> C_k -> P_{k-1} -> C_{k-1} -> 0 out along C_k -> D_k
+        big, mono_into_d, epi_to_c = push_out(from_ck, pres[k - 1])  # D_k -> Q_{k-1}
     # final step: Z_0 := D_1 +_{C_1} P_0 (no further resolution)
     z0 = big
     _check_ladder_object(w, pair_p, z0, "Z_0")
@@ -814,25 +793,6 @@ def build_zp_resolution(w, a, pres, pair_p, sample_bound=2):
     out.append(final)
     _validate_chain(out, a)
     return out
-
-
-def _cokernel_epi_matching(sub_leg, old_epi, other_leg):
-    """Epi off a pushout matching the untouched quotient of the pushed sequence.
-
-    For a pushout of (mono m, mono along) applied to 0 -> A -> B -> C -> 0,
-    the new sequence 0 -> M -> pushout -> C -> 0 keeps its quotient; the
-    epi is induced by (0, old_epi) on the direct sum.
-    """
-    # reconstruct the quotient epi: it kills the image of the pushed mono
-    kills_sub = zero_morphism(sub_leg.dom, old_epi.cod)
-    epi = solve_map(
-        sub_leg.cod, old_epi.cod, pre=[(other_leg, old_epi), (sub_leg, kills_sub)]
-    )
-    if epi is None:
-        raise InternalInconsistencyError("pushout quotient map could not be built")
-    if not epi.is_epi():
-        raise InternalInconsistencyError("pushout quotient map is not surjective")
-    return epi
 
 
 def _check_ladder_object(w, pair_p, m, label):

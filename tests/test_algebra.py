@@ -24,10 +24,12 @@ from waldcat.algebra import (
     direct_sum,
     enumerate_modules,
     fingerprint,
+    from_pushout,
     hom_basis,
     identity_morphism,
     image_factorization,
     indecomposable_summands,
+    into_pullback,
     invariant_subspaces,
     is_isomorphic,
     kernel,
@@ -45,7 +47,11 @@ from waldcat.algebra import (
     zero_module,
     zero_morphism,
 )
-from waldcat.errors import BudgetExceededError, ValidationError
+from waldcat.errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    ValidationError,
+)
 from waldcat.linalg import (
     FieldMatrix,
     LinearSystem,
@@ -857,6 +863,124 @@ def test_solve_map_none_on_square_without_filler():
     assert _assert_matches_hand_built(reg, reg, post=[(top, top)], pre=[(socle, zero)]) is None
     assert solve_map(reg, reg, post=[(top, top)]) is not None
     assert solve_map(reg, reg, pre=[(socle, zero)]) is not None
+
+
+# ---------------------------------------------------------------------------
+# maps out of pushouts and into pullbacks against a solve_map reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_from_pushout_matches_solve_map(name):
+    a = _corpus_algebra(name)
+    rng = random.Random(sum(map(ord, name)) + 1)
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    rejected = 0
+    for _ in range(25):
+        m_a, m_b, m_c, m_x = (rng.choice(mods) for _ in range(4))
+        f = rng.choice(_some_maps(m_a, m_b))
+        g = rng.choice(_some_maps(m_a, m_c))
+        glued, from_b, from_c = pushout(f, g)
+        # legs that agree on A: both factor through some t out of the pushout
+        t = rng.choice(_some_maps(glued, m_x))
+        u, v = t @ from_b, t @ from_c
+        got = from_pushout(from_b, from_c, u, v)
+        expected = solve_map(glued, m_x, pre=[(from_b, u), (from_c, v)])
+        assert got.matrix == expected.matrix == t.matrix
+        assert got.is_equivariant()
+        u = rng.choice(_some_maps(m_b, m_x))
+        v = rng.choice(_some_maps(m_c, m_x))
+        if (u @ f) != (v @ g):
+            assert solve_map(glued, m_x, pre=[(from_b, u), (from_c, v)]) is None
+            with pytest.raises(InternalInconsistencyError):
+                from_pushout(from_b, from_c, u, v)
+            rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_into_pullback_matches_solve_map(name):
+    a = _corpus_algebra(name)
+    rng = random.Random(sum(map(ord, name)) + 2)
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    rejected = 0
+    for _ in range(25):
+        m_a, m_b, m_c, m_x = (rng.choice(mods) for _ in range(4))
+        f = rng.choice(_some_maps(m_b, m_a))
+        g = rng.choice(_some_maps(m_c, m_a))
+        pulled, to_b, to_c = pullback(f, g)
+        # legs that agree on A: both factor through some t into the pullback
+        t = rng.choice(_some_maps(m_x, pulled))
+        u, v = to_b @ t, to_c @ t
+        got = into_pullback(to_b, to_c, u, v)
+        expected = solve_map(m_x, pulled, post=[(to_b, u), (to_c, v)])
+        assert got.matrix == expected.matrix == t.matrix
+        assert got.is_equivariant()
+        u = rng.choice(_some_maps(m_x, m_b))
+        v = rng.choice(_some_maps(m_x, m_c))
+        if (f @ u) != (g @ v):
+            assert solve_map(m_x, pulled, post=[(to_b, u), (to_c, v)]) is None
+            with pytest.raises(ValidationError):
+                into_pullback(to_b, to_c, u, v)
+            rejected += 1
+    assert rejected > 0
+
+
+def test_universal_maps_need_matching_legs():
+    a = fx2_algebra()
+    reg = regular_module(a)
+    s = simple_over_fx2()
+    ident = identity_morphism(reg)
+    _, from_b, from_c = pushout(ident, ident)
+    with pytest.raises(ValidationError):
+        from_pushout(from_b, from_c, ident, zero_morphism(reg, s))
+    _, to_b, to_c = pullback(ident, ident)
+    with pytest.raises(ValidationError):
+        into_pullback(to_b, to_c, ident, zero_morphism(s, reg))
+
+
+# ---------------------------------------------------------------------------
+# complement indices against the greedy rank loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def _greedy_complement_indices(inner_vectors, outer_vectors, p):
+    """Add the outer vectors left to right, keeping each that raises the rank
+    of the span of the inner vectors and those already kept."""
+    rows = [np.asarray(v, dtype=np.int64) for v in inner_vectors]
+    length = len(outer_vectors[0]) if outer_vectors else 0
+
+    def span_rank(vectors):
+        if not vectors:
+            return 0
+        return rank(FieldMatrix(p, np.array(vectors).reshape(len(vectors), length).T))
+
+    chosen = []
+    for idx, vec in enumerate(outer_vectors):
+        if span_rank(rows + [vec]) > span_rank(rows):
+            chosen.append(idx)
+            rows.append(np.asarray(vec, dtype=np.int64))
+    return chosen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_complement_indices_match_greedy_rank_loop(p):
+    rng = np.random.default_rng(p)
+    for _ in range(300):
+        length = int(rng.integers(0, 6))
+        # combinations of a few generators, so dependencies are common
+        gens = rng.integers(0, p, size=(int(rng.integers(1, 4)), length))
+
+        def draw(count):
+            return [
+                rng.integers(0, p, size=len(gens)) @ gens % p for _ in range(count)
+            ]
+
+        inner = draw(int(rng.integers(0, 4)))
+        outer = draw(int(rng.integers(0, 5)))
+        assert alg._complement_indices(inner, outer, p) == (
+            _greedy_complement_indices(inner, outer, p)
+        )
 
 
 # ---------------------------------------------------------------------------

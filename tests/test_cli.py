@@ -330,6 +330,36 @@ def test_exit_three_bad_config_budget(tmp_path, budget):
     assert out["error"]["type"] == "malformed"
 
 
+@pytest.mark.parametrize("budget, code, kind", [(10, 2, "budget"), ("x", 3, "malformed")])
+def test_ext_oracle_reads_config_budget(tmp_path, budget, code, kind):
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["config"]["budget"] = budget
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    got, out = runj("ext", "--input", str(path), "--quot", "S", "--sub", "S",
+                    "--oracle")
+    assert got == code
+    assert out["error"]["type"] == kind
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factor", "--map", "socle", "--class", "bogus"],
+         "the cofibrant class must be 'all' or 'projectives'; got 'bogus'"),
+        (["span", "--op", "resolve", "--span", "socle_span", "--class", "bogus"],
+         "the class must be 'all' or 'projectives'; got 'bogus'"),
+        (["resolve-zp", "--module", "A", "--p-class", "bogus"],
+         "--p-class must be 'all' or 'projectives'; got 'bogus'"),
+    ],
+    ids=["factor", "span", "resolve-zp"],
+)
+def test_exit_three_unknown_pair_class(argv, message):
+    code, out = runj(argv[0], "--input", FX2, *argv[1:])
+    assert code == 3
+    assert out["error"] == {"type": "malformed", "message": message}
+
+
 def test_exit_two_budget_exceeded():
     code, out = runj("k0", "--input", FX2, "--dim-bound", "4",
                      "--budget", "10")

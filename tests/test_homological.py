@@ -21,6 +21,7 @@ from waldcat.algebra import (
     dual_regular_module,
     enumerate_modules,
     hom_basis,
+    induced_on_cokernel,
     is_isomorphic,
     kernel,
     regular_module,
@@ -38,7 +39,6 @@ from waldcat.homological import (
     ext1,
     ext1_class_count_oracle,
     free_cover,
-    induced_on_cokernel,
     injective_dimension_within,
     injective_embedding,
     is_injective,

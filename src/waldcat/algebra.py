@@ -560,10 +560,10 @@ def solve_map(dom, cod, post=(), pre=()):
 
     One dense system in the entries of x; free coordinates are set to zero,
     so the answer does not depend on the order of the constraints.  It is
-    for maps that involve a choice: lifts, sections, extensions over an
-    embedding, ladder maps between extensions.  A map that is unique comes from its structure maps instead:
-    ``corestrict`` into a submodule, ``induced_on_cokernel`` out of a
-    quotient, ``from_pushout`` and ``into_pullback``.
+    for maps that involve a choice: lifts, sections and extensions over
+    an embedding.  A map that is unique comes from its structure maps
+    instead: ``corestrict`` into a submodule, ``induced_on_cokernel`` out
+    of a quotient, ``from_pushout`` and ``into_pullback``.
     """
     system = LinearSystem(dom.p)
     x = module_map_var(system, "x", dom, cod)
@@ -946,25 +946,37 @@ _RANDOM_TRIES = 500
 _SCAN_CELLS = 2**12
 
 
-def _first_in_span(mats, p, accept):
-    """First nonzero combination sum_k c_k mats[k] that ``accept`` takes.
+def scan_slices(count, cells, start=0):
+    """Slices of range(start, count) holding about ``_SCAN_CELLS`` entries
+    each, for items of ``cells`` entries (at least one item per slice)."""
+    step = max(1, _SCAN_CELLS // max(1, cells))
+    for lo in range(start, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def span_stacks(mats, p, start=0):
+    """Every combination sum_k c_k mats[k], as (N, rows, cols) stacks.
 
     Combinations are visited in ``itertools.product`` order of the
-    coefficients (the last one varies fastest).  They are formed in chunks
-    of about ``_SCAN_CELLS`` entries, each as one coefficient-by-basis
-    product, and ``accept`` maps an (N, rows, cols) stack of them to a
-    boolean mask.  Returns the first accepted matrix as an array, or None.
+    coefficients (the last one varies fastest), from the ``start``-th on,
+    in chunks of about ``_SCAN_CELLS`` entries, each formed as one
+    coefficient-by-basis product.  ``mats`` must not be empty.
     """
     k = len(mats)
     shape = mats[0].shape
     flat = np.stack([m.a.reshape(-1) for m in mats])
-    chunk = max(1, _SCAN_CELLS // max(1, flat.shape[1]))
     weights = p ** np.arange(k - 1, -1, -1)
-    total = p**k
-    for lo in range(1, total, chunk):
-        index = np.arange(lo, min(lo + chunk, total))
-        coeffs = (index[:, None] // weights) % p
-        stack = ((coeffs @ flat) % p).reshape(-1, *shape)
+    for rows in scan_slices(p**k, flat.shape[1], start):
+        coeffs = (np.arange(rows.start, rows.stop)[:, None] // weights) % p
+        yield ((coeffs @ flat) % p).reshape(-1, *shape)
+
+
+def _first_in_span(mats, p, accept):
+    """First nonzero combination in ``span_stacks`` order that ``accept``
+    takes; ``accept`` maps a stack to a boolean mask.  Returns the first
+    accepted matrix as an array, or None.
+    """
+    for stack in span_stacks(mats, p, start=1):
         hits = np.flatnonzero(accept(stack))
         if hits.size:
             return stack[hits[0]]

@@ -178,8 +178,8 @@ def build_parser():
 # ---------------------------------------------------------------------------
 
 
-def _config_int(ws, args, attr, key, fallback):
-    value = getattr(args, attr)
+def _config_int(ws, value, key, fallback):
+    """The flag ``value`` when given, else config ``key``, else ``fallback``."""
     if value is not None:
         return value
     raw = ws.config.get(key, fallback)
@@ -190,7 +190,7 @@ def _config_int(ws, args, attr, key, fallback):
 
 def _enum_budget(ws, args):
     """Module enumeration budget: --budget, else config, else the default."""
-    return _config_int(ws, args, "budget", "budget", DEFAULT_BUDGET)
+    return _config_int(ws, args.budget, "budget", DEFAULT_BUDGET)
 
 
 def _pick_algebra(ws, args):
@@ -256,7 +256,7 @@ def _build_waldhausen(ws, args, algebra):
 
 
 def _rng(ws, args):
-    seed = _config_int(ws, args, "seed", "seed", 0)
+    seed = _config_int(ws, args.seed, "seed", 0)
     return np.random.default_rng(seed)
 
 
@@ -300,7 +300,7 @@ def _cmd_validate(args):
 def _cmd_enumerate(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    bound = _config_int(ws, args, "dim_bound", "dim_bound", 3)
+    bound = _config_int(ws, args.dim_bound, "dim_bound", 3)
     mods = enumerate_modules(algebra, bound, budget=_enum_budget(ws, args))
     return {
         "command": "enumerate",
@@ -396,8 +396,11 @@ def _cmd_weq(args):
     verdict = is_weak_equivalence(w, f)
     out = {"command": "weq", "map": args.map, "verdict": verdict}
     if args.oracle:
-        budget = args.budget if args.budget is not None else DEFAULT_MAP_BUDGET
-        oracle = weak_equivalence_oracle(w, f, map_budget=budget)
+        oracle = weak_equivalence_oracle(
+            w, f,
+            map_budget=args.budget if args.budget is not None else DEFAULT_MAP_BUDGET,
+            enum_budget=_config_int(ws, None, "budget", DEFAULT_BUDGET),
+        )
         out["oracle_verdict"] = oracle
         out["oracle_agrees"] = verdict == "indeterminate" or oracle == verdict
         if not out["oracle_agrees"]:
@@ -571,7 +574,7 @@ def _cmd_chain(args):
 def _cmd_k0(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    bound = _config_int(ws, args, "dim_bound", "dim_bound", 3)
+    bound = _config_int(ws, args.dim_bound, "dim_bound", 3)
     if args.acyclics is not None:
         w = _build_waldhausen(ws, args, algebra)
         pres = k0_waldhausen(w, bound, enum_budget=_enum_budget(ws, args))
@@ -593,7 +596,7 @@ def _cmd_k0(args):
 def _cmd_localize(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    bound = _config_int(ws, args, "dim_bound", "dim_bound", 3)
+    bound = _config_int(ws, args.dim_bound, "dim_bound", 3)
     z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
     a_spec = _parse_class(ws, z_name)
     report = localization_k0_report(

@@ -37,8 +37,9 @@ from .algebra import (
     memoized,
     pushout,
     regular_module,
+    scan_slices,
     simple_modules,
-    solve_map,
+    span_stacks,
     zero_module,
     zero_morphism,
 )
@@ -48,6 +49,7 @@ from .linalg import (
     column_space_basis,
     in_column_space,
     kernel_basis,
+    rank_stack,
 )
 
 # ---------------------------------------------------------------------------
@@ -242,44 +244,75 @@ def realize_extension(ext_class):
 def ext1_class_count_oracle(c, a, budget=DEFAULT_BUDGET):
     """Count equivalence classes of extensions 0 -> a -> E -> c -> 0 directly.
 
-    Enumerates every module E of the right dimension, every exact pair of
-    an injection a -> E and a surjection E -> c, and merges sequences
-    related by a ladder map fixing a and c (such a map is automatically an
-    isomorphism).  The count must equal p**ext1(c, a).dimension.
+    Two exact pairs (i, p) through one middle E are equivalent exactly
+    when some h in Aut(E) sends (i, p) to (h i, p h^-1), so the classes
+    through E are the Aut(E)-orbits of exact pairs.  Every pair has the
+    same stabilizer {1 + i phi p : phi in Hom(c, a)}: h fixes (i, p) iff
+    h - 1 kills im i and lands in ker p = im i, i.e. h - 1 = i phi p for a
+    unique phi, and each such h is invertible since (i phi p)**2 = 0.
+    Middles from ``enumerate_modules`` are pairwise non-isomorphic, so
+    pairs through different middles are never equivalent, and
+
+        count = sum over E of #pairs(E) * p**dim Hom(c, a) / |Aut(E)|.
+
+    Each division must be exact.  Pairs and automorphisms are counted by
+    batched rank scans over the spans of the Hom bases; no free presentation
+    is used, so the count must equal p**ext1(c, a).dimension independently.
     """
     algebra = c.algebra
     p = algebra.p
     mid_dim = c.dim + a.dim
-    middles = [
-        e for e in enumerate_modules(algebra, mid_dim, budget=budget) if e.dim == mid_dim
-    ]
-    sequences = []
-    for e in middles:
-        monos = [f for f in maps(a, e) if f.is_mono()]
-        epis = [f for f in maps(e, c) if f.is_epi()]
-        for i_map in monos:
-            for p_map in epis:
-                if (p_map @ i_map).is_zero():
-                    sequences.append((i_map, p_map))
-    classes = []
-    for seq in sequences:
-        if any(_ladder_equivalent(seq, rep) for rep in classes):
+    stabilizer = p ** len(hom_basis(c, a))
+    count = 0
+    for e in enumerate_modules(algebra, mid_dim, budget=budget):
+        if e.dim != mid_dim:
             continue
-        classes.append(seq)
-    return len(classes)
+        pairs = _exact_pair_count(a, e, c)
+        orbits, rest = divmod(pairs * stabilizer, _automorphism_count(e))
+        if rest:
+            raise InternalInconsistencyError(
+                "exact pairs do not split into whole Aut(E)-orbits"
+            )
+        count += orbits
+    return count
 
 
-def _ladder_equivalent(seq1, seq2):
-    """Is there a middle map h with h i = i' and p' h = p?
+def _hom_stacks(dom, cod):
+    """Every module map dom -> cod, as chunked (N, cod.dim, dom.dim) stacks."""
+    mats = [f.matrix for f in hom_basis(dom, cod)]
+    if not mats:
+        return iter([np.zeros((1, cod.dim, dom.dim), dtype=np.int64)])
+    return span_stacks(mats, dom.p)
 
-    By the five lemma such an h is an isomorphism, so this is exactly
-    equivalence of extensions.
+
+@memoized
+def _automorphism_count(m):
+    """|Aut(m)|: the number of full-rank elements of End(m)."""
+    return sum(
+        int((rank_stack(stack, m.p) == m.dim).sum()) for stack in _hom_stacks(m, m)
+    )
+
+
+def _exact_pair_count(a, e, c):
+    """Number of pairs (i: a -> e mono, p: e -> c epi) with p i = 0.
+
+    When dim e = dim a + dim c these are exactly the short exact sequences.
     """
-    i1, p1 = seq1
-    i2, p2 = seq2
-    if i1.cod.dim != i2.cod.dim:
-        return False
-    return solve_map(i1.cod, i2.cod, post=[(p2, p1)], pre=[(i1, i2)]) is not None
+    p = e.p
+    monos = np.concatenate(
+        [s[rank_stack(s, p) == a.dim] for s in _hom_stacks(a, e)]
+    )
+    epis = np.concatenate(
+        [s[rank_stack(s, p) == c.dim] for s in _hom_stacks(e, c)]
+    )
+    # all products p_j i_k of a slice of epis at once: (s, c, e) @ (e, monos * a)
+    right = monos.transpose(1, 0, 2).reshape(e.dim, len(monos) * a.dim)
+    total = 0
+    for rows in scan_slices(len(epis), len(monos) * c.dim * a.dim):
+        prod = (epis[rows] @ right) % p
+        prod = prod.reshape(len(prod), c.dim, len(monos), a.dim)
+        total += int((~prod.any(axis=(1, 3))).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,19 @@ def test_ext_oracle_reads_config_budget(tmp_path, budget, code, kind):
     assert out["error"]["type"] == kind
 
 
+def test_weq_oracle_reads_config_budget(tmp_path):
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["config"]["budget"] = 10
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    # --budget caps the maps tried; config budget caps the enumeration
+    for extra in ([], ["--budget", "100000"]):
+        code, out = runj("weq", "--input", str(path), "--map", "mul_x", "--oracle",
+                         *extra)
+        assert code == 2
+        assert out["error"]["type"] == "budget"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -486,6 +486,9 @@ class Morphism:
             raise ValidationError("can only subtract parallel maps")
         return Morphism(self.dom, self.cod, self.matrix - other.matrix, check=False)
 
+    def __neg__(self):
+        return Morphism(self.dom, self.cod, -self.matrix, check=False)
+
     def __eq__(self, other):
         return (
             isinstance(other, Morphism)
@@ -692,14 +695,7 @@ def from_pushout(from_b, from_c, u, v):
     induced on that cokernel by [u | v]; legs that disagree on A do not
     kill the collapsed image and raise.
     """
-    if u.cod != v.cod:
-        raise ValidationError("maps out of a pushout need a common codomain")
-    summed, _, _ = direct_sum([from_b.dom, from_c.dom])
-    quotient = Morphism(
-        summed, from_b.cod, np.hstack([from_b.matrix.a, from_c.matrix.a]), check=False
-    )
-    legs = Morphism(summed, u.cod, np.hstack([u.matrix.a, v.matrix.a]), check=False)
-    return induced_on_cokernel(quotient, legs)
+    return induced_on_cokernel(block([[from_b, from_c]]), block([[u, v]]))
 
 
 def into_pullback(to_b, to_c, u, v):
@@ -710,14 +706,7 @@ def into_pullback(to_b, to_c, u, v):
     [u ; v] corestricted to it; legs that disagree on A do not land in the
     kernel and raise.
     """
-    if u.dom != v.dom:
-        raise ValidationError("maps into a pullback need a common domain")
-    summed, _, _ = direct_sum([to_b.cod, to_c.cod])
-    inclusion = Morphism(
-        to_b.dom, summed, np.vstack([to_b.matrix.a, to_c.matrix.a]), check=False
-    )
-    legs = Morphism(u.dom, summed, np.vstack([u.matrix.a, v.matrix.a]), check=False)
-    return corestrict(legs, inclusion)
+    return corestrict(block([[u], [v]]), block([[to_b], [to_c]]))
 
 
 def direct_sum(modules):
@@ -749,6 +738,45 @@ def direct_sum(modules):
     return summed, injections, projections
 
 
+def block(rows):
+    """The map (+)_c D_c -> (+)_r C_r whose (r, c) component is rows[r][c].
+
+    ``None`` is a zero component.  Every row needs one map, which fixes its
+    codomain C_r, and every column one, which fixes its domain D_c; a
+    single row or column keeps its own module rather than a one-summand
+    sum.  Components whose endpoints disagree with their row or column
+    raise.
+    """
+    rows = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    if not width or any(len(row) != width for row in rows):
+        raise ValidationError("a block map needs a nonempty rectangular grid")
+    cods = [_block_end([f.cod for f in row if f is not None]) for row in rows]
+    doms = [
+        _block_end([row[c].dom for row in rows if row[c] is not None])
+        for c in range(width)
+    ]
+    dom = doms[0] if width == 1 else direct_sum(doms)[0]
+    cod = cods[0] if len(rows) == 1 else direct_sum(cods)[0]
+    row_at = np.cumsum([0] + [m.dim for m in cods])
+    col_at = np.cumsum([0] + [m.dim for m in doms])
+    mat = np.zeros((cod.dim, dom.dim), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, f in enumerate(row):
+            if f is not None:
+                mat[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]] = f.matrix.a
+    return Morphism(dom, cod, mat, check=False)
+
+
+def _block_end(modules):
+    """The module shared by one row's codomains or one column's domains."""
+    if not modules:
+        raise ValidationError("every row and column of a block map needs a map")
+    if any(m != modules[0] for m in modules[1:]):
+        raise ValidationError("maps in one row or column of a block map disagree")
+    return modules[0]
+
+
 def pushout(f, g):
     """Pushout of f: A -> B and g: A -> C; returns (module, from_B, from_C).
 
@@ -756,9 +784,8 @@ def pushout(f, g):
     """
     if f.dom != g.dom:
         raise ValidationError("pushout legs must share a domain")
-    summed, (inj_b, inj_c), _ = direct_sum([f.cod, g.cod])
-    diff = (inj_b @ f) - (inj_c @ g)
-    _, proj = cokernel(diff)
+    _, (inj_b, inj_c), _ = direct_sum([f.cod, g.cod])
+    _, proj = cokernel(block([[f], [-g]]))
     return proj.cod, proj @ inj_b, proj @ inj_c
 
 
@@ -766,9 +793,8 @@ def pullback(f, g):
     """Pullback of f: B -> A and g: C -> A; returns (module, to_B, to_C)."""
     if f.cod != g.cod:
         raise ValidationError("pullback legs must share a codomain")
-    summed, _, (proj_b, proj_c) = direct_sum([f.dom, g.dom])
-    diff = (f @ proj_b) - (g @ proj_c)
-    ker, incl = kernel(diff)
+    _, _, (proj_b, proj_c) = direct_sum([f.dom, g.dom])
+    ker, incl = kernel(block([[f, -g]]))
     return ker, proj_b @ incl, proj_c @ incl
 
 
@@ -1061,13 +1087,16 @@ def _isomorphism_by_decomposition(m1, m2):
                 break
         if matched is None:
             return None
-        piece_isos.append((matched[0], matched[1]))
-    total = FieldMatrix.zeros(m1.p, m2.dim, m1.dim)
-    acc = total.a.copy()
-    for (idx, iso), (mod1, incl1, proj1) in zip(piece_isos, pieces1):
-        mod2, incl2, proj2 = pieces2[idx]
-        acc = (acc + incl2.matrix.a @ iso.matrix.a @ proj1.matrix.a) % m1.p
-    candidate = Morphism(m1, m2, acc, check=False)
+        piece_isos.append(matched)
+    diagonal = block(
+        [[iso if k == j else None for k, (_, iso) in enumerate(piece_isos)]
+         for j in range(len(piece_isos))]
+    )
+    candidate = (
+        block([[pieces2[idx][1] for idx, _ in piece_isos]])
+        @ diagonal
+        @ block([[proj1] for _, _, proj1 in pieces1])
+    )
     if not candidate.is_iso() or not candidate.is_equivariant():
         return None
     return candidate
@@ -1281,11 +1310,11 @@ def _extension_candidates(sub, quot):
             tau_mats.append(acc)
         action = []
         for k in range(d):
-            block = np.zeros((sub.dim + quot.dim, sub.dim + quot.dim), dtype=np.int64)
-            block[: sub.dim, : sub.dim] = sub.action[k].a
-            block[: sub.dim, sub.dim :] = tau_mats[k]
-            block[sub.dim :, sub.dim :] = quot.action[k].a
-            action.append(FieldMatrix(p, block))
+            upper = np.zeros((sub.dim + quot.dim, sub.dim + quot.dim), dtype=np.int64)
+            upper[: sub.dim, : sub.dim] = sub.action[k].a
+            upper[: sub.dim, sub.dim :] = tau_mats[k]
+            upper[sub.dim :, sub.dim :] = quot.action[k].a
+            action.append(FieldMatrix(p, upper))
         out.append(Module(algebra, action, check=False))
     return out
 

@@ -10,7 +10,7 @@ when the acyclic class is taken to be the exact complexes.
 """
 
 from .algebra import (
-    Morphism,
+    block,
     cokernel,
     corestrict,
     direct_sum,
@@ -201,30 +201,40 @@ def is_quasi_iso(f):
     return True
 
 
+def graded_map_var(system, name, x, y, degree, rhs=None):
+    """Declare unknown module maps h_n: x_n -> y_{n+degree}, one per degree
+    n of x in ascending order and named ``name`` followed by n, and
+    constrain them by d h - (-1)^degree h d = rhs in every degree.
+
+    ``rhs.component(n)`` is the right side in degree n, a map
+    x_n -> y_{n+degree-1}: at degree 1 the identity of x asks for a
+    contracting homotopy.  None means zero: degree 0 then makes h a chain
+    map x -> y, and degree -1 a connecting map with d h + h d = 0.
+    Returns the variables by degree.
+    """
+    hs = {
+        n: module_map_var(system, "%s%d" % (name, n), x.obj(n), y.obj(n + degree))
+        for n in x.degrees()
+    }
+    for n in x.degrees():
+        terms = [(y.diff(n + degree).matrix, hs[n], None)]
+        if n - 1 in hs:
+            d = x.diff(n).matrix
+            terms.append((None, hs[n - 1], -d if degree % 2 == 0 else d))
+        if rhs is None:
+            target = FieldMatrix.zeros(
+                x.algebra.p, y.obj(n + degree - 1).dim, x.obj(n).dim
+            )
+        else:
+            target = rhs.component(n).matrix
+        system.add_equation(terms, target)
+    return hs
+
+
 def is_contractible(x):
     """Solve d h + h d = 1 degreewise as one linear system."""
-    if not x.objects:
-        return True
     system = LinearSystem(x.algebra.p)
-    hs = {}
-    for n in x.degrees():
-        up = x.obj(n + 1)
-        here = x.obj(n)
-        if here.dim == 0:
-            continue
-        hs[n] = module_map_var(system, "h%d" % n, here, up)
-    for n in x.degrees():
-        here = x.obj(n)
-        if here.dim == 0:
-            continue
-        terms = []
-        if n in hs:
-            terms.append((x.diff(n + 1).matrix, hs[n], None))
-        if (n - 1) in hs:
-            terms.append((None, hs[n - 1], x.diff(n).matrix))
-        if not terms:
-            return False
-        system.add_equation(terms, FieldMatrix.identity(x.algebra.p, here.dim))
+    graded_map_var(system, "h", x, x, 1, rhs=identity_chain_map(x))
     return system.solve() is not None
 
 
@@ -233,33 +243,16 @@ def is_contractible(x):
 # ---------------------------------------------------------------------------
 
 
-def _neg(f):
-    return Morphism(f.dom, f.cod, -f.matrix, check=False)
-
-
 def cone(f):
     """Mapping cone: degree n holds cod_n (+) dom_{n-1}."""
     x, y = f.dom, f.cod
     lo = min(y.lo, x.lo + 1)
     hi = max(y.hi, x.hi + 1)
-    objects = []
-    parts = {}
-    for n in range(lo, hi + 1):
-        total, (inj_y, inj_x), (proj_y, proj_x) = direct_sum(
-            [y.obj(n), x.obj(n - 1)]
-        )
-        objects.append(total)
-        parts[n] = (total, inj_y, inj_x, proj_y, proj_x)
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        _, inj_y_lo, inj_x_lo, _, _ = parts[n - 1]
-        _, _, _, proj_y_hi, proj_x_hi = parts[n]
-        d = (
-            (inj_y_lo @ y.diff(n) @ proj_y_hi)
-            + (inj_y_lo @ f.component(n - 1) @ proj_x_hi)
-            + (inj_x_lo @ _neg(x.diff(n - 1)) @ proj_x_hi)
-        )
-        diffs.append(d)
+    objects = [direct_sum([y.obj(n), x.obj(n - 1)])[0] for n in range(lo, hi + 1)]
+    diffs = [
+        block([[y.diff(n), f.component(n - 1)], [None, -x.diff(n - 1)]])
+        for n in range(lo + 1, hi + 1)
+    ]
     return ChainComplex(x.algebra, lo, objects, diffs)
 
 
@@ -284,12 +277,9 @@ def chain_direct_sum(x, y):
         total, (i1, i2), (p1, p2) = direct_sum([x.obj(n), y.obj(n)])
         objects.append(total)
         inj_x[n], inj_y[n], proj_x[n], proj_y[n] = i1, i2, p1, p2
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        diffs.append(
-            (inj_x[n - 1] @ x.diff(n) @ proj_x[n])
-            + (inj_y[n - 1] @ y.diff(n) @ proj_y[n])
-        )
+    diffs = [
+        block([[x.diff(n), None], [None, y.diff(n)]]) for n in range(lo + 1, hi + 1)
+    ]
     total_cx = ChainComplex(x.algebra, lo, objects, diffs)
     return (
         total_cx,
@@ -345,14 +335,12 @@ def chain_factor(f):
     (everything, contractibles) pair.
     """
     emb = cone_embedding(f.dom)
-    middle, (inj_c, inj_y), (proj_c, proj_y) = chain_direct_sum(emb.cod, f.cod)
+    middle, _, (_, proj_y) = chain_direct_sum(emb.cod, f.cod)
     lo = min(f.dom.lo, middle.lo)
     hi = max(f.dom.hi, middle.hi)
-    comps = {}
-    for n in range(lo, hi + 1):
-        comps[n] = (inj_c.component(n) @ emb.component(n)) + (
-            inj_y.component(n) @ f.component(n)
-        )
+    comps = {
+        n: block([[emb.component(n)], [f.component(n)]]) for n in range(lo, hi + 1)
+    }
     i = ChainMap(f.dom, middle, comps)
     p = proj_y
     if (p @ i) != f:

@@ -257,6 +257,8 @@ def _build_waldhausen(ws, args, algebra):
 
 def _rng(ws, args):
     seed = _config_int(ws, args.seed, "seed", 0)
+    if seed < 0:
+        raise MalformedInputError("seed must be a nonnegative integer, got %d" % seed)
     return np.random.default_rng(seed)
 
 

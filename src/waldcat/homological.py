@@ -23,6 +23,7 @@ from .algebra import (
     Morphism,
     ShortExactSequence,
     _complement_indices,
+    block,
     cokernel,
     combine,
     direct_sum,
@@ -132,10 +133,7 @@ def injective_embedding(m):
             ker_dim = cand_ker
         if ker_dim == 0:
             break
-    cosum, injections, _ = direct_sum([da] * len(kept))
-    total = zero_morphism(m, cosum)
-    for inj, f in zip(injections, kept):
-        total = total + (inj @ f)
+    total = block([[f] for f in kept])
     if not total.is_mono():
         raise InternalInconsistencyError("stacked functionals failed to embed")
     return total
@@ -378,8 +376,8 @@ class CotorsionPair:
         and p keeps the second coordinate, so p o i is exactly f.
         """
         j = self.resolve_right(f.dom).mono
-        _, (inj_i, inj_b), (_, proj_b) = direct_sum([j.cod, f.cod])
-        return (inj_i @ j) + (inj_b @ f), proj_b
+        _, _, (_, proj_b) = direct_sum([j.cod, f.cod])
+        return block([[j], [f]]), proj_b
 
     def _check_parent(self, m):
         if m.algebra.digest != self.algebra.digest:

@@ -27,9 +27,8 @@ from .errors import BudgetExceededError, HypothesisError, ValidationError
 from .homological import all_injectives_pair, ext1, is_injective
 from .linalg import (
     IntegerMatrix,
+    RowLattice,
     _mat_mul,
-    row_lattice_member,
-    row_lattices_equal,
     smith_invariant_factors,
     stack,
 )
@@ -76,7 +75,8 @@ class K0Presentation:
                 % (relations.cols, len(self.generators))
             )
         self.relations = relations
-        self.invariant_factors = smith_invariant_factors(relations)
+        self.lattice = RowLattice(relations)
+        self.invariant_factors = self.lattice.invariant_factors
         self.reduced_factors = tuple(
             d for d in self.invariant_factors if d != 1
         )
@@ -100,7 +100,7 @@ class K0Presentation:
 
     def is_relation(self, row):
         """Does the integer vector lie in the relation lattice?"""
-        return row_lattice_member(self.relations, row)
+        return row in self.lattice
 
     def as_dict(self):
         return {
@@ -318,9 +318,9 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     # image of the first map = kernel of the second, as sublattices of
     # the generator lattice of K0(B): the kernel is the preimage of the
     # target relation lattice, pulled back through the generator matching
-    image_lattice = stack(kb.relations, first)
-    kernel_lattice = stack(kb.relations, _pullback_rows(second, kbw.relations))
-    im_eq_ker = row_lattices_equal(image_lattice, kernel_lattice)
+    image = RowLattice(stack(kb.relations, first))
+    kernel = RowLattice(stack(kb.relations, _pullback_rows(second, kbw.relations)))
+    im_eq_ker = kernel.spans(image) and image.spans(kernel)
 
     report["groups"] = {
         "KA": ka.as_dict(),
@@ -336,7 +336,7 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
         "surjective": bool(surjective),
         "im_eq_ker": bool(im_eq_ker),
     }
-    coker_factors = smith_invariant_factors(image_lattice)
+    coker_factors = image.invariant_factors
     report["cokernel"] = {
         "invariant_factors": [d for d in coker_factors if d != 1],
         "description": describe_group(coker_factors),

@@ -489,34 +489,52 @@ def smith_normal_form(m: IntegerMatrix):
     return D, IntegerMatrix(U), IntegerMatrix(V)
 
 
+class RowLattice:
+    """The lattice spanned by the rows of an integer matrix, reduced once.
+
+    One Smith normal form U m V = D serves every question: ``v in lattice``
+    holds when each coordinate of v V is divisible by the matching
+    diagonal entry of D (and is zero where that entry is zero), and
+    ``invariant_factors`` describe Z^cols / lattice.
+    """
+
+    def __init__(self, m: IntegerMatrix):
+        D, _, V = smith_normal_form(m)
+        self.generators = m.data
+        self.cols = m.cols
+        self._V = V.data
+        limit = min(m.rows, m.cols)
+        self._diag = [D.data[j][j] if j < limit else 0 for j in range(m.cols)]
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """One factor per column: Z^cols / lattice is the sum of Z/d, Z/0 = Z."""
+        nonzero = [d for d in self._diag if d != 0]
+        return tuple(nonzero + [0] * (self.cols - len(nonzero)))
+
+    def __contains__(self, v: Sequence[int]) -> bool:
+        if len(v) != self.cols:
+            raise ValueError("length mismatch")
+        w = _mat_mul([list(map(int, v))], self._V)[0]
+        return all(x == 0 if d == 0 else x % d == 0 for x, d in zip(w, self._diag))
+
+    def spans(self, other: "RowLattice") -> bool:
+        """Does this lattice contain every generating row of ``other``?"""
+        return all(r in self for r in other.generators)
+
+
 def smith_invariant_factors(m: IntegerMatrix) -> tuple[int, ...]:
     """Invariant factors of Z^cols / rowspace(m), one per column.
 
     Rows of m are relations on `cols` generators.  The quotient group is
     the direct sum of Z/d_i over the returned tuple, where Z/0 = Z.
     """
-    D, _, _ = smith_normal_form(m)
-    diag = [D.data[i][i] for i in range(min(m.rows, m.cols))]
-    nonzero = [d for d in diag if d != 0]
-    free = m.cols - len(nonzero)
-    return tuple(nonzero + [0] * free)
+    return RowLattice(m).invariant_factors
 
 
 def row_lattice_member(m: IntegerMatrix, v: Sequence[int]) -> bool:
     """Is the integer vector v in the lattice spanned by the rows of m?"""
-    if len(v) != m.cols:
-        raise ValueError("length mismatch")
-    D, _, V = smith_normal_form(m)
-    w = _mat_mul([list(map(int, v))], V.data)[0]
-    limit = min(m.rows, m.cols)
-    for j in range(m.cols):
-        d = D.data[j][j] if j < limit else 0
-        if d == 0:
-            if w[j] != 0:
-                return False
-        elif w[j] % d != 0:
-            return False
-    return True
+    return v in RowLattice(m)
 
 
 def row_lattices_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
@@ -526,9 +544,8 @@ def row_lattices_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
     """
     if a.cols != b.cols:
         raise ValueError("ambient rank mismatch")
-    return all(row_lattice_member(b, r) for r in a.data) and all(
-        row_lattice_member(a, r) for r in b.data
-    )
+    la, lb = RowLattice(a), RowLattice(b)
+    return lb.spans(la) and la.spans(lb)
 
 
 def stack(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:

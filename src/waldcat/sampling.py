@@ -11,6 +11,7 @@ the construction hypotheses.
 from .algebra import (
     Morphism,
     ShortExactSequence,
+    block,
     cokernel,
     combine,
     direct_sum,
@@ -25,6 +26,7 @@ from .chains import (
     ChainMap,
     chain_direct_sum,
     cone,
+    graded_map_var,
     identity_chain_map,
 )
 from .errors import ValidationError
@@ -42,6 +44,10 @@ from .waldhausen import (
     PropernessInstance,
 )
 
+AUTOMORPHISM_TRIES = 50
+COFIBRATION_TRIES = 200
+SES_TRIES = 200
+
 
 def random_combination(rng, dom, cod):
     """A random morphism as a coefficient combination of the hom basis."""
@@ -51,9 +57,9 @@ def random_combination(rng, dom, cod):
     return combine(dom, cod, basis, rng.integers(0, dom.p, size=len(basis)))
 
 
-def random_automorphism(rng, m, tries=50):
+def random_automorphism(rng, m):
     """A random invertible endomorphism (falls back to the identity)."""
-    for _ in range(tries):
+    for _ in range(AUTOMORPHISM_TRIES):
         f = random_combination(rng, m, m)
         if f.is_iso():
             return f
@@ -83,14 +89,14 @@ def _pick(rng, items):
     return items[int(rng.integers(0, len(items)))]
 
 
-def random_cofibration(w, rng, dom, max_dim=3, tries=200):
+def random_cofibration(w, rng, dom, max_dim=3):
     """A random injection out of ``dom`` whose cokernel lies in C."""
     mods = [
         m
         for m in enumerate_modules(w.algebra, max_dim)
         if m.dim >= dom.dim and w.in_c(m)
     ]
-    for _ in range(tries):
+    for _ in range(COFIBRATION_TRIES):
         cod = _pick(rng, mods)
         f = random_combination(rng, dom, cod)
         if not f.is_mono():
@@ -159,19 +165,20 @@ def gluing_instance(w, rng, max_dim=2):
             i, j, inj_b @ i, inj_c @ j, identity_morphism(apex), inj_b, inj_c
         )
     ka = _pick(rng, cperp_samples(w, max_dim))
-    _, (inj_a, inj_ka), (proj_a, p2a) = direct_sum([apex, ka])
-    _, (inj_b, inj_kb), (proj_b, _) = direct_sum([i.cod, ka])
-    _, (inj_c, inj_kc), (proj_c, _) = direct_sum([cobj, ka])
-    i_top = (inj_b @ i @ proj_a) + (inj_kb @ p2a)
-    j_top = (inj_c @ j @ proj_a) + (inj_kc @ p2a)
+    keep = identity_morphism(ka)
+    _, _, (proj_a, _) = direct_sum([apex, ka])
+    _, _, (proj_b, _) = direct_sum([i.cod, ka])
+    _, _, (proj_c, _) = direct_sum([cobj, ka])
+    i_top = block([[i, None], [None, keep]])
+    j_top = block([[j, None], [None, keep]])
     return GluingInstance(i_top, j_top, i, j, proj_a, proj_b, proj_c)
 
 
-def random_ses(w, rng, max_dim=2, tries=200):
+def random_ses(w, rng, max_dim=2):
     """A short exact sequence of C-objects whose injection is a cofibration."""
     mods = [m for m in enumerate_modules(w.algebra, max_dim) if w.in_c(m)]
     mids = [m for m in mods if m.dim > 0]
-    for _ in range(tries):
+    for _ in range(SES_TRIES):
         mid = _pick(rng, mids)
         sub = _pick(rng, [m for m in mods if m.dim <= mid.dim])
         f = random_combination(rng, sub, mid)
@@ -190,9 +197,9 @@ def extension_instance(w, rng, max_dim=2):
     if mode == 0:
         # bottom: 0 -> sub (+) W -> mid (+) W -> quot -> 0, inflate verticals
         wobj = _pick(rng, zc_samples(w, max_dim))
-        _, (inj_s, _), (p1s, p2s) = direct_sum([base.sub, wobj])
-        _, (inj_m, inj_wm), (proj_m, _) = direct_sum([base.mid, wobj])
-        bot_mono = (inj_m @ base.mono @ p1s) + (inj_wm @ p2s)
+        _, (inj_s, _), _ = direct_sum([base.sub, wobj])
+        _, (inj_m, _), (proj_m, _) = direct_sum([base.mid, wobj])
+        bot_mono = block([[base.mono, None], [None, identity_morphism(wobj)]])
         bot_epi = base.epi @ proj_m
         bottom = ShortExactSequence(bot_mono, bot_epi)
         return ExtensionInstance(
@@ -201,19 +208,19 @@ def extension_instance(w, rng, max_dim=2):
     if mode == 1:
         # bottom: 0 -> sub -> mid (+) W -> quot (+) W -> 0
         wobj = _pick(rng, zc_samples(w, max_dim))
-        _, (inj_m, inj_wm), (proj_m, proj_wm) = direct_sum([base.mid, wobj])
-        _, (inj_q, inj_wq), _ = direct_sum([base.quot, wobj])
+        _, (inj_m, _), _ = direct_sum([base.mid, wobj])
+        _, (inj_q, _), _ = direct_sum([base.quot, wobj])
         bot_mono = inj_m @ base.mono
-        bot_epi = (inj_q @ base.epi @ proj_m) + (inj_wq @ proj_wm)
+        bot_epi = block([[base.epi, None], [None, identity_morphism(wobj)]])
         bottom = ShortExactSequence(bot_mono, bot_epi)
         return ExtensionInstance(
             base, bottom, identity_morphism(base.sub), inj_m, inj_q
         )
     # top: 0 -> sub (+) K -> mid (+) K -> quot -> 0, deflate verticals
     kobj = _pick(rng, cperp_samples(w, max_dim))
-    _, (inj_s, inj_ks), (p1s, p2s) = direct_sum([base.sub, kobj])
-    _, (inj_m, inj_km), (proj_m, _) = direct_sum([base.mid, kobj])
-    top_mono = (inj_m @ base.mono @ p1s) + (inj_km @ p2s)
+    _, _, (p1s, _) = direct_sum([base.sub, kobj])
+    _, _, (proj_m, _) = direct_sum([base.mid, kobj])
+    top_mono = block([[base.mono, None], [None, identity_morphism(kobj)]])
     top_epi = base.epi @ proj_m
     top = ShortExactSequence(top_mono, top_epi)
     return ExtensionInstance(
@@ -300,13 +307,13 @@ def random_span_extension(rng, sub, quot):
     is isomorphic to this block shape, so sampling the corners covers the
     extension space.
     """
-    e_left, (il_s, il_q), (pl_s, pl_q) = direct_sum([sub.left, quot.left])
-    e_apex, (ia_s, ia_q), (pa_s, pa_q) = direct_sum([sub.apex, quot.apex])
-    e_right, (ir_s, ir_q), (pr_s, pr_q) = direct_sum([sub.right, quot.right])
+    _, (il_s, _), (_, pl_q) = direct_sum([sub.left, quot.left])
+    _, (ia_s, _), (_, pa_q) = direct_sum([sub.apex, quot.apex])
+    _, (ir_s, _), (_, pr_q) = direct_sum([sub.right, quot.right])
     twist_g = random_combination(rng, quot.apex, sub.left)
     twist_f = random_combination(rng, quot.apex, sub.right)
-    g = (il_s @ sub.g @ pa_s) + (il_s @ twist_g @ pa_q) + (il_q @ quot.g @ pa_q)
-    f = (ir_s @ sub.f @ pa_s) + (ir_s @ twist_f @ pa_q) + (ir_q @ quot.f @ pa_q)
+    g = block([[sub.g, twist_g], [None, quot.g]])
+    f = block([[sub.f, twist_f], [None, quot.f]])
     mid = SpanObject(g, f)
     mono = SpanMorphism(sub, mid, il_s, ia_s, ir_s)
     epi = SpanMorphism(mid, quot, pl_q, pa_q, pr_q)
@@ -368,30 +375,12 @@ def random_chain_complex(rng, algebra, max_len=3, max_dim=3):
 
 def random_chain_map(rng, x, y):
     """A random chain map, sampled from the full commutation solution space."""
-    p = x.algebra.p
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    system = LinearSystem(p)
-    vars_by_degree = {}
-    for n in range(lo, hi + 1):
-        dom, cod = x.obj(n), y.obj(n)
-        if dom.dim == 0 or cod.dim == 0:
-            continue
-        vars_by_degree[n] = module_map_var(system, "f%d" % n, dom, cod)
-    for n in range(lo, hi + 1):
-        terms = []
-        if n in vars_by_degree:
-            terms.append((y.diff(n).matrix, vars_by_degree[n], None))
-        if (n - 1) in vars_by_degree:
-            terms.append((None, vars_by_degree[n - 1], -x.diff(n).matrix))
-        if terms:
-            system.add_equation(
-                terms, FieldMatrix.zeros(p, y.obj(n - 1).dim, x.obj(n).dim)
-            )
+    system = LinearSystem(x.algebra.p)
+    degrees = graded_map_var(system, "f", x, y, 0)
     sol = _sample_solution(rng, system)
     comps = {
         n: Morphism(x.obj(n), y.obj(n), sol["f%d" % n], check=False)
-        for n in vars_by_degree
+        for n in degrees
     }
     return ChainMap(x, y, comps)
 
@@ -429,47 +418,22 @@ def random_chain_extension(rng, sub, quot):
     The middle differential is block triangular with a connecting block
     sampled from the d o d = 0 solution space.
     """
-    algebra = sub.algebra
-    p = algebra.p
+    system = LinearSystem(sub.algebra.p)
+    degrees = graded_map_var(system, "x", quot, sub, -1)
+    sol = _sample_solution(rng, system)
+    connect = {
+        n: Morphism(quot.obj(n), sub.obj(n - 1), sol["x%d" % n], check=False)
+        for n in degrees
+    }
     lo = min(sub.lo, quot.lo)
     hi = max(sub.hi, quot.hi)
-    system = LinearSystem(p)
-    xi = {}
+    objects, inj_s, proj_q = [], {}, {}
     for n in range(lo, hi + 1):
-        dom, cod = quot.obj(n), sub.obj(n - 1)
-        if dom.dim == 0 or cod.dim == 0:
-            continue
-        xi[n] = module_map_var(system, "x%d" % n, dom, cod)
-    for n in range(lo, hi + 1):
-        terms = []
-        if n in xi:
-            terms.append((sub.diff(n - 1).matrix, xi[n], None))
-        if (n - 1) in xi:
-            terms.append((None, xi[n - 1], quot.diff(n).matrix))
-        if terms:
-            system.add_equation(
-                terms,
-                FieldMatrix.zeros(p, sub.obj(n - 2).dim, quot.obj(n).dim),
-            )
-    sol = _sample_solution(rng, system)
-    objects = []
-    inj_s, inj_q, proj_s, proj_q = {}, {}, {}, {}
-    for n in range(lo, hi + 1):
-        total, (i1, i2), (p1, p2) = direct_sum([sub.obj(n), quot.obj(n)])
+        total, (inj_s[n], _), (_, proj_q[n]) = direct_sum([sub.obj(n), quot.obj(n)])
         objects.append(total)
-        inj_s[n], inj_q[n], proj_s[n], proj_q[n] = i1, i2, p1, p2
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        d = (inj_s[n - 1] @ sub.diff(n) @ proj_s[n]) + (
-            inj_q[n - 1] @ quot.diff(n) @ proj_q[n]
-        )
-        if n in xi:
-            connect = Morphism(
-                quot.obj(n), sub.obj(n - 1), sol["x%d" % n], check=False
-            )
-            d = d + (inj_s[n - 1] @ connect @ proj_q[n])
-        diffs.append(d)
-    mid = ChainComplex(algebra, lo, objects, diffs)
-    mono = ChainMap(sub, mid, inj_s)
-    epi = ChainMap(mid, quot, proj_q)
-    return mono, epi, mid
+    diffs = [
+        block([[sub.diff(n), connect.get(n)], [None, quot.diff(n)]])
+        for n in range(lo + 1, hi + 1)
+    ]
+    mid = ChainComplex(sub.algebra, lo, objects, diffs)
+    return ChainMap(sub, mid, inj_s), ChainMap(mid, quot, proj_q), mid

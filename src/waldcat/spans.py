@@ -15,6 +15,7 @@ import hashlib
 from .algebra import (
     Morphism,
     ShortExactSequence,
+    block,
     cokernel,
     corestrict,
     direct_sum,
@@ -177,14 +178,34 @@ def solved_span_morphism(dom, cod, sol):
     )
 
 
+def solve_span_map(dom, cod, post=(), pre=()):
+    """A span morphism x: dom -> cod with g @ x == t for each (g, t) in
+    ``post`` and x @ f == t for each (f, t) in ``pre``, or None when there
+    is none: the span twin of ``solve_map``, one system in the three
+    components of x with free coordinates set to zero.
+    """
+    system = LinearSystem(dom.apex.p)
+    parts = span_map_var(system, dom, cod)
+    for g, t in post:
+        for var, g_c, t_c in zip(parts, g.components(), t.components()):
+            system.add_equation([(g_c.matrix, var, None)], t_c.matrix)
+    for f, t in pre:
+        for var, f_c, t_c in zip(parts, f.components(), t.components()):
+            system.add_equation([(None, var, f_c.matrix)], t_c.matrix)
+    sol = system.solve()
+    if sol is None:
+        return None
+    return solved_span_morphism(dom, cod, sol)
+
+
 def span_direct_sum(s1, s2):
     """Componentwise direct sum with injection and projection span maps."""
-    left, (il1, il2), (pl1, pl2) = direct_sum([s1.left, s2.left])
-    apex, (ia1, ia2), (pa1, pa2) = direct_sum([s1.apex, s2.apex])
-    right, (ir1, ir2), (pr1, pr2) = direct_sum([s1.right, s2.right])
-    g = (il1 @ s1.g @ pa1) + (il2 @ s2.g @ pa2)
-    f = (ir1 @ s1.f @ pa1) + (ir2 @ s2.f @ pa2)
-    total = SpanObject(g, f)
+    _, (il1, il2), (pl1, pl2) = direct_sum([s1.left, s2.left])
+    _, (ia1, ia2), (pa1, pa2) = direct_sum([s1.apex, s2.apex])
+    _, (ir1, ir2), (pr1, pr2) = direct_sum([s1.right, s2.right])
+    total = SpanObject(
+        block([[s1.g, None], [None, s2.g]]), block([[s1.f, None], [None, s2.f]])
+    )
     inj1 = SpanMorphism(s1, total, il1, ia1, ir1)
     inj2 = SpanMorphism(s2, total, il2, ia2, ir2)
     proj1 = SpanMorphism(total, s1, pl1, pa1, pr1)
@@ -230,18 +251,7 @@ class SpanSES:
 
 def span_section(e):
     """A span morphism s with e o s = identity, or None."""
-    q = e.cod
-    system = LinearSystem(q.apex.p)
-    parts = span_map_var(system, q, e.dom)
-    # e o s = 1
-    for var, e_c in zip(parts, e.components()):
-        system.add_equation(
-            [(e_c.matrix, var, None)], FieldMatrix.identity(q.apex.p, e_c.cod.dim)
-        )
-    sol = system.solve()
-    if sol is None:
-        return None
-    return solved_span_morphism(q, e.dom, sol)
+    return solve_span_map(e.cod, e.dom, post=[(e, identity_span_morphism(e.cod))])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +349,7 @@ def span_resolve_right(x, pair):
     a, b, c = x.apex, x.right, x.left
     res_a = pair.resolve_left(a)
     res_c = pair.resolve_left(c)
-    i_a, p_a = res_a.sub, res_a.mid
+    p_a = res_a.mid
     alpha2, alpha1 = res_a.mono, res_a.epi
     i_c, p_c = res_c.sub, res_c.mid
     gamma2, gamma1 = res_c.mono, res_c.epi
@@ -356,12 +366,10 @@ def span_resolve_right(x, pair):
             "auxiliary cover is not right-class; the right class is not "
             "closed under extensions here"
         )
-    ia2_mod, (inj_ia, inj_pic_i), (proj_ia, proj_pic_i) = direct_sum([i_a, p_ic])
-    pa2_mod, (inj_pa, inj_pic_p), (proj_pa, proj_pic_p) = direct_sum([p_a, p_ic])
-    mono2 = (inj_pa @ alpha2 @ proj_ia) + (inj_pic_p @ proj_pic_i)
-    epi2 = alpha1 @ proj_pa
-    g_i = (g2 @ proj_ia) + (h @ proj_pic_i)
-    g_p = (g1 @ proj_pa) + (gamma2 @ h @ proj_pic_p)
+    mono2 = block([[alpha2, None], [None, identity_morphism(p_ic)]])
+    epi2 = block([[alpha1, zero_morphism(p_ic, a)]])
+    g_i = block([[g2, h]])
+    g_p = block([[g1, gamma2 @ h]])
     _require(g_i.is_epi(), "left strand: repaired kernel map is not surjective")
     ker_gi, _ = kernel(g_i)
     _require(
@@ -372,7 +380,7 @@ def span_resolve_right(x, pair):
     res_b = pair.resolve_left(b)
     i_b, p_b = res_b.sub, res_b.mid
     beta2, beta1 = res_b.mono, res_b.epi
-    f1 = solve_map(pa2_mod, p_b, post=[(beta1, x.f @ epi2)])
+    f1 = solve_map(epi2.dom, p_b, post=[(beta1, x.f @ epi2)])
     if f1 is None:
         raise InternalInconsistencyError("right-leg lift through the resolution failed")
     # factor f1 as a cofibration followed by an acyclic fibration
@@ -428,9 +436,8 @@ def span_resolve_dual(x, pair):
             "auxiliary cover is not right-class; the right class is not "
             "closed under extensions here"
         )
-    ia2_mod, (inj_ia, inj_pic), (proj_ia, proj_pic) = direct_sum([alpha.cod, p_ic])
-    mono_a = inj_ia @ alpha                     # a into I_A (+) P_{I_C}
-    g_i = (g1 @ proj_ia) + (h @ proj_pic)       # repaired left leg
+    mono_a = block([[alpha], [zero_morphism(a, p_ic)]])  # a into I_A (+) P_{I_C}
+    g_i = block([[g1, h]])                               # repaired left leg
     _require(g_i.is_epi(), "left strand: repaired left leg is not surjective")
     ker_gi, _ = kernel(g_i)
     _require(
@@ -444,7 +451,7 @@ def span_resolve_dual(x, pair):
     res_b = pair.resolve_right(b)
     beta = res_b.mono
     pi_b = res_b.epi
-    f1 = solve_map(ia2_mod, beta.cod, pre=[(mono_a, beta @ x.f)])
+    f1 = solve_map(mono_a.cod, beta.cod, pre=[(mono_a, beta @ x.f)])
     if f1 is None:
         raise InternalInconsistencyError("right-leg extension over the embedding failed")
     c_right = induced_on_cokernel(pi_a, pi_b @ f1)
@@ -489,15 +496,12 @@ def span_factor(m, pair):
     """
     dr = span_resolve_dual(m.dom, pair)
     j = dr.mono                       # dom into the right-class span
-    middle, (inj1, inj2), (proj1, proj2) = span_direct_sum(j.cod, m.cod)
+    middle, _, (_, p) = span_direct_sum(j.cod, m.cod)
     i = SpanMorphism(
         m.dom,
         middle,
-        (inj1.left @ j.left) + (inj2.left @ m.left),
-        (inj1.apex @ j.apex) + (inj2.apex @ m.apex),
-        (inj1.right @ j.right) + (inj2.right @ m.right),
+        *(block([[j_c], [m_c]]) for j_c, m_c in zip(j.components(), m.components())),
     )
-    p = proj2
     if (p @ i) != m:
         raise InternalInconsistencyError("span factorization does not compose")
     failures = []
@@ -527,16 +531,9 @@ def span_lift(i, p, top, bottom):
     """
     if (p @ top) != (bottom @ i):
         raise ValidationError("span lifting square does not commute")
-    system = LinearSystem(i.cod.apex.p)
-    parts = span_map_var(system, i.cod, p.dom)
-    for var, i_c, top_c, p_c, bot_c in zip(
-        parts, i.components(), top.components(), p.components(), bottom.components()
-    ):
-        system.add_equation([(None, var, i_c.matrix)], top_c.matrix)
-        system.add_equation([(p_c.matrix, var, None)], bot_c.matrix)
-    sol = system.solve()
-    if sol is None:
+    h = solve_span_map(i.cod, p.dom, post=[(p, bottom)], pre=[(i, top)])
+    if h is None:
         raise InternalInconsistencyError(
             "no span lift exists; preconditions were not satisfied"
         )
-    return solved_span_morphism(i.cod, p.dom, sol)
+    return h

@@ -139,13 +139,17 @@ def spec_intersection(parts):
 # ---------------------------------------------------------------------------
 
 
+SAMPLE_BOUND = 2
+
+
 class WaldhausenData:
     """Algebra + class C + acyclics Z + the cotorsion pair for (C, C-perp).
 
     On construction the hypotheses are verified on every module up to
-    ``sample_bound``: C agrees with the pair's left class, C-perp lies
-    inside Z, and the intersection of Z and C is closed under extensions
-    and under cokernels of injections.  Violations raise HypothesisError.
+    dimension ``SAMPLE_BOUND``: C agrees with the pair's left class, C-perp
+    lies inside Z, and the intersection of Z and C is closed under
+    extensions and under cokernels of injections.  Violations raise
+    HypothesisError.
 
     The 2-out-of-3 flag for Z-intersect-C may be supplied (trusted) or
     left None, in which case a sampled check fills it in.
@@ -158,14 +162,12 @@ class WaldhausenData:
         z_spec,
         pair,
         z_two_of_three=None,
-        sample_bound=2,
         validate=True,
     ):
         self.algebra = algebra
         self.c_spec = c_spec
         self.z_spec = z_spec
         self.pair = pair
-        self.sample_bound = int(sample_bound)
         self.flags = {
             "hereditary_checked": None,
             "complete_checked": None,
@@ -176,11 +178,9 @@ class WaldhausenData:
         if validate:
             self._validate_hypotheses()
         if self.flags["z_two_of_three"] is None:
-            ok, witness = check_z_two_of_three(
-                algebra, c_spec, z_spec, self.sample_bound
-            )
+            ok, witness = check_z_two_of_three(algebra, c_spec, z_spec, SAMPLE_BOUND)
             self.flags["z_two_of_three"] = ok
-            self.flags["z_two_of_three_source"] = "sampled<=%d" % self.sample_bound
+            self.flags["z_two_of_three_source"] = "sampled<=%d" % SAMPLE_BOUND
             self.z23_witness = witness
         else:
             self.z23_witness = None
@@ -195,7 +195,7 @@ class WaldhausenData:
         return self.z_spec.contains(m) and self.c_spec.contains(m)
 
     def _validate_hypotheses(self):
-        samples = enumerate_modules(self.algebra, self.sample_bound)
+        samples = enumerate_modules(self.algebra, SAMPLE_BOUND)
         z = zero_module(self.algebra)
         if not self.c_spec.contains(z) or not self.z_spec.contains(z):
             raise HypothesisError("both C and Z must contain the zero module")
@@ -208,14 +208,14 @@ class WaldhausenData:
                 raise HypothesisError(
                     "right orthogonal class is not contained in Z (sampled)"
                 )
-        self.flags["right_in_z_checked"] = self.sample_bound
+        self.flags["right_in_z_checked"] = SAMPLE_BOUND
         # completeness: resolutions exist and validate on the samples
         for m in samples:
             right = self.pair.resolve_right(m)
             left = self.pair.resolve_left(m)
             if right.validate() or left.validate():
                 raise HypothesisError("completeness resolution failed to validate")
-        self.flags["complete_checked"] = self.sample_bound
+        self.flags["complete_checked"] = SAMPLE_BOUND
         # hereditary: kernels of surjections between left-class objects
         zc = [m for m in samples if self.in_zc(m)]
         lefts = [m for m in samples if self.pair.in_left(m)]
@@ -228,11 +228,11 @@ class WaldhausenData:
                             raise HypothesisError(
                                 "left class not closed under kernels of surjections"
                             )
-        self.flags["hereditary_checked"] = self.sample_bound
+        self.flags["hereditary_checked"] = SAMPLE_BOUND
         # Z-intersect-C closed under extensions (all classes of small pairs)
         for c_obj in zc:
             for a_obj in zc:
-                if c_obj.dim + a_obj.dim > self.sample_bound + 1:
+                if c_obj.dim + a_obj.dim > SAMPLE_BOUND + 1:
                     continue
                 for cls in ext1(c_obj, a_obj).all_classes():
                     mid = cls.realize().mid
@@ -701,7 +701,7 @@ def check_properness(w, inst):
 # ---------------------------------------------------------------------------
 
 
-def build_zp_resolution(w, a, pres, pair_p, sample_bound=2):
+def build_zp_resolution(w, a, pres, pair_p):
     """Convert a finite P-resolution of ``a`` into a Z-intersect-P one.
 
     ``pres`` lists the short exact sequences of the resolution from the
@@ -716,8 +716,9 @@ def build_zp_resolution(w, a, pres, pair_p, sample_bound=2):
         raise HypothesisError("resolution ladder needs 2-out-of-3 for Z-intersect-C")
     if not w.in_zc(a):
         raise HypothesisError("the resolved object must lie in Z-intersect-C")
-    # the right orthogonal is taken inside P, hence the intersection
-    for m in enumerate_modules(w.algebra, sample_bound):
+    # the right orthogonal is taken inside P, hence the intersection;
+    # it is sampled up to dimension SAMPLE_BOUND
+    for m in enumerate_modules(w.algebra, SAMPLE_BOUND):
         if pair_p.in_right(m) and pair_p.in_left(m) and not w.in_z(m):
             raise HypothesisError("P-perp is not contained in Z (sampled)")
     n = len(pres)

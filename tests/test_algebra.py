@@ -19,6 +19,7 @@ from waldcat.algebra import (
     QuiverPresentation,
     ShortExactSequence,
     algebra_from_quiver,
+    block,
     cokernel,
     combine,
     direct_sum,
@@ -937,6 +938,85 @@ def test_universal_maps_need_matching_legs():
     _, to_b, to_c = pullback(ident, ident)
     with pytest.raises(ValidationError):
         into_pullback(to_b, to_c, ident, zero_morphism(s, reg))
+
+
+# ---------------------------------------------------------------------------
+# block maps between direct sums against the injection/projection sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["fx2", "quiver_a1"])
+def test_block_matches_injection_projection_sum(name):
+    a = _corpus_algebra(name)
+    rng = random.Random(sum(map(ord, name)) + 3)
+    mods = enumerate_modules(a, 3)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        cods = [rng.choice(mods) for _ in range(rows)]
+        doms = [rng.choice(mods) for _ in range(cols)]
+        grid = [[rng.choice(_some_maps(d, c)) for d in doms] for c in cods]
+        # one zero entry stays None when its row and column keep another map
+        if rows > 1 and cols > 1:
+            grid[0][0] = None
+        got = block(grid)
+        cod, injections, _ = direct_sum(cods)
+        dom, _, projections = direct_sum(doms)
+        expected = zero_morphism(dom, cod)
+        for inj, row in zip(injections, grid):
+            for proj, f in zip(projections, row):
+                if f is not None:
+                    expected = expected + (inj @ f @ proj)
+        assert got.matrix == expected.matrix
+        assert got.dom == (doms[0] if cols == 1 else dom)
+        assert got.cod == (cods[0] if rows == 1 else cod)
+        assert got.is_equivariant()
+
+
+def test_block_keeps_a_single_row_or_column_module():
+    s = simple_over_fx2()
+    reg = regular_module(fx2_algebra())
+    f = [g for g in hom_basis(s, reg) if not g.is_zero()][0]
+    assert block([[f]]) == f
+    assert block([[f, f]]).cod is reg
+    assert block([[f], [f]]).dom is s
+
+
+def test_block_needs_a_map_in_every_row_and_column():
+    s = simple_over_fx2()
+    reg = regular_module(fx2_algebra())
+    f = identity_morphism(reg)
+    # an all-None row, then an all-None column
+    with pytest.raises(ValidationError):
+        block([[f, f], [None, None]])
+    with pytest.raises(ValidationError):
+        block([[f, None], [f, None]])
+    with pytest.raises(ValidationError):
+        block([[None]])
+    with pytest.raises(ValidationError):
+        block([])
+    with pytest.raises(ValidationError):
+        block([[f], [identity_morphism(s), f]])
+
+
+def test_block_rejects_mismatched_endpoints():
+    s = simple_over_fx2()
+    reg = regular_module(fx2_algebra())
+    to_s = [g for g in hom_basis(reg, s) if not g.is_zero()][0]
+    # one row whose maps land in different modules
+    with pytest.raises(ValidationError):
+        block([[identity_morphism(reg), identity_morphism(s)]])
+    # one column whose maps start at different modules
+    with pytest.raises(ValidationError):
+        block([[identity_morphism(reg)], [identity_morphism(s)]])
+    with pytest.raises(ValidationError):
+        block([[identity_morphism(reg), None], [to_s, identity_morphism(reg)]])
+
+
+def test_negated_morphism_sums_to_zero():
+    reg = regular_module(fx2_algebra())
+    mul_x = [f for f in hom_basis(reg, reg) if not f.is_iso() and not f.is_zero()][0]
+    assert (mul_x + (-mul_x)).is_zero()
+    assert -(-mul_x) == mul_x
 
 
 # ---------------------------------------------------------------------------

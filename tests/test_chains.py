@@ -7,13 +7,18 @@ verdicts, across random chain maps and constructed quasi-isomorphisms
 over two corpus algebras.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from waldcat.algebra import (
     Algebra,
+    Morphism,
     QuiverPresentation,
     algebra_from_quiver,
+    block,
+    direct_sum,
     enumerate_modules,
     hom_basis,
     identity_morphism,
@@ -31,6 +36,7 @@ from waldcat.chains import (
     cone,
     cone_embedding,
     dwsplit_weq,
+    graded_map_var,
     homology,
     identity_chain_map,
     is_contractible,
@@ -40,6 +46,7 @@ from waldcat.chains import (
     zero_complex,
 )
 from waldcat.errors import ValidationError
+from waldcat.linalg import LinearSystem
 from waldcat.sampling import (
     random_chain_complex,
     random_chain_extension,
@@ -54,6 +61,15 @@ def fx2_algebra():
     c[0, 1, 1] = 1
     c[1, 0, 1] = 1
     return Algebra(2, c, [1, 0])
+
+
+def fx2_over_f3():
+    """F_3[x]/(x^2): over an odd prime the signs of d h -+ h d matter."""
+    c = np.zeros((2, 2, 2), dtype=int)
+    c[0, 0, 0] = 1
+    c[0, 1, 1] = 1
+    c[1, 0, 1] = 1
+    return Algebra(3, c, [1, 0])
 
 
 def loop_arrow_algebra():
@@ -376,3 +392,100 @@ def test_random_extension_strands_validate():
         assert epi.is_epi()
         for n in mid.degrees():
             assert mid.obj(n).dim == sub.obj(n).dim + quot.obj(n).dim
+
+
+# ---------------------------------------------------------------------------
+# graded map unknowns: chain maps, connecting maps, contracting homotopies
+# ---------------------------------------------------------------------------
+
+
+def _graded_solutions(x, y, degree, rhs=None, cap=729):
+    """Every solution of graded_map_var, as {n: h_n} with h_n checked to be
+    a module map, or None when the system is inconsistent; an empty list
+    when the solution space has more than ``cap`` points."""
+    system = LinearSystem(x.algebra.p)
+    hs = graded_map_var(system, "h", x, y, degree, rhs)
+    space = system.solution_space()
+    if space is None:
+        return None
+    particular, basis = space
+    p = x.algebra.p
+    if p ** len(basis) > cap:
+        return []
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        sol = {}
+        for n in hs:
+            mat = particular["h%d" % n]
+            for c, entry in zip(coeffs, basis):
+                mat = mat + entry["h%d" % n].scale(c)
+            sol[n] = Morphism(x.obj(n), y.obj(n + degree), mat)
+        out.append(sol)
+    return out
+
+
+@pytest.mark.parametrize("algebra_fn, seed", [(fx2_over_f3, 61), (loop_arrow_algebra, 67)])
+def test_graded_map_var_degree_zero_solutions_are_chain_maps(algebra_fn, seed):
+    algebra = algebra_fn()
+    rng = np.random.default_rng(seed)
+    checked = nonzero = 0
+    for _ in range(12):
+        x = random_chain_complex(rng, algebra, 3, 2)
+        y = random_chain_complex(rng, algebra, 3, 2)
+        for sol in _graded_solutions(x, y, 0):
+            ChainMap(x, y, sol)  # check=True: d f == f d in every degree
+            checked += 1
+            nonzero += any(not c.is_zero() for c in sol.values())
+    assert checked > 50 and nonzero > 0
+
+
+@pytest.mark.parametrize("algebra_fn, seed", [(fx2_over_f3, 71), (loop_arrow_algebra, 73)])
+def test_graded_map_var_degree_minus_one_gives_extensions(algebra_fn, seed):
+    algebra = algebra_fn()
+    rng = np.random.default_rng(seed)
+    twisted = 0
+    for _ in range(12):
+        sub = random_chain_complex(rng, algebra, 3, 2)
+        quot = random_chain_complex(rng, algebra, 3, 2)
+        lo, hi = min(sub.lo, quot.lo), max(sub.hi, quot.hi)
+        objects = [direct_sum([sub.obj(n), quot.obj(n)])[0] for n in range(lo, hi + 1)]
+        for sol in _graded_solutions(quot, sub, -1):
+            diffs = [
+                block([[sub.diff(n), sol.get(n)], [None, quot.diff(n)]])
+                for n in range(lo + 1, hi + 1)
+            ]
+            for k in range(len(diffs) - 1):
+                assert (diffs[k] @ diffs[k + 1]).is_zero()
+            ChainComplex(algebra, lo, objects, diffs)
+            twisted += any(not c.is_zero() for c in sol.values())
+    assert twisted > 0
+
+
+@pytest.mark.parametrize("algebra_fn, seed", [(fx2_over_f3, 79), (loop_arrow_algebra, 83)])
+def test_graded_map_var_degree_one_finds_contractions(algebra_fn, seed):
+    algebra = algebra_fn()
+    rng = np.random.default_rng(seed)
+    not_exact = 0
+    for _ in range(10):
+        x = random_chain_complex(rng, algebra, 3, 2)
+        c = cone(identity_chain_map(x))
+        system = LinearSystem(algebra.p)
+        hs = graded_map_var(system, "h", c, c, 1, rhs=identity_chain_map(c))
+        sol = system.solve()
+        assert sol is not None
+        h = {n: Morphism(c.obj(n), c.obj(n + 1), sol["h%d" % n]) for n in hs}
+        for n in c.degrees():
+            total = c.diff(n + 1) @ h[n]
+            if n - 1 in h:
+                total = total + (h[n - 1] @ c.diff(n))
+            assert total == identity_morphism(c.obj(n))
+        if not is_exact(x):
+            not_exact += 1
+            system = LinearSystem(algebra.p)
+            graded_map_var(system, "h", x, x, 1, rhs=identity_chain_map(x))
+            assert system.solve() is None
+    assert not_exact > 0
+    system = LinearSystem(2)
+    cx = x_multiplication_complex()
+    graded_map_var(system, "h", cx, cx, 1, rhs=identity_chain_map(cx))
+    assert system.solve() is None

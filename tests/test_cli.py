@@ -12,6 +12,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waldcat.cli import main
 from waldcat.workspace import corpus_path
@@ -371,6 +373,54 @@ def test_exit_three_unknown_pair_class(argv, message):
     code, out = runj(argv[0], "--input", FX2, *argv[1:])
     assert code == 3
     assert out["error"] == {"type": "malformed", "message": message}
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_exits_three(tmp_path, where):
+    path, extra = FX2, ["--seed", "-1"]
+    if where == "config":
+        doc = json.loads(corpus_path("fx2").read_text())
+        doc["config"]["seed"] = -1
+        path, extra = tmp_path / "seed.json", []
+        path.write_text(json.dumps(doc))
+    code, out = runj("axioms", "--input", str(path), "--samples", "1", *extra)
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "seed must be a nonnegative integer, got -1",
+    }
+
+
+_CHEAP_COMMANDS = [
+    ("class", "--module", "A"),
+    ("ext", "--quot", "S", "--sub", "A", "--oracle"),
+    ("enumerate",),
+    ("k0",),
+    ("axioms", "--samples", "1"),
+]
+_ANY_INT = st.one_of(st.integers(-10, 10), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(_CHEAP_COMMANDS),
+    seed=_ANY_INT,
+    budget=_ANY_INT,
+    dim_bound=st.integers(-3, 3),
+)
+@example(command=("axioms", "--samples", "1"), seed=-1, budget=10**8, dim_bound=2)
+def test_cli_contract_for_any_seed_budget_and_bound(command, seed, budget, dim_bound):
+    """Whatever the integers, main answers with a documented exit code and a
+    JSON body, and never lets an exception escape."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            command[0], "--input", FX2, *command[1:], "--seed", str(seed),
+            "--budget", str(budget), "--dim-bound", str(dim_bound),
+        ])
+    assert code in (0, 1, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_exit_two_budget_exceeded():

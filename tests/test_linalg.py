@@ -15,6 +15,7 @@ from waldcat.linalg import (
     FieldMatrix,
     IntegerMatrix,
     LinearSystem,
+    RowLattice,
     column_space_basis,
     in_column_space,
     kernel_basis,
@@ -26,6 +27,7 @@ from waldcat.linalg import (
     smith_invariant_factors,
     smith_normal_form,
     solve,
+    stack,
 )
 
 
@@ -251,6 +253,25 @@ def test_row_lattice_membership():
     assert row_lattice_member(m, [4, 0])
     assert not row_lattice_member(m, [1, 0])
     assert not row_lattice_member(m, [0, 1])
+
+
+def test_row_lattice_membership_matches_invariant_factor_oracle():
+    # L and L + Zv have the same invariant factors exactly when v lies in L,
+    # since Z^n / L maps onto Z^n / (L + Zv)
+    rng = random.Random(77)
+    hits = 0
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
+        m = IntegerMatrix([[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)])
+        lattice = RowLattice(m)
+        for _ in range(5):
+            v = [rng.randrange(-6, 7) for _ in range(cols)]
+            grown = smith_invariant_factors(stack(m, IntegerMatrix([v])))
+            inside = grown == lattice.invariant_factors
+            assert (v in lattice) == inside == row_lattice_member(m, v)
+            hits += inside
+        assert all(r in lattice for r in m.data)
+    assert 0 < hits < 300
 
 
 def test_row_lattices_equal():

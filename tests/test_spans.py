@@ -49,6 +49,7 @@ from waldcat.spans import (
     span_resolve_dual,
     span_resolve_right,
     span_zero,
+    solve_span_map,
 )
 from waldcat.workspace import corpus_path, load_workspace
 
@@ -355,6 +356,26 @@ def test_extension_with_swapped_roles_can_fail_to_split():
     epi_m = SpanMorphism(mid, quot, epi, epi, epi)
     ses = SpanSES(mono, epi_m)
     assert not ses.is_split()
+
+
+def test_solve_span_map_finds_sections_and_retractions_only_when_split():
+    a, reg, simple, socle = fx2_parts()
+    epi = [f for f in hom_basis(reg, simple) if f.is_epi()][0]
+    sub = span_of_module(simple)
+    mid = span_of_module(reg)
+    quot = span_of_module(simple)
+    one = identity_span_morphism(quot)
+    # the nonsplit 0 -> S -> A -> S -> 0: no section, no retraction
+    nonsplit_epi = SpanMorphism(mid, quot, epi, epi, epi)
+    nonsplit_mono = SpanMorphism(sub, mid, socle, socle, socle)
+    assert solve_span_map(quot, mid, post=[(nonsplit_epi, one)]) is None
+    assert solve_span_map(mid, sub, pre=[(nonsplit_mono, one)]) is None
+    # the split sequence through the direct sum has both
+    total, (i1, _), (p1, _) = span_direct_sum(quot, mid)
+    section = solve_span_map(quot, total, post=[(p1, one)])
+    assert section is not None and (p1 @ section) == one
+    retraction = solve_span_map(total, quot, pre=[(i1, one)])
+    assert retraction is not None and (retraction @ i1) == one
 
 
 # ---------------------------------------------------------------------------

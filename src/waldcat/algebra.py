@@ -959,11 +959,11 @@ def fingerprint(module):
     ordering key of ``enumerate_modules`` and a cheap reject for
     ``is_isomorphic``, not a decision.
     """
-    d = module.algebra.dim
-    singles = tuple(rank(module.action[i]) for i in range(d))
-    pairs = tuple(
-        rank(module.action[i] @ module.action[j]) for i in range(d) for j in range(d)
-    )
+    d, n, p = module.algebra.dim, module.dim, module.p
+    acts = np.array([m.a for m in module.action], dtype=np.int64).reshape(d, n, n)
+    products = np.matmul(acts[:, None], acts[None, :]).reshape(d * d, n, n)
+    singles = tuple(int(r) for r in rank_stack(acts, p))
+    pairs = tuple(int(r) for r in rank_stack(products, p))
     return (module.dim, singles, pairs)
 
 
@@ -991,10 +991,15 @@ def span_stacks(mats, p, start=0):
     k = len(mats)
     shape = mats[0].shape
     flat = np.stack([m.a.reshape(-1) for m in mats])
-    weights = p ** np.arange(k - 1, -1, -1)
     for rows in scan_slices(p**k, flat.shape[1], start):
-        coeffs = (np.arange(rows.start, rows.stop)[:, None] // weights) % p
-        yield ((coeffs @ flat) % p).reshape(-1, *shape)
+        yield ((_product_coefficients(p, k, rows) @ flat) % p).reshape(-1, *shape)
+
+
+def _product_coefficients(p, k, rows):
+    """Rows ``rows`` (a slice) of the p**k coefficient vectors of length k,
+    in ``itertools.product(range(p), repeat=k)`` order, as an array."""
+    weights = p ** np.arange(k - 1, -1, -1)
+    return (np.arange(rows.start, rows.stop)[:, None] // weights) % p
 
 
 def _first_in_span(mats, p, accept):
@@ -1216,7 +1221,11 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     The budget guards p**(max_dim**2), the nominal size of the raw search
     space the layering replaces.
     """
-    if algebra.p ** (max_dim * max_dim) > budget:
+    if max_dim < 0:
+        raise ValidationError("dimension bound must be nonnegative, got %d" % max_dim)
+    cells = max_dim * max_dim
+    # p >= 2, so p**cells > budget as soon as cells >= budget.bit_length()
+    if cells >= budget.bit_length() or algebra.p**cells > budget:
         raise BudgetExceededError(
             "module enumeration for dimension %d exceeds budget %d" % (max_dim, budget)
         )
@@ -1254,86 +1263,54 @@ def _extension_candidates(sub, quot):
         return [sub]
     if sub.dim == 0:
         return [quot]
+    s, q = sub.dim, quot.dim
+    zero = FieldMatrix.zeros(p, s, q)
     system = LinearSystem(p)
-    taus = [system.var("t%d" % i, sub.dim, quot.dim) for i in range(d)]
+    taus = [system.var("t%d" % i, s, q) for i in range(d)]
     c = algebra.structure
     for i in range(d):
         for j in range(d):
-            terms = [
-                (sub.action[i], taus[j], None),
-                (None, taus[i], quot.action[j]),
-            ]
-            for k in range(d):
-                coeff = int(c[i, j, k])
-                if coeff:
-                    scaled = FieldMatrix(p, -coeff * np.eye(sub.dim, dtype=np.int64))
-                    terms.append((scaled, taus[k], None))
-            system.add_equation(terms, FieldMatrix.zeros(p, sub.dim, quot.dim))
-    unit_terms = []
-    for i in range(d):
-        u = int(algebra.unit[i])
-        if u:
-            scaled = FieldMatrix(p, u * np.eye(sub.dim, dtype=np.int64))
-            unit_terms.append((scaled, taus[i], None))
+            terms = [(sub.action[i], taus[j], None), (None, taus[i], quot.action[j])]
+            terms += [(-int(c[i, j, k]), taus[k], None) for k in range(d) if c[i, j, k]]
+            system.add_equation(terms, zero)
+    unit_terms = [(int(u), taus[i], None) for i, u in enumerate(algebra.unit) if u]
     if unit_terms:
-        system.add_equation(unit_terms, FieldMatrix.zeros(p, sub.dim, quot.dim))
+        system.add_equation(unit_terms, zero)
     _, cocycle_basis = system.solution_space()
+    cocycles = np.array(
+        [[e["t%d" % k].a for k in range(d)] for e in cocycle_basis], dtype=np.int64
+    ).reshape(len(cocycle_basis), d * s * q)
 
-    # coboundaries: tau_k = rho_sub(e_k) u - u rho_quot(e_k) for linear u
-    cob_vectors = []
-    for a in range(sub.dim):
-        for b in range(quot.dim):
-            u = np.zeros((sub.dim, quot.dim), dtype=np.int64)
-            u[a, b] = 1
-            entry = {}
-            for k in range(d):
-                entry["t%d" % k] = FieldMatrix(
-                    p, (sub.action[k].a @ u - u @ quot.action[k].a) % p
-                )
-            cob_vectors.append(entry)
+    # coboundaries: tau_k = rho_sub(e_k) u - u rho_quot(e_k) for u = E_ab,
+    # so tau_k[i, j] = rho_sub(e_k)[i, a] [j == b] - [i == a] rho_quot(e_k)[b, j]
+    rho_sub = np.array([m.a for m in sub.action], dtype=np.int64)
+    rho_quot = np.array([m.a for m in quot.action], dtype=np.int64)
+    cob = np.zeros((s, q, d, s, q), dtype=np.int64)
+    cob[:, np.arange(q), :, :, np.arange(q)] = rho_sub.transpose(2, 0, 1)
+    cob[np.arange(s), :, :, np.arange(s), :] -= rho_quot.transpose(1, 0, 2)
+    cob = (cob % p).reshape(s * q, d * s * q)
 
-    def flatten(entry):
-        return np.concatenate([entry["t%d" % k].a.reshape(-1) for k in range(d)])
-
-    cocycle_flat = [flatten(e) for e in cocycle_basis]
-    cob_flat = [flatten(e) for e in cob_vectors]
-    reps_coeffs = _complement_representatives(cob_flat, cocycle_flat, p)
-
-    out = []
-    for coeffs in reps_coeffs:
-        tau_mats = []
-        for k in range(d):
-            acc = np.zeros((sub.dim, quot.dim), dtype=np.int64)
-            for c_val, entry in zip(coeffs, cocycle_basis):
-                if c_val:
-                    acc = (acc + c_val * entry["t%d" % k].a) % p
-            tau_mats.append(acc)
-        action = []
-        for k in range(d):
-            upper = np.zeros((sub.dim + quot.dim, sub.dim + quot.dim), dtype=np.int64)
-            upper[: sub.dim, : sub.dim] = sub.action[k].a
-            upper[: sub.dim, sub.dim :] = tau_mats[k]
-            upper[sub.dim :, sub.dim :] = quot.action[k].a
-            action.append(FieldMatrix(p, upper))
-        out.append(Module(algebra, action, check=False))
-    return out
+    reps = _complement_representatives(cob, cocycles, p)
+    tau_stack = ((reps @ cocycles) % p).reshape(-1, d, s, q)
+    actions = np.zeros((len(reps), d, s + q, s + q), dtype=np.int64)
+    actions[:, :, :s, :s] = rho_sub
+    actions[:, :, :s, s:] = tau_stack
+    actions[:, :, s:, s:] = rho_quot
+    return [Module(algebra, action, check=False) for action in actions]
 
 
-def _complement_representatives(inner_flat, outer_basis_flat, p):
-    """Coefficient tuples over a complement of span(inner) inside span(outer).
+def _complement_representatives(inner, outer, p):
+    """Coefficient vectors over the rows of ``outer`` for one representative
+    of each coset of span(inner), as a (count, len(outer)) array.
 
-    Returns, for the basis ``outer_basis_flat``, all coefficient vectors
-    ranging over a set of coset representatives of the inner span.  The
-    zero tuple is always included.
+    The coefficients of ``_complement_indices`` run over GF(p) in
+    ``itertools.product`` order and the others are zero, so the zero
+    vector comes first.
     """
-    free_indices = _complement_indices(inner_flat, outer_basis_flat, p)
-    combos = []
-    for assignment in itertools.product(range(p), repeat=len(free_indices)):
-        coeffs = [0] * len(outer_basis_flat)
-        for pos, val in zip(free_indices, assignment):
-            coeffs[pos] = val
-        combos.append(tuple(coeffs))
-    return combos
+    free = _complement_indices(inner, outer, p)
+    reps = np.zeros((p ** len(free), len(outer)), dtype=np.int64)
+    reps[:, free] = _product_coefficients(p, len(free), slice(0, len(reps)))
+    return reps
 
 
 def _complement_indices(inner_vectors, outer_vectors, p):
@@ -1343,7 +1320,7 @@ def _complement_indices(inner_vectors, outer_vectors, p):
     each is the first outer vector outside the span of everything before
     it, which is the greedy left-to-right choice.
     """
-    if not outer_vectors:
+    if len(outer_vectors) == 0:
         return []
     vectors = list(inner_vectors) + list(outer_vectors)
     columns = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(outer_vectors[0]))

@@ -188,6 +188,21 @@ def _config_int(ws, value, key, fallback):
     return raw
 
 
+def _config_nonnegative(ws, value, key, fallback):
+    """``_config_int``, refusing a negative value."""
+    value = _config_int(ws, value, key, fallback)
+    if value < 0:
+        raise MalformedInputError(
+            "%s must be a nonnegative integer, got %d" % (key, value)
+        )
+    return value
+
+
+def _dim_bound(ws, args):
+    """Module dimension bound: --dim-bound, else config, else 3."""
+    return _config_nonnegative(ws, args.dim_bound, "dim_bound", 3)
+
+
 def _enum_budget(ws, args):
     """Module enumeration budget: --budget, else config, else the default."""
     return _config_int(ws, args.budget, "budget", DEFAULT_BUDGET)
@@ -256,10 +271,7 @@ def _build_waldhausen(ws, args, algebra):
 
 
 def _rng(ws, args):
-    seed = _config_int(ws, args.seed, "seed", 0)
-    if seed < 0:
-        raise MalformedInputError("seed must be a nonnegative integer, got %d" % seed)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_config_nonnegative(ws, args.seed, "seed", 0))
 
 
 def _matrix(m):
@@ -302,7 +314,7 @@ def _cmd_validate(args):
 def _cmd_enumerate(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    bound = _config_int(ws, args.dim_bound, "dim_bound", 3)
+    bound = _dim_bound(ws, args)
     mods = enumerate_modules(algebra, bound, budget=_enum_budget(ws, args))
     return {
         "command": "enumerate",
@@ -576,7 +588,7 @@ def _cmd_chain(args):
 def _cmd_k0(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    bound = _config_int(ws, args.dim_bound, "dim_bound", 3)
+    bound = _dim_bound(ws, args)
     if args.acyclics is not None:
         w = _build_waldhausen(ws, args, algebra)
         pres = k0_waldhausen(w, bound, enum_budget=_enum_budget(ws, args))
@@ -598,7 +610,7 @@ def _cmd_k0(args):
 def _cmd_localize(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    bound = _config_int(ws, args.dim_bound, "dim_bound", 3)
+    bound = _dim_bound(ws, args)
     z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
     a_spec = _parse_class(ws, z_name)
     report = localization_k0_report(

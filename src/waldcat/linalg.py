@@ -8,10 +8,28 @@ below 2**32 and a sum of up to 2**31 of them (any matrix product or
 elimination step at desk scale) is exact in int64.  ``FieldMatrix``,
 ``Algebra`` and workspace loading reject larger p.  Integer matrices use
 arbitrary-precision Python ints so Smith normal form is exact.
+
+There is one elimination kernel, ``_rref_array``.  For each pivot row r
+it clears the pivot column with one outer-product update of every row,
+``m -= f[:, None] * m[r]`` followed by ``m %= p``, where ``f`` is the
+pivot column with row r's own entry zeroed.  Both factors are residues,
+so every product is below p**2 < 2**32 and the difference lies in
+(-2**32, p): int64 stays exact.  A row space has exactly one reduced
+echelon form, so pivots, particular solutions (free coordinates zero) and
+kernel bases are those of a row-at-a-time elimination.  ``solve``,
+``kernel_basis`` and ``LinearSystem`` read their answers off that form
+through one back-substitution, ``_back_substitute``.
+
+``FieldMatrix(p, data)`` checks p and reduces its data.  The private
+``FieldMatrix._reduced(p, array)`` does neither: it is for results of this
+module only, whose p came from a checked matrix and whose int64 entries
+are already in [0, p).  Callers outside this module use the checked
+constructor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -21,6 +39,7 @@ import numpy as np
 MODULUS_LIMIT = 2**16
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -47,6 +66,16 @@ class FieldMatrix:
         self.a = np.mod(a, p)
         self.a.setflags(write=False)
 
+    @classmethod
+    def _reduced(cls, p: int, a: np.ndarray) -> "FieldMatrix":
+        """Wrap ``a`` without checks: p has passed the public constructor
+        and ``a`` is a 2-D int64 array with entries in [0, p)."""
+        m = object.__new__(cls)
+        m.p = p
+        m.a = a
+        a.setflags(write=False)
+        return m
+
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -69,24 +98,24 @@ class FieldMatrix:
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         assert self.p == other.p and self.cols == other.rows
-        return FieldMatrix(self.p, (self.a @ other.a) % self.p)
+        return FieldMatrix._reduced(self.p, (self.a @ other.a) % self.p)
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
         assert self.p == other.p and self.a.shape == other.a.shape
-        return FieldMatrix(self.p, (self.a + other.a) % self.p)
+        return FieldMatrix._reduced(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         assert self.p == other.p and self.a.shape == other.a.shape
-        return FieldMatrix(self.p, (self.a - other.a) % self.p)
+        return FieldMatrix._reduced(self.p, (self.a - other.a) % self.p)
 
     def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.p, (-self.a) % self.p)
+        return FieldMatrix._reduced(self.p, (-self.a) % self.p)
 
     def scale(self, c: int) -> "FieldMatrix":
-        return FieldMatrix(self.p, (self.a * (c % self.p)) % self.p)
+        return FieldMatrix._reduced(self.p, (self.a * (c % self.p)) % self.p)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.p, self.a.T)
+        return FieldMatrix._reduced(self.p, self.a.T)
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,38 +139,69 @@ class FieldMatrix:
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row reduce in place (on a copy).  Pivot = first nonzero entry scanning
-    rows top-down in each column left-to-right, which makes the result and the
-    pivot list deterministic."""
-    m = a.copy() % p
+    """Reduced row echelon form of a copy of ``a``, with its pivot columns.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row, which makes the result and the pivot list deterministic.
+    Each pivot clears its column with one outer-product update.  Entries
+    left of the pivot column are zero in the pivot row, so the update and
+    the row swap touch only the columns from the pivot on.
+    """
+    m = np.asarray(a, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        col = m[r:, c]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not len(nz):
             continue
+        tail = m[:, c:]
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        other = np.flatnonzero(m[:, c])
-        for j in other:
-            if j != r:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+            tail[[r, i]] = tail[[i, r]]
+        inv = pow(int(tail[r, 0]), p - 2, p)
+        if inv != 1:
+            tail[r] = tail[r] * inv % p
+        f = tail[:, 0].copy()
+        f[r] = 0
+        tail -= f[:, None] * tail[r]
+        tail %= p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
+def _back_substitute(red, piv, n, p, kernel=False):
+    """Answers read off the reduced form ``red`` of [A | B], A having n columns.
+
+    Returns ``(x, null)``.  ``x`` solves A x = B with every free coordinate
+    zero, or is None when a pivot falls among the columns of B.  ``null``
+    (None unless ``kernel``) holds a basis of the kernel of A as columns,
+    one per free column c in increasing order: e_c minus the entries of
+    the pivot rows in column c, placed at their pivots.
+    """
+    rank = len(piv)
+    if rank and piv[-1] >= n:
+        return None, None
+    x = np.zeros((n, red.shape[1] - n), dtype=np.int64)
+    x[piv] = red[:rank, n:]
+    if not kernel:
+        return x, None
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    null = np.zeros((n, free.size), dtype=np.int64)
+    null[free, np.arange(free.size)] = 1
+    null[piv] = (-red[:rank, free]) % p
+    return x, null
+
+
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
     red, piv = _rref_array(m.a, m.p)
-    return FieldMatrix(m.p, red), tuple(piv)
+    return FieldMatrix._reduced(m.p, red), tuple(piv)
 
 
 def rank(m: FieldMatrix) -> int:
@@ -180,29 +240,16 @@ def solve(a: FieldMatrix, b: FieldMatrix) -> Optional[FieldMatrix]:
     Free coordinates are set to zero, so the answer is deterministic.
     """
     assert a.p == b.p and a.rows == b.rows
-    p = a.p
-    aug = np.hstack([a.a, b.a])
-    red, piv = _rref_array(aug, p)
-    piv_in_b = [c for c in piv if c >= a.cols]
-    if piv_in_b:
-        return None
-    x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = red[r, a.cols:]
-    return FieldMatrix(p, x)
+    red, piv = _rref_array(np.hstack([a.a, b.a]), a.p)
+    x, _ = _back_substitute(red, piv, a.cols, a.p)
+    return None if x is None else FieldMatrix._reduced(a.p, x)
 
 
 def kernel_basis(m: FieldMatrix) -> FieldMatrix:
     """Matrix whose columns form a basis of the right null space of m."""
     red, piv = _rref_array(m.a, m.p)
-    p = m.p
-    free = [c for c in range(m.cols) if c not in piv]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[c, k] = 1
-        for r, pc in enumerate(piv):
-            basis[pc, k] = (-red[r, c]) % p
-    return FieldMatrix(p, basis)
+    _, null = _back_substitute(red, piv, m.cols, m.p, kernel=True)
+    return FieldMatrix._reduced(m.p, null)
 
 
 def column_space_basis(m: FieldMatrix) -> FieldMatrix:
@@ -212,7 +259,7 @@ def column_space_basis(m: FieldMatrix) -> FieldMatrix:
     deterministic (leftmost independent columns).
     """
     _, piv = _rref_array(m.a, m.p)
-    return FieldMatrix(m.p, m.a[:, list(piv)])
+    return FieldMatrix._reduced(m.p, m.a[:, piv])
 
 
 def in_column_space(a: FieldMatrix, v: FieldMatrix) -> bool:
@@ -235,18 +282,46 @@ class MatVar:
         return self.rows * self.cols
 
 
+def _coefficients(L, v: MatVar, R, p: int) -> np.ndarray:
+    """Coefficients of vec(L @ X @ R) in vec(X) for the unknown X = v.
+
+    Vectors are column-major, so this is kron(R^T, L), returned unreduced
+    as an (R.cols, L.rows, v.cols, v.rows) array with entry [i, a, j, b]
+    = R[j, i] * L[a, b].  R may be None for the identity; L may be None
+    for the identity or an int for that multiple of it.  An identity side
+    is written as a diagonal, never multiplied out.
+    """
+    if isinstance(L, FieldMatrix):
+        if R is not None:
+            return R.a.T[:, None, :, None] * L.a[None, :, None, :]
+        block = np.zeros((v.cols, L.rows, v.cols, v.rows), dtype=np.int64)
+        diag = np.arange(v.cols)
+        block[diag, :, diag, :] = L.a
+        return block
+    scale = 1 if L is None else L % p
+    if R is not None:
+        block = np.zeros((R.cols, v.rows, v.cols, v.rows), dtype=np.int64)
+        diag = np.arange(v.rows)
+        block[:, diag, :, diag] = R.a.T * scale
+        return block
+    block = np.zeros((v.cols, v.rows, v.cols, v.rows), dtype=np.int64)
+    np.fill_diagonal(block.reshape(v.size, v.size), scale)
+    return block
+
+
 class LinearSystem:
     """Linear equations in several unknown matrices over GF(p).
 
     Each equation is  sum_k  L_k @ X_{v_k} @ R_k = RHS  with known L_k, R_k.
     Unknowns are vectorized column-major, turning L @ X @ R into
-    (R^T kron L) vec(X).
+    (R^T kron L) vec(X); ``_coefficients`` writes those entries directly.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.vars: list[MatVar] = []
         self._offsets: dict[str, int] = {}
+        self._total = 0
         self._rows: list[np.ndarray] = []
         self._rhs: list[np.ndarray] = []
 
@@ -254,90 +329,66 @@ class LinearSystem:
         if name in self._offsets:
             raise ValueError(f"duplicate variable {name}")
         v = MatVar(name, rows, cols)
-        self._offsets[name] = sum(u.size for u in self.vars)
+        self._offsets[name] = self._total
+        self._total += v.size
         self.vars.append(v)
         return v
 
     @property
     def total(self) -> int:
-        return sum(v.size for v in self.vars)
+        return self._total
 
     def add_equation(self, terms, rhs: FieldMatrix) -> None:
-        """terms: iterable of (L, var, R); L or R may be None for identity."""
-        p = self.p
-        shape = None
-        blocks: dict[str, np.ndarray] = {}
+        """terms: iterable of (L, var, R).  R may be None for the identity;
+        L may be None for the identity or an int for that multiple of it."""
+        lrows, rcols = rhs.shape
+        row = np.zeros((rcols, lrows, self.total), dtype=np.int64)
         for L, v, R in terms:
-            lrows = L.rows if L is not None else v.rows
-            rcols = R.cols if R is not None else v.cols
-            if shape is None:
-                shape = (lrows, rcols)
-            assert shape == (lrows, rcols), "inconsistent term shapes"
-            La = L.a if L is not None else np.eye(v.rows, dtype=np.int64)
-            Ra = R.a if R is not None else np.eye(v.cols, dtype=np.int64)
-            coef = np.kron(Ra.T % p, La % p) % p
-            if v.name in blocks:
-                blocks[v.name] = (blocks[v.name] + coef) % p
-            else:
-                blocks[v.name] = coef
-        assert shape is not None
-        assert rhs.a.shape == shape, "rhs shape mismatch"
-        nrows = shape[0] * shape[1]
-        row = np.zeros((nrows, self.total), dtype=np.int64)
-        for name, coef in blocks.items():
-            off = self._offsets[name]
-            row[:, off : off + coef.shape[1]] = coef
-        self._rows.append(row)
-        self._rhs.append(rhs.a.flatten(order="F")[:, None] % p)
+            block = _coefficients(L, v, R, self.p)
+            assert block.shape == (rcols, lrows, v.cols, v.rows), (
+                "term shape does not match the unknown or the rhs"
+            )
+            off = self._offsets[v.name]
+            row[:, :, off : off + v.size] += block.reshape(rcols, lrows, v.size)
+        self._rows.append(row.reshape(rcols * lrows, self.total) % self.p)
+        self._rhs.append(rhs.a.T.reshape(-1, 1))
 
-    def _assemble(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._rows:
-            width = self.total
-            padded = [
-                r
-                if r.shape[1] == width
-                else np.concatenate(
-                    [r, np.zeros((r.shape[0], width - r.shape[1]), dtype=np.int64)],
-                    axis=1,
-                )
-                for r in self._rows
-            ]
-            A = np.vstack(padded) % self.p
-            b = np.vstack(self._rhs) % self.p
-        else:
-            A = np.zeros((0, self.total), dtype=np.int64)
-            b = np.zeros((0, 1), dtype=np.int64)
-        return A, b
+    def _eliminate(self, kernel):
+        """One elimination of [A | b]; ``_back_substitute`` reads it off."""
+        width = self.total
+        aug = np.zeros((sum(r.shape[0] for r in self._rows), width + 1), dtype=np.int64)
+        top = 0
+        for row, rhs in zip(self._rows, self._rhs):
+            bottom = top + row.shape[0]
+            aug[top:bottom, : row.shape[1]] = row
+            aug[top:bottom, width:] = rhs
+            top = bottom
+        red, piv = _rref_array(aug, self.p)
+        return _back_substitute(red, piv, width, self.p, kernel)
 
     def _unpack(self, x: np.ndarray) -> dict[str, FieldMatrix]:
         out = {}
         for v in self.vars:
             off = self._offsets[v.name]
-            block = x[off : off + v.size]
-            out[v.name] = FieldMatrix(
-                self.p, block.reshape((v.rows, v.cols), order="F")
-            )
+            block = x[off : off + v.size].reshape((v.rows, v.cols), order="F")
+            out[v.name] = FieldMatrix._reduced(self.p, block)
         return out
 
     def solve(self) -> Optional[dict[str, FieldMatrix]]:
-        A, b = self._assemble()
-        x = solve(FieldMatrix(self.p, A), FieldMatrix(self.p, b))
-        if x is None:
-            return None
-        return self._unpack(x.a[:, 0])
+        x, _ = self._eliminate(kernel=False)
+        return None if x is None else self._unpack(x[:, 0])
 
     def solution_space(self):
         """(particular, homogeneous basis) or None if inconsistent.
 
-        The homogeneous basis is a list of unpacked variable dicts.
+        The homogeneous basis is a list of unpacked variable dicts.  Both
+        come from one elimination of the augmented system.
         """
-        A, b = self._assemble()
-        x = solve(FieldMatrix(self.p, A), FieldMatrix(self.p, b))
+        x, null = self._eliminate(kernel=True)
         if x is None:
             return None
-        null = kernel_basis(FieldMatrix(self.p, A))
-        basis = [self._unpack(null.a[:, j]) for j in range(null.cols)]
-        return self._unpack(x.a[:, 0]), basis
+        basis = [self._unpack(null[:, j]) for j in range(null.shape[1])]
+        return self._unpack(x[:, 0]), basis
 
 
 # ---------------------------------------------------------------------------

@@ -1064,6 +1064,177 @@ def test_complement_indices_match_greedy_rank_loop(p):
 
 
 # ---------------------------------------------------------------------------
+# batched fingerprints and extension candidates against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _truncated_polynomial_algebra(p, n):
+    """F_p[x]/(x^n), basis 1, x, ..., x^(n-1)."""
+    c = np.zeros((n, n, n), dtype=int)
+    for i in range(n):
+        for j in range(n - i):
+            c[i, j, i + j] = 1
+    return Algebra(p, c, [1] + [0] * (n - 1))
+
+
+def _jordan_module(algebra, blocks):
+    """x acting by nilpotent Jordan blocks of the given sizes."""
+    dim = sum(blocks)
+    x = np.zeros((dim, dim), dtype=np.int64)
+    start = 0
+    for size in blocks:
+        for k in range(size - 1):
+            x[start + k + 1, start + k] = 1
+        start += size
+    powers = [np.linalg.matrix_power(x, k) for k in range(algebra.dim)]
+    return Module(algebra, powers)
+
+
+def _fingerprint_reference(module):
+    """Reference: one rank per action matrix and per product."""
+    d = module.algebra.dim
+    singles = tuple(rank(module.action[i]) for i in range(d))
+    pairs = tuple(
+        rank(module.action[i] @ module.action[j]) for i in range(d) for j in range(d)
+    )
+    return (module.dim, singles, pairs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_batched_fingerprint_matches_per_matrix_rank(p):
+    rng = np.random.default_rng(p)
+    algebra = _truncated_polynomial_algebra(p, 3)
+    modules = [zero_module(algebra), regular_module(algebra)]
+    for blocks in ([1], [2], [3], [1, 1], [2, 1], [3, 2], [3, 3, 1], [2, 2, 2]):
+        module = _jordan_module(algebra, blocks)
+        modules += [module, _random_conjugate(module, rng)]
+    for module in modules:
+        got = fingerprint(module)
+        assert got == _fingerprint_reference(module)
+        assert all(type(r) is int for r in got[1] + got[2])
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_batched_fingerprint_matches_per_matrix_rank_on_corpus(name):
+    algebra = _corpus_algebra(name)
+    for module in enumerate_modules(algebra, 3):
+        assert fingerprint(module) == _fingerprint_reference(module)
+
+
+def _extension_candidates_reference(sub, quot):
+    """Reference: the cocycle system with explicit scalar identity matrices,
+    one coboundary per matrix unit, and every tau summed term by term."""
+    algebra = sub.algebra
+    p, d = algebra.p, algebra.dim
+    if quot.dim == 0:
+        return [sub]
+    if sub.dim == 0:
+        return [quot]
+    system = LinearSystem(p)
+    taus = [system.var("t%d" % i, sub.dim, quot.dim) for i in range(d)]
+    c = algebra.structure
+    eye = np.eye(sub.dim, dtype=np.int64)
+    zero = FieldMatrix.zeros(p, sub.dim, quot.dim)
+    for i in range(d):
+        for j in range(d):
+            terms = [(sub.action[i], taus[j], None), (None, taus[i], quot.action[j])]
+            for k in range(d):
+                if c[i, j, k]:
+                    terms.append((FieldMatrix(p, -int(c[i, j, k]) * eye), taus[k], None))
+            system.add_equation(terms, zero)
+    unit_terms = [
+        (FieldMatrix(p, int(u) * eye), taus[i], None)
+        for i, u in enumerate(algebra.unit)
+        if u
+    ]
+    if unit_terms:
+        system.add_equation(unit_terms, zero)
+    _, cocycle_basis = system.solution_space()
+    cob_vectors = []
+    for a in range(sub.dim):
+        for b in range(quot.dim):
+            u = np.zeros((sub.dim, quot.dim), dtype=np.int64)
+            u[a, b] = 1
+            cob_vectors.append(np.concatenate([
+                ((sub.action[k].a @ u - u @ quot.action[k].a) % p).reshape(-1)
+                for k in range(d)
+            ]))
+    cocycle_flat = [
+        np.concatenate([e["t%d" % k].a.reshape(-1) for k in range(d)])
+        for e in cocycle_basis
+    ]
+    free = alg._complement_indices(cob_vectors, cocycle_flat, p)
+    out = []
+    for assignment in itertools.product(range(p), repeat=len(free)):
+        coeffs = [0] * len(cocycle_basis)
+        for pos, val in zip(free, assignment):
+            coeffs[pos] = val
+        action = []
+        for k in range(d):
+            tau = np.zeros((sub.dim, quot.dim), dtype=np.int64)
+            for c_val, entry in zip(coeffs, cocycle_basis):
+                if c_val:
+                    tau = (tau + c_val * entry["t%d" % k].a) % p
+            upper = np.zeros((sub.dim + quot.dim,) * 2, dtype=np.int64)
+            upper[: sub.dim, : sub.dim] = sub.action[k].a
+            upper[: sub.dim, sub.dim :] = tau
+            upper[sub.dim :, sub.dim :] = quot.action[k].a
+            action.append(upper)
+        out.append(Module(algebra, action, check=False))
+    return out
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [*CORPUS_NAMES, "F3[x]/(x^2)", "F5[x]/(x^3)"],
+)
+def test_extension_candidates_match_term_by_term_reference(algebra):
+    if algebra in CORPUS_NAMES:
+        algebra, bound = _corpus_algebra(algebra), 2
+    else:
+        p, n = (3, 2) if algebra.startswith("F3") else (5, 3)
+        algebra, bound = _truncated_polynomial_algebra(p, n), 2
+    simples = simple_modules(algebra)
+    bases = list(enumerate_modules(algebra, bound))
+    for sub in [*simples, zero_module(algebra)]:
+        for quot in bases:
+            got = [m.digest for m in alg._extension_candidates(sub, quot)]
+            ref = [m.digest for m in _extension_candidates_reference(sub, quot)]
+            assert got == ref
+            for m in alg._extension_candidates(sub, quot):
+                assert m.validate() == []
+
+
+def test_enumerate_rejects_negative_dimension_bound():
+    with pytest.raises(ValidationError):
+        enumerate_modules(fx2_algebra(), -1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_enumerate_budget_guard_matches_exact_power(p):
+    field = Algebra(p, [[[1]]], [1])
+    for max_dim in range(0, 5):
+        power = p ** (max_dim * max_dim)
+        for budget in (-(10**30), -1, 0, 1, power - 1, power, power + 1):
+            if power > budget:
+                with pytest.raises(BudgetExceededError, match="^module enumeration for"):
+                    enumerate_modules(field, max_dim, budget=budget)
+                continue
+            try:
+                assert len(enumerate_modules(field, max_dim, budget=budget)) == max_dim + 1
+            except BudgetExceededError as err:  # the simple-module search has its own
+                assert not str(err).startswith("module enumeration for")
+
+
+def test_enumerate_budget_guard_skips_huge_powers():
+    # p ** (10**12) would not fit in memory; the guard must decide without it
+    with pytest.raises(BudgetExceededError):
+        enumerate_modules(fx2_algebra(), 10**6, budget=10**8)
+    with pytest.raises(BudgetExceededError):
+        enumerate_modules(fx2_algebra(), 10**6, budget=2 ** (10**4))
+
+
+# ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
 

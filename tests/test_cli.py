@@ -10,6 +10,7 @@ across repeat runs with the same input and seed.
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -389,6 +390,46 @@ def test_negative_seed_exits_three(tmp_path, where):
         "type": "malformed",
         "message": "seed must be a nonnegative integer, got -1",
     }
+
+
+_BOUNDED_COMMANDS = [
+    ("enumerate",),
+    ("k0",),
+    ("localize", "--acyclics", "projectives"),
+]
+
+
+@pytest.mark.parametrize("bound", [-1, -(10**6)])
+@pytest.mark.parametrize("command", _BOUNDED_COMMANDS, ids=lambda c: c[0])
+def test_negative_dim_bound_exits_three(command, bound):
+    code, out = runj(command[0], "--input", FX2, *command[1:],
+                     "--dim-bound", str(bound))
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "dim_bound must be a nonnegative integer, got %d" % bound,
+    }
+
+
+@pytest.mark.parametrize("command", _BOUNDED_COMMANDS, ids=lambda c: c[0])
+def test_negative_config_dim_bound_exits_three(tmp_path, command):
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["config"]["dim_bound"] = -1
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj(command[0], "--input", str(path), *command[1:])
+    assert code == 3
+    assert out["error"]["message"] == "dim_bound must be a nonnegative integer, got -1"
+
+
+@pytest.mark.parametrize("command", _BOUNDED_COMMANDS, ids=lambda c: c[0])
+def test_huge_dim_bound_exits_two_at_once(command):
+    start = time.perf_counter()
+    code, out = runj(command[0], "--input", FX2, *command[1:],
+                     "--dim-bound", str(10**6))
+    assert code == 2
+    assert out["error"]["type"] == "budget"
+    assert time.perf_counter() - start < 5.0
 
 
 _CHEAP_COMMANDS = [

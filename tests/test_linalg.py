@@ -10,11 +10,13 @@ import random
 import numpy as np
 import pytest
 
+import waldcat.linalg as la
 from waldcat.linalg import (
     MODULUS_LIMIT,
     FieldMatrix,
     IntegerMatrix,
     LinearSystem,
+    MatVar,
     RowLattice,
     column_space_basis,
     in_column_space,
@@ -349,3 +351,293 @@ def test_linear_system_sandwich_terms():
         sol = sys.solve()
         assert sol is not None
         assert L @ sol["x"] @ R == B
+
+
+# ---------------------------------------------------------------------------
+# the elimination core against the row-at-a-time kernels it replaced
+# ---------------------------------------------------------------------------
+
+AGREEMENT_PRIMES = [2, 3, 5, 65521]
+
+
+def _rref_rowwise(a, p):
+    """Reference: clear the pivot column one row at a time."""
+    m = np.array(a, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = (m[r] * inv) % p
+        for j in np.flatnonzero(m[:, c]):
+            if j != r:
+                m[j] = (m[j] - m[j, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _solve_reference(a, b, p):
+    """Reference: particular solution with free coordinates zero, or None."""
+    red, piv = _rref_rowwise(np.hstack([a, b]), p)
+    n = a.shape[1]
+    if any(c >= n for c in piv):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for r, c in enumerate(piv):
+        x[c] = red[r, n:]
+    return x
+
+
+def _kernel_reference(a, p):
+    """Reference: one kernel column per free column, e_c minus pivot entries."""
+    red, piv = _rref_rowwise(a, p)
+    n = a.shape[1]
+    free = [c for c in range(n) if c not in piv]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[c, k] = 1
+        for r, pc in enumerate(piv):
+            basis[pc, k] = (-red[r, c]) % p
+    return basis
+
+
+def _kron_block(L, v, R, p):
+    """Reference: kron(R^T, L) with identities spelled out by np.eye."""
+    if isinstance(L, FieldMatrix):
+        La = L.a
+    else:
+        La = (1 if L is None else L) * np.eye(v.rows, dtype=np.int64)
+    Ra = R.a if R is not None else np.eye(v.cols, dtype=np.int64)
+    return np.kron(Ra.T, La) % p
+
+
+def _agreement_matrices(p, rng):
+    """Random, low-rank, zero, empty and all-(p - 1) matrices over GF(p)."""
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (4, 7), (7, 4), (6, 6)]
+    out = []
+    for rows, cols in shapes:
+        out.append(np.zeros((rows, cols), dtype=np.int64))
+        out.append(np.full((rows, cols), p - 1, dtype=np.int64))
+        for _ in range(6):
+            out.append(rng.integers(0, p, size=(rows, cols)))
+        for inner in range(min(rows, cols) + 1):
+            left = rng.integers(0, p, size=(rows, inner))
+            right = rng.integers(0, p, size=(inner, cols))
+            out.append(left @ right % p)
+    # an invertible all-(p - 1) pattern: p - 1 everywhere but the diagonal
+    out.append(np.full((5, 5), p - 1, dtype=np.int64) - np.eye(5, dtype=np.int64))
+    return out
+
+
+@pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+def test_outer_product_rref_matches_rowwise(p):
+    rng = np.random.default_rng(p)
+    for a in _agreement_matrices(p, rng):
+        red, piv = la._rref_array(a, p)
+        ref_red, ref_piv = _rref_rowwise(a, p)
+        assert red.dtype == np.int64
+        assert piv == ref_piv
+        assert np.array_equal(red, ref_red)
+        assert rank(FieldMatrix(p, a)) == len(ref_piv)
+
+
+def test_rref_does_not_touch_its_input():
+    a = np.array([[0, 1, 1], [1, 1, 0]], dtype=np.int64)
+    la._rref_array(a, 2)
+    assert a.tolist() == [[0, 1, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+def test_solve_and_kernel_match_reference(p):
+    rng = np.random.default_rng(1000 + p)
+    for a in _agreement_matrices(p, rng):
+        m = FieldMatrix(p, a)
+        assert np.array_equal(kernel_basis(m).a, _kernel_reference(a, p))
+        for width in (0, 1, 3):
+            # consistent right-hand sides (a @ x) and arbitrary ones
+            for b in (a @ rng.integers(0, p, size=(a.shape[1], width)) % p,
+                      rng.integers(0, p, size=(a.shape[0], width))):
+                x = solve(m, FieldMatrix(p, b))
+                ref = _solve_reference(a, b, p)
+                if ref is None:
+                    assert x is None
+                else:
+                    assert x is not None and np.array_equal(x.a, ref)
+
+
+def _term_cases(p, rng):
+    """(L, var, R) terms covering every side: matrix, None and int for L;
+    matrix and None for R; zero-sized unknowns and result shapes."""
+    full = p - 1
+    for vr, vc, lr, rc in ((2, 3, 4, 1), (3, 3, 3, 3), (0, 2, 3, 2),
+                           (2, 0, 2, 3), (1, 4, 0, 2), (2, 2, 2, 0)):
+        v = MatVar("x", vr, vc)
+        Ls = [
+            FieldMatrix(p, rng.integers(0, p, size=(lr, vr))),
+            FieldMatrix(p, np.full((lr, vr), full, dtype=np.int64)),
+        ]
+        Rs = [
+            FieldMatrix(p, rng.integers(0, p, size=(vc, rc))),
+            FieldMatrix(p, np.full((vc, rc), full, dtype=np.int64)),
+        ]
+        for L in Ls + [None, 1, full, -3]:
+            for R in Rs + [None]:
+                lrows = lr if isinstance(L, FieldMatrix) else vr
+                yield L, v, R, (lrows, vc if R is None else rc)
+
+
+@pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+def test_kronecker_free_blocks_match_np_kron(p):
+    rng = np.random.default_rng(2000 + p)
+    for L, v, R, (lrows, rcols) in _term_cases(p, rng):
+        block = la._coefficients(L, v, R, p)
+        assert block.shape == (rcols, lrows, v.cols, v.rows)
+        got = block.reshape(rcols * lrows, v.size) % p
+        assert np.array_equal(got, _kron_block(L, v, R, p))
+
+
+def _random_equations(p, rng):
+    """Variables and equations sum L X R = rhs with every kind of term."""
+    shapes = [(int(rng.integers(0, 4)), int(rng.integers(0, 4))) for _ in range(3)]
+    variables = [MatVar("v%d" % k, r, c) for k, (r, c) in enumerate(shapes)]
+    equations = []
+    for _ in range(int(rng.integers(0, 5))):
+        lrows, rcols = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        terms = []
+        for v in variables:
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                continue
+            if lrows == v.rows and rng.integers(0, 2):
+                L = [None, int(rng.integers(-p, p))][int(rng.integers(0, 2))]
+            else:
+                L = FieldMatrix(p, rng.integers(0, p, size=(lrows, v.rows)))
+            if rcols == v.cols and rng.integers(0, 2):
+                R = None
+            else:
+                R = FieldMatrix(p, rng.integers(0, p, size=(v.cols, rcols)))
+            terms.append((L, v, R))
+        rhs = FieldMatrix(p, rng.integers(0, p, size=(lrows, rcols)))
+        if rng.integers(0, 2):
+            rhs = FieldMatrix.zeros(p, lrows, rcols)
+        equations.append((terms, rhs))
+    return variables, equations
+
+
+def _reference_solution_space(p, variables, equations):
+    """Reference: Kronecker rows, then solve and kernel_basis separately."""
+    offsets = np.cumsum([0] + [v.size for v in variables])
+    total = int(offsets[-1])
+    rows, rhs = [np.zeros((0, total), dtype=np.int64)], [np.zeros((0, 1), dtype=np.int64)]
+    for terms, b in equations:
+        row = np.zeros((b.rows * b.cols, total), dtype=np.int64)
+        for L, v, R in terms:
+            k = variables.index(v)
+            row[:, offsets[k] : offsets[k + 1]] += _kron_block(L, v, R, p)
+        rows.append(row % p)
+        rhs.append(b.a.flatten(order="F")[:, None])
+    A, b = np.vstack(rows), np.vstack(rhs)
+
+    def unpack(x):
+        return {
+            v.name: x[offsets[k] : offsets[k + 1]].reshape((v.rows, v.cols), order="F").tolist()
+            for k, v in enumerate(variables)
+        }
+
+    x = _solve_reference(A, b, p)
+    if x is None:
+        return None
+    null = _kernel_reference(A, p)
+    return unpack(x[:, 0]), [unpack(null[:, j]) for j in range(null.shape[1])]
+
+
+@pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+def test_one_elimination_solution_space_matches_solve_plus_kernel(p):
+    rng = np.random.default_rng(3000 + p)
+    for _ in range(60):
+        variables, equations = _random_equations(p, rng)
+        system = LinearSystem(p)
+        for v in variables:
+            system.var(v.name, v.rows, v.cols)
+        for terms, rhs in equations:
+            system.add_equation(terms, rhs)
+        ref = _reference_solution_space(p, variables, equations)
+        got = system.solution_space()
+        solved = system.solve()
+        if ref is None:
+            assert got is None and solved is None
+            continue
+
+        def plain(entry):
+            return {name: m.tolist() for name, m in entry.items()}
+
+        assert plain(got[0]) == ref[0]
+        assert [plain(e) for e in got[1]] == ref[1]
+        assert plain(solved) == ref[0]
+
+
+def test_linear_system_declares_unknowns_after_equations():
+    # rows written before a later unknown exists get zero coefficients for it
+    p = 3
+    system = LinearSystem(p)
+    x = system.var("x", 1, 1)
+    system.add_equation([(None, x, None)], FieldMatrix(p, [[2]]))
+    system.var("y", 1, 2)
+    part, basis = system.solution_space()
+    assert part["x"].tolist() == [[2]] and part["y"].tolist() == [[0, 0]]
+    assert [e["y"].tolist() for e in basis] == [[[1, 0]], [[0, 1]]]
+
+
+def test_add_equation_rejects_mismatched_shapes():
+    p = 2
+    system = LinearSystem(p)
+    x = system.var("x", 2, 3)
+    with pytest.raises(AssertionError):
+        system.add_equation([(None, x, None)], FieldMatrix.zeros(p, 3, 2))
+    with pytest.raises(AssertionError):
+        system.add_equation(
+            [(FieldMatrix.zeros(p, 1, 2), x, None)], FieldMatrix.zeros(p, 2, 3)
+        )
+
+
+def test_is_prime_is_memoized_and_constructor_still_checks():
+    la.is_prime.cache_clear()
+    FieldMatrix(7, [[1]])
+    FieldMatrix(7, [[2]])
+    info = la.is_prime.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    with pytest.raises(ValueError, match="not prime"):
+        FieldMatrix(9, [[1]])
+    with pytest.raises(ValueError, match="not prime"):
+        FieldMatrix(9, [[1]])
+
+
+def test_trusted_results_are_read_only_and_reduced():
+    p = 5
+    a = FieldMatrix(p, [[1, 2], [3, 4]])
+    for m in (a @ a, a + a, a - a.scale(2), -a, a.scale(-7), a.transpose(),
+              rref(a)[0], solve(a, a), kernel_basis(a), column_space_basis(a)):
+        assert m.p == p and m.a.dtype == np.int64
+        assert not m.a.flags.writeable
+        assert ((0 <= m.a) & (m.a < p)).all()
+
+
+def test_trusted_constructor_is_checked_during_the_suite():
+    # tests/conftest.py swaps in a checking _reduced for the whole run
+    with pytest.raises(AssertionError):
+        FieldMatrix._reduced(2, np.array([[2]], dtype=np.int64))
+    with pytest.raises(AssertionError):
+        FieldMatrix._reduced(4, np.zeros((1, 1), dtype=np.int64))
+    with pytest.raises(AssertionError):
+        FieldMatrix._reduced(2, np.zeros(3, dtype=np.int64))
+    with pytest.raises(AssertionError):
+        FieldMatrix._reduced(3, np.zeros((1, 1), dtype=np.int32))

@@ -419,11 +419,13 @@ def zero_module(algebra):
     return Module(algebra, empty, check=False)
 
 
+@memoized
 def regular_module(algebra):
     """The algebra acting on itself by left multiplication."""
     return Module(algebra, [algebra.left_multiplication(i) for i in range(algebra.dim)])
 
 
+@memoized
 def dual_regular_module(algebra):
     """Linear dual of the regular module, a left module via right multiplication.
 
@@ -777,6 +779,23 @@ def _block_end(modules):
     return modules[0]
 
 
+def block_extensions(sub, quot, taus):
+    """The modules on sub (+) quot with action [[ρ_sub(e_i), τ_i], [0, ρ_quot(e_i)]],
+    one for each (algebra.dim, sub.dim, quot.dim) stack τ in ``taus``.
+
+    Such a module extends quot by sub, with mono [I; 0] and epi [0 I],
+    exactly when τ is a cocycle: ρ_sub(e_i) τ_j + τ_i ρ_quot(e_j) equals
+    the τ of e_i e_j and the unit has τ = 0.  Callers supply cocycles;
+    nothing is checked.
+    """
+    s, q = sub.dim, quot.dim
+    actions = np.zeros((len(taus), sub.algebra.dim, s + q, s + q), dtype=np.int64)
+    actions[:, :, :s, :s] = [m.a for m in sub.action]
+    actions[:, :, :s, s:] = taus
+    actions[:, :, s:, s:] = [m.a for m in quot.action]
+    return [Module(sub.algebra, action, check=False) for action in actions]
+
+
 def pushout(f, g):
     """Pushout of f: A -> B and g: A -> C; returns (module, from_B, from_C).
 
@@ -1046,12 +1065,13 @@ def _find_invertible_combination(basis, p, dim):
 def is_isomorphic(m1, m2):
     """Explicit isomorphism m1 -> m2, or None when none exists.
 
-    Different dimensions or fingerprints reject at once.  Otherwise the
-    decision is a search for an invertible element of Hom(m1, m2): when
-    the hom space has at most ``_ENUMERATION_CAP`` elements, one batched
-    rank scan over all of it decides exactly; larger hom spaces try the
-    basis and seeded random combinations, then fall back to matching
-    indecomposable summands.
+    Different dimensions or fingerprints reject at once, and so does
+    dim Hom(m1, m2) != dim End(m2): an isomorphism m1 -> m2 carries
+    Hom(m1, m2) onto Hom(m2, m2).  Otherwise the decision is a search for
+    an invertible element of Hom(m1, m2): when the hom space has at most
+    ``_ENUMERATION_CAP`` elements, one batched rank scan over all of it
+    decides exactly; larger hom spaces try the basis and seeded random
+    combinations, then fall back to matching indecomposable summands.
     """
     if m1.algebra.digest != m2.algebra.digest or m1.dim != m2.dim:
         return None
@@ -1060,7 +1080,7 @@ def is_isomorphic(m1, m2):
     if fingerprint(m1) != fingerprint(m2):
         return None
     basis = hom_basis(m1, m2)
-    if not basis and m1.dim > 0:
+    if len(basis) != len(hom_basis(m2, m2)):
         return None
     mat = _find_invertible_combination(basis, m1.p, m1.dim)
     if mat is not None:
@@ -1254,7 +1274,8 @@ def _extension_candidates(sub, quot):
 
     Solves the cocycle equations for upper-triangular block actions
     [[rho_sub, tau], [0, rho_quot]] and walks one representative per class
-    modulo coboundaries, so the split extension is always included.
+    modulo coboundaries, so the split extension is always included; the
+    modules come from ``block_extensions``.
     """
     algebra = sub.algebra
     p = algebra.p
@@ -1291,12 +1312,7 @@ def _extension_candidates(sub, quot):
     cob = (cob % p).reshape(s * q, d * s * q)
 
     reps = _complement_representatives(cob, cocycles, p)
-    tau_stack = ((reps @ cocycles) % p).reshape(-1, d, s, q)
-    actions = np.zeros((len(reps), d, s + q, s + q), dtype=np.int64)
-    actions[:, :, :s, :s] = rho_sub
-    actions[:, :, :s, s:] = tau_stack
-    actions[:, :, s:, s:] = rho_quot
-    return [Module(algebra, action, check=False) for action in actions]
+    return block_extensions(sub, quot, ((reps @ cocycles) % p).reshape(-1, d, s, q))
 
 
 def _complement_representatives(inner, outer, p):

@@ -10,6 +10,7 @@ input and seed produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -261,13 +262,15 @@ def _cotorsion_pair(algebra, name, what):
     return _PAIRS[name](algebra)
 
 
-def _build_waldhausen(ws, args, algebra):
+def _build_waldhausen(ws, args, algebra, budget):
+    """The Waldhausen structure named by the class flags, enumerating its
+    samples within ``budget``."""
     c_name = _class_flag(ws, args, "c_class", "class", "all")
     z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
     pair = _cotorsion_pair(algebra, c_name, "the cofibrant class")
     c_spec = _parse_class(ws, c_name)
     z_spec = _parse_class(ws, z_name)
-    return WaldhausenData(algebra, c_spec, z_spec, pair)
+    return WaldhausenData(algebra, c_spec, z_spec, pair, budget=budget)
 
 
 def _rng(ws, args):
@@ -362,7 +365,7 @@ def _cmd_class(args):
             "injective": is_injective(m),
         }
     f = ws.morphism(args.map)
-    w = _build_waldhausen(ws, args, f.dom.algebra)
+    w = _build_waldhausen(ws, args, f.dom.algebra, _enum_budget(ws, args))
     flags = classify_map(w, f).as_dict()
     return {"command": "class", "map": args.map, **flags}
 
@@ -370,7 +373,7 @@ def _cmd_class(args):
 def _cmd_factor(args):
     ws = load_workspace(args.input)
     f = ws.morphism(args.map)
-    w = _build_waldhausen(ws, args, f.dom.algebra)
+    w = _build_waldhausen(ws, args, f.dom.algebra, _enum_budget(ws, args))
     fac = factor(w, f)
     return {
         "command": "factor",
@@ -406,14 +409,16 @@ def _cmd_lift(args):
 def _cmd_weq(args):
     ws = load_workspace(args.input)
     f = ws.morphism(args.map)
-    w = _build_waldhausen(ws, args, f.dom.algebra)
+    # --budget caps the oracle's maps here, so only config caps enumeration
+    enum_budget = _config_int(ws, None, "budget", DEFAULT_BUDGET)
+    w = _build_waldhausen(ws, args, f.dom.algebra, enum_budget)
     verdict = is_weak_equivalence(w, f)
     out = {"command": "weq", "map": args.map, "verdict": verdict}
     if args.oracle:
         oracle = weak_equivalence_oracle(
             w, f,
             map_budget=args.budget if args.budget is not None else DEFAULT_MAP_BUDGET,
-            enum_budget=_config_int(ws, None, "budget", DEFAULT_BUDGET),
+            enum_budget=enum_budget,
         )
         out["oracle_verdict"] = oracle
         out["oracle_agrees"] = verdict == "indeterminate" or oracle == verdict
@@ -432,7 +437,7 @@ _AXIOM_RUNNERS = {
 def _cmd_axioms(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
-    w = _build_waldhausen(ws, args, algebra)
+    w = _build_waldhausen(ws, args, algebra, _enum_budget(ws, args))
     rng = _rng(ws, args)
     checks = [c for c in args.checks.split(",") if c]
     unknown = [c for c in checks if c not in _AXIOM_RUNNERS and c != "saturation"]
@@ -589,15 +594,14 @@ def _cmd_k0(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
     bound = _dim_bound(ws, args)
+    budget = _enum_budget(ws, args)
     if args.acyclics is not None:
-        w = _build_waldhausen(ws, args, algebra)
-        pres = k0_waldhausen(w, bound, enum_budget=_enum_budget(ws, args))
+        w = _build_waldhausen(ws, args, algebra, budget)
+        pres = k0_waldhausen(w, bound, enum_budget=budget)
         kind = "waldhausen"
     else:
         c_spec = _parse_class(ws, _class_flag(ws, args, "c_class", "class", "all"))
-        pres = k0_exact_category(
-            algebra, c_spec, bound, enum_budget=_enum_budget(ws, args)
-        )
+        pres = k0_exact_category(algebra, c_spec, bound, enum_budget=budget)
         kind = "exact_category"
     return {
         "command": "k0",
@@ -627,7 +631,7 @@ def _cmd_resolve_zp(args):
     ws = load_workspace(args.input)
     target = ws.module(args.module)
     algebra = target.algebra
-    w = _build_waldhausen(ws, args, algebra)
+    w = _build_waldhausen(ws, args, algebra, _enum_budget(ws, args))
     pair_p = _cotorsion_pair(algebra, args.p_class, "--p-class")
     pres = []
     for chunk in [c for c in args.resolution.split(",") if c]:
@@ -719,11 +723,16 @@ def _emit(payload, fmt, stream):
         stream.write(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     stream = sys.stdout
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         payload = _COMMANDS[args.command](args)
     except MalformedInputError as err:
         _emit({"error": {"type": "malformed", "message": str(err)}}, "json", stream)

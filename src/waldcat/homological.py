@@ -2,11 +2,14 @@
 
 Ext1 is computed from a length-two free presentation: for a free cover
 0 -> K -> F -> c -> 0, the group Ext1(c, a) is Hom(K, a) modulo maps that
-extend to F.  Extensions are realised by pushing the kernel inclusion out
-along a cocycle.  Projectivity and injectivity are decided by Ext1
-against the simple modules: over a finite-dimensional algebra a module m
-is projective iff Ext1(m, S) = 0 for every simple S, and injective iff
-Ext1(S, m) = 0 for every simple S.
+extend to F.  A class with cocycle φ is realised on a (+) c with the block
+action [[ρ_a, φδ], [0, ρ_c]], where δ is the connecting map of the
+presentation (Auslander, Reiten and Smalø, Representation Theory of Artin
+Algebras, ch. I); this middle is isomorphic to the pushout of the kernel
+inclusion along φ, but no pushout is formed.  Projectivity and
+injectivity are decided by Ext1 against the simple modules: over a
+finite-dimensional algebra a module m is projective iff Ext1(m, S) = 0 for
+every simple S, and injective iff Ext1(S, m) = 0 for every simple S.
 
 The module also hosts the two module-level cotorsion pairs used
 throughout: (all, injectives) and (projectives, all), each with its
@@ -14,6 +17,7 @@ completeness resolutions, plus cosyzygy iteration with injective-summand
 stripping for finite-injective-dimension detection.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -24,19 +28,18 @@ from .algebra import (
     ShortExactSequence,
     _complement_indices,
     block,
+    block_extensions,
     cokernel,
     combine,
     direct_sum,
     dual_regular_module,
     enumerate_modules,
-    from_pushout,
     hom_basis,
     identity_morphism,
     indecomposable_summands,
     kernel,
     maps,
     memoized,
-    pushout,
     regular_module,
     scan_slices,
     simple_modules,
@@ -51,6 +54,7 @@ from .linalg import (
     in_column_space,
     kernel_basis,
     rank_stack,
+    solve,
 )
 
 # ---------------------------------------------------------------------------
@@ -179,7 +183,11 @@ class ExtClass:
 
 
 class Ext1Result:
-    """Ext^1(c, a) together with the presentation data needed to realise classes."""
+    """Ext^1(c, a) together with the presentation data needed to realise classes.
+
+    Results are shared through the memo of ``ext1``, so nothing in one
+    changes after construction; its arrays are read-only.
+    """
 
     def __init__(self, c, a, kappa, pi, cocycle_reps):
         self.c = c
@@ -187,8 +195,8 @@ class Ext1Result:
         self.p = c.p
         self.kappa = kappa  # K -> F, kernel of the cover
         self.pi = pi  # F -> c, the free cover
-        self.cocycle_reps = cocycle_reps  # morphisms K -> a spanning a complement
-        self.dimension = len(cocycle_reps)
+        self.cocycle_reps = tuple(cocycle_reps)  # maps K -> a spanning a complement
+        self.dimension = len(self.cocycle_reps)
 
     def zero_class(self):
         return ExtClass(self, (0,) * self.dimension)
@@ -205,18 +213,60 @@ class Ext1Result:
     def cocycle(self, coeffs):
         return combine(self.kappa.dom, self.a, self.cocycle_reps, coeffs)
 
+    @functools.cached_property
+    def _connecting_cocycles(self):
+        """(dimension, algebra.dim * a.dim * c.dim) array whose row k holds
+        the matrices cocycle_reps[k] o δ_i, for δ_i = κ^-1 (ρ_F(e_i) s - s ρ_c(e_i))
+        and a linear section s of π.  ρ_F(e_i) s - s ρ_c(e_i) is killed by
+        π, so it factors through κ; δ_i is the connecting map c -> K.
+        """
+        p, d = self.p, self.c.algebra.dim
+        section = solve(self.pi.matrix, FieldMatrix.identity(p, self.c.dim))
+        if section is None:
+            raise InternalInconsistencyError("free cover admits no linear section")
+        s = section.a
+        rho_f = [m.a for m in self.pi.dom.action]
+        rho_c = [m.a for m in self.c.action]
+        defects = np.concatenate(
+            [rho_f[i] @ s - s @ rho_c[i] for i in range(d)], axis=1
+        )
+        delta = solve(self.kappa.matrix, FieldMatrix(p, defects))
+        if delta is None:
+            raise InternalInconsistencyError("connecting map leaves the kernel")
+        reps = np.array([r.matrix.a for r in self.cocycle_reps], dtype=np.int64)
+        deltas = delta.a.reshape(-1, d, self.c.dim)
+        out = (np.einsum("kax,xic->kiac", reps, deltas) % p).reshape(self.dimension, -1)
+        out.setflags(write=False)
+        return out
+
     def realize(self, coeffs):
         """Short exact sequence 0 -> a -> E -> c -> 0 for the given class.
 
-        E is the pushout of the kernel inclusion along the chosen cocycle.
+        E is a (+) c with action [[ρ_a(e_i), τ_i], [0, ρ_c(e_i)]], where
+        τ_i = φ δ_i for the class's cocycle φ and the connecting maps δ_i
+        (see ``_connecting_cocycles``); the mono is [I; 0] and the epi
+        [0 I].  E is isomorphic to the pushout of κ along φ, whose class
+        of (s(z), x) corresponds to (x, z).
         """
-        _, from_f, mono = pushout(self.kappa, self.cocycle(coeffs))
-        epi = from_pushout(from_f, mono, self.pi, zero_morphism(self.a, self.c))
+        s, q, d = self.a.dim, self.c.dim, self.c.algebra.dim
+        if self.dimension:
+            coeffs = np.array(coeffs, dtype=np.int64)
+            tau = (coeffs @ self._connecting_cocycles) % self.p
+        else:
+            tau = np.zeros(d * s * q, dtype=np.int64)
+        mid = block_extensions(self.a, self.c, tau.reshape(1, d, s, q))[0]
+        mono = Morphism(self.a, mid, np.eye(s + q, s, dtype=np.int64), check=False)
+        epi = Morphism(mid, self.c, np.eye(q, s + q, s, dtype=np.int64), check=False)
         return ShortExactSequence(mono, epi)
 
 
+@memoized
 def ext1(c, a):
-    """Ext^1(c, a) from a free presentation of c; see Ext1Result."""
+    """Ext^1(c, a) from a free presentation of c; see Ext1Result.
+
+    Memoized by the digest pair, so every caller of one pair shares one
+    result.
+    """
     if c.algebra.digest != a.algebra.digest:
         raise ValidationError("Ext needs both modules over the same algebra")
     pi = free_cover(c)

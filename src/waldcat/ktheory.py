@@ -137,6 +137,13 @@ def _harvest_relations(generators):
     inside the bound, every Ext class is realized and its middle matched
     against the generator list; matches contribute [mid]-[sub]-[quot].
     Duplicate rows are dropped; order is deterministic.
+
+    A middle is realized as sub (+) quot with a block action (see
+    ``Ext1Result.realize``), and only its isomorphism class is used.  The
+    Ext group of a pair comes from the memo of ``ext1``, so a pair seen
+    in an earlier presentation is not presented again, and most
+    non-matching generators are rejected by ``is_isomorphic``'s
+    Hom-dimension test before any span scan.
     """
     count = len(generators)
     if count == 0:
@@ -257,7 +264,8 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     if not failures:
         try:
             w = WaldhausenData(
-                algebra, spec_all(), a_spec, all_injectives_pair(algebra)
+                algebra, spec_all(), a_spec, all_injectives_pair(algebra),
+                budget=enum_budget,
             )
         except HypothesisError as err:
             failures.append(str(err))

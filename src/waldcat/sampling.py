@@ -74,7 +74,7 @@ def random_module(rng, algebra, max_dim, nonzero=False):
 
 
 def class_samples(w, max_dim, predicate):
-    return [m for m in enumerate_modules(w.algebra, max_dim) if predicate(m)]
+    return [m for m in w.modules(max_dim) if predicate(m)]
 
 
 def zc_samples(w, max_dim):
@@ -93,7 +93,7 @@ def random_cofibration(w, rng, dom, max_dim=3):
     """A random injection out of ``dom`` whose cokernel lies in C."""
     mods = [
         m
-        for m in enumerate_modules(w.algebra, max_dim)
+        for m in w.modules(max_dim)
         if m.dim >= dom.dim and w.in_c(m)
     ]
     for _ in range(COFIBRATION_TRIES):
@@ -151,9 +151,9 @@ def gluing_instance(w, rng, max_dim=2):
     acyclic cofibrations); mode 1 deflates the top row by a
     right-orthogonal object (verticals are acyclic fibrations).
     """
-    apex = random_module(rng, w.algebra, max_dim)
+    apex = _pick(rng, w.modules(max_dim))
     i = random_cofibration(w, rng, apex, max_dim + 1)
-    cobj = random_module(rng, w.algebra, max_dim)
+    cobj = _pick(rng, w.modules(max_dim))
     j = random_combination(rng, apex, cobj)
     mode = int(rng.integers(0, 2))
     if mode == 0:
@@ -176,7 +176,7 @@ def gluing_instance(w, rng, max_dim=2):
 
 def random_ses(w, rng, max_dim=2):
     """A short exact sequence of C-objects whose injection is a cofibration."""
-    mods = [m for m in enumerate_modules(w.algebra, max_dim) if w.in_c(m)]
+    mods = [m for m in w.modules(max_dim) if w.in_c(m)]
     mids = [m for m in mods if m.dim > 0]
     for _ in range(SES_TRIES):
         mid = _pick(rng, mids)
@@ -230,7 +230,7 @@ def extension_instance(w, rng, max_dim=2):
 
 def saturation_instance(w, rng, max_dim=2):
     """A random composable pair of maps between C-objects."""
-    mods = [m for m in enumerate_modules(w.algebra, max_dim) if w.in_c(m)]
+    mods = [m for m in w.modules(max_dim) if w.in_c(m)]
     a = _pick(rng, mods)
     b = _pick(rng, mods)
     c = _pick(rng, mods)
@@ -242,12 +242,12 @@ def saturation_instance(w, rng, max_dim=2):
 def properness_instance(w, rng, max_dim=2):
     """A weak equivalence to push along a cofibration or pull along an epi."""
     if int(rng.integers(0, 2)) == 0:
-        apex = random_module(rng, w.algebra, max_dim)
+        apex = _pick(rng, w.modules(max_dim))
         f = random_cofibration(w, rng, apex, max_dim + 1)
         a = random_weq_from(w, rng, apex, max_dim)
         return PropernessInstance("pushout", f, a)
-    base = random_module(rng, w.algebra, max_dim)
-    extra = random_module(rng, w.algebra, max_dim)
+    base = _pick(rng, w.modules(max_dim))
+    extra = _pick(rng, w.modules(max_dim))
     total, _, (proj_base, _) = direct_sum([base, extra])
     u = random_automorphism(rng, total)
     f = proj_base @ u

@@ -153,6 +153,10 @@ class WaldhausenData:
 
     The 2-out-of-3 flag for Z-intersect-C may be supplied (trusted) or
     left None, in which case a sampled check fills it in.
+
+    ``budget`` caps every module enumeration made for this structure: the
+    hypothesis samples here, the samplers of ``sampling`` and the P-perp
+    sample of ``build_zp_resolution``; see ``modules``.
     """
 
     def __init__(
@@ -163,11 +167,13 @@ class WaldhausenData:
         pair,
         z_two_of_three=None,
         validate=True,
+        budget=DEFAULT_BUDGET,
     ):
         self.algebra = algebra
         self.c_spec = c_spec
         self.z_spec = z_spec
         self.pair = pair
+        self.budget = budget
         self.flags = {
             "hereditary_checked": None,
             "complete_checked": None,
@@ -178,12 +184,18 @@ class WaldhausenData:
         if validate:
             self._validate_hypotheses()
         if self.flags["z_two_of_three"] is None:
-            ok, witness = check_z_two_of_three(algebra, c_spec, z_spec, SAMPLE_BOUND)
+            ok, witness = check_z_two_of_three(
+                algebra, c_spec, z_spec, SAMPLE_BOUND, budget=budget
+            )
             self.flags["z_two_of_three"] = ok
             self.flags["z_two_of_three_source"] = "sampled<=%d" % SAMPLE_BOUND
             self.z23_witness = witness
         else:
             self.z23_witness = None
+
+    def modules(self, max_dim):
+        """Every module class up to ``max_dim``, enumerated within the budget."""
+        return enumerate_modules(self.algebra, max_dim, budget=self.budget)
 
     def in_c(self, m):
         return self.c_spec.contains(m)
@@ -195,7 +207,7 @@ class WaldhausenData:
         return self.z_spec.contains(m) and self.c_spec.contains(m)
 
     def _validate_hypotheses(self):
-        samples = enumerate_modules(self.algebra, SAMPLE_BOUND)
+        samples = self.modules(SAMPLE_BOUND)
         z = zero_module(self.algebra)
         if not self.c_spec.contains(z) or not self.z_spec.contains(z):
             raise HypothesisError("both C and Z must contain the zero module")
@@ -252,13 +264,14 @@ class WaldhausenData:
                             )
 
 
-def check_z_two_of_three(algebra, c_spec, z_spec, bound):
+def check_z_two_of_three(algebra, c_spec, z_spec, bound, budget=DEFAULT_BUDGET):
     """Sampled 2-out-of-3 check for Z-intersect-C over short exact sequences.
 
     Returns (holds, witness); the witness is a violating (sub, mid, quot)
-    dimension triple with digests when the property fails.
+    dimension triple with digests when the property fails.  The sample is
+    every module up to ``bound``, enumerated within ``budget``.
     """
-    samples = enumerate_modules(algebra, bound)
+    samples = enumerate_modules(algebra, bound, budget=budget)
     in_zc = lambda m: z_spec.contains(m) and c_spec.contains(m)
     in_c = c_spec.contains
     for mid in samples:
@@ -718,7 +731,7 @@ def build_zp_resolution(w, a, pres, pair_p):
         raise HypothesisError("the resolved object must lie in Z-intersect-C")
     # the right orthogonal is taken inside P, hence the intersection;
     # it is sampled up to dimension SAMPLE_BOUND
-    for m in enumerate_modules(w.algebra, SAMPLE_BOUND):
+    for m in w.modules(SAMPLE_BOUND):
         if pair_p.in_right(m) and pair_p.in_left(m) and not w.in_z(m):
             raise HypothesisError("P-perp is not contained in Z (sampled)")
     n = len(pres)

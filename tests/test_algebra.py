@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import waldcat.algebra as alg
 from waldcat.algebra import (
@@ -59,6 +61,7 @@ from waldcat.linalg import (
     column_space_basis,
     kernel_basis,
     rank,
+    rank_stack,
     solve,
 )
 from waldcat.workspace import corpus_path, load_workspace
@@ -720,6 +723,61 @@ def test_batched_invertible_search_matches_scalar_scan(name, scan_cells, monkeyp
             found.append(got is not None)
     # both outcomes occur: isomorphic and non-isomorphic pairs were scanned
     assert set(found) == {True, False}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_is_isomorphic_agrees_with_unconditional_span_scan(name):
+    # the fingerprint and Hom-dimension rejects may only drop pairs that a
+    # scan of the whole Hom span finds no invertible map for
+    a = _corpus_algebra(name)
+    rng = np.random.default_rng(11 + sum(map(ord, name)))
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    pool = mods + [_random_conjugate(m, rng) for m in mods]
+    outcomes = set()
+    dimension_rejects = 0
+    for m1, m2 in itertools.product(pool, repeat=2):
+        if m1.dim != m2.dim:
+            continue
+        mats = [f.matrix for f in hom_basis(m1, m2)]
+        assert a.p ** len(mats) <= alg._ENUMERATION_CAP
+        hit = None
+        if mats:
+            hit = alg._first_in_span(
+                mats, a.p, lambda stack: rank_stack(stack, a.p) == m1.dim
+            )
+        iso = is_isomorphic(m1, m2)
+        assert (iso is None) == (hit is None)
+        if iso is not None:
+            assert iso.dom == m1 and iso.cod == m2
+            assert iso.is_iso() and iso.is_equivariant()
+        outcomes.add(iso is not None)
+        same_fingerprint = fingerprint(m1) == fingerprint(m2)
+        dimension_rejects += same_fingerprint and len(mats) != len(hom_basis(m2, m2))
+    assert outcomes == {True, False}
+    if name == "f2c2":
+        # every action matrix of g is invertible, so fingerprints collide
+        assert dimension_rejects > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(CORPUS_NAMES), index=st.integers(0, 63), data=st.data())
+def test_conjugate_gets_a_verified_isomorphism(name, index, data):
+    a = _corpus_algebra(name)
+    mods = [m for m in enumerate_modules(a, 3) if m.dim > 0]
+    m = mods[index % len(mods)]
+    n, p = m.dim, a.p
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    lower = np.tril(np.reshape(data.draw(entries), (n, n)), -1) + np.eye(n, dtype=int)
+    upper = np.triu(np.reshape(data.draw(entries), (n, n)), 1)
+    upper += np.diag(data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n)))
+    perm = np.eye(n, dtype=int)[data.draw(st.permutations(range(n)))]
+    h = FieldMatrix(p, perm @ lower @ upper)  # invertible: P L U
+    hinv = solve(h, FieldMatrix.identity(p, n))
+    twisted = Module(a, [h @ mat @ hinv for mat in m.action])
+    iso = is_isomorphic(m, twisted)
+    assert iso is not None
+    assert iso.dom == m and iso.cod == twisted
+    assert iso.is_iso() and iso.is_equivariant()
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

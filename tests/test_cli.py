@@ -10,13 +10,18 @@ across repeat runs with the same input and seed.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waldcat.cli import main
+import waldcat
+from waldcat.cli import _parser, main
 from waldcat.workspace import corpus_path
 
 FX2 = str(corpus_path("fx2"))
@@ -356,6 +361,54 @@ def test_weq_oracle_reads_config_budget(tmp_path):
                          *extra)
         assert code == 2
         assert out["error"]["type"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "--samples", "2"],
+        ["resolve-zp", "--module", "A", "--resolution",
+         "pad_incl:pad_proj,socle:socle_quot", "--acyclics", "projectives",
+         "--p-class", "all"],
+    ],
+    ids=["axioms", "resolve-zp"],
+)
+def test_waldhausen_commands_read_config_budget(tmp_path, argv):
+    assert runj(argv[0], "--input", FX2, *argv[1:])[0] == 0
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["config"]["budget"] = 10
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj(argv[0], "--input", str(path), *argv[1:])
+    assert code == 2
+    assert out["error"] == {
+        "type": "budget",
+        "message": "module enumeration for dimension 2 exceeds budget 10",
+    }
+
+
+def _separate_process(argv):
+    """Exit code and stdout of ``main(argv)`` in a fresh interpreter."""
+    src = str(Path(waldcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from waldcat.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_one_parser_serves_every_main_call_in_a_process():
+    calls = [
+        ["class", "--input", FX2, "--module", "A"],
+        ["k0", "--input", FX2, "--dim-bound", "2", "--format", "text"],
+        ["enumerate", "--input", FX2, "--bogus"],
+        ["ext", "--input", FX2, "--quot", "S", "--sub", "S"],
+    ]
+    in_process = [run(*argv) for argv in calls]
+    assert _parser() is _parser()
+    assert in_process == [_separate_process(argv) for argv in calls]
 
 
 @pytest.mark.parametrize(

@@ -18,16 +18,19 @@ from waldcat.algebra import (
     Module,
     Morphism,
     QuiverPresentation,
+    ShortExactSequence,
     algebra_from_quiver,
     cokernel,
     direct_sum,
     dual_regular_module,
     enumerate_modules,
+    from_pushout,
     hom_basis,
     induced_on_cokernel,
     is_isomorphic,
     kernel,
     maps,
+    pushout,
     regular_module,
     ses_from_epi,
     ses_from_mono,
@@ -267,6 +270,51 @@ def test_realized_class_splits_iff_zero():
                 assert ses.sub.dim == b.dim
                 assert ses.quot.dim == c.dim
                 assert ses.is_split() == cls.is_zero
+
+
+def _pushout_realization(result, cls):
+    """Reference construction: push the kernel inclusion of the free
+    presentation out along the class's cocycle."""
+    _, from_f, mono = pushout(result.kappa, result.cocycle(cls.coefficients))
+    epi = from_pushout(from_f, mono, result.pi, zero_morphism(result.a, result.c))
+    return ShortExactSequence(mono, epi)
+
+
+@pytest.mark.parametrize("name", ["fx2", "f2c2", "quiver_a1"])
+def test_block_realization_matches_pushout_reference(name):
+    a = load_workspace(corpus_path(name)).only_algebra()
+    mods = enumerate_modules(a, 3)
+    nonsplit = 0
+    for c, b in itertools.product(mods, repeat=2):
+        if c.dim + b.dim > 3:
+            continue
+        result = ext1(c, b)
+        for cls in result.all_classes():
+            ses = cls.realize()
+            assert ses.sub == b and ses.quot == c
+            assert ses.mid.validate() == []
+            assert ses.mono.is_equivariant() and ses.epi.is_equivariant()
+            assert ses.is_split() == cls.is_zero
+            iso = is_isomorphic(ses.mid, _pushout_realization(result, cls).mid)
+            assert iso is not None and iso.is_iso() and iso.is_equivariant()
+            nonsplit += not cls.is_zero
+    assert nonsplit > 0
+
+
+def test_ext_results_are_shared_and_read_only():
+    a = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    s0, s1 = simple_modules(a)[:2]
+    for c, b in ((s0, s0), (s1, s0), (s0, s1)):
+        result = ext1(c, b)
+        assert ext1(c, b) is result
+        if result.dimension:
+            result.class_from_coefficients((1,) * result.dimension).realize()
+            table = result._connecting_cocycles
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+    assert regular_module(a) is regular_module(a)
+    assert dual_regular_module(a) is dual_regular_module(a)
 
 
 def test_ext_dimension_against_enumeration_oracle_fx2():

@@ -394,16 +394,6 @@ class Module:
     def unit_coeff(self, i):
         return int(self.algebra.unit[i])
 
-    def act(self, elem_coords, vec):
-        """Apply an algebra element (coordinate vector) to a module vector."""
-        elem = np.asarray(elem_coords, dtype=np.int64) % self.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        for i in range(self.algebra.dim):
-            if elem[i]:
-                out = (out + int(elem[i]) * (self.action[i].a @ vec)) % self.p
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Module) and self.digest == other.digest
 
@@ -483,11 +473,6 @@ class Morphism:
             raise ValidationError("can only add parallel maps")
         return Morphism(self.dom, self.cod, self.matrix + other.matrix, check=False)
 
-    def __sub__(self, other):
-        if self.dom != other.dom or self.cod != other.cod:
-            raise ValidationError("can only subtract parallel maps")
-        return Morphism(self.dom, self.cod, self.matrix - other.matrix, check=False)
-
     def __neg__(self):
         return Morphism(self.dom, self.cod, -self.matrix, check=False)
 
@@ -501,12 +486,6 @@ class Morphism:
 
     def __hash__(self):
         return hash((self.dom.digest, self.cod.digest, self.matrix))
-
-    def inverse(self):
-        if not self.is_iso():
-            raise ValidationError("map is not invertible")
-        inv = solve(self.matrix, FieldMatrix.identity(self.p, self.cod.dim))
-        return Morphism(self.cod, self.dom, inv, check=False)
 
     def __repr__(self):
         return "Morphism(%d -> %d)" % (self.dom.dim, self.cod.dim)
@@ -591,27 +570,16 @@ def combine(dom, cod, basis, coeffs):
     return Morphism(dom, cod, total, check=False)
 
 
-def maps(dom, cod, cap=None, samples=0):
-    """Module maps dom -> cod as combinations of the hom basis.
-
-    All p**k combinations, in ``itertools.product`` order, when there is no
-    ``cap`` or p**k is at most ``cap``; otherwise the basis followed by
-    ``samples`` random combinations seeded by the two digests.
-    """
+def maps(dom, cod):
+    """Every module map dom -> cod: all p**k combinations of the k Hom
+    basis maps, in ``itertools.product`` order."""
     basis = hom_basis(dom, cod)
-    p = dom.p
     if not basis:
         return [zero_morphism(dom, cod)]
-    if cap is None or p ** len(basis) <= cap:
-        return [
-            combine(dom, cod, basis, coeffs)
-            for coeffs in itertools.product(range(p), repeat=len(basis))
-        ]
-    rng = np.random.default_rng(int(dom.digest[:8], 16) ^ int(cod.digest[:8], 16))
-    out = list(basis)
-    for _ in range(samples):
-        out.append(combine(dom, cod, basis, rng.integers(0, p, size=len(basis))))
-    return out
+    return [
+        combine(dom, cod, basis, coeffs)
+        for coeffs in itertools.product(range(dom.p), repeat=len(basis))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,10 @@ def _parse_class(ws, text):
             raise MalformedInputError(
                 "finite-inj-dim bound must be an integer"
             ) from None
+        if bound < 0:
+            raise MalformedInputError(
+                "finite-inj-dim bound must be nonnegative, got %d" % bound
+            )
         return spec_finite_inj_dim(bound)
     if text.startswith("explicit:"):
         names = [n for n in text.split(":", 1)[1].split("+") if n]

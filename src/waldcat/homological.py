@@ -11,6 +11,12 @@ injectivity are decided by Ext1 against the simple modules: over a
 finite-dimensional algebra a module m is projective iff Ext1(m, S) = 0 for
 every simple S, and injective iff Ext1(S, m) = 0 for every simple S.
 
+Every short exact sequence 0 -> a -> b -> c -> 0 is equivalent to exactly
+one class of Ext1(c, a) (ibid.), so ``short_exact_sequences`` realizes
+every sequence between enumerated end terms, once per class.  The K0
+harvest and every closure-hypothesis check (hereditary pairs, extension
+and cokernel closure, 2-out-of-3) walk that one sweep.
+
 The module also hosts the two module-level cotorsion pairs used
 throughout: (all, injectives) and (projectives, all), each with its
 completeness resolutions, plus cosyzygy iteration with injective-summand
@@ -38,7 +44,6 @@ from .algebra import (
     identity_morphism,
     indecomposable_summands,
     kernel,
-    maps,
     memoized,
     regular_module,
     scan_slices,
@@ -47,7 +52,7 @@ from .algebra import (
     zero_module,
     zero_morphism,
 )
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import BudgetExceededError, InternalInconsistencyError, ValidationError
 from .linalg import (
     FieldMatrix,
     column_space_basis,
@@ -280,8 +285,34 @@ def ext1(c, a):
     return Ext1Result(c, a, kappa, pi, reps)
 
 
-def realize_extension(ext_class):
-    return ext_class.realize()
+DEFAULT_CLASS_BUDGET = 4096
+
+
+def short_exact_sequences(modules, bound):
+    """Every short exact sequence with both end terms in ``modules``, once
+    per Ext class.
+
+    For each ordered pair (quot, sub) from ``modules`` with
+    quot.dim + sub.dim <= bound, every class of Ext1(quot, sub) is
+    realized; yields (i_quot, i_sub, ses) in (quot, sub, class) order,
+    where i_quot and i_sub index ``modules``.  When ``modules`` holds every
+    isomorphism class up to ``bound``, the sweep meets every short exact
+    sequence with middle of dimension at most ``bound`` up to isomorphism
+    of its three terms.  Raises BudgetExceededError when one Ext group has
+    more than DEFAULT_CLASS_BUDGET classes.
+    """
+    for i_quot, quot in enumerate(modules):
+        for i_sub, sub in enumerate(modules):
+            if quot.dim + sub.dim > bound:
+                continue
+            ext = ext1(quot, sub)
+            if quot.p ** ext.dimension > DEFAULT_CLASS_BUDGET:
+                raise BudgetExceededError(
+                    "Ext class enumeration (%d^%d) exceeds the budget"
+                    % (quot.p, ext.dimension)
+                )
+            for cls in ext.all_classes():
+                yield i_quot, i_sub, cls.realize()
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +478,13 @@ def pair_validate(pair, samples):
 
     Reports Ext^1(left, right) != 0 violations, kernels of surjections
     between left-class objects leaving the left class, and cokernels of
-    injections between right-class objects leaving the right class.
+    injections between right-class objects leaving the right class.  The
+    closure checks walk ``short_exact_sequences(samples, d)`` for the
+    largest sample dimension d, so ``samples`` must be a full enumeration
+    (every isomorphism class up to d) for them to be exhaustive.
+    ``checked`` counts the sequences whose two right-hand terms are
+    left-class ("epis") and those whose two left-hand terms are
+    right-class ("monos").
     """
     left = [m for m in samples if pair.in_left(m)]
     right = [m for m in samples if pair.in_right(m)]
@@ -457,27 +494,18 @@ def pair_validate(pair, samples):
             if ext1(c_obj, r_obj).dimension != 0:
                 orth_failures.append((c_obj.digest, r_obj.digest))
     left_kernel_failures = []
-    checked_epis = 0
-    for m in left:
-        for n in left:
-            for f in maps(m, n, cap=256, samples=32):
-                if not f.is_epi():
-                    continue
-                checked_epis += 1
-                ker_mod, _ = kernel(f)
-                if not pair.in_left(ker_mod):
-                    left_kernel_failures.append((m.digest, n.digest))
     right_cokernel_failures = []
-    checked_monos = 0
-    for m in right:
-        for n in right:
-            for f in maps(m, n, cap=256, samples=32):
-                if not f.is_mono():
-                    continue
-                checked_monos += 1
-                cok_mod, _ = cokernel(f)
-                if not pair.in_right(cok_mod):
-                    right_cokernel_failures.append((m.digest, n.digest))
+    checked_epis = checked_monos = 0
+    bound = max((m.dim for m in samples), default=0)
+    for _, _, ses in short_exact_sequences(samples, bound):
+        if pair.in_left(ses.mid) and pair.in_left(ses.quot):
+            checked_epis += 1
+            if not pair.in_left(ses.sub):
+                left_kernel_failures.append((ses.mid.digest, ses.quot.digest))
+        if pair.in_right(ses.sub) and pair.in_right(ses.mid):
+            checked_monos += 1
+            if not pair.in_right(ses.quot):
+                right_cokernel_failures.append((ses.sub.digest, ses.mid.digest))
     return {
         "ok": not (orth_failures or left_kernel_failures or right_cokernel_failures),
         "orthogonality_failures": orth_failures,

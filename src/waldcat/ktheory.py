@@ -23,8 +23,8 @@ right-exactness of the induced two-map sequence.
 """
 
 from .algebra import DEFAULT_BUDGET, enumerate_modules, is_isomorphic, memoized
-from .errors import BudgetExceededError, HypothesisError, ValidationError
-from .homological import all_injectives_pair, ext1, is_injective
+from .errors import HypothesisError, ValidationError
+from .homological import all_injectives_pair, is_injective, short_exact_sequences
 from .linalg import (
     IntegerMatrix,
     RowLattice,
@@ -33,9 +33,6 @@ from .linalg import (
     stack,
 )
 from .waldhausen import WaldhausenData, spec_all
-
-
-DEFAULT_CLASS_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +130,17 @@ def _match_generator(generators, m):
 def _harvest_relations(generators):
     """Relation rows from all realizable short exact sequences.
 
-    For each ordered generator pair (quot, sub) with total dimension
-    inside the bound, every Ext class is realized and its middle matched
-    against the generator list; matches contribute [mid]-[sub]-[quot].
-    Duplicate rows are dropped; order is deterministic.
+    Walks ``short_exact_sequences(generators, max_dim)``: every Ext class
+    of every ordered generator pair (quot, sub) with total dimension inside
+    the bound, and matches its realized middle against the generator list;
+    matches contribute [mid]-[sub]-[quot].  Duplicate rows are dropped;
+    order is deterministic.
 
-    A middle is realized as sub (+) quot with a block action (see
-    ``Ext1Result.realize``), and only its isomorphism class is used.  The
-    Ext group of a pair comes from the memo of ``ext1``, so a pair seen
-    in an earlier presentation is not presented again, and most
-    non-matching generators are rejected by ``is_isomorphic``'s
-    Hom-dimension test before any span scan.
+    Only the middle's isomorphism class is used.  The Ext group of a pair
+    comes from the memo of ``ext1``, so a pair seen in an earlier
+    presentation is not presented again, and most non-matching generators
+    are rejected by ``is_isomorphic``'s Hom-dimension test before any span
+    scan.
     """
     count = len(generators)
     if count == 0:
@@ -153,29 +150,18 @@ def _harvest_relations(generators):
 
     rows = []
     seen = set()
-    for i_quot, quot in enumerate(generators):
-        for i_sub, sub in enumerate(generators):
-            if quot.dim + sub.dim > max_dim:
-                continue
-            ext = ext1(quot, sub)
-            if quot.p ** ext.dimension > DEFAULT_CLASS_BUDGET:
-                raise BudgetExceededError(
-                    "Ext class enumeration (%d^%d) exceeds the budget"
-                    % (quot.p, ext.dimension)
-                )
-            for cls in ext.all_classes():
-                mid = cls.realize().mid
-                i_mid = match(mid)
-                if i_mid is None:
-                    continue
-                row = [0] * count
-                row[i_mid] += 1
-                row[i_sub] -= 1
-                row[i_quot] -= 1
-                key = tuple(row)
-                if key not in seen and any(row):
-                    seen.add(key)
-                    rows.append(row)
+    for i_quot, i_sub, ses in short_exact_sequences(generators, max_dim):
+        i_mid = match(ses.mid)
+        if i_mid is None:
+            continue
+        row = [0] * count
+        row[i_mid] += 1
+        row[i_sub] -= 1
+        row[i_quot] -= 1
+        key = tuple(row)
+        if key not in seen and any(row):
+            seen.add(key)
+            rows.append(row)
     return IntegerMatrix(rows, cols=count)
 
 
@@ -242,10 +228,10 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     A is the full subcategory on ``a_spec`` (the acyclics), B the whole
     module category, and the third group carries the acyclic-kill
     presentation.  Hypotheses validated first: the acyclics must contain
-    every injective up to the bound and pass the sampled 2-out-of-3
-    check; when the acyclics swallow every module up to the bound the
-    degenerate collapse is surfaced as a failure.  On hypothesis failure
-    the groups and verdicts are withheld.
+    every injective up to the bound and pass the 2-out-of-3 check of
+    ``WaldhausenData``; when the acyclics swallow every module up to the
+    bound the degenerate collapse is surfaced as a failure.  On hypothesis
+    failure the groups and verdicts are withheld.
     """
     failures = []
     mods = enumerate_modules(algebra, dim_bound, budget=enum_budget)

@@ -41,10 +41,10 @@ from .errors import (
     ValidationError,
 )
 from .homological import (
-    ext1,
     injective_dimension_within,
     is_injective,
     is_projective,
+    short_exact_sequences,
 )
 
 
@@ -147,12 +147,19 @@ class WaldhausenData:
 
     On construction the hypotheses are verified on every module up to
     dimension ``SAMPLE_BOUND``: C agrees with the pair's left class, C-perp
-    lies inside Z, and the intersection of Z and C is closed under
-    extensions and under cokernels of injections.  Violations raise
-    HypothesisError.
+    lies inside Z, and the completeness resolutions validate.  The closure
+    hypotheses are checked exhaustively over ``short_exact_sequences``:
+    the pair is hereditary (kernels of surjections between left-class
+    objects stay left-class) and the intersection of Z and C is closed
+    under cokernels of injections in C, over every sequence with middle
+    of dimension at most ``SAMPLE_BOUND``; it is closed under extensions
+    over every sequence with middle of dimension at most
+    ``SAMPLE_BOUND + 1`` whose end terms have dimension at most
+    ``SAMPLE_BOUND``.  Violations raise HypothesisError.
 
     The 2-out-of-3 flag for Z-intersect-C may be supplied (trusted) or
-    left None, in which case a sampled check fills it in.
+    left None, in which case ``check_z_two_of_three`` fills it in over
+    the same sweep.
 
     ``budget`` caps every module enumeration made for this structure: the
     hypothesis samples here, the samplers of ``sampling`` and the P-perp
@@ -188,7 +195,7 @@ class WaldhausenData:
                 algebra, c_spec, z_spec, SAMPLE_BOUND, budget=budget
             )
             self.flags["z_two_of_three"] = ok
-            self.flags["z_two_of_three_source"] = "sampled<=%d" % SAMPLE_BOUND
+            self.flags["z_two_of_three_source"] = "exhaustive<=%d" % SAMPLE_BOUND
             self.z23_witness = witness
         else:
             self.z23_witness = None
@@ -228,70 +235,64 @@ class WaldhausenData:
             if right.validate() or left.validate():
                 raise HypothesisError("completeness resolution failed to validate")
         self.flags["complete_checked"] = SAMPLE_BOUND
+        sequences = [
+            ses for _, _, ses in short_exact_sequences(samples, SAMPLE_BOUND)
+        ]
         # hereditary: kernels of surjections between left-class objects
-        zc = [m for m in samples if self.in_zc(m)]
-        lefts = [m for m in samples if self.pair.in_left(m)]
-        for m in lefts:
-            for n in lefts:
-                for f in maps(m, n, cap=64, samples=16):
-                    if f.is_epi():
-                        ker_mod, _ = kernel(f)
-                        if not self.pair.in_left(ker_mod):
-                            raise HypothesisError(
-                                "left class not closed under kernels of surjections"
-                            )
+        left = self.pair.in_left
+        for ses in sequences:
+            if left(ses.mid) and left(ses.quot) and not left(ses.sub):
+                raise HypothesisError(
+                    "left class not closed under kernels of surjections"
+                )
         self.flags["hereditary_checked"] = SAMPLE_BOUND
         # Z-intersect-C closed under extensions (all classes of small pairs)
-        for c_obj in zc:
-            for a_obj in zc:
-                if c_obj.dim + a_obj.dim > SAMPLE_BOUND + 1:
-                    continue
-                for cls in ext1(c_obj, a_obj).all_classes():
-                    mid = cls.realize().mid
-                    if not self.in_zc(mid):
-                        raise HypothesisError(
-                            "Z-intersect-C not closed under extensions (sampled)"
-                        )
+        zc = [m for m in samples if self.in_zc(m)]
+        for _, _, ses in short_exact_sequences(zc, SAMPLE_BOUND + 1):
+            if not self.in_zc(ses.mid):
+                raise HypothesisError(
+                    "Z-intersect-C not closed under extensions (sampled)"
+                )
         # Z-intersect-C closed under cokernels of injections in C
-        for m in zc:
-            for n in zc:
-                for f in maps(m, n, cap=64, samples=16):
-                    if f.is_mono():
-                        cok_mod, _ = cokernel(f)
-                        if self.c_spec.contains(cok_mod) and not self.in_zc(cok_mod):
-                            raise HypothesisError(
-                                "Z-intersect-C not closed under cokernels of injections"
-                            )
+        for ses in sequences:
+            if (
+                self.in_zc(ses.sub)
+                and self.in_zc(ses.mid)
+                and self.in_c(ses.quot)
+                and not self.in_zc(ses.quot)
+            ):
+                raise HypothesisError(
+                    "Z-intersect-C not closed under cokernels of injections"
+                )
 
 
 def check_z_two_of_three(algebra, c_spec, z_spec, bound, budget=DEFAULT_BUDGET):
-    """Sampled 2-out-of-3 check for Z-intersect-C over short exact sequences.
+    """Exhaustive 2-out-of-3 check for Z-intersect-C over short exact sequences.
 
+    Walks ``short_exact_sequences`` over the C-members of every module up
+    to ``bound`` (enumerated within ``budget``), so every sequence in C
+    with middle of dimension at most ``bound`` is met up to isomorphism.
     Returns (holds, witness); the witness is a violating (sub, mid, quot)
-    dimension triple with digests when the property fails.  The sample is
-    every module up to ``bound``, enumerated within ``budget``.
+    dimension triple with digests when the property fails, the middle
+    being the realized one.
     """
-    samples = enumerate_modules(algebra, bound, budget=budget)
-    in_zc = lambda m: z_spec.contains(m) and c_spec.contains(m)
-    in_c = c_spec.contains
-    for mid in samples:
-        for sub in samples:
-            if sub.dim > mid.dim:
-                continue
-            for f in maps(sub, mid, cap=64, samples=16):
-                if not f.is_mono():
-                    continue
-                quot, _ = cokernel(f)
-                if not (in_c(sub) and in_c(mid) and in_c(quot)):
-                    continue
-                flags = [in_zc(sub), in_zc(mid), in_zc(quot)]
-                if sum(flags) == 2:
-                    witness = {
-                        "dims": (sub.dim, mid.dim, quot.dim),
-                        "in_zc": flags,
-                        "digests": (sub.digest, mid.digest, quot.digest),
-                    }
-                    return False, witness
+    members = [
+        m for m in enumerate_modules(algebra, bound, budget=budget)
+        if c_spec.contains(m)
+    ]
+    for _, _, ses in short_exact_sequences(members, bound):
+        if not c_spec.contains(ses.mid):
+            continue
+        terms = (ses.sub, ses.mid, ses.quot)
+        # every term lies in C, so membership in Z is membership in Z-intersect-C
+        flags = [z_spec.contains(m) for m in terms]
+        if sum(flags) == 2:
+            witness = {
+                "dims": tuple(m.dim for m in terms),
+                "in_zc": flags,
+                "digests": tuple(m.digest for m in terms),
+            }
+            return False, witness
     return True, None
 
 

@@ -261,12 +261,12 @@ def load_workspace(source, collect_failures=False):
     """
     if isinstance(source, dict):
         doc = source
-        name = doc.get("name", "")
+        name = ""
     else:
         path = pathlib.Path(source)
         if path.exists():
             text = path.read_text()
-            name = doc_name = path.stem
+            name = path.stem
         else:
             raise MalformedInputError("input file %r does not exist" % str(source))
         try:
@@ -275,8 +275,8 @@ def load_workspace(source, collect_failures=False):
             raise MalformedInputError(
                 "input is not valid JSON: %s" % err
             ) from None
-        name = doc.get("name", doc_name)
     _require(isinstance(doc, dict), "workspace document must be a JSON object")
+    name = doc.get("name", name)
     for key in doc:
         if key not in _SECTIONS + ("name", "config"):
             raise MalformedInputError("unknown workspace section %r" % key)

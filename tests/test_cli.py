@@ -327,6 +327,19 @@ def test_exit_three_malformed_workspace_data(tmp_path, doc):
     assert out["error"]["type"] == "malformed"
 
 
+@pytest.mark.parametrize("command", ["validate", "enumerate"])
+@pytest.mark.parametrize("doc", [[], 5, "x", True], ids=["list", "int", "str", "bool"])
+def test_exit_three_workspace_not_an_object(tmp_path, command, doc):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj(command, "--input", str(path))
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "workspace document must be a JSON object",
+    }
+
+
 @pytest.mark.parametrize("budget", ["x", [1], 2.5, True])
 def test_exit_three_bad_config_budget(tmp_path, budget):
     doc = json.loads(corpus_path("fx2").read_text())
@@ -443,6 +456,34 @@ def test_negative_seed_exits_three(tmp_path, where):
         "type": "malformed",
         "message": "seed must be a nonnegative integer, got -1",
     }
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_finite_inj_dim_exits_three(tmp_path, where):
+    path, extra = FX2, ["--acyclics", "finite-inj-dim:-1"]
+    if where == "config":
+        doc = json.loads(corpus_path("fx2").read_text())
+        doc["config"]["acyclics"] = "finite-inj-dim:-1"
+        path, extra = tmp_path / "acyclics.json", []
+        path.write_text(json.dumps(doc))
+    code, out = runj("localize", "--input", str(path), "--dim-bound", "2", *extra)
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "finite-inj-dim bound must be nonnegative, got -1",
+    }
+
+
+def test_localize_finite_inj_dim_matches_projectives_on_self_injective_fx2():
+    # over the self-injective fx2, finite injective dimension means injective,
+    # and injective means projective
+    args = ("localize", "--input", FX2, "--dim-bound", "3", "--acyclics")
+    code, by_inj_dim = runj(*args, "finite-inj-dim:1")
+    assert code == 0 and by_inj_dim["ok"] is True
+    _, by_projectives = runj(*args, "projectives")
+    assert by_inj_dim.pop("acyclics") == "finite_inj_dim<=1"
+    assert by_projectives.pop("acyclics") == "projectives"
+    assert by_inj_dim == by_projectives
 
 
 _BOUNDED_COMMANDS = [

@@ -39,7 +39,11 @@ from waldcat.algebra import (
     zero_module,
     zero_morphism,
 )
-from waldcat.errors import InternalInconsistencyError, ValidationError
+from waldcat.errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    ValidationError,
+)
 from waldcat.homological import (
     CotorsionPair,
     _automorphism_count,
@@ -55,7 +59,7 @@ from waldcat.homological import (
     iterated_cosyzygies,
     pair_validate,
     projectives_all_pair,
-    realize_extension,
+    short_exact_sequences,
     strip_injective_summands,
 )
 from waldcat.workspace import corpus_path, load_workspace
@@ -366,6 +370,56 @@ def _ladder_class_count(c, a):
                 continue
             classes.append((i1, p1))
     return len(classes)
+
+
+def _iso_index(mods, m):
+    return next(
+        i for i, rep in enumerate(mods)
+        if rep.dim == m.dim and is_isomorphic(m, rep) is not None
+    )
+
+
+def _map_loop_triples(mods):
+    """Reference for the sweep: every injection sub -> mid between
+    enumerated modules, with its cokernel, as an isomorphism-class triple
+    (sub, mid, quot) of indices into ``mods``."""
+    triples = set()
+    for i_mid, mid in enumerate(mods):
+        for i_sub, sub in enumerate(mods):
+            if sub.dim > mid.dim:
+                continue
+            for f in maps(sub, mid):
+                if f.is_mono():
+                    quot, _ = cokernel(f)
+                    triples.add((i_sub, i_mid, _iso_index(mods, quot)))
+    return triples
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [(n, 2) for n in ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"]]
+    + [("quiver_a1", 3)],
+)
+def test_short_exact_sequences_meet_every_map_loop_triple(name, bound):
+    a = load_workspace(corpus_path(name)).only_algebra()
+    mods = enumerate_modules(a, bound)
+    swept = set()
+    for i_quot, i_sub, ses in short_exact_sequences(mods, bound):
+        assert ses.validate() == []
+        assert ses.sub.digest == mods[i_sub].digest
+        assert ses.quot.digest == mods[i_quot].digest
+        swept.add((i_sub, _iso_index(mods, ses.mid), i_quot))
+    assert swept == _map_loop_triples(mods)
+
+
+def test_short_exact_sequences_refuse_an_ext_group_past_the_class_budget():
+    a = algebra_from_quiver(QuiverPresentation(4099, 1, [(0, 0, "x")], nil_bound=2))
+    s = simple_modules(a)[0]
+    assert ext1(s, s).dimension == 1
+    with pytest.raises(
+        BudgetExceededError, match=r"Ext class enumeration \(4099\^1\) exceeds"
+    ):
+        next(short_exact_sequences([s], 2))
 
 
 @pytest.mark.parametrize("name", ["fx2", "quiver_a1"])

@@ -8,6 +8,8 @@ hereditary two-vertex algebra with injective acyclics, whose
 intersection class genuinely lacks 2-out-of-3.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,9 @@ from waldcat.errors import (
     ValidationError,
 )
 from waldcat.homological import (
+    CotorsionPair,
     all_injectives_pair,
+    ext1,
     injective_embedding,
     is_injective,
     is_projective,
@@ -71,6 +75,7 @@ from waldcat.waldhausen import (
     spec_projectives,
     weak_equivalence_oracle,
 )
+from waldcat.workspace import corpus_path, load_workspace
 
 
 def fx2_algebra():
@@ -192,7 +197,100 @@ def test_waldhausen_flags_over_fx2():
     assert w.flags["complete_checked"] == 2
     assert w.flags["hereditary_checked"] == 2
     assert w.flags["z_two_of_three"] is True
-    assert w.flags["z_two_of_three_source"].startswith("sampled")
+    assert w.flags["z_two_of_three_source"] == "exhaustive<=2"
+
+
+_HOLDS = (True, None)
+_NOT_IN_Z = "right orthogonal class is not contained in Z (sampled)"
+_CLASSES = {
+    "all": (spec_all, all_injectives_pair),
+    "projectives": (spec_projectives, projectives_all_pair),
+}
+_ACYCLICS = {"all": spec_all, "projectives": spec_projectives, "injectives": spec_injectives}
+# outcome per (C, Z) in _CONFIGS order: the HypothesisError message, or the
+# 2-out-of-3 flag with the witness dimensions
+_CONFIGS = list(itertools.product(_CLASSES, _ACYCLICS))
+_OUTCOMES = {
+    "f2c2": [_HOLDS, _HOLDS, _HOLDS, _HOLDS, _NOT_IN_Z, _NOT_IN_Z],
+    "fx2": [_HOLDS, _HOLDS, _HOLDS, _HOLDS, _NOT_IN_Z, _NOT_IN_Z],
+    "fx3": [_HOLDS, _HOLDS, _HOLDS, _HOLDS, _NOT_IN_Z, _NOT_IN_Z],
+    "quiver_a1": [_HOLDS, _NOT_IN_Z, _HOLDS, _HOLDS, _NOT_IN_Z, _NOT_IN_Z],
+    "quiver_a2": [_HOLDS, _NOT_IN_Z, (False, (1, 2, 1)), _HOLDS, _NOT_IN_Z, _NOT_IN_Z],
+}
+
+
+@pytest.mark.parametrize(
+    "name, c_name, z_name",
+    [(name, c, z) for name in _OUTCOMES for c, z in _CONFIGS],
+)
+def test_waldhausen_outcome_over_the_corpus(name, c_name, z_name):
+    a = load_workspace(corpus_path(name)).only_algebra()
+    c_spec, pair = _CLASSES[c_name]
+    expected = _OUTCOMES[name][_CONFIGS.index((c_name, z_name))]
+    if isinstance(expected, str):
+        with pytest.raises(HypothesisError) as err:
+            WaldhausenData(a, c_spec(), _ACYCLICS[z_name](), pair(a))
+        assert str(err.value) == expected
+        return
+    w = WaldhausenData(a, c_spec(), _ACYCLICS[z_name](), pair(a))
+    assert w.flags == {
+        "hereditary_checked": 2,
+        "complete_checked": 2,
+        "right_in_z_checked": 2,
+        "z_two_of_three": expected[0],
+        "z_two_of_three_source": "exhaustive<=2",
+    }
+    witness = w.z23_witness
+    assert (witness["dims"] if witness else None) == expected[1]
+
+
+class _RelabeledPair(CotorsionPair):
+    """The resolutions of (all, injectives) with other class predicates, so
+    the closure checks see classes that break them."""
+
+    def __init__(self, algebra, left, right):
+        super().__init__(algebra, "all_injectives")
+        self.left, self.right = left, right
+
+    def in_left(self, m):
+        return self.left.contains(m)
+
+    def in_right(self, m):
+        return self.right.contains(m)
+
+
+def _line_nonsplit():
+    """(sub, mid, quot) of the non-split sequence of simples over the line."""
+    a = line_algebra()
+    simples = [m for m in enumerate_modules(a, 1) if m.dim == 1]
+    for quot, sub in itertools.product(simples, repeat=2):
+        ext = ext1(quot, sub)
+        if ext.dimension:
+            return sub, ext.realize((1,)).mid, quot
+    raise AssertionError("the line algebra has a non-split extension")
+
+
+def test_waldhausen_rejects_left_class_open_under_kernels():
+    # {m : Hom(m, sub) = 0} holds mid and quot of 0 -> sub -> mid -> quot -> 0
+    sub, _, _ = _line_nonsplit()
+    a = sub.algebra
+    left = spec_explicit([m for m in enumerate_modules(a, 2) if not hom_basis(m, sub)])
+    pair = _RelabeledPair(a, left, spec_explicit([zero_module(a)]))
+    with pytest.raises(HypothesisError) as err:
+        WaldhausenData(a, left, spec_all(), pair)
+    assert str(err.value) == "left class not closed under kernels of surjections"
+
+
+def test_waldhausen_rejects_zc_open_under_cokernels():
+    # {m : Hom(quot, m) = 0} is closed under extensions and holds sub and
+    # mid of 0 -> sub -> mid -> quot -> 0, but not quot
+    _, _, quot = _line_nonsplit()
+    a = quot.algebra
+    z = spec_explicit([m for m in enumerate_modules(a, 3) if not hom_basis(quot, m)])
+    pair = _RelabeledPair(a, spec_all(), spec_explicit([zero_module(a)]))
+    with pytest.raises(HypothesisError) as err:
+        WaldhausenData(a, spec_all(), z, pair)
+    assert str(err.value) == "Z-intersect-C not closed under cokernels of injections"
 
 
 def test_waldhausen_rejects_mismatched_left_class():

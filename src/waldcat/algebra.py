@@ -8,9 +8,9 @@ algebra basis element.  Morphisms are matrices intertwining the actions.
 On top of the raw data the module provides the constructions a small
 abelian category needs: kernels and cokernels with their induced actions,
 direct sums, pushouts, pullbacks, hom spaces, short exact sequences,
-submodule enumeration, simple modules, a bounded enumeration of all
-isomorphism classes up to a dimension limit, and an isomorphism test that
-produces an explicit invertible intertwiner.
+Ext^1 (the one engine, ``ext1``), submodule enumeration, simple modules,
+a bounded enumeration of all isomorphism classes up to a dimension limit,
+and an isomorphism test that produces an explicit invertible intertwiner.
 """
 
 import functools
@@ -835,6 +835,137 @@ def ses_from_epi(epi):
 
 
 # ---------------------------------------------------------------------------
+# Ext^1
+# ---------------------------------------------------------------------------
+
+
+class ExtClass:
+    """One equivalence class of extensions, as coefficients over a basis."""
+
+    def __init__(self, parent, coefficients):
+        self.parent = parent
+        self.coefficients = tuple(int(c) % parent.p for c in coefficients)
+        if len(self.coefficients) != parent.dimension:
+            raise ValidationError("coefficient count must match the Ext dimension")
+
+    @property
+    def is_zero(self):
+        return not any(self.coefficients)
+
+    def realize(self):
+        return self.parent.realize(self.coefficients)
+
+
+class Ext1Result:
+    """Ext^1(c, a) as cocycles modulo coboundaries; see ``ext1``.
+
+    ``cocycles`` is a (dimension, algebra.dim, a.dim, c.dim) array whose
+    classes form a basis of the group: coefficients x stand for the class
+    of τ = Σ_k x_k cocycles[k].  Results are shared through the memo of
+    ``ext1``, so nothing in one changes after construction; ``cocycles``
+    is read-only.
+    """
+
+    def __init__(self, c, a, cocycles):
+        self.c = c
+        self.a = a
+        self.p = c.p
+        cocycles.setflags(write=False)
+        self.cocycles = cocycles
+        self.dimension = len(cocycles)
+
+    def zero_class(self):
+        return ExtClass(self, (0,) * self.dimension)
+
+    def all_classes(self):
+        return [
+            ExtClass(self, coeffs)
+            for coeffs in itertools.product(range(self.p), repeat=self.dimension)
+        ]
+
+    def class_from_coefficients(self, coeffs):
+        return ExtClass(self, coeffs)
+
+    def _middles(self, coeffs):
+        """The ``block_extensions`` modules of the classes with the given
+        (count, dimension) coefficient rows."""
+        taus = np.tensordot(coeffs, self.cocycles, axes=1) % self.p
+        return block_extensions(self.a, self.c, taus)
+
+    def middles(self):
+        """The middle of every class, in ``all_classes`` order, from one
+        ``block_extensions`` call; nothing is checked."""
+        count = self.p**self.dimension
+        return self._middles(_product_coefficients(self.p, self.dimension, slice(0, count)))
+
+    def realize(self, coeffs):
+        """Short exact sequence 0 -> a -> E -> c -> 0 for the given class.
+
+        E is the ``block_extensions`` module of the class's cocycle, on
+        a (+) c; the mono is [I; 0] and the epi [0 I].
+        """
+        s, q = self.a.dim, self.c.dim
+        mid = self._middles(np.array([coeffs], dtype=np.int64))[0]
+        mono = Morphism(self.a, mid, np.eye(s + q, s, dtype=np.int64), check=False)
+        epi = Morphism(mid, self.c, np.eye(q, s + q, s, dtype=np.int64), check=False)
+        return ShortExactSequence(mono, epi)
+
+
+@memoized
+def ext1(c, a):
+    """Ext^1(c, a) as H^1(A, Hom_k(c, a)): derivations modulo inner ones
+    (Cartan and Eilenberg, Homological Algebra, ch. IX).
+
+    A cocycle is one map τ_i: c -> a per algebra basis element with
+    ρ_a(e_i) τ_j + τ_i ρ_c(e_j) = Σ_k c_ijk τ_k and τ zero on the unit,
+    which is exactly when ``block_extensions`` gives an extension of c by
+    a.  The coboundaries are τ_i = ρ_a(e_i) u - u ρ_c(e_i) for linear
+    u: c -> a, and split the extension.  The cocycle solution basis is cut
+    to a complement of the coboundaries by ``_complement_indices``.
+
+    Memoized by the digest pair, so every caller of one pair shares one
+    result.
+    """
+    if c.algebra.digest != a.algebra.digest:
+        raise ValidationError("Ext needs both modules over the same algebra")
+    algebra = a.algebra
+    p, d = algebra.p, algebra.dim
+    s, q = a.dim, c.dim
+    if not (s and q):
+        return Ext1Result(c, a, np.zeros((0, d, s, q), dtype=np.int64))
+    zero = FieldMatrix.zeros(p, s, q)
+    system = LinearSystem(p)
+    taus = [system.var("t%d" % i, s, q) for i in range(d)]
+    struct = algebra.structure
+    for i in range(d):
+        for j in range(d):
+            terms = [(a.action[i], taus[j], None), (None, taus[i], c.action[j])]
+            terms += [
+                (-int(struct[i, j, k]), taus[k], None) for k in range(d) if struct[i, j, k]
+            ]
+            system.add_equation(terms, zero)
+    unit_terms = [(int(u), taus[i], None) for i, u in enumerate(algebra.unit) if u]
+    if unit_terms:
+        system.add_equation(unit_terms, zero)
+    _, cocycle_basis = system.solution_space()
+    cocycles = np.array(
+        [[e["t%d" % k].a for k in range(d)] for e in cocycle_basis], dtype=np.int64
+    ).reshape(len(cocycle_basis), d * s * q)
+
+    # coboundaries: tau_k = rho_a(e_k) u - u rho_c(e_k) for u = E_xy,
+    # so tau_k[i, j] = rho_a(e_k)[i, x] [j == y] - [i == x] rho_c(e_k)[y, j]
+    rho_a = np.array([m.a for m in a.action], dtype=np.int64)
+    rho_c = np.array([m.a for m in c.action], dtype=np.int64)
+    cob = np.zeros((s, q, d, s, q), dtype=np.int64)
+    cob[:, np.arange(q), :, :, np.arange(q)] = rho_a.transpose(2, 0, 1)
+    cob[np.arange(s), :, :, np.arange(s), :] -= rho_c.transpose(1, 0, 2)
+    cob = (cob % p).reshape(s * q, d * s * q)
+
+    free = _complement_indices(cob, cocycles, p)
+    return Ext1Result(c, a, cocycles[free].reshape(len(free), d, s, q))
+
+
+# ---------------------------------------------------------------------------
 # Submodules and simple modules
 # ---------------------------------------------------------------------------
 
@@ -1200,11 +1331,13 @@ def _find_splitting_endo(module):
 def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     """All isomorphism classes of modules of dimension <= max_dim, as a tuple.
 
-    Builds the list in layers: simples first, then for each dimension all
-    extensions of previously found modules by simples, realised from
-    cocycle data and deduplicated up to isomorphism.  Every module has a
+    Builds the list in layers: simples first, then for each dimension the
+    middles of every class of Ext1(base, S), for each previously found
+    base and simple S, deduplicated up to isomorphism.  Every module has a
     simple submodule, so each class of dimension m extends a class of
-    smaller dimension by a simple and the sweep is exhaustive.
+    smaller dimension by a simple and the sweep is exhaustive.  The Ext
+    groups land in the memo of ``ext1``, where later sweeps over the same
+    pairs find them.
 
     The budget guards p**(max_dim**2), the nominal size of the raw search
     space the layering replaces.
@@ -1225,7 +1358,7 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
             if s.dim > m:
                 continue
             for base in by_dim.get(m - s.dim, []):
-                for cand in _extension_candidates(s, base):
+                for cand in ext1(base, s).middles():
                     if all(is_isomorphic(cand, seen) is None for seen in layer):
                         layer.append(cand)
         layer.sort(key=lambda mod: (fingerprint(mod), mod.digest))
@@ -1235,66 +1368,6 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
         result.extend(by_dim.get(m, []))
     result.sort(key=lambda mod: (mod.dim, fingerprint(mod), mod.digest))
     return tuple(result)
-
-
-def _extension_candidates(sub, quot):
-    """Modules arising as extensions of ``quot`` by ``sub`` (sub at the bottom).
-
-    Solves the cocycle equations for upper-triangular block actions
-    [[rho_sub, tau], [0, rho_quot]] and walks one representative per class
-    modulo coboundaries, so the split extension is always included; the
-    modules come from ``block_extensions``.
-    """
-    algebra = sub.algebra
-    p = algebra.p
-    d = algebra.dim
-    if quot.dim == 0:
-        return [sub]
-    if sub.dim == 0:
-        return [quot]
-    s, q = sub.dim, quot.dim
-    zero = FieldMatrix.zeros(p, s, q)
-    system = LinearSystem(p)
-    taus = [system.var("t%d" % i, s, q) for i in range(d)]
-    c = algebra.structure
-    for i in range(d):
-        for j in range(d):
-            terms = [(sub.action[i], taus[j], None), (None, taus[i], quot.action[j])]
-            terms += [(-int(c[i, j, k]), taus[k], None) for k in range(d) if c[i, j, k]]
-            system.add_equation(terms, zero)
-    unit_terms = [(int(u), taus[i], None) for i, u in enumerate(algebra.unit) if u]
-    if unit_terms:
-        system.add_equation(unit_terms, zero)
-    _, cocycle_basis = system.solution_space()
-    cocycles = np.array(
-        [[e["t%d" % k].a for k in range(d)] for e in cocycle_basis], dtype=np.int64
-    ).reshape(len(cocycle_basis), d * s * q)
-
-    # coboundaries: tau_k = rho_sub(e_k) u - u rho_quot(e_k) for u = E_ab,
-    # so tau_k[i, j] = rho_sub(e_k)[i, a] [j == b] - [i == a] rho_quot(e_k)[b, j]
-    rho_sub = np.array([m.a for m in sub.action], dtype=np.int64)
-    rho_quot = np.array([m.a for m in quot.action], dtype=np.int64)
-    cob = np.zeros((s, q, d, s, q), dtype=np.int64)
-    cob[:, np.arange(q), :, :, np.arange(q)] = rho_sub.transpose(2, 0, 1)
-    cob[np.arange(s), :, :, np.arange(s), :] -= rho_quot.transpose(1, 0, 2)
-    cob = (cob % p).reshape(s * q, d * s * q)
-
-    reps = _complement_representatives(cob, cocycles, p)
-    return block_extensions(sub, quot, ((reps @ cocycles) % p).reshape(-1, d, s, q))
-
-
-def _complement_representatives(inner, outer, p):
-    """Coefficient vectors over the rows of ``outer`` for one representative
-    of each coset of span(inner), as a (count, len(outer)) array.
-
-    The coefficients of ``_complement_indices`` run over GF(p) in
-    ``itertools.product`` order and the others are zero, so the zero
-    vector comes first.
-    """
-    free = _complement_indices(inner, outer, p)
-    reps = np.zeros((p ** len(free), len(outer)), dtype=np.int64)
-    reps[:, free] = _product_coefficients(p, len(free), slice(0, len(reps)))
-    return reps
 
 
 def _complement_indices(inner_vectors, outer_vectors, p):

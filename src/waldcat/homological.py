@@ -1,21 +1,21 @@
-"""Ext groups, projectivity and injectivity, and cotorsion-pair resolutions.
+"""Projectivity and injectivity, the short-exact-sequence sweep, and
+cotorsion-pair resolutions.
 
-Ext1 is computed from a length-two free presentation: for a free cover
-0 -> K -> F -> c -> 0, the group Ext1(c, a) is Hom(K, a) modulo maps that
-extend to F.  A class with cocycle φ is realised on a (+) c with the block
-action [[ρ_a, φδ], [0, ρ_c]], where δ is the connecting map of the
-presentation (Auslander, Reiten and Smalø, Representation Theory of Artin
-Algebras, ch. I); this middle is isomorphic to the pushout of the kernel
-inclusion along φ, but no pushout is formed.  Projectivity and
-injectivity are decided by Ext1 against the simple modules: over a
-finite-dimensional algebra a module m is projective iff Ext1(m, S) = 0 for
-every simple S, and injective iff Ext1(S, m) = 0 for every simple S.
+Ext1 comes from ``algebra.ext1``, the one engine, which computes it as
+cocycles modulo coboundaries and realizes each class on a (+) c with a
+block action; module enumeration, the sweep below and the projectivity
+and injectivity tests share its memo.  Projectivity and injectivity are
+decided by Ext1 against the simple modules: over a finite-dimensional
+algebra a module m is projective iff Ext1(m, S) = 0 for every simple S,
+and injective iff Ext1(S, m) = 0 for every simple S.
 
 Every short exact sequence 0 -> a -> b -> c -> 0 is equivalent to exactly
-one class of Ext1(c, a) (ibid.), so ``short_exact_sequences`` realizes
+one class of Ext1(c, a) (Auslander, Reiten and Smalø, Representation
+Theory of Artin Algebras, ch. I), so ``short_exact_sequences`` realizes
 every sequence between enumerated end terms, once per class.  The K0
 harvest and every closure-hypothesis check (hereditary pairs, extension
-and cokernel closure, 2-out-of-3) walk that one sweep.
+and cokernel closure, 2-out-of-3) walk that one sweep.  The brute-force
+``ext1_class_count_oracle`` counts the same classes without the engine.
 
 The module also hosts the two module-level cotorsion pairs used
 throughout: (all, injectives) and (projectives, all), each with its
@@ -23,23 +23,18 @@ completeness resolutions, plus cosyzygy iteration with injective-summand
 stripping for finite-injective-dimension detection.
 """
 
-import functools
-import itertools
-
 import numpy as np
 
 from .algebra import (
     DEFAULT_BUDGET,
     Morphism,
     ShortExactSequence,
-    _complement_indices,
     block,
-    block_extensions,
     cokernel,
-    combine,
     direct_sum,
     dual_regular_module,
     enumerate_modules,
+    ext1,
     hom_basis,
     identity_morphism,
     indecomposable_summands,
@@ -59,7 +54,6 @@ from .linalg import (
     in_column_space,
     kernel_basis,
     rank_stack,
-    solve,
 )
 
 # ---------------------------------------------------------------------------
@@ -166,123 +160,8 @@ def is_injective(m):
 
 
 # ---------------------------------------------------------------------------
-# Ext^1
+# every short exact sequence, once per Ext class
 # ---------------------------------------------------------------------------
-
-
-class ExtClass:
-    """One equivalence class of extensions, as coefficients over a basis."""
-
-    def __init__(self, parent, coefficients):
-        self.parent = parent
-        self.coefficients = tuple(int(c) % parent.p for c in coefficients)
-        if len(self.coefficients) != parent.dimension:
-            raise ValidationError("coefficient count must match the Ext dimension")
-
-    @property
-    def is_zero(self):
-        return not any(self.coefficients)
-
-    def realize(self):
-        return self.parent.realize(self.coefficients)
-
-
-class Ext1Result:
-    """Ext^1(c, a) together with the presentation data needed to realise classes.
-
-    Results are shared through the memo of ``ext1``, so nothing in one
-    changes after construction; its arrays are read-only.
-    """
-
-    def __init__(self, c, a, kappa, pi, cocycle_reps):
-        self.c = c
-        self.a = a
-        self.p = c.p
-        self.kappa = kappa  # K -> F, kernel of the cover
-        self.pi = pi  # F -> c, the free cover
-        self.cocycle_reps = tuple(cocycle_reps)  # maps K -> a spanning a complement
-        self.dimension = len(self.cocycle_reps)
-
-    def zero_class(self):
-        return ExtClass(self, (0,) * self.dimension)
-
-    def all_classes(self):
-        return [
-            ExtClass(self, coeffs)
-            for coeffs in itertools.product(range(self.p), repeat=self.dimension)
-        ]
-
-    def class_from_coefficients(self, coeffs):
-        return ExtClass(self, coeffs)
-
-    def cocycle(self, coeffs):
-        return combine(self.kappa.dom, self.a, self.cocycle_reps, coeffs)
-
-    @functools.cached_property
-    def _connecting_cocycles(self):
-        """(dimension, algebra.dim * a.dim * c.dim) array whose row k holds
-        the matrices cocycle_reps[k] o δ_i, for δ_i = κ^-1 (ρ_F(e_i) s - s ρ_c(e_i))
-        and a linear section s of π.  ρ_F(e_i) s - s ρ_c(e_i) is killed by
-        π, so it factors through κ; δ_i is the connecting map c -> K.
-        """
-        p, d = self.p, self.c.algebra.dim
-        section = solve(self.pi.matrix, FieldMatrix.identity(p, self.c.dim))
-        if section is None:
-            raise InternalInconsistencyError("free cover admits no linear section")
-        s = section.a
-        rho_f = [m.a for m in self.pi.dom.action]
-        rho_c = [m.a for m in self.c.action]
-        defects = np.concatenate(
-            [rho_f[i] @ s - s @ rho_c[i] for i in range(d)], axis=1
-        )
-        delta = solve(self.kappa.matrix, FieldMatrix(p, defects))
-        if delta is None:
-            raise InternalInconsistencyError("connecting map leaves the kernel")
-        reps = np.array([r.matrix.a for r in self.cocycle_reps], dtype=np.int64)
-        deltas = delta.a.reshape(-1, d, self.c.dim)
-        out = (np.einsum("kax,xic->kiac", reps, deltas) % p).reshape(self.dimension, -1)
-        out.setflags(write=False)
-        return out
-
-    def realize(self, coeffs):
-        """Short exact sequence 0 -> a -> E -> c -> 0 for the given class.
-
-        E is a (+) c with action [[ρ_a(e_i), τ_i], [0, ρ_c(e_i)]], where
-        τ_i = φ δ_i for the class's cocycle φ and the connecting maps δ_i
-        (see ``_connecting_cocycles``); the mono is [I; 0] and the epi
-        [0 I].  E is isomorphic to the pushout of κ along φ, whose class
-        of (s(z), x) corresponds to (x, z).
-        """
-        s, q, d = self.a.dim, self.c.dim, self.c.algebra.dim
-        if self.dimension:
-            coeffs = np.array(coeffs, dtype=np.int64)
-            tau = (coeffs @ self._connecting_cocycles) % self.p
-        else:
-            tau = np.zeros(d * s * q, dtype=np.int64)
-        mid = block_extensions(self.a, self.c, tau.reshape(1, d, s, q))[0]
-        mono = Morphism(self.a, mid, np.eye(s + q, s, dtype=np.int64), check=False)
-        epi = Morphism(mid, self.c, np.eye(q, s + q, s, dtype=np.int64), check=False)
-        return ShortExactSequence(mono, epi)
-
-
-@memoized
-def ext1(c, a):
-    """Ext^1(c, a) from a free presentation of c; see Ext1Result.
-
-    Memoized by the digest pair, so every caller of one pair shares one
-    result.
-    """
-    if c.algebra.digest != a.algebra.digest:
-        raise ValidationError("Ext needs both modules over the same algebra")
-    pi = free_cover(c)
-    ker_mod, kappa = kernel(pi)
-    hom_k_a = hom_basis(ker_mod, a)
-    hom_f_a = hom_basis(pi.dom, a)
-    inner = [(g @ kappa).matrix.a.reshape(-1) for g in hom_f_a]
-    outer = [h.matrix.a.reshape(-1) for h in hom_k_a]
-    chosen = _complement_indices(inner, outer, c.p)
-    reps = [hom_k_a[i] for i in chosen]
-    return Ext1Result(c, a, kappa, pi, reps)
 
 
 DEFAULT_CLASS_BUDGET = 4096

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -581,22 +580,6 @@ def smith_invariant_factors(m: IntegerMatrix) -> tuple[int, ...]:
     the direct sum of Z/d_i over the returned tuple, where Z/0 = Z.
     """
     return RowLattice(m).invariant_factors
-
-
-def row_lattice_member(m: IntegerMatrix, v: Sequence[int]) -> bool:
-    """Is the integer vector v in the lattice spanned by the rows of m?"""
-    return v in RowLattice(m)
-
-
-def row_lattices_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    """Do two relation matrices span the same sublattice of Z^cols?
-
-    Decided by mutual membership of all generating rows.
-    """
-    if a.cols != b.cols:
-        raise ValueError("ambient rank mismatch")
-    la, lb = RowLattice(a), RowLattice(b)
-    return lb.spans(la) and la.spans(lb)
 
 
 def stack(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:

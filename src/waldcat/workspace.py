@@ -251,7 +251,7 @@ def morphism_to_entry(dom_name, cod_name, morphism):
 
 
 def load_workspace(source, collect_failures=False):
-    """Build a Workspace from a path, JSON text, or an already-parsed dict.
+    """Build a Workspace from a path or an already-parsed dict.
 
     With ``collect_failures`` the return value is ``(workspace, failures)``
     where each failure names the offending object; objects that fail

@@ -74,7 +74,6 @@ from waldcat.waldhausen import (
     check_gluing,
     check_properness,
     check_saturation,
-    classify_map,
     factor,
     lift,
     spec_all,

@@ -26,6 +26,7 @@ from waldcat.algebra import (
     combine,
     direct_sum,
     enumerate_modules,
+    ext1,
     fingerprint,
     from_pushout,
     hom_basis,
@@ -41,7 +42,6 @@ from waldcat.algebra import (
     pullback,
     pushout,
     regular_module,
-    ses_from_epi,
     ses_from_mono,
     simple_modules,
     solve_map,
@@ -778,6 +778,15 @@ def test_conjugate_gets_a_verified_isomorphism(name, index, data):
     assert iso is not None
     assert iso.dom == m and iso.cod == twisted
     assert iso.is_iso() and iso.is_equivariant()
+    # Ext1 is basis-free: the twisted basis changes no dimension, and every
+    # class realizes to a valid sequence
+    for s in simple_modules(a):
+        assert ext1(s, twisted).dimension == ext1(s, m).dimension
+        assert ext1(twisted, s).dimension == ext1(m, s).dimension
+        for cls in ext1(twisted, s).all_classes():
+            ses = cls.realize()
+            assert ses.mid.validate() == []
+            assert ses.mono.is_equivariant() and ses.epi.is_equivariant()
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -1263,10 +1272,10 @@ def test_extension_candidates_match_term_by_term_reference(algebra):
     bases = list(enumerate_modules(algebra, bound))
     for sub in [*simples, zero_module(algebra)]:
         for quot in bases:
-            got = [m.digest for m in alg._extension_candidates(sub, quot)]
+            got = [m.digest for m in ext1(quot, sub).middles()]
             ref = [m.digest for m in _extension_candidates_reference(sub, quot)]
             assert got == ref
-            for m in alg._extension_candidates(sub, quot):
+            for m in ext1(quot, sub).middles():
                 assert m.validate() == []
 
 

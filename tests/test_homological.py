@@ -8,7 +8,6 @@ reference for that count.
 """
 
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -18,13 +17,13 @@ from waldcat.algebra import (
     Module,
     Morphism,
     QuiverPresentation,
-    ShortExactSequence,
+    _complement_indices,
     algebra_from_quiver,
     cokernel,
+    combine,
     direct_sum,
     dual_regular_module,
     enumerate_modules,
-    from_pushout,
     hom_basis,
     induced_on_cokernel,
     is_isomorphic,
@@ -37,7 +36,6 @@ from waldcat.algebra import (
     simple_modules,
     solve_map,
     zero_module,
-    zero_morphism,
 )
 from waldcat.errors import (
     BudgetExceededError,
@@ -276,12 +274,33 @@ def test_realized_class_splits_iff_zero():
                 assert ses.is_split() == cls.is_zero
 
 
-def _pushout_realization(result, cls):
-    """Reference construction: push the kernel inclusion of the free
-    presentation out along the class's cocycle."""
-    _, from_f, mono = pushout(result.kappa, result.cocycle(cls.coefficients))
-    epi = from_pushout(from_f, mono, result.pi, zero_morphism(result.a, result.c))
-    return ShortExactSequence(mono, epi)
+def _pushout_middles(c, b):
+    """Reference Ext engine: for a free presentation 0 -> K -> F -> c -> 0,
+    Ext1(c, b) is Hom(K, b) modulo maps that extend over F, and a class
+    with cocycle φ has the pushout of the kernel inclusion along φ as its
+    middle.  Returns the middle of every class."""
+    cover = free_cover(c)
+    ker, incl = kernel(cover)
+    hom_k_b = hom_basis(ker, b)
+    inner = [(g @ incl).matrix.a.reshape(-1) for g in hom_basis(cover.dom, b)]
+    outer = [h.matrix.a.reshape(-1) for h in hom_k_b]
+    reps = [hom_k_b[i] for i in _complement_indices(inner, outer, c.p)]
+    return [
+        pushout(incl, combine(ker, b, reps, coeffs))[0]
+        for coeffs in itertools.product(range(c.p), repeat=len(reps))
+    ]
+
+
+def _class_index(mods, m):
+    """Index of the enumerated class isomorphic to m, with its isomorphism
+    checked."""
+    for idx, rep in enumerate(mods):
+        if rep.dim == m.dim:
+            iso = is_isomorphic(m, rep)
+            if iso is not None:
+                assert iso.is_iso() and iso.is_equivariant()
+                return idx
+    raise AssertionError("middle missing from the enumeration")
 
 
 @pytest.mark.parametrize("name", ["fx2", "f2c2", "quiver_a1"])
@@ -293,15 +312,18 @@ def test_block_realization_matches_pushout_reference(name):
         if c.dim + b.dim > 3:
             continue
         result = ext1(c, b)
+        reference = _pushout_middles(c, b)
+        assert len(reference) == c.p**result.dimension
+        got = []
         for cls in result.all_classes():
             ses = cls.realize()
             assert ses.sub == b and ses.quot == c
             assert ses.mid.validate() == []
             assert ses.mono.is_equivariant() and ses.epi.is_equivariant()
             assert ses.is_split() == cls.is_zero
-            iso = is_isomorphic(ses.mid, _pushout_realization(result, cls).mid)
-            assert iso is not None and iso.is_iso() and iso.is_equivariant()
+            got.append(_class_index(mods, ses.mid))
             nonsplit += not cls.is_zero
+        assert sorted(got) == sorted(_class_index(mods, m) for m in reference)
     assert nonsplit > 0
 
 
@@ -313,7 +335,7 @@ def test_ext_results_are_shared_and_read_only():
         assert ext1(c, b) is result
         if result.dimension:
             result.class_from_coefficients((1,) * result.dimension).realize()
-            table = result._connecting_cocycles
+            table = result.cocycles
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1

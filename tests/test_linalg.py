@@ -23,8 +23,6 @@ from waldcat.linalg import (
     kernel_basis,
     rank,
     rank_stack,
-    row_lattice_member,
-    row_lattices_equal,
     rref,
     smith_invariant_factors,
     smith_normal_form,
@@ -251,10 +249,10 @@ def test_smith_invariant_under_unimodular_ops():
 
 def test_row_lattice_membership():
     m = IntegerMatrix([[2, 0], [0, 3]])
-    assert row_lattice_member(m, [2, 3])
-    assert row_lattice_member(m, [4, 0])
-    assert not row_lattice_member(m, [1, 0])
-    assert not row_lattice_member(m, [0, 1])
+    assert [2, 3] in RowLattice(m)
+    assert [4, 0] in RowLattice(m)
+    assert [1, 0] not in RowLattice(m)
+    assert [0, 1] not in RowLattice(m)
 
 
 def test_row_lattice_membership_matches_invariant_factor_oracle():
@@ -270,7 +268,7 @@ def test_row_lattice_membership_matches_invariant_factor_oracle():
             v = [rng.randrange(-6, 7) for _ in range(cols)]
             grown = smith_invariant_factors(stack(m, IntegerMatrix([v])))
             inside = grown == lattice.invariant_factors
-            assert (v in lattice) == inside == row_lattice_member(m, v)
+            assert (v in lattice) == inside
             hits += inside
         assert all(r in lattice for r in m.data)
     assert 0 < hits < 300
@@ -280,8 +278,9 @@ def test_row_lattices_equal():
     a = IntegerMatrix([[2, 0], [0, 2]])
     b = IntegerMatrix([[2, 2], [2, -2]])
     c = IntegerMatrix([[2, 2], [0, 2]])
-    assert not row_lattices_equal(a, b)  # b has index 2 in a
-    assert row_lattices_equal(a, c)
+    la, lb, lc = RowLattice(a), RowLattice(b), RowLattice(c)
+    assert la.spans(lb) and not lb.spans(la)  # b has index 2 in a
+    assert la.spans(lc) and lc.spans(la)
 
 
 # --- LinearSystem ----------------------------------------------------------

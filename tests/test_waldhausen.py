@@ -24,7 +24,6 @@ from waldcat.algebra import (
     hom_basis,
     identity_morphism,
     is_isomorphic,
-    kernel,
     maps,
     regular_module,
     zero_module,
@@ -55,7 +54,6 @@ from waldcat.sampling import (
     saturation_instance,
 )
 from waldcat.waldhausen import (
-    GluingInstance,
     WaldhausenData,
     build_zp_resolution,
     check_extension_axiom,

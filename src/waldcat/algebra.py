@@ -32,9 +32,10 @@ from .linalg import (
     column_space_basis,
     is_prime,
     kernel_basis,
+    pivot_blocks,
+    quotient_coordinates,
     rank,
     rank_stack,
-    rref,
     solve,
 )
 
@@ -286,28 +287,11 @@ def algebra_from_quiver(q):
                     alive = True
                 if alive and row.any():
                     ideal_rows.append(row)
-    if ideal_rows:
-        reduced, pivots = rref(FieldMatrix(p, np.array(ideal_rows, dtype=np.int64)))
-        red_rows = reduced.a[: len(pivots)]
-    else:
-        pivots = ()
-        red_rows = np.zeros((0, n_paths), dtype=np.int64)
-    pivot_set = set(pivots)
-    basis_paths = [i for i in range(n_paths) if i not in pivot_set]
+    # column t of q holds the coordinates of path t modulo the ideal
+    ideal = np.array(ideal_rows, dtype=np.int64).reshape(len(ideal_rows), n_paths)
+    q_mat, basis_paths = quotient_coordinates(FieldMatrix(p, ideal))
     pos = {i: j for j, i in enumerate(basis_paths)}
     n_basis = len(basis_paths)
-
-    def reduce_vec(vec):
-        out = vec.copy()
-        for r, piv in enumerate(pivots):
-            coeff = out[piv] % p
-            if coeff:
-                out = (out - coeff * red_rows[r]) % p
-        return out
-
-    def quotient_coords(vec):
-        reduced_vec = reduce_vec(vec)
-        return np.array([reduced_vec[i] for i in basis_paths], dtype=np.int64)
 
     structure = np.zeros((n_basis, n_basis, n_basis), dtype=np.int64)
     for bi, i_path in enumerate(basis_paths):
@@ -320,13 +304,11 @@ def algebra_from_quiver(q):
             steps = right[1] + left[1]
             if len(steps) >= q.nil_bound:
                 continue
-            vec = np.zeros(n_paths, dtype=np.int64)
-            vec[path_index[(right[0], steps)]] = 1
-            structure[bi, bj, :] = quotient_coords(vec)
+            structure[bi, bj, :] = q_mat.a[:, path_index[(right[0], steps)]]
     unit = np.zeros(n_basis, dtype=np.int64)
     for v in range(q.vertices):
         trivial_idx = path_index[(v, ())]
-        if trivial_idx in pivot_set:
+        if trivial_idx not in pos:
             raise InternalInconsistencyError("trivial path eliminated by relations")
         unit[pos[trivial_idx]] = 1
 
@@ -595,34 +577,16 @@ def kernel(f):
 def cokernel(f):
     """Cokernel quotient with its projection map; returns (module, epi).
 
-    Coordinates on the quotient are the non-pivot coordinates of the
-    codomain after reducing modulo the image.
+    The projection is ``quotient_coordinates`` of the image: coordinates
+    on the quotient are the codomain coordinates that carry no pivot of
+    the image's reduced rows, and the identity columns at those
+    coordinates are a section of it.
     """
-    p = f.p
-    n = f.cod.dim
-    reduced, pivots = rref(f.matrix.transpose())
-    red = np.eye(n, dtype=np.int64)
-    for row_idx, piv in enumerate(pivots):
-        basis_row = reduced.a[row_idx]
-        red[:, :] = (red - np.outer(basis_row, _unit_vector(n, piv))) % p
-    # after reduction the pivot coordinates vanish, so project onto the rest
-    free = [c for c in range(n) if c not in pivots]
-    sel = np.zeros((len(free), n), dtype=np.int64)
-    for j, c in enumerate(free):
-        sel[j, c] = 1
-    q_mat = FieldMatrix(p, (sel @ red) % p)
-    section = FieldMatrix(p, sel.T)
-    action = []
-    for i in range(f.cod.algebra.dim):
-        action.append(q_mat @ f.cod.action[i] @ section)
+    q_mat, free = quotient_coordinates(f.matrix.transpose())
+    section = FieldMatrix(f.p, np.eye(f.cod.dim, dtype=np.int64)[:, free])
+    action = [q_mat @ rho @ section for rho in f.cod.action]
     cok = Module(f.cod.algebra, action, check=False)
     return cok, Morphism(f.cod, cok, q_mat, check=False)
-
-
-def _unit_vector(n, i):
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
 
 
 def image_factorization(f):
@@ -919,9 +883,11 @@ def ext1(c, a):
     A cocycle is one map τ_i: c -> a per algebra basis element with
     ρ_a(e_i) τ_j + τ_i ρ_c(e_j) = Σ_k c_ijk τ_k and τ zero on the unit,
     which is exactly when ``block_extensions`` gives an extension of c by
-    a.  The coboundaries are τ_i = ρ_a(e_i) u - u ρ_c(e_i) for linear
-    u: c -> a, and split the extension.  The cocycle solution basis is cut
-    to a complement of the coboundaries by ``_complement_indices``.
+    a.  Those equations are one coefficient array, and the cocycles are
+    its ``kernel_basis``.  The coboundaries are τ_i = ρ_a(e_i) u - u ρ_c(e_i)
+    for linear u: c -> a, and split the extension.  The cocycles kept are
+    those that ``pivot_blocks`` picks after the coboundaries: a
+    complement of them.
 
     Memoized by the digest pair, so every caller of one pair shares one
     result.
@@ -933,35 +899,30 @@ def ext1(c, a):
     s, q = a.dim, c.dim
     if not (s and q):
         return Ext1Result(c, a, np.zeros((0, d, s, q), dtype=np.int64))
-    zero = FieldMatrix.zeros(p, s, q)
-    system = LinearSystem(p)
-    taus = [system.var("t%d" % i, s, q) for i in range(d)]
-    struct = algebra.structure
-    for i in range(d):
-        for j in range(d):
-            terms = [(a.action[i], taus[j], None), (None, taus[i], c.action[j])]
-            terms += [
-                (-int(struct[i, j, k]), taus[k], None) for k in range(d) if struct[i, j, k]
-            ]
-            system.add_equation(terms, zero)
-    unit_terms = [(int(u), taus[i], None) for i, u in enumerate(algebra.unit) if u]
-    if unit_terms:
-        system.add_equation(unit_terms, zero)
-    _, cocycle_basis = system.solution_space()
-    cocycles = np.array(
-        [[e["t%d" % k].a for k in range(d)] for e in cocycle_basis], dtype=np.int64
-    ).reshape(len(cocycle_basis), d * s * q)
+    rho_a = np.array([m.a for m in a.action], dtype=np.int64)
+    rho_c = np.array([m.a for m in c.action], dtype=np.int64)
+    # row (i, j, v, u) is entry (v, u) of equation (i, j); column (k, x, y)
+    # is entry (y, x) of tau_k, in LinearSystem's column-major order
+    vs, us, ks = np.arange(s), np.arange(q), np.arange(d)
+    eqs = np.zeros((d, d, s, q, d, q, s), dtype=np.int64)
+    eqs[:, ks[:, None], :, us, ks[:, None], us, :] = rho_a
+    eqs[ks[:, None], :, vs, :, ks[:, None], :, vs] += rho_c.transpose(0, 2, 1)
+    eqs[:, :, vs[:, None], us, :, us, vs[:, None]] -= algebra.structure
+    unit_eq = np.zeros((s, q, d, q, s), dtype=np.int64)
+    unit_eq[vs[:, None], us, :, us, vs[:, None]] = algebra.unit
+    system = np.vstack([eqs.reshape(-1, d * q * s), unit_eq.reshape(-1, d * q * s)])
+    null = kernel_basis(FieldMatrix(p, system)).a
+    cocycles = null.T.reshape(-1, d, q, s).transpose(0, 1, 3, 2).reshape(-1, d * s * q)
 
     # coboundaries: tau_k = rho_a(e_k) u - u rho_c(e_k) for u = E_xy,
     # so tau_k[i, j] = rho_a(e_k)[i, x] [j == y] - [i == x] rho_c(e_k)[y, j]
-    rho_a = np.array([m.a for m in a.action], dtype=np.int64)
-    rho_c = np.array([m.a for m in c.action], dtype=np.int64)
     cob = np.zeros((s, q, d, s, q), dtype=np.int64)
     cob[:, np.arange(q), :, :, np.arange(q)] = rho_a.transpose(2, 0, 1)
     cob[np.arange(s), :, :, np.arange(s), :] -= rho_c.transpose(1, 0, 2)
     cob = (cob % p).reshape(s * q, d * s * q)
 
-    free = _complement_indices(cob, cocycles, p)
+    picked = pivot_blocks([cob.T] + [col[:, None] for col in cocycles], p)
+    free = [b - 1 for b in picked if b]
     return Ext1Result(c, a, cocycles[free].reshape(len(free), d, s, q))
 
 
@@ -1005,13 +966,18 @@ def invariant_subspaces(module, budget=DEFAULT_BUDGET):
     return found
 
 
+def _restricted_action(module, cols):
+    """Each ρ(e_i) restricted to the column space of ``cols`` as one
+    (k, d·k) array of blocks, from one ``solve`` of cols x = [ρ(e_0) cols |
+    … | ρ(e_{d-1}) cols]; None when that space is not invariant."""
+    rho = np.array([m.a for m in module.action], dtype=np.int64)
+    images = (rho @ cols.a % module.p).transpose(1, 0, 2).reshape(module.dim, -1)
+    inside = solve(cols, FieldMatrix(module.p, images))
+    return None if inside is None else inside.a
+
+
 def _is_invariant(module, cols):
-    if cols.shape[1] == 0:
-        return True
-    for i in range(module.algebra.dim):
-        if solve(cols, module.action[i] @ cols) is None:
-            return False
-    return True
+    return cols.shape[1] == 0 or _restricted_action(module, cols) is not None
 
 
 def submodule_from_columns(module, cols):
@@ -1020,12 +986,10 @@ def submodule_from_columns(module, cols):
     if k == 0:
         sub = zero_module(module.algebra)
         return sub, Morphism(sub, module, cols, check=False)
-    action = []
-    for i in range(module.algebra.dim):
-        inside = solve(cols, module.action[i] @ cols)
-        if inside is None:
-            raise ValidationError("columns do not span an invariant subspace")
-        action.append(inside)
+    inside = _restricted_action(module, cols)
+    if inside is None:
+        raise ValidationError("columns do not span an invariant subspace")
+    action = [inside[:, i * k : (i + 1) * k] for i in range(module.algebra.dim)]
     sub = Module(module.algebra, action, check=False)
     return sub, Morphism(sub, module, cols, check=False)
 
@@ -1368,18 +1332,3 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
         result.extend(by_dim.get(m, []))
     result.sort(key=lambda mod: (mod.dim, fingerprint(mod), mod.digest))
     return tuple(result)
-
-
-def _complement_indices(inner_vectors, outer_vectors, p):
-    """Indices of outer vectors forming a basis modulo the span of inner ones.
-
-    The pivot columns of [inner | outer] that fall among the outer vectors:
-    each is the first outer vector outside the span of everything before
-    it, which is the greedy left-to-right choice.
-    """
-    if len(outer_vectors) == 0:
-        return []
-    vectors = list(inner_vectors) + list(outer_vectors)
-    columns = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(outer_vectors[0]))
-    _, pivots = rref(FieldMatrix(p, columns.T))
-    return [c - len(inner_vectors) for c in pivots if c >= len(inner_vectors)]

@@ -55,7 +55,6 @@ from .spans import (
     span_resolve_right,
 )
 from .waldhausen import (
-    DEFAULT_MAP_BUDGET,
     WaldhausenData,
     build_zp_resolution,
     check_extension_axiom,
@@ -189,14 +188,18 @@ def _config_int(ws, value, key, fallback):
     return raw
 
 
-def _config_nonnegative(ws, value, key, fallback):
-    """``_config_int``, refusing a negative value."""
-    value = _config_int(ws, value, key, fallback)
+def _nonnegative(value, key):
+    """``value``, refusing a negative one as malformed input."""
     if value < 0:
         raise MalformedInputError(
             "%s must be a nonnegative integer, got %d" % (key, value)
         )
     return value
+
+
+def _config_nonnegative(ws, value, key, fallback):
+    """``_config_int``, refusing a negative value."""
+    return _nonnegative(_config_int(ws, value, key, fallback), key)
 
 
 def _dim_bound(ws, args):
@@ -206,7 +209,7 @@ def _dim_bound(ws, args):
 
 def _enum_budget(ws, args):
     """Module enumeration budget: --budget, else config, else the default."""
-    return _config_int(ws, args.budget, "budget", DEFAULT_BUDGET)
+    return _config_nonnegative(ws, args.budget, "budget", DEFAULT_BUDGET)
 
 
 def _pick_algebra(ws, args):
@@ -413,17 +416,12 @@ def _cmd_lift(args):
 def _cmd_weq(args):
     ws = load_workspace(args.input)
     f = ws.morphism(args.map)
-    # --budget caps the oracle's maps here, so only config caps enumeration
-    enum_budget = _config_int(ws, None, "budget", DEFAULT_BUDGET)
+    enum_budget = _enum_budget(ws, args)
     w = _build_waldhausen(ws, args, f.dom.algebra, enum_budget)
     verdict = is_weak_equivalence(w, f)
     out = {"command": "weq", "map": args.map, "verdict": verdict}
     if args.oracle:
-        oracle = weak_equivalence_oracle(
-            w, f,
-            map_budget=args.budget if args.budget is not None else DEFAULT_MAP_BUDGET,
-            enum_budget=enum_budget,
-        )
+        oracle = weak_equivalence_oracle(w, f, enum_budget=enum_budget)
         out["oracle_verdict"] = oracle
         out["oracle_agrees"] = verdict == "indeterminate" or oracle == verdict
         if not out["oracle_agrees"]:
@@ -439,6 +437,7 @@ _AXIOM_RUNNERS = {
 
 
 def _cmd_axioms(args):
+    samples = _nonnegative(args.samples, "samples")
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
     w = _build_waldhausen(ws, args, algebra, _enum_budget(ws, args))
@@ -449,7 +448,7 @@ def _cmd_axioms(args):
         raise MalformedInputError("unknown axiom checks: %s" % ", ".join(unknown))
     reports = []
     for check in checks:
-        for _ in range(args.samples):
+        for _ in range(samples):
             if check == "saturation":
                 f, g = saturation_instance(w, rng)
                 reports.append(check_saturation(w, f, g))
@@ -461,7 +460,7 @@ def _cmd_axioms(args):
         summary[rep["verdict"]] += 1
     return {
         "command": "axioms",
-        "samples": args.samples,
+        "samples": samples,
         "summary": summary,
         "reports": reports,
         "exit": 0 if summary["FAIL"] == 0 else 1,
@@ -696,9 +695,9 @@ def _render_sequences(rows):
 def render_text(payload):
     lines = []
     command = payload.get("command", "")
-    seq_rows = payload.get("sequences") or payload.get("text_rows")
+    seq_rows = payload.get("sequences")
     for key in sorted(payload):
-        if key in ("command", "exit", "sequences", "text_rows", "reports",
+        if key in ("command", "exit", "sequences", "reports",
                    "modules", "relations", "generators"):
             continue
         value = payload[key]

@@ -48,60 +48,30 @@ from .algebra import (
     zero_morphism,
 )
 from .errors import BudgetExceededError, InternalInconsistencyError, ValidationError
-from .linalg import (
-    FieldMatrix,
-    column_space_basis,
-    in_column_space,
-    kernel_basis,
-    rank_stack,
-)
+from .linalg import pivot_blocks, rank_stack
 
 # ---------------------------------------------------------------------------
 # covers and embeddings
 # ---------------------------------------------------------------------------
 
 
-def _generating_columns(m):
-    """Indices of basis vectors that generate m, greedily minimized.
-
-    The submodule generated by a vector v is the column span of all
-    action matrices applied to v, so one pass of span updates suffices.
-    """
-    d = m.algebra.dim
-    chosen = []
-    span = FieldMatrix.zeros(m.p, m.dim, 0)
-    for i in range(m.dim):
-        arr = np.zeros((m.dim, 1), dtype=np.int64)
-        arr[i, 0] = 1
-        e = FieldMatrix(m.p, arr)
-        if span.cols and in_column_space(span, e):
-            continue
-        chosen.append(i)
-        new_cols = np.concatenate(
-            [span.a] + [m.action[j].a[:, i : i + 1] for j in range(d)], axis=1
-        )
-        span = column_space_basis(FieldMatrix(m.p, new_cols))
-    return chosen
-
-
 def free_cover(m):
-    """Surjection onto m from a free module, one generator per chosen
-    basis vector of a greedily minimized generating set."""
+    """Surjection onto m from a free module, one copy of A per generator.
+
+    The block [ρ(e_0) v_i … ρ(e_{d-1}) v_i] spans the submodule that basis
+    vector v_i generates, and v_i is kept when ``pivot_blocks`` finds a
+    pivot in its block: the greedy left-to-right generating set.  Basis
+    element e_j of the copy for v_i goes to ρ(e_j) v_i.
+    """
     algebra = m.algebra
     if m.dim == 0:
         z = zero_module(algebra)
         return zero_morphism(z, m)
-    chosen = _generating_columns(m)
-    k = len(chosen)
-    reg = regular_module(algebra)
-    free, _, _ = direct_sum([reg] * k)
-    d = algebra.dim
-    cols = np.zeros((m.dim, k * d), dtype=np.int64)
-    for copy, gen in enumerate(chosen):
-        for j in range(d):
-            # algebra basis element e_j in copy `copy` lands on e_j . v_gen
-            cols[:, copy * d + j] = m.action[j].a[:, gen]
-    cover = Morphism(free, m, cols)
+    # blocks[:, i, j] = ρ(e_j) v_i
+    blocks = np.array([rho.a for rho in m.action], dtype=np.int64).transpose(1, 2, 0)
+    chosen = pivot_blocks([blocks[:, i] for i in range(m.dim)], m.p)
+    free, _, _ = direct_sum([regular_module(algebra)] * len(chosen))
+    cover = Morphism(free, m, blocks[:, chosen].reshape(m.dim, -1))
     if not cover.is_epi():
         raise InternalInconsistencyError("free cover failed to be surjective")
     return cover
@@ -110,8 +80,11 @@ def free_cover(m):
 def injective_embedding(m):
     """Injection of m into a power of the dual regular module.
 
-    Stacks a basis of Hom(m, D(A)); those maps jointly separate points, so
-    the stacked map is injective.  The power equals dim m.
+    A basis of Hom(m, D(A)) jointly separates points.  A map f of it is
+    kept when the rows of f's matrix hold a pivot after those of the maps
+    before it (``pivot_blocks`` on the transposed matrices), which is
+    exactly when f shrinks their joint kernel; the kept maps, stacked,
+    are injective.
     """
     algebra = m.algebra
     da = dual_regular_module(algebra)
@@ -123,20 +96,8 @@ def injective_embedding(m):
         raise InternalInconsistencyError(
             "hom space into the dual regular module has unexpected dimension"
         )
-    # keep only maps that strictly shrink the joint kernel
-    kept = []
-    stacked = np.zeros((0, m.dim), dtype=np.int64)
-    ker_dim = m.dim
-    for f in maps:
-        cand = np.concatenate([stacked, f.matrix.a], axis=0)
-        cand_ker = kernel_basis(FieldMatrix(m.p, cand)).cols
-        if cand_ker < ker_dim:
-            kept.append(f)
-            stacked = cand
-            ker_dim = cand_ker
-        if ker_dim == 0:
-            break
-    total = block([[f] for f in kept])
+    kept = pivot_blocks([f.matrix.a.T for f in maps], m.p)
+    total = block([[maps[i]] for i in kept])
     if not total.is_mono():
         raise InternalInconsistencyError("stacked functionals failed to embed")
     return total

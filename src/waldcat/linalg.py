@@ -16,9 +16,11 @@ pivot column with row r's own entry zeroed.  Both factors are residues,
 so every product is below p**2 < 2**32 and the difference lies in
 (-2**32, p): int64 stays exact.  A row space has exactly one reduced
 echelon form, so pivots, particular solutions (free coordinates zero) and
-kernel bases are those of a row-at-a-time elimination.  ``solve``,
-``kernel_basis`` and ``LinearSystem`` read their answers off that form
-through one back-substitution, ``_back_substitute``.
+kernel bases are those of a row-at-a-time elimination.  Five readers
+take their answers off that one form: ``solve``, ``kernel_basis`` and
+``LinearSystem`` through one back-substitution, ``_back_substitute``;
+``pivot_blocks``, the greedy left-to-right choice of column blocks; and
+``quotient_coordinates``, coordinates modulo a row space.
 
 ``FieldMatrix(p, data)`` checks p and reduces its data.  The private
 ``FieldMatrix._reduced(p, array)`` does neither: it is for results of this
@@ -261,8 +263,31 @@ def column_space_basis(m: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._reduced(m.p, m.a[:, piv])
 
 
-def in_column_space(a: FieldMatrix, v: FieldMatrix) -> bool:
-    return solve(a, v) is not None
+def pivot_blocks(blocks, p: int) -> list[int]:
+    """Indices of the column blocks holding a pivot of [B_0 | B_1 | ...].
+
+    ``blocks`` are arrays with one shared row count; a block may have no
+    columns.  Block b holds a pivot exactly when its columns are not all
+    in the span of the blocks before it, so this is the greedy
+    left-to-right choice of blocks, read off one elimination.
+    """
+    owner = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    _, piv = _rref_array(np.hstack(blocks), p)
+    return sorted({int(b) for b in owner[piv]})
+
+
+def quotient_coordinates(m: FieldMatrix) -> tuple[FieldMatrix, list[int]]:
+    """(q, free): coordinates modulo the row space of m.
+
+    ``free`` lists m's non-pivot columns and q is the kernel basis of m,
+    transposed: q[:, free] = I and q[:, pivots] = -R[:, free]^T for the
+    reduced form R of m.  So q kills every row of m, and q applied to the
+    identity columns at ``free`` is the identity.
+    """
+    red, piv = _rref_array(m.a, m.p)
+    _, null = _back_substitute(red, piv, m.cols, m.p, kernel=True)
+    free = sorted(set(range(m.cols)) - set(piv))
+    return FieldMatrix._reduced(m.p, null.T), free
 
 
 # ---------------------------------------------------------------------------

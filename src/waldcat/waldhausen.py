@@ -423,8 +423,7 @@ def is_weak_equivalence(w, f):
 DEFAULT_MAP_BUDGET = 10**5
 
 
-def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=DEFAULT_MAP_BUDGET,
-                            enum_budget=DEFAULT_BUDGET):
+def weak_equivalence_oracle(w, f, extra_dim=0, enum_budget=DEFAULT_BUDGET):
     """Exhaustive search for an acyclic-cofibration/acyclic-fibration split.
 
     Tries every middle object of dimension up to dim(dom) + dim(cod) +
@@ -433,7 +432,9 @@ def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=DEFAULT_MAP_BUDGET,
     Returns "yes"/"no"; "no" means no such factorization exists within
     the dimension bound.  The default bound covers the canonical
     factorization whenever the right resolution of the domain has middle
-    dimension at most dim(dom) + dim(cod).
+    dimension at most dim(dom) + dim(cod).  A middle whose Hom space from
+    dom or to cod holds more than ``DEFAULT_MAP_BUDGET`` maps raises
+    BudgetExceededError, as does an enumeration beyond ``enum_budget``.
     """
     bound = f.dom.dim + f.cod.dim + extra_dim
     p = f.dom.p
@@ -442,7 +443,7 @@ def weak_equivalence_oracle(w, f, extra_dim=0, map_budget=DEFAULT_MAP_BUDGET,
         if middle.dim < max(f.dom.dim, f.cod.dim):
             continue
         for pair_dims in ((f.dom, middle), (middle, f.cod)):
-            if p ** len(hom_basis(*pair_dims)) > map_budget:
+            if p ** len(hom_basis(*pair_dims)) > DEFAULT_MAP_BUDGET:
                 raise BudgetExceededError(
                     "oracle map enumeration exceeds the budget"
                 )

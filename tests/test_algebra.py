@@ -60,6 +60,7 @@ from waldcat.linalg import (
     LinearSystem,
     column_space_basis,
     kernel_basis,
+    pivot_blocks,
     rank,
     rank_stack,
     solve,
@@ -1094,47 +1095,46 @@ def test_negated_morphism_sums_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# complement indices against the greedy rank loop they replaced
+# pivot blocks against the greedy rank loop they replaced
 # ---------------------------------------------------------------------------
 
 
-def _greedy_complement_indices(inner_vectors, outer_vectors, p):
-    """Add the outer vectors left to right, keeping each that raises the rank
-    of the span of the inner vectors and those already kept."""
-    rows = [np.asarray(v, dtype=np.int64) for v in inner_vectors]
-    length = len(outer_vectors[0]) if outer_vectors else 0
-
-    def span_rank(vectors):
-        if not vectors:
-            return 0
-        return rank(FieldMatrix(p, np.array(vectors).reshape(len(vectors), length).T))
-
+def _greedy_blocks(blocks, p):
+    """Add the column blocks left to right, keeping each that raises the
+    rank of the span of the blocks already kept."""
+    rows = blocks[0].shape[0] if blocks else 0
+    kept = np.zeros((rows, 0), dtype=np.int64)
     chosen = []
-    for idx, vec in enumerate(outer_vectors):
-        if span_rank(rows + [vec]) > span_rank(rows):
+    for idx, b in enumerate(blocks):
+        grown = np.hstack([kept, b])
+        if rank(FieldMatrix(p, grown)) > rank(FieldMatrix(p, kept)):
             chosen.append(idx)
-            rows.append(np.asarray(vec, dtype=np.int64))
+            kept = grown
     return chosen
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
 def test_complement_indices_match_greedy_rank_loop(p):
     rng = np.random.default_rng(p)
     for _ in range(300):
         length = int(rng.integers(0, 6))
         # combinations of a few generators, so dependencies are common
-        gens = rng.integers(0, p, size=(int(rng.integers(1, 4)), length))
+        gens = rng.integers(0, p, size=(length, int(rng.integers(1, 4))))
 
-        def draw(count):
-            return [
-                rng.integers(0, p, size=len(gens)) @ gens % p for _ in range(count)
-            ]
+        def draw(width):
+            return gens @ rng.integers(0, p, size=(gens.shape[1], width)) % p
 
+        # ext1's shape: one inner block, then one column per outer vector
         inner = draw(int(rng.integers(0, 4)))
-        outer = draw(int(rng.integers(0, 5)))
-        assert alg._complement_indices(inner, outer, p) == (
-            _greedy_complement_indices(inner, outer, p)
-        )
+        outer = [draw(1) for _ in range(int(rng.integers(0, 5)))]
+        # multi-column, empty and all-zero blocks mixed in
+        mixed = [
+            draw(int(rng.integers(0, 4))) if rng.integers(0, 3) else
+            np.zeros((length, int(rng.integers(0, 3))), dtype=np.int64)
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        for blocks in ([inner] + outer, mixed):
+            assert pivot_blocks(blocks, p) == _greedy_blocks(blocks, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,7 +1237,10 @@ def _extension_candidates_reference(sub, quot):
         np.concatenate([e["t%d" % k].a.reshape(-1) for k in range(d)])
         for e in cocycle_basis
     ]
-    free = alg._complement_indices(cob_vectors, cocycle_flat, p)
+    picked = pivot_blocks(
+        [np.array(cob_vectors).T] + [v[:, None] for v in cocycle_flat], p
+    )
+    free = [b - 1 for b in picked if b]
     out = []
     for assignment in itertools.product(range(p), repeat=len(free)):
         coeffs = [0] * len(cocycle_basis)
@@ -1277,6 +1280,65 @@ def test_extension_candidates_match_term_by_term_reference(algebra):
             assert got == ref
             for m in ext1(quot, sub).middles():
                 assert m.validate() == []
+
+
+def _ext1_cocycles_reference(c, a):
+    """Reference: the cocycle system assembled equation by equation in a
+    LinearSystem, cut to a complement of the coboundaries by the greedy
+    rank loop."""
+    algebra = a.algebra
+    p, d = algebra.p, algebra.dim
+    s, q = a.dim, c.dim
+    if not (s and q):
+        return np.zeros((0, d, s, q), dtype=np.int64)
+    zero = FieldMatrix.zeros(p, s, q)
+    system = LinearSystem(p)
+    taus = [system.var("t%d" % i, s, q) for i in range(d)]
+    struct = algebra.structure
+    for i in range(d):
+        for j in range(d):
+            terms = [(a.action[i], taus[j], None), (None, taus[i], c.action[j])]
+            terms += [
+                (-int(struct[i, j, k]), taus[k], None) for k in range(d) if struct[i, j, k]
+            ]
+            system.add_equation(terms, zero)
+    unit_terms = [(int(u), taus[i], None) for i, u in enumerate(algebra.unit) if u]
+    if unit_terms:
+        system.add_equation(unit_terms, zero)
+    _, basis = system.solution_space()
+    cocycles = np.array(
+        [[e["t%d" % k].a for k in range(d)] for e in basis], dtype=np.int64
+    ).reshape(len(basis), d, s, q)
+    cob = []
+    for x in range(s):
+        for y in range(q):
+            u = np.zeros((s, q), dtype=np.int64)
+            u[x, y] = 1
+            cob.append([(a.action[k].a @ u - u @ c.action[k].a) % p for k in range(d)])
+    blocks = [np.array(cob).reshape(s * q, -1).T]
+    blocks += [t.reshape(-1, 1) for t in cocycles]
+    free = [b - 1 for b in _greedy_blocks(blocks, p) if b]
+    return cocycles[free]
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [*CORPUS_NAMES, "F3[x]/(x^2)", "F5[x]/(x^3)"],
+)
+def test_ext1_cocycles_match_linear_system_reference(algebra):
+    if algebra in CORPUS_NAMES:
+        algebra = _corpus_algebra(algebra)
+    else:
+        p, n = (3, 2) if algebra.startswith("F3") else (5, 3)
+        algebra = _truncated_polynomial_algebra(p, n)
+    mods = list(enumerate_modules(algebra, 3))
+    for c, a in itertools.product(mods, repeat=2):
+        if c.dim + a.dim > 3:
+            continue
+        got = ext1(c, a).cocycles
+        expected = _ext1_cocycles_reference(c, a)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_enumerate_rejects_negative_dimension_bound():

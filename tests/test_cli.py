@@ -368,12 +368,14 @@ def test_weq_oracle_reads_config_budget(tmp_path):
     doc["config"]["budget"] = 10
     path = tmp_path / "budget.json"
     path.write_text(json.dumps(doc))
-    # --budget caps the maps tried; config budget caps the enumeration
-    for extra in ([], ["--budget", "100000"]):
-        code, out = runj("weq", "--input", str(path), "--map", "mul_x", "--oracle",
-                         *extra)
-        assert code == 2
-        assert out["error"]["type"] == "budget"
+    args = ("weq", "--input", str(path), "--map", "mul_x", "--oracle")
+    code, out = runj(*args)
+    assert code == 2
+    assert out["error"]["type"] == "budget"
+    # --budget caps the enumeration, as on every command, and wins over config
+    code, out = runj(*args, "--budget", "100000")
+    assert code == 0
+    assert out["oracle_agrees"] is True
 
 
 @pytest.mark.parametrize(
@@ -472,6 +474,58 @@ def test_negative_finite_inj_dim_exits_three(tmp_path, where):
         "type": "malformed",
         "message": "finite-inj-dim bound must be nonnegative, got -1",
     }
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", ["enumerate", "k0"])
+def test_negative_budget_exits_three(tmp_path, where, command):
+    path, extra = FX2, ["--budget", "-1"]
+    if where == "config":
+        doc = json.loads(corpus_path("fx2").read_text())
+        doc["config"]["budget"] = -1
+        path, extra = tmp_path / "budget.json", []
+        path.write_text(json.dumps(doc))
+    code, out = runj(command, "--input", str(path), *extra)
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "budget must be a nonnegative integer, got -1",
+    }
+
+
+def test_negative_samples_exits_three():
+    code, out = runj("axioms", "--input", FX2, "--samples", "-1")
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "samples must be a nonnegative integer, got -1",
+    }
+
+
+@pytest.mark.parametrize("bound", ["2", "3"])
+def test_localize_finite_inj_dim_zero_matches_injectives_on_quiver_a1(bound):
+    # injective dimension 0 means injective, also where injectives are not
+    # projective; the class goes through cosyzygies and summand stripping
+    args = ("localize", "--input", QA1, "--dim-bound", bound, "--acyclics")
+    code, by_inj_dim = runj(*args, "finite-inj-dim:0")
+    assert code == 0
+    _, by_injectives = runj(*args, "injectives")
+    assert by_inj_dim.pop("acyclics") == "finite_inj_dim<=0"
+    assert by_injectives.pop("acyclics") == "injectives"
+    assert by_inj_dim == by_injectives
+
+
+def test_localize_finite_inj_dim_one_collapses_on_hereditary_quiver_a2():
+    # over a hereditary algebra every module has injective dimension <= 1
+    code, out = runj("localize", "--input", str(corpus_path("quiver_a2")),
+                     "--acyclics", "finite-inj-dim:1")
+    assert code == 1
+    assert out["ok"] is False
+    assert out["hypotheses"]["degenerate_overlap"] is True
+    assert out["hypotheses"]["failures"] == [
+        "every module up to the bound is acyclic; the acyclic subcategory"
+        " coincides with the whole category and the localization collapses"
+    ]
 
 
 def test_localize_finite_inj_dim_matches_projectives_on_self_injective_fx2():

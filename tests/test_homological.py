@@ -17,7 +17,6 @@ from waldcat.algebra import (
     Module,
     Morphism,
     QuiverPresentation,
-    _complement_indices,
     algebra_from_quiver,
     cokernel,
     combine,
@@ -60,6 +59,7 @@ from waldcat.homological import (
     short_exact_sequences,
     strip_injective_summands,
 )
+from waldcat.linalg import pivot_blocks
 from waldcat.workspace import corpus_path, load_workspace
 
 
@@ -283,8 +283,10 @@ def _pushout_middles(c, b):
     ker, incl = kernel(cover)
     hom_k_b = hom_basis(ker, b)
     inner = [(g @ incl).matrix.a.reshape(-1) for g in hom_basis(cover.dom, b)]
-    outer = [h.matrix.a.reshape(-1) for h in hom_k_b]
-    reps = [hom_k_b[i] for i in _complement_indices(inner, outer, c.p)]
+    length = ker.dim * b.dim
+    blocks = [np.array(inner, dtype=np.int64).reshape(len(inner), length).T]
+    blocks += [h.matrix.a.reshape(-1, 1) for h in hom_k_b]
+    reps = [hom_k_b[i - 1] for i in pivot_blocks(blocks, c.p) if i]
     return [
         pushout(incl, combine(ker, b, reps, coeffs))[0]
         for coeffs in itertools.product(range(c.p), repeat=len(reps))

@@ -19,8 +19,8 @@ from waldcat.linalg import (
     MatVar,
     RowLattice,
     column_space_basis,
-    in_column_space,
     kernel_basis,
+    quotient_coordinates,
     rank,
     rank_stack,
     rref,
@@ -108,8 +108,8 @@ def test_kernel_of_injective_map_is_trivial():
 
 def test_column_space_membership():
     a = FieldMatrix(5, [[1, 2], [2, 4]])
-    assert in_column_space(a, FieldMatrix(5, [[3], [6]]))
-    assert not in_column_space(a, FieldMatrix(5, [[1], [0]]))
+    assert solve(a, FieldMatrix(5, [[3], [6]])) is not None
+    assert solve(a, FieldMatrix(5, [[1], [0]])) is None
     basis = column_space_basis(a)
     assert basis.cols == 1
 
@@ -163,6 +163,42 @@ def test_solve_iff_in_column_space_random():
                 for cand in itertools.product(range(p), repeat=cols):
                     v = FieldMatrix(p, [[c] for c in cand])
                     assert a @ v != b
+
+
+def _pivot_loop_projection(m):
+    """Projection modulo the row space of m by the per-pivot update loop
+    that cokernels used: subtract each reduced row from the identity at its
+    pivot column, then keep the rows at the non-pivot coordinates."""
+    p, n = m.p, m.cols
+    reduced, pivots = rref(m)
+    red = np.eye(n, dtype=np.int64)
+    for row_idx, piv in enumerate(pivots):
+        unit = np.zeros(n, dtype=np.int64)
+        unit[piv] = 1
+        red = (red - np.outer(reduced.a[row_idx], unit)) % p
+    free = [c for c in range(n) if c not in pivots]
+    return red[free], free
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_quotient_coordinates_match_pivot_loop_projection(p):
+    rng = np.random.default_rng(p)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7)]
+    for rows, cols in shapes * 6:
+        inner = int(rng.integers(0, min(rows, cols) + 1))
+        # a product through a thin middle dimension leaves dependent rows
+        data = rng.integers(0, p, size=(rows, inner)) @ rng.integers(
+            0, p, size=(inner, cols)
+        )
+        m = FieldMatrix(p, data)
+        q, free = quotient_coordinates(m)
+        expected, expected_free = _pivot_loop_projection(m)
+        assert free == expected_free
+        assert q.shape == (cols - rank(m), cols)
+        assert q.a.tolist() == expected.tolist()
+        assert (q @ m.transpose()).is_zero()
+        section = FieldMatrix(p, np.eye(cols, dtype=np.int64)[:, free])
+        assert q @ section == FieldMatrix.identity(p, len(free))
 
 
 def test_kernel_columns_annihilated_random():

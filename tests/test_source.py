@@ -6,10 +6,13 @@ search sites in ``algebra`` still stand in for exact isomorphism and
 decomposition decisions; they leave this list when those become exact.
 
 Every imported name is referenced in its file, so an import left behind
-by deleted code does not survive.
+by deleted code does not survive.  Likewise every top-level function and
+class of the package, and every method of its classes, is referenced
+somewhere in the package or its tests.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import waldcat
@@ -76,3 +79,81 @@ def test_unused_import_scan_flags_only_unread_names():
         "np.zeros(pi)\n"
     )
     assert _unused_imports(tree) == ["gcd", "os"]
+
+
+def _definitions(tree):
+    """(name, owner) of each top-level function and class in ``tree`` and of
+    each method of its top-level classes; owner is the method's class name,
+    None for a top-level definition."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions):
+                    yield item.name, node.name
+
+
+def _references(tree):
+    """Every name ``tree`` reads, as a variable or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def _dead_definitions(tree, references, inherited):
+    """Definitions of ``tree`` that no name in ``references`` reads.
+
+    Dunder methods are called by the language, and a method for which
+    ``inherited(owner, name)`` holds overrides a base-class method that
+    the base class calls, so neither counts.
+    """
+    return sorted(
+        name
+        for name, owner in _definitions(tree)
+        if name not in references
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (owner and inherited(owner, name))
+    )
+
+
+def _inherited_in(module):
+    def inherited(owner, name):
+        return any(name in vars(base) for base in getattr(module, owner).__mro__[1:])
+
+    return inherited
+
+
+def test_every_definition_is_referenced():
+    paths = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+    references = set().union(*(_references(ast.parse(p.read_text())) for p in paths))
+    dead = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "waldcat" if path.stem == "__init__" else "waldcat." + path.stem
+        inherited = _inherited_in(importlib.import_module(name))
+        names = _dead_definitions(ast.parse(path.read_text()), references, inherited)
+        if names:
+            dead[path.name] = names
+    assert dead == {}
+
+
+def test_dead_definition_scan_flags_only_unreferenced_names():
+    tree = ast.parse(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class Kept:\n"
+        "    def __eq__(self, other): pass\n"
+        "    def method(self): pass\n"
+        "    def hook(self): pass\n"
+        "    def stale(self): pass\n"
+        "class Dropped: pass\n"
+        "used()\nKept().method()\n"
+    )
+
+    def inherited(owner, name):
+        return (owner, name) == ("Kept", "hook")
+
+    assert _dead_definitions(tree, _references(tree), inherited) == [
+        "Dropped", "stale", "unused",
+    ]

@@ -22,6 +22,7 @@ from waldcat.workspace import (
     module_to_entry,
     morphism_to_entry,
     standard_corpus,
+    write_corpus,
 )
 
 CORPUS_NAMES = ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"]
@@ -34,6 +35,13 @@ def fx2_doc():
 def test_corpus_files_present():
     found = sorted(p.stem for p in corpus_dir().glob("*.json"))
     assert found == CORPUS_NAMES
+
+
+def test_write_corpus_reproduces_the_committed_files(tmp_path):
+    written = write_corpus(tmp_path)
+    assert [path.name for path in written] == [n + ".json" for n in CORPUS_NAMES]
+    for path in written:
+        assert path.read_bytes() == corpus_path(path.stem).read_bytes()
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -323,27 +323,34 @@ def algebra_from_quiver(q):
 
 
 class Module:
-    """Left module over a fixed algebra, given by one matrix per basis element."""
+    """Left module over a fixed algebra, given by one matrix per basis element.
+
+    ``rho`` is the read-only (algebra.dim, dim, dim) stack of action
+    matrices, ρ(e_i) = rho[i]; each ``action[i]`` is a FieldMatrix view of
+    ``rho[i]``.  ``action`` may be a sequence of square matrices or one
+    such stack; it is copied, never aliased.
+    """
 
     def __init__(self, algebra, action, check=True):
         self.algebra = algebra
-        self.p = algebra.p
-        mats = []
-        for raw in action:
-            m = raw if isinstance(raw, FieldMatrix) else FieldMatrix(algebra.p, raw)
-            mats.append(m)
+        self.p = p = algebra.p
+        if isinstance(action, np.ndarray) and action.ndim == 3:
+            mats = action
+        else:
+            mats = [m.a if isinstance(m, FieldMatrix) else FieldMatrix(p, m).a for m in action]
         if len(mats) != algebra.dim:
             raise ValidationError("need one action matrix per algebra basis element")
         dims = {m.shape for m in mats} or {(0, 0)}
         if len(dims) != 1 or any(r != c for r, c in dims):
             raise ValidationError("action matrices must be square and of equal size")
-        self.dim = mats[0].shape[0] if mats else 0
-        self.action = tuple(mats)
+        n = dims.pop()[0]
+        rho = np.asarray(mats, dtype=np.int64).reshape(algebra.dim, n, n) % p
+        rho.setflags(write=False)
+        self.rho = rho
+        self.dim = rho.shape[1]
+        self.action = tuple(FieldMatrix._reduced(p, m) for m in rho)
         self.digest = _digest(
-            b"module",
-            algebra.digest,
-            self.dim,
-            *[m.a.tobytes() for m in self.action],
+            b"module", algebra.digest, self.dim, *[m.tobytes() for m in rho]
         )
         if check:
             problems = self.validate()
@@ -351,30 +358,24 @@ class Module:
                 raise ValidationError("module axioms fail", problems)
 
     def validate(self):
-        """Return a list of broken module laws (empty when the data is valid)."""
-        p = self.p
-        d = self.algebra.dim
-        c = self.algebra.structure
-        problems = []
-        unit_mat = sum(
-            (int(self.unit_coeff(i)) * self.action[i].a for i in range(d)),
-            np.zeros((self.dim, self.dim), dtype=np.int64),
-        ) % p
-        if not np.array_equal(unit_mat, np.eye(self.dim, dtype=np.int64)):
-            problems.append("unit does not act as the identity")
-        for i in range(d):
-            for j in range(d):
-                lhs = (self.action[i].a @ self.action[j].a) % p
-                rhs = sum(
-                    (int(c[i, j, k]) * self.action[k].a for k in range(d)),
-                    np.zeros((self.dim, self.dim), dtype=np.int64),
-                ) % p
-                if not np.array_equal(lhs, rhs):
-                    problems.append("action not multiplicative at basis pair (%d, %d)" % (i, j))
-        return problems
+        """Return a list of broken module laws (empty when the data is valid).
 
-    def unit_coeff(self, i):
-        return int(self.algebra.unit[i])
+        The unit's image is one contraction of ``rho``; the d² products
+        ρ(e_i) ρ(e_j) are one stacked ``matmul``, compared with the
+        structure constants contracted against ``rho``.  Broken pairs are
+        reported in (i, j) order.
+        """
+        p, n, rho = self.p, self.dim, self.rho
+        problems = []
+        unit_mat = np.tensordot(self.algebra.unit, rho, axes=1) % p
+        if not np.array_equal(unit_mat, np.eye(n, dtype=np.int64)):
+            problems.append("unit does not act as the identity")
+        products = np.matmul(rho[:, None], rho[None, :]) % p
+        combined = np.tensordot(self.algebra.structure, rho, axes=1) % p
+        broken = (products != combined).any(axis=(2, 3))
+        for i, j in zip(*np.nonzero(broken)):
+            problems.append("action not multiplicative at basis pair (%d, %d)" % (i, j))
+        return problems
 
     def __eq__(self, other):
         return isinstance(other, Module) and self.digest == other.digest
@@ -427,10 +428,11 @@ class Morphism:
             raise ValidationError("matrix does not commute with the algebra action")
 
     def is_equivariant(self):
-        for i in range(self.dom.algebra.dim):
-            if (self.matrix @ self.dom.action[i]) != (self.cod.action[i] @ self.matrix):
-                return False
-        return True
+        """F ρ_dom(e_i) = ρ_cod(e_i) F for every i, as one stacked comparison."""
+        f = self.matrix.a
+        return bool(
+            np.array_equal(f @ self.dom.rho % self.p, self.cod.rho @ f % self.p)
+        )
 
     def is_mono(self):
         return rank(self.matrix) == self.dom.dim
@@ -583,9 +585,7 @@ def cokernel(f):
     coordinates are a section of it.
     """
     q_mat, free = quotient_coordinates(f.matrix.transpose())
-    section = FieldMatrix(f.p, np.eye(f.cod.dim, dtype=np.int64)[:, free])
-    action = [q_mat @ rho @ section for rho in f.cod.action]
-    cok = Module(f.cod.algebra, action, check=False)
+    cok = Module(f.cod.algebra, q_mat.a @ f.cod.rho[:, :, free], check=False)
     return cok, Morphism(f.cod, cok, q_mat, check=False)
 
 
@@ -648,17 +648,12 @@ def direct_sum(modules):
     if not modules:
         raise ValidationError("direct sum needs at least one summand")
     algebra = modules[0].algebra
-    p = algebra.p
-    dims = [m.dim for m in modules]
-    total = sum(dims)
-    action = []
-    for i in range(algebra.dim):
-        blocks = np.zeros((total, total), dtype=np.int64)
-        offset = 0
-        for m in modules:
-            blocks[offset : offset + m.dim, offset : offset + m.dim] = m.action[i].a
-            offset += m.dim
-        action.append(FieldMatrix(p, blocks))
+    total = sum(m.dim for m in modules)
+    action = np.zeros((algebra.dim, total, total), dtype=np.int64)
+    offset = 0
+    for m in modules:
+        action[:, offset : offset + m.dim, offset : offset + m.dim] = m.rho
+        offset += m.dim
     summed = Module(algebra, action, check=False)
     injections = []
     projections = []
@@ -722,9 +717,9 @@ def block_extensions(sub, quot, taus):
     """
     s, q = sub.dim, quot.dim
     actions = np.zeros((len(taus), sub.algebra.dim, s + q, s + q), dtype=np.int64)
-    actions[:, :, :s, :s] = [m.a for m in sub.action]
+    actions[:, :, :s, :s] = sub.rho
     actions[:, :, :s, s:] = taus
-    actions[:, :, s:, s:] = [m.a for m in quot.action]
+    actions[:, :, s:, s:] = quot.rho
     return [Module(sub.algebra, action, check=False) for action in actions]
 
 
@@ -899,8 +894,7 @@ def ext1(c, a):
     s, q = a.dim, c.dim
     if not (s and q):
         return Ext1Result(c, a, np.zeros((0, d, s, q), dtype=np.int64))
-    rho_a = np.array([m.a for m in a.action], dtype=np.int64)
-    rho_c = np.array([m.a for m in c.action], dtype=np.int64)
+    rho_a, rho_c = a.rho, c.rho
     # row (i, j, v, u) is entry (v, u) of equation (i, j); column (k, x, y)
     # is entry (y, x) of tau_k, in LinearSystem's column-major order
     vs, us, ks = np.arange(s), np.arange(q), np.arange(d)
@@ -970,8 +964,7 @@ def _restricted_action(module, cols):
     """Each ρ(e_i) restricted to the column space of ``cols`` as one
     (k, d·k) array of blocks, from one ``solve`` of cols x = [ρ(e_0) cols |
     … | ρ(e_{d-1}) cols]; None when that space is not invariant."""
-    rho = np.array([m.a for m in module.action], dtype=np.int64)
-    images = (rho @ cols.a % module.p).transpose(1, 0, 2).reshape(module.dim, -1)
+    images = (module.rho @ cols.a % module.p).transpose(1, 0, 2).reshape(module.dim, -1)
     inside = solve(cols, FieldMatrix(module.p, images))
     return None if inside is None else inside.a
 
@@ -989,7 +982,7 @@ def submodule_from_columns(module, cols):
     inside = _restricted_action(module, cols)
     if inside is None:
         raise ValidationError("columns do not span an invariant subspace")
-    action = [inside[:, i * k : (i + 1) * k] for i in range(module.algebra.dim)]
+    action = inside.reshape(k, module.algebra.dim, k).transpose(1, 0, 2)
     sub = Module(module.algebra, action, check=False)
     return sub, Morphism(sub, module, cols, check=False)
 
@@ -1042,7 +1035,7 @@ def fingerprint(module):
     ``is_isomorphic``, not a decision.
     """
     d, n, p = module.algebra.dim, module.dim, module.p
-    acts = np.array([m.a for m in module.action], dtype=np.int64).reshape(d, n, n)
+    acts = module.rho
     products = np.matmul(acts[:, None], acts[None, :]).reshape(d * d, n, n)
     singles = tuple(int(r) for r in rank_stack(acts, p))
     pairs = tuple(int(r) for r in rank_stack(products, p))

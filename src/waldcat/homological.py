@@ -68,7 +68,7 @@ def free_cover(m):
         z = zero_module(algebra)
         return zero_morphism(z, m)
     # blocks[:, i, j] = ρ(e_j) v_i
-    blocks = np.array([rho.a for rho in m.action], dtype=np.int64).transpose(1, 2, 0)
+    blocks = m.rho.transpose(1, 2, 0)
     chosen = pivot_blocks([blocks[:, i] for i in range(m.dim)], m.p)
     free, _, _ = direct_sum([regular_module(algebra)] * len(chosen))
     cover = Morphism(free, m, blocks[:, chosen].reshape(m.dim, -1))

@@ -10,17 +10,22 @@ elimination step at desk scale) is exact in int64.  ``FieldMatrix``,
 arbitrary-precision Python ints so Smith normal form is exact.
 
 There is one elimination kernel, ``_rref_array``.  For each pivot row r
-it clears the pivot column with one outer-product update of every row,
-``m -= f[:, None] * m[r]`` followed by ``m %= p``, where ``f`` is the
-pivot column with row r's own entry zeroed.  Both factors are residues,
-so every product is below p**2 < 2**32 and the difference lies in
-(-2**32, p): int64 stays exact.  A row space has exactly one reduced
-echelon form, so pivots, particular solutions (free coordinates zero) and
-kernel bases are those of a row-at-a-time elimination.  Five readers
-take their answers off that one form: ``solve``, ``kernel_basis`` and
-``LinearSystem`` through one back-substitution, ``_back_substitute``;
-``pivot_blocks``, the greedy left-to-right choice of column blocks; and
-``quotient_coordinates``, coordinates modulo a row space.
+it clears the pivot column with one outer-product update of the rows
+that have a nonzero entry there and no others: ``sub = m[hit]``,
+``sub -= sub[:, :1] * m[r]``, ``sub %= p``, written back to ``m[hit]``,
+with the pivot row saved before and restored after (its own update
+zeroes it).  Rows with a zero in the pivot column would be left
+unchanged by a full update, so skipping them gives the same matrix; on
+the tall, half-empty cocycle systems of ``ext1`` that skips most rows.
+Both factors are residues, so every product is below p**2 < 2**32 and
+the difference lies in (-2**32, p): int64 stays exact.  A row space has
+exactly one reduced echelon form, so pivots, particular solutions (free
+coordinates zero) and kernel bases are those of a row-at-a-time
+elimination.  Five readers take their answers off that one form:
+``solve``, ``kernel_basis`` and ``LinearSystem`` through one
+back-substitution, ``_back_substitute``; ``pivot_blocks``, the greedy
+left-to-right choice of column blocks; and ``quotient_coordinates``,
+coordinates modulo a row space.
 
 ``FieldMatrix(p, data)`` checks p and reduces its data.  The private
 ``FieldMatrix._reduced(p, array)`` does neither: it is for results of this
@@ -144,9 +149,11 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     The pivot of each column is its first nonzero entry at or below the
     current row, which makes the result and the pivot list deterministic.
-    Each pivot clears its column with one outer-product update.  Entries
-    left of the pivot column are zero in the pivot row, so the update and
-    the row swap touch only the columns from the pivot on.
+    Each pivot clears its column with one outer-product update of the
+    rows that are nonzero in it; the pivot row is among them and is put
+    back afterwards.  Entries left of the pivot column are zero in the
+    pivot row, so the update and the row swap touch only the columns from
+    the pivot on.
     """
     m = np.asarray(a, dtype=np.int64) % p
     rows, cols = m.shape
@@ -165,10 +172,14 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         inv = pow(int(tail[r, 0]), p - 2, p)
         if inv != 1:
             tail[r] = tail[r] * inv % p
-        f = tail[:, 0].copy()
-        f[r] = 0
-        tail -= f[:, None] * tail[r]
-        tail %= p
+        hit = tail[:, 0].nonzero()[0]
+        if len(hit) > 1:
+            row = tail[r].copy()
+            sub = tail[hit]
+            sub -= sub[:, :1] * row
+            sub %= p
+            tail[hit] = sub
+            tail[r] = row
         pivots.append(c)
         r += 1
     return m, pivots

@@ -238,7 +238,7 @@ def algebra_to_entry(algebra, quiver=None):
 def module_to_entry(ws_name_of_algebra, module):
     return {
         "algebra": ws_name_of_algebra,
-        "action": [m.a.tolist() for m in module.action],
+        "action": module.rho.tolist(),
     }
 
 
@@ -264,11 +264,17 @@ def load_workspace(source, collect_failures=False):
         name = ""
     else:
         path = pathlib.Path(source)
-        if path.exists():
-            text = path.read_text()
-            name = path.stem
-        else:
-            raise MalformedInputError("input file %r does not exist" % str(source))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (FileNotFoundError, NotADirectoryError):
+            raise MalformedInputError(
+                "input file %r does not exist" % str(source)
+            ) from None
+        except (OSError, UnicodeDecodeError) as err:
+            raise MalformedInputError(
+                "cannot read input file %r: %s" % (str(source), err)
+            ) from None
+        name = path.stem
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as err:

@@ -226,6 +226,100 @@ def test_quiver_truncated_polynomial_degree_three():
 
 
 # ---------------------------------------------------------------------------
+# module laws and equivariance, checked on the stacked action
+# ---------------------------------------------------------------------------
+
+
+def _validate_reference(module):
+    """Reference: the module laws checked one basis pair at a time."""
+    p, d, n = module.p, module.algebra.dim, module.dim
+    c = module.algebra.structure
+    zero = np.zeros((n, n), dtype=np.int64)
+    problems = []
+    unit = sum(
+        (int(module.algebra.unit[i]) * module.action[i].a for i in range(d)), zero
+    ) % p
+    if not np.array_equal(unit, np.eye(n, dtype=np.int64)):
+        problems.append("unit does not act as the identity")
+    for i in range(d):
+        for j in range(d):
+            lhs = (module.action[i].a @ module.action[j].a) % p
+            rhs = sum((int(c[i, j, k]) * module.action[k].a for k in range(d)), zero) % p
+            if not np.array_equal(lhs, rhs):
+                problems.append("action not multiplicative at basis pair (%d, %d)" % (i, j))
+    return problems
+
+
+def _corrupted(module, rng, entries):
+    """``module`` with ``entries`` random action entries overwritten."""
+    rho = module.rho.copy()
+    d, n = module.algebra.dim, module.dim
+    for _ in range(entries):
+        rho[rng.integers(d), rng.integers(n), rng.integers(n)] = rng.integers(module.p)
+    return Module(module.algebra, rho, check=False)
+
+
+def test_stacked_validate_matches_pairwise_loop():
+    fx2 = fx2_algebra()
+    broken_unit = Module(fx2, [[[0]], [[0]]], check=False)
+    one_pair = Module(fx2, [[[1]], [[1]]], check=False)
+    zero_dim = Module(a1_algebra(), [np.zeros((0, 0), dtype=np.int64)] * 4, check=False)
+    assert _validate_reference(broken_unit) == ["unit does not act as the identity"]
+    assert _validate_reference(one_pair) == [
+        "action not multiplicative at basis pair (1, 1)"
+    ]
+    assert broken_unit.validate() == _validate_reference(broken_unit)
+    assert one_pair.validate() == _validate_reference(one_pair)
+    assert zero_dim.validate() == _validate_reference(zero_dim) == []
+    assert zero_module(a1_algebra()).validate() == []
+    rng = np.random.default_rng(11)
+    several = 0
+    for algebra in (fx2, a1_algebra(), a2_algebra(), _truncated_polynomial_algebra(3, 3)):
+        for m in enumerate_modules(algebra, 2) + (regular_module(algebra),):
+            assert m.validate() == _validate_reference(m) == []
+            if not m.dim:
+                continue
+            for entries in (1, 2, 5):
+                bad = _corrupted(m, rng, entries)
+                expected = _validate_reference(bad)
+                several += len(expected) > 2
+                assert bad.validate() == expected
+    assert several
+
+
+def _is_equivariant_reference(f):
+    """Reference: F ρ_dom(e_i) == ρ_cod(e_i) F compared one i at a time."""
+    return all(
+        (f.matrix @ f.dom.action[i]) == (f.cod.action[i] @ f.matrix)
+        for i in range(f.dom.algebra.dim)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [fx2_algebra, a1_algebra, lambda: _truncated_polynomial_algebra(3, 3)],
+    ids=["fx2", "a1", "F3[x]/(x^3)"],
+)
+def test_stacked_equivariance_matches_loop(make):
+    algebra = make()
+    rng = np.random.default_rng(algebra.dim)
+    mods = list(enumerate_modules(algebra, 2)) + [regular_module(algebra)]
+    assert any(m.dim == 0 for m in mods)
+    seen = {True: 0, False: 0}
+    for dom, cod in itertools.product(mods, repeat=2):
+        basis = hom_basis(dom, cod)
+        candidates = [
+            combine(dom, cod, basis, rng.integers(0, algebra.p, len(basis))),
+            Morphism(dom, cod, rng.integers(0, algebra.p, (cod.dim, dom.dim)), check=False),
+        ]
+        for f in candidates:
+            expected = _is_equivariant_reference(f)
+            assert f.is_equivariant() is expected
+            seen[expected] += 1
+    assert seen[True] and seen[False]
+
+
+# ---------------------------------------------------------------------------
 # hom spaces
 # ---------------------------------------------------------------------------
 

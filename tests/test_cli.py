@@ -255,6 +255,24 @@ def test_exit_three_missing_file():
     assert out["error"]["type"] == "malformed"
 
 
+def test_exit_three_input_is_a_directory(tmp_path, capsys):
+    code, out = runj("enumerate", "--input", str(tmp_path))
+    assert code == 3
+    assert out["error"]["type"] == "malformed"
+    assert "cannot read input file" in out["error"]["message"]
+    assert capsys.readouterr().err == ""
+
+
+def test_exit_three_input_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out = runj("enumerate", "--input", str(path))
+    assert code == 3
+    assert out["error"]["type"] == "malformed"
+    assert "utf-8" in out["error"]["message"]
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_three_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")

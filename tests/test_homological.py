@@ -59,7 +59,7 @@ from waldcat.homological import (
     short_exact_sequences,
     strip_injective_summands,
 )
-from waldcat.linalg import pivot_blocks
+from waldcat.linalg import FieldMatrix, pivot_blocks, rank, solve
 from waldcat.workspace import corpus_path, load_workspace
 
 
@@ -208,6 +208,63 @@ def test_projective_equals_injective_over_truncated_polynomials():
     for algebra, bound in ((fx2_algebra(), 4), (fx3_algebra(), 3)):
         for m in enumerate_modules(algebra, bound):
             assert is_projective(m) == is_injective(m)
+
+
+def _unit_preserving_basis_change(algebra, rng):
+    """A random invertible g over F_p, not the identity, with g @ unit ==
+    unit: b k b^-1 for a random basis b whose first vector is the unit and
+    a random invertible k that fixes the first basis vector."""
+    p, d = algebra.p, algebra.dim
+    eye = np.eye(d, dtype=np.int64)
+    while True:
+        b = rng.integers(0, p, size=(d, d))
+        b[:, 0] = algebra.unit
+        k = rng.integers(0, p, size=(d, d))
+        k[:, 0] = eye[0]
+        if rank(FieldMatrix(p, b)) == d == rank(FieldMatrix(p, k)) and (k != eye).any():
+            b_inv = solve(FieldMatrix(p, b), FieldMatrix.identity(p, d)).a
+            return b @ k @ b_inv % p
+
+
+def _rebased(algebra, g):
+    """The algebra in the basis f_i = sum_j g[j, i] e_j: f_i f_j is
+    sum g[a, i] g[b, j] e_a e_b, rewritten in f-coordinates by g^-1."""
+    p, d = algebra.p, algebra.dim
+    g_inv = solve(FieldMatrix(p, g), FieldMatrix.identity(p, d)).a
+    products = np.einsum("ai,bj,abk->ijk", g, g, algebra.structure) % p
+    structure = np.einsum("lk,ijk->ijl", g_inv, products) % p
+    return Algebra(p, structure, g_inv @ algebra.unit % p)
+
+
+def _rebased_module(rebased, m, g):
+    """m over the rebased algebra: f_i acts as sum_j g[j, i] ρ(e_j)."""
+    return Module(rebased, np.einsum("ji,jab->iab", g, m.rho) % m.p)
+
+
+@pytest.mark.parametrize(
+    "name", ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2", "F3[x]/(x^3)"]
+)
+def test_unit_preserving_change_of_algebra_basis_keeps_ext_and_verdicts(name):
+    if name.startswith("F3"):
+        c = np.zeros((3, 3, 3), dtype=int)
+        for i in range(3):
+            for j in range(3 - i):
+                c[i, j, i + j] = 1
+        algebra = Algebra(3, c, [1, 0, 0])
+    else:
+        algebra = load_workspace(corpus_path(name)).only_algebra()
+    g = _unit_preserving_basis_change(algebra, np.random.default_rng(len(name)))
+    rebased = _rebased(algebra, g)
+    assert np.array_equal(rebased.unit, algebra.unit)
+    assert rebased != algebra
+    mods = enumerate_modules(algebra, 3)
+    moved = {m: _rebased_module(rebased, m, g) for m in mods}
+    for c, a in itertools.product(mods, repeat=2):
+        if c.dim + a.dim <= 3:
+            assert ext1(moved[c], moved[a]).dimension == ext1(c, a).dimension
+    for m in mods:
+        assert is_injective(moved[m]) == is_injective(m)
+        assert is_projective(moved[m]) == is_projective(m)
 
 
 def test_sink_simple_is_projective_not_injective():

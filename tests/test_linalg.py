@@ -4,12 +4,15 @@ Expected values are either worked by hand (frozen below) or recomputed by
 small brute-force oracles inside this file.
 """
 
+import functools
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import waldcat.algebra as alg
 import waldcat.linalg as la
 from waldcat.linalg import (
     MODULUS_LIMIT,
@@ -29,6 +32,7 @@ from waldcat.linalg import (
     solve,
     stack,
 )
+from waldcat.workspace import corpus_path, load_workspace
 
 
 def test_rref_identity_fixed_point():
@@ -483,6 +487,64 @@ def test_outer_product_rref_matches_rowwise(p):
         assert piv == ref_piv
         assert np.array_equal(red, ref_red)
         assert rank(FieldMatrix(p, a)) == len(ref_piv)
+
+
+def _tall_sparse_matrices(p, rng):
+    """Tall, sparse, rank-deficient matrices shaped like ext1's cocycle
+    systems: rows 4-5 times the columns, at most 15 % nonzero, with
+    repeated and zero rows and a column that depends on two others."""
+    out = []
+    for cols in (6, 12, 24, 40):
+        for ratio in (4, 5):
+            rows = ratio * cols
+            mask = rng.random((rows, cols)) < 0.05
+            a = np.where(mask, rng.integers(1, p, size=(rows, cols)), 0)
+            a[:, -1] = (a[:, 0] + (p - 1) * a[:, 1]) % p
+            a[rows // 2 : rows // 2 + cols] = 0
+            a[rng.integers(0, rows, size=cols)] = a[rng.integers(0, rows, size=cols)]
+            assert np.count_nonzero(a) <= 0.15 * a.size
+            out.append(a)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _quiver_a1_cocycle_systems():
+    """The coefficient arrays ``ext1`` hands to ``kernel_basis`` for every
+    quiver_a1 module of dimension at most 3 against each simple, both ways
+    round.  quiver_a1 is over F_2, so each is a 0/1 pattern."""
+    algebra = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    simples = alg.simple_modules(algebra)
+    mods = [m for m in alg.enumerate_modules(algebra, 3) if m.dim]
+    systems = []
+
+    def recording(m):
+        systems.append(m.a)
+        return kernel_basis(m)
+
+    with mock.patch.object(alg, "kernel_basis", recording):
+        for m, s in itertools.product(mods, simples):
+            alg.ext1.__wrapped__(s, m)
+            alg.ext1.__wrapped__(m, s)
+    return tuple(systems)
+
+
+@pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+def test_row_selective_rref_matches_rowwise_on_tall_sparse(p):
+    rng = np.random.default_rng(3000 + p)
+    systems = _quiver_a1_cocycle_systems()
+    assert len(systems) >= 20 and all(s.shape[0] > 4 * s.shape[1] for s in systems)
+    # the F_2 systems as they are, and their patterns with random nonzero
+    # residues over the other primes
+    patterns = [
+        np.where(s != 0, rng.integers(1, p, size=s.shape), 0) for s in systems
+    ]
+    tall = _tall_sparse_matrices(p, rng)
+    for a in tall + patterns:
+        red, piv = la._rref_array(a, p)
+        ref_red, ref_piv = _rref_rowwise(a, p)
+        assert piv == ref_piv
+        assert np.array_equal(red, ref_red)
+    assert all(rank(FieldMatrix(p, a)) < a.shape[1] for a in tall)
 
 
 def test_rref_does_not_touch_its_input():

@@ -5,6 +5,9 @@ deterministic decision, and seeded draws belong to CLI sampling.  The two
 search sites in ``algebra`` still stand in for exact isomorphism and
 decomposition decisions; they leave this list when those become exact.
 
+A module's action matrices are read from its stack ``Module.rho``; no
+module of the package rebuilds that stack from the ``action`` views.
+
 Every imported name is referenced in its file, so an import left behind
 by deleted code does not survive.  Likewise every top-level function and
 class of the package, and every method of its classes, is referenced
@@ -48,6 +51,45 @@ def _rng_sites():
 
 def test_default_rng_only_at_the_allowed_sites():
     assert sorted(_rng_sites()) == ALLOWED_RNG_SITES
+
+
+def _action_stack_rebuilds(tree):
+    """Line numbers of ``np.array([... for ... in X.action])`` calls (or
+    ``asarray``, ``stack``, or a generator): a stack of action matrices
+    rebuilt from the views that ``Module.rho`` already holds."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node.func) in ("array", "asarray", "stack")
+        and node.args
+        and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
+        and any(
+            isinstance(gen.iter, ast.Attribute) and gen.iter.attr == "action"
+            for gen in node.args[0].generators
+        )
+    )
+
+
+def test_no_module_rebuilds_an_action_stack():
+    rebuilt = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _action_stack_rebuilds(ast.parse(path.read_text()))
+        if lines:
+            rebuilt[path.name] = lines
+    assert rebuilt == {}
+
+
+def test_action_stack_scan_flags_only_rebuilt_stacks():
+    tree = ast.parse(
+        "a = np.array([m.a for m in mod.action], dtype=np.int64)\n"
+        "b = np.array([m.a for m in mods])\n"
+        "c = [m.a for m in mod.action]\n"
+        "d = numpy.asarray(list(x.a for x in y.action))\n"
+        "e = np.stack(x.a for x in y.action)\n"
+        "f = mod.rho.copy()\n"
+    )
+    assert _action_stack_rebuilds(tree) == [1, 5]
 
 
 def _unused_imports(tree):

@@ -798,23 +798,6 @@ def ses_from_epi(epi):
 # ---------------------------------------------------------------------------
 
 
-class ExtClass:
-    """One equivalence class of extensions, as coefficients over a basis."""
-
-    def __init__(self, parent, coefficients):
-        self.parent = parent
-        self.coefficients = tuple(int(c) % parent.p for c in coefficients)
-        if len(self.coefficients) != parent.dimension:
-            raise ValidationError("coefficient count must match the Ext dimension")
-
-    @property
-    def is_zero(self):
-        return not any(self.coefficients)
-
-    def realize(self):
-        return self.parent.realize(self.coefficients)
-
-
 class Ext1Result:
     """Ext^1(c, a) as cocycles modulo coboundaries; see ``ext1``.
 
@@ -833,18 +816,6 @@ class Ext1Result:
         self.cocycles = cocycles
         self.dimension = len(cocycles)
 
-    def zero_class(self):
-        return ExtClass(self, (0,) * self.dimension)
-
-    def all_classes(self):
-        return [
-            ExtClass(self, coeffs)
-            for coeffs in itertools.product(range(self.p), repeat=self.dimension)
-        ]
-
-    def class_from_coefficients(self, coeffs):
-        return ExtClass(self, coeffs)
-
     def _middles(self, coeffs):
         """The ``block_extensions`` modules of the classes with the given
         (count, dimension) coefficient rows."""
@@ -852,8 +823,10 @@ class Ext1Result:
         return block_extensions(self.a, self.c, taus)
 
     def middles(self):
-        """The middle of every class, in ``all_classes`` order, from one
-        ``block_extensions`` call; nothing is checked."""
+        """The middle of every class, in ``itertools.product`` order of the
+        coefficients, from one ``block_extensions`` call; nothing is
+        checked.  Every class shares the mono [I; 0] and the epi [0 I] of
+        ``realize``."""
         count = self.p**self.dimension
         return self._middles(_product_coefficients(self.p, self.dimension, slice(0, count)))
 
@@ -1089,33 +1062,45 @@ def _first_in_span(mats, p, accept):
     return None
 
 
-def _find_invertible_combination(basis, p, dim):
-    """Search the span of hom-basis matrices for an invertible one.
+def _search_span(mats, p, accept, seed):
+    """First combination of ``mats`` that ``accept`` takes, as an array, or
+    None; ``accept`` maps a stack to a boolean mask.
 
-    Up to ``_ENUMERATION_CAP`` combinations the whole span is scanned, so
-    the answer is exact; beyond it the basis and seeded random
-    combinations are tried.
+    Up to ``_ENUMERATION_CAP`` combinations this is ``_first_in_span``, so
+    a None is exact.  Beyond it three batches are scanned in order: the
+    basis, its pairwise sums, and ``_RANDOM_TRIES`` combinations drawn
+    from a generator seeded by the digest of the ``seed`` parts.
     """
+    if p ** len(mats) <= _ENUMERATION_CAP:
+        return _first_in_span(mats, p, accept)
+    basis = np.stack([m.a for m in mats])
+
+    def batches():
+        yield basis
+        first, second = np.triu_indices(len(basis), 1)  # itertools.combinations order
+        yield (basis[first] + basis[second]) % p
+        rng = np.random.default_rng(int(_digest(*seed)[:8], 16))
+        draws = rng.integers(0, p, size=(_RANDOM_TRIES, len(basis)))
+        yield np.tensordot(draws, basis, axes=1) % p
+
+    for batch in batches():
+        for rows in scan_slices(len(batch), basis[0].size):
+            hits = np.flatnonzero(accept(batch[rows]))
+            if hits.size:
+                return batch[rows][hits[0]]
+    return None
+
+
+def _find_invertible_combination(basis, p, dim):
+    """An invertible matrix in the span of hom-basis maps, by ``_search_span``."""
     if dim == 0:
         return FieldMatrix.zeros(p, 0, 0)
     if not basis:
         return None
     mats = [b.matrix for b in basis]
-    if p ** len(mats) <= _ENUMERATION_CAP:
-        hit = _first_in_span(mats, p, lambda stack: rank_stack(stack, p) == dim)
-        return None if hit is None else FieldMatrix(p, hit)
-    for m in mats:
-        if rank(m) == dim:
-            return m
-    dom, cod = basis[0].dom, basis[0].cod
-    seed = int(_digest("invcombo", *(m.a.tobytes() for m in mats))[:8], 16)
-    rng = np.random.default_rng(seed)
-    for _ in range(_RANDOM_TRIES):
-        coeffs = rng.integers(0, p, size=len(basis))
-        cand = combine(dom, cod, basis, coeffs).matrix
-        if rank(cand) == dim:
-            return cand
-    return None
+    seed = ("invcombo", *(m.a.tobytes() for m in mats))
+    hit = _search_span(mats, p, lambda stack: rank_stack(stack, p) == dim, seed)
+    return None if hit is None else FieldMatrix(p, hit)
 
 
 def is_isomorphic(m1, m2):
@@ -1126,8 +1111,9 @@ def is_isomorphic(m1, m2):
     Hom(m1, m2) onto Hom(m2, m2).  Otherwise the decision is a search for
     an invertible element of Hom(m1, m2): when the hom space has at most
     ``_ENUMERATION_CAP`` elements, one batched rank scan over all of it
-    decides exactly; larger hom spaces try the basis and seeded random
-    combinations, then fall back to matching indecomposable summands.
+    decides exactly; larger hom spaces try the basis, its pairwise sums
+    and seeded random combinations (``_search_span``), then fall back to
+    matching indecomposable summands.
     """
     if m1.algebra.digest != m2.algebra.digest or m1.dim != m2.dim:
         return None
@@ -1227,28 +1213,13 @@ def _find_splitting_endo(module):
     """Look for an endomorphism whose stable kernel/image split the module.
 
     The stable kernel and image are those of the power mat**(2**b) with
-    b = max(1, dim.bit_length()), which is at least dim.  Up to
-    ``_ENUMERATION_CAP`` combinations the whole endomorphism span is
-    scanned in one batch, taking the first combination whose power has
-    0 < rank < dim; larger spans try the basis, pairwise sums and seeded
-    random combinations.
+    b = max(1, dim.bit_length()), which is at least dim.  ``_search_span``
+    looks for a combination whose power has 0 < rank < dim.
     """
     p = module.p
     dim = module.dim
-    basis = hom_basis(module, module)
-    mats = [b.matrix for b in basis]
+    mats = [b.matrix for b in hom_basis(module, module)]
     squarings = max(1, dim.bit_length())
-
-    def check(mat):
-        power = mat
-        for _ in range(squarings):
-            power = power @ power
-        r = rank(power)
-        if 0 < r < dim:
-            ker_cols = kernel_basis(power)
-            im_cols = column_space_basis(power)
-            return ker_cols, im_cols
-        return None
 
     def splits(stack):
         for _ in range(squarings):
@@ -1256,27 +1227,13 @@ def _find_splitting_endo(module):
         r = rank_stack(stack, p)
         return (0 < r) & (r < dim)
 
-    if p ** len(mats) <= _ENUMERATION_CAP:
-        hit = _first_in_span(mats, p, splits)
-        return None if hit is None else check(FieldMatrix(p, hit))
-    for m in mats:
-        res = check(m)
-        if res is not None:
-            return res
-    for m1, m2 in itertools.combinations(mats, 2):
-        res = check(m1 + m2)
-        if res is not None:
-            return res
-    seed = int(_digest("splitter", module.digest)[:8], 16)
-    rng = np.random.default_rng(seed)
-    for _ in range(_RANDOM_TRIES):
-        coeffs = [int(c) for c in rng.integers(0, p, size=len(mats))]
-        if not any(coeffs):
-            continue
-        res = check(combine(module, module, basis, coeffs).matrix)
-        if res is not None:
-            return res
-    return None
+    hit = _search_span(mats, p, splits, ("splitter", module.digest))
+    if hit is None:
+        return None
+    power = FieldMatrix(p, hit)
+    for _ in range(squarings):
+        power = power @ power
+    return kernel_basis(power), column_space_basis(power)
 
 
 # ---------------------------------------------------------------------------

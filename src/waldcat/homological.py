@@ -11,8 +11,9 @@ and injective iff Ext1(S, m) = 0 for every simple S.
 
 Every short exact sequence 0 -> a -> b -> c -> 0 is equivalent to exactly
 one class of Ext1(c, a) (Auslander, Reiten and Smalø, Representation
-Theory of Artin Algebras, ch. I), so ``short_exact_sequences`` realizes
-every sequence between enumerated end terms, once per class.  The K0
+Theory of Artin Algebras, ch. I), so ``short_exact_sequences`` yields
+the middle of every sequence between enumerated end terms, once per
+class, read off ``Ext1Result.middles``.  The K0
 harvest and every closure-hypothesis check (hereditary pairs, extension
 and cokernel closure, 2-out-of-3) walk that one sweep.  The brute-force
 ``ext1_class_count_oracle`` counts the same classes without the engine.
@@ -129,13 +130,16 @@ DEFAULT_CLASS_BUDGET = 4096
 
 
 def short_exact_sequences(modules, bound):
-    """Every short exact sequence with both end terms in ``modules``, once
-    per Ext class.
+    """The middle of every short exact sequence with both end terms in
+    ``modules``, once per Ext class.
 
     For each ordered pair (quot, sub) from ``modules`` with
-    quot.dim + sub.dim <= bound, every class of Ext1(quot, sub) is
-    realized; yields (i_quot, i_sub, ses) in (quot, sub, class) order,
-    where i_quot and i_sub index ``modules``.  When ``modules`` holds every
+    quot.dim + sub.dim <= bound, yields (i_quot, i_sub, mid) for the
+    middle of every class of Ext1(quot, sub), in (quot, sub, class) order,
+    where i_quot and i_sub index ``modules``; the sequence is
+    0 -> sub -> mid -> quot -> 0 with mono [I; 0] and epi [0 I].  Those two
+    maps are the same for every class of a pair, so exactness is checked
+    once per pair, on the split class.  When ``modules`` holds every
     isomorphism class up to ``bound``, the sweep meets every short exact
     sequence with middle of dimension at most ``bound`` up to isomorphism
     of its three terms.  Raises BudgetExceededError when one Ext group has
@@ -151,8 +155,9 @@ def short_exact_sequences(modules, bound):
                     "Ext class enumeration (%d^%d) exceeds the budget"
                     % (quot.p, ext.dimension)
                 )
-            for cls in ext.all_classes():
-                yield i_quot, i_sub, cls.realize()
+            ext.realize((0,) * ext.dimension)  # raises unless exact
+            for mid in ext.middles():
+                yield i_quot, i_sub, mid
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +342,16 @@ def pair_validate(pair, samples):
     right_cokernel_failures = []
     checked_epis = checked_monos = 0
     bound = max((m.dim for m in samples), default=0)
-    for _, _, ses in short_exact_sequences(samples, bound):
-        if pair.in_left(ses.mid) and pair.in_left(ses.quot):
+    for i_quot, i_sub, mid in short_exact_sequences(samples, bound):
+        sub, quot = samples[i_sub], samples[i_quot]
+        if pair.in_left(mid) and pair.in_left(quot):
             checked_epis += 1
-            if not pair.in_left(ses.sub):
-                left_kernel_failures.append((ses.mid.digest, ses.quot.digest))
-        if pair.in_right(ses.sub) and pair.in_right(ses.mid):
+            if not pair.in_left(sub):
+                left_kernel_failures.append((mid.digest, quot.digest))
+        if pair.in_right(sub) and pair.in_right(mid):
             checked_monos += 1
-            if not pair.in_right(ses.quot):
-                right_cokernel_failures.append((ses.sub.digest, ses.mid.digest))
+            if not pair.in_right(quot):
+                right_cokernel_failures.append((sub.digest, mid.digest))
     return {
         "ok": not (orth_failures or left_kernel_failures or right_cokernel_failures),
         "orthogonality_failures": orth_failures,

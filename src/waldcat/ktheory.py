@@ -28,7 +28,6 @@ from .homological import all_injectives_pair, is_injective, short_exact_sequence
 from .linalg import (
     IntegerMatrix,
     RowLattice,
-    _mat_mul,
     smith_invariant_factors,
     stack,
 )
@@ -132,7 +131,7 @@ def _harvest_relations(generators):
 
     Walks ``short_exact_sequences(generators, max_dim)``: every Ext class
     of every ordered generator pair (quot, sub) with total dimension inside
-    the bound, and matches its realized middle against the generator list;
+    the bound, and matches its middle against the generator list;
     matches contribute [mid]-[sub]-[quot].  Duplicate rows are dropped;
     order is deterministic.
 
@@ -150,8 +149,8 @@ def _harvest_relations(generators):
 
     rows = []
     seen = set()
-    for i_quot, i_sub, ses in short_exact_sequences(generators, max_dim):
-        i_mid = match(ses.mid)
+    for i_quot, i_sub, mid in short_exact_sequences(generators, max_dim):
+        i_mid = match(mid)
         if i_mid is None:
             continue
         row = [0] * count
@@ -197,7 +196,8 @@ def k0_waldhausen(w, dim_bound, enum_budget=DEFAULT_BUDGET):
 
 def _kill_acyclics(w, base):
     """``base``, the exact-category K0 on w's C, with [Z] = 0 for every
-    acyclic generator Z.  Callers have checked w's 2-out-of-3 gate."""
+    acyclic generator Z, on base's generator list.  Callers have checked
+    w's 2-out-of-3 gate."""
     count = len(base.generators)
     kill = []
     for idx, m in enumerate(base.modules):
@@ -292,15 +292,14 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     # w's C is spec_all(), so kb is the base presentation of K0(B, w_A)
     kbw = _kill_acyclics(w, kb)
 
+    # kbw keeps kb's generator list, so K0(B) -> K0(B, w_A) is the identity
     first = _transfer_matrix(ka, kb)
-    second = _transfer_matrix(kb, kbw)
+    n = len(kb.generators)
+    second = IntegerMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     # composite K0(A) -> K0(B, w_A) must be zero: the image of every
     # A-generator must lie in the acyclic-kill relation lattice
-    composite = IntegerMatrix(
-        _mat_mul(first.data, second.data), cols=len(kbw.generators)
-    )
-    composite_zero = all(kbw.is_relation(r) for r in composite.data)
+    composite_zero = all(kbw.is_relation(r) for r in first.data)
 
     # surjectivity of the second map: its image rows together with the
     # target relations must span the full integer lattice
@@ -310,10 +309,10 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     )
 
     # image of the first map = kernel of the second, as sublattices of
-    # the generator lattice of K0(B): the kernel is the preimage of the
-    # target relation lattice, pulled back through the generator matching
+    # the generator lattice of K0(B): the second map is the identity, so
+    # its kernel is generated by the target relations
     image = RowLattice(stack(kb.relations, first))
-    kernel = RowLattice(stack(kb.relations, _pullback_rows(second, kbw.relations)))
+    kernel = RowLattice(stack(kb.relations, kbw.relations))
     im_eq_ker = kernel.spans(image) and image.spans(kernel)
 
     report["groups"] = {
@@ -338,34 +337,3 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     report["ok"] = bool(composite_zero and surjective and im_eq_ker)
     report["presentations"] = {"KA": ka, "KB": kb, "KBwA": kbw}
     return report
-
-
-def _pullback_rows(second, target_relations):
-    """Preimage generators of the target relation lattice.
-
-    ``second`` must match each source generator to a distinct target
-    generator (it is a permutation submatrix); each target relation row
-    is then rewritten in source coordinates.
-    """
-    position = {}
-    for i, row in enumerate(second.data):
-        hits = [j for j, v in enumerate(row) if v != 0]
-        if len(hits) != 1 or row[hits[0]] != 1 or hits[0] in position:
-            raise ValidationError(
-                "generator matching between the two presentations "
-                "is not one-to-one; cannot pull the kernel back"
-            )
-        position[hits[0]] = i
-    if len(position) != second.cols:
-        raise ValidationError(
-            "generator matching between the two presentations "
-            "is not one-to-one; cannot pull the kernel back"
-        )
-    rows = []
-    for rel in target_relations.data:
-        pulled = [0] * second.rows
-        for j, val in enumerate(rel):
-            if val:
-                pulled[position[j]] = val
-        rows.append(pulled)
-    return IntegerMatrix(rows, cols=second.rows)

@@ -77,15 +77,22 @@ def class_samples(w, max_dim, predicate):
     return [m for m in w.modules(max_dim) if predicate(m)]
 
 
+def c_samples(w, max_dim):
+    return class_samples(w, max_dim, w.in_c)
+
+
 def zc_samples(w, max_dim):
     return class_samples(w, max_dim, w.in_zc)
 
 
 def cperp_samples(w, max_dim):
-    return class_samples(w, max_dim, w.pair.in_right)
+    """Padding objects: the members of C that are right-orthogonal."""
+    return class_samples(w, max_dim, lambda m: w.in_c(m) and w.pair.in_right(m))
 
 
 def _pick(rng, items):
+    if not items:
+        raise ValidationError("no module of the required class to sample from")
     return items[int(rng.integers(0, len(items)))]
 
 
@@ -151,9 +158,9 @@ def gluing_instance(w, rng, max_dim=2):
     acyclic cofibrations); mode 1 deflates the top row by a
     right-orthogonal object (verticals are acyclic fibrations).
     """
-    apex = _pick(rng, w.modules(max_dim))
+    apex = _pick(rng, c_samples(w, max_dim))
     i = random_cofibration(w, rng, apex, max_dim + 1)
-    cobj = _pick(rng, w.modules(max_dim))
+    cobj = _pick(rng, c_samples(w, max_dim))
     j = random_combination(rng, apex, cobj)
     mode = int(rng.integers(0, 2))
     if mode == 0:
@@ -176,7 +183,7 @@ def gluing_instance(w, rng, max_dim=2):
 
 def random_ses(w, rng, max_dim=2):
     """A short exact sequence of C-objects whose injection is a cofibration."""
-    mods = [m for m in w.modules(max_dim) if w.in_c(m)]
+    mods = c_samples(w, max_dim)
     mids = [m for m in mods if m.dim > 0]
     for _ in range(SES_TRIES):
         mid = _pick(rng, mids)
@@ -230,7 +237,7 @@ def extension_instance(w, rng, max_dim=2):
 
 def saturation_instance(w, rng, max_dim=2):
     """A random composable pair of maps between C-objects."""
-    mods = [m for m in w.modules(max_dim) if w.in_c(m)]
+    mods = c_samples(w, max_dim)
     a = _pick(rng, mods)
     b = _pick(rng, mods)
     c = _pick(rng, mods)
@@ -242,12 +249,12 @@ def saturation_instance(w, rng, max_dim=2):
 def properness_instance(w, rng, max_dim=2):
     """A weak equivalence to push along a cofibration or pull along an epi."""
     if int(rng.integers(0, 2)) == 0:
-        apex = _pick(rng, w.modules(max_dim))
+        apex = _pick(rng, c_samples(w, max_dim))
         f = random_cofibration(w, rng, apex, max_dim + 1)
         a = random_weq_from(w, rng, apex, max_dim)
         return PropernessInstance("pushout", f, a)
-    base = _pick(rng, w.modules(max_dim))
-    extra = _pick(rng, w.modules(max_dim))
+    base = _pick(rng, c_samples(w, max_dim))
+    extra = _pick(rng, c_samples(w, max_dim))
     total, _, (proj_base, _) = direct_sum([base, extra])
     u = random_automorphism(rng, total)
     f = proj_base @ u

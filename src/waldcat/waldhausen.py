@@ -235,31 +235,30 @@ class WaldhausenData:
             if right.validate() or left.validate():
                 raise HypothesisError("completeness resolution failed to validate")
         self.flags["complete_checked"] = SAMPLE_BOUND
-        sequences = [
-            ses for _, _, ses in short_exact_sequences(samples, SAMPLE_BOUND)
-        ]
+        sequences = list(short_exact_sequences(samples, SAMPLE_BOUND))
         # hereditary: kernels of surjections between left-class objects
         left = self.pair.in_left
-        for ses in sequences:
-            if left(ses.mid) and left(ses.quot) and not left(ses.sub):
+        for i_quot, i_sub, mid in sequences:
+            if left(mid) and left(samples[i_quot]) and not left(samples[i_sub]):
                 raise HypothesisError(
                     "left class not closed under kernels of surjections"
                 )
         self.flags["hereditary_checked"] = SAMPLE_BOUND
         # Z-intersect-C closed under extensions (all classes of small pairs)
         zc = [m for m in samples if self.in_zc(m)]
-        for _, _, ses in short_exact_sequences(zc, SAMPLE_BOUND + 1):
-            if not self.in_zc(ses.mid):
+        for _, _, mid in short_exact_sequences(zc, SAMPLE_BOUND + 1):
+            if not self.in_zc(mid):
                 raise HypothesisError(
                     "Z-intersect-C not closed under extensions (sampled)"
                 )
         # Z-intersect-C closed under cokernels of injections in C
-        for ses in sequences:
+        for i_quot, i_sub, mid in sequences:
+            quot = samples[i_quot]
             if (
-                self.in_zc(ses.sub)
-                and self.in_zc(ses.mid)
-                and self.in_c(ses.quot)
-                and not self.in_zc(ses.quot)
+                self.in_zc(samples[i_sub])
+                and self.in_zc(mid)
+                and self.in_c(quot)
+                and not self.in_zc(quot)
             ):
                 raise HypothesisError(
                     "Z-intersect-C not closed under cokernels of injections"
@@ -274,16 +273,16 @@ def check_z_two_of_three(algebra, c_spec, z_spec, bound, budget=DEFAULT_BUDGET):
     with middle of dimension at most ``bound`` is met up to isomorphism.
     Returns (holds, witness); the witness is a violating (sub, mid, quot)
     dimension triple with digests when the property fails, the middle
-    being the realized one.
+    being the one the sweep built.
     """
     members = [
         m for m in enumerate_modules(algebra, bound, budget=budget)
         if c_spec.contains(m)
     ]
-    for _, _, ses in short_exact_sequences(members, bound):
-        if not c_spec.contains(ses.mid):
+    for i_quot, i_sub, mid in short_exact_sequences(members, bound):
+        if not c_spec.contains(mid):
             continue
-        terms = (ses.sub, ses.mid, ses.quot)
+        terms = (members[i_sub], mid, members[i_quot])
         # every term lies in C, so membership in Z is membership in Z-intersect-C
         flags = [z_spec.contains(m) for m in terms]
         if sum(flags) == 2:
@@ -423,20 +422,21 @@ def is_weak_equivalence(w, f):
 DEFAULT_MAP_BUDGET = 10**5
 
 
-def weak_equivalence_oracle(w, f, extra_dim=0, enum_budget=DEFAULT_BUDGET):
+def weak_equivalence_oracle(w, f, enum_budget=DEFAULT_BUDGET):
     """Exhaustive search for an acyclic-cofibration/acyclic-fibration split.
 
-    Tries every middle object of dimension up to dim(dom) + dim(cod) +
-    extra_dim, every injection with cokernel in Z-intersect-C, and every
-    surjection with kernel in C-perp, asking for a pair composing to f.
-    Returns "yes"/"no"; "no" means no such factorization exists within
-    the dimension bound.  The default bound covers the canonical
-    factorization whenever the right resolution of the domain has middle
-    dimension at most dim(dom) + dim(cod).  A middle whose Hom space from
-    dom or to cod holds more than ``DEFAULT_MAP_BUDGET`` maps raises
-    BudgetExceededError, as does an enumeration beyond ``enum_budget``.
+    Tries every middle object of dimension up to that of the canonical
+    factorization's middle, every injection with cokernel in
+    Z-intersect-C, and every surjection with kernel in C-perp, asking for
+    a pair composing to f.  Returns "yes"/"no"; "no" means no such
+    factorization exists within the dimension bound.  The bound covers the
+    canonical factorization, and is at least dim(dom) + dim(cod), since
+    the canonical middle is I (+) cod with dom embedded in I.  A middle
+    whose Hom space from dom or to cod holds more than
+    ``DEFAULT_MAP_BUDGET`` maps raises BudgetExceededError, as does an
+    enumeration beyond ``enum_budget``.
     """
-    bound = f.dom.dim + f.cod.dim + extra_dim
+    bound = factor(w, f).middle.dim
     p = f.dom.p
     middles = enumerate_modules(f.dom.algebra, bound, budget=enum_budget)
     for middle in middles:

@@ -820,6 +820,99 @@ def test_batched_invertible_search_matches_scalar_scan(name, scan_cells, monkeyp
     assert set(found) == {True, False}
 
 
+def _scalar_beyond_cap_search(mats, p, accept, seed):
+    """The beyond-the-cap span search one candidate and one ``accept`` at a
+    time: the basis, its pairwise sums, then seeded draws combined as
+    ``combine`` did."""
+    def candidates():
+        yield from mats
+        for m1, m2 in itertools.combinations(mats, 2):
+            yield m1 + m2
+        rng = np.random.default_rng(int(alg._digest(*seed)[:8], 16))
+        for _ in range(alg._RANDOM_TRIES):
+            coeffs = rng.integers(0, p, size=len(mats))
+            total = np.zeros(mats[0].shape, dtype=np.int64)
+            for c, m in zip(coeffs, mats):
+                if c:
+                    total = (total + int(c) * m.a) % p
+            yield FieldMatrix(p, total)
+
+    for cand in candidates():
+        if accept(cand.a[None])[0]:
+            return cand.a
+    return None
+
+
+def _invertible(p, dim):
+    def invertible(stack):
+        return rank_stack(stack, p) == dim
+    return invertible
+
+
+def _splits(p, dim):
+    """The mask ``_find_splitting_endo`` searches with: 0 < rank < dim
+    after ``max(1, dim.bit_length())`` squarings."""
+    def splits(stack):
+        for _ in range(max(1, dim.bit_length())):
+            stack = np.matmul(stack, stack) % p
+        r = rank_stack(stack, p)
+        return (0 < r) & (r < dim)
+    return splits
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_beyond_cap_span_search_matches_scalar_loop(name, monkeypatch):
+    # 100 cells puts a few candidates in a chunk, so each batch crosses chunks
+    monkeypatch.setattr(alg, "_SCAN_CELLS", 100)
+    a = _corpus_algebra(name)
+    p = a.p
+    rng = np.random.default_rng(3 + sum(map(ord, name)))
+    s = simple_modules(a)[0]
+    small = [m for m in enumerate_modules(a, 2) if m.dim == 2]
+    power = direct_sum([s] * 5)[0]
+    targets = [_random_conjugate(power, rng)]
+    targets += [_random_conjugate(direct_sum([s] * 3 + [m])[0], rng) for m in small]
+    outcomes = set()
+    for target in targets:
+        searches = [
+            (hom_basis(target, target), _splits(p, target.dim), ("splitter", target.digest)),
+            (hom_basis(power, target), _invertible(p, target.dim), ("invcombo", b"x")),
+        ]
+        for basis, accept, seed in searches:
+            mats = [f.matrix for f in basis]
+            if p ** len(mats) <= alg._ENUMERATION_CAP:
+                continue
+            got = alg._search_span(mats, p, accept, seed)
+            expected = _scalar_beyond_cap_search(mats, p, accept, seed)
+            assert (got is None) == (expected is None)
+            assert got is None or np.array_equal(got, expected)
+            outcomes.add((accept.__name__, got is not None))
+    # a split and an isomorphism were found beyond the cap, and a search
+    # between non-isomorphic modules ran through every draw
+    assert {("splits", True), ("invertible", True), ("invertible", False)} <= outcomes
+
+
+@pytest.mark.parametrize("kind", ["invertible", "splits"])
+def test_beyond_cap_span_search_tries_pairwise_sums_before_draws(kind):
+    # thirteen 2x2 matrices over F_2 (2**13 > the cap): no rank-one matrix
+    # is invertible and no invertible or nilpotent one splits, but the sum
+    # of two can be
+    grid = [FieldMatrix(2, np.reshape(bits, (2, 2)))
+            for bits in itertools.product(range(2), repeat=4)]
+    if kind == "invertible":
+        accept = _invertible(2, 2)
+        pool = [m for m in grid if rank(m) == 1]
+    else:
+        accept = _splits(2, 2)
+        pool = [m for m in grid if not accept(m.a[None])[0]]
+    mats = (pool * 2)[:13]
+    got = alg._search_span(mats, 2, accept, ("pairs",))
+    pair_sums = [(m1 + m2).a for m1, m2 in itertools.combinations(mats, 2)]
+    first_pair = next(m for m in pair_sums if accept(m[None])[0])
+    assert np.array_equal(got, first_pair)
+    assert np.array_equal(got, _scalar_beyond_cap_search(mats, 2, accept, ("pairs",)))
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_is_isomorphic_agrees_with_unconditional_span_scan(name):
     # the fingerprint and Hom-dimension rejects may only drop pairs that a
@@ -878,8 +971,9 @@ def test_conjugate_gets_a_verified_isomorphism(name, index, data):
     for s in simple_modules(a):
         assert ext1(s, twisted).dimension == ext1(s, m).dimension
         assert ext1(twisted, s).dimension == ext1(m, s).dimension
-        for cls in ext1(twisted, s).all_classes():
-            ses = cls.realize()
+        ext = ext1(twisted, s)
+        for coeffs in itertools.product(range(p), repeat=ext.dimension):
+            ses = ext.realize(coeffs)
             assert ses.mid.validate() == []
             assert ses.mono.is_equivariant() and ses.epi.is_equivariant()
 

@@ -243,6 +243,114 @@ def test_resolve_zp_precondition_error_exit_one():
     assert "Z-intersect-C" in out["error"]["message"]
 
 
+def test_class_map_flags_on_the_socle_sequence():
+    code, out = runj("class", "--input", FX2, "--map", "socle")
+    assert code == 0
+    assert out == {
+        "command": "class", "map": "socle",
+        "is_admissible_mono": True, "is_admissible_epi": False,
+        "is_cofibration": True, "is_acyclic_cofibration": False,
+        "is_acyclic_fibration": False,
+    }
+    code, out = runj("class", "--input", FX2, "--map", "socle_quot")
+    assert code == 0
+    assert out == {
+        "command": "class", "map": "socle_quot",
+        "is_admissible_mono": False, "is_admissible_epi": True,
+        "is_cofibration": False, "is_acyclic_cofibration": False,
+        "is_acyclic_fibration": False,
+    }
+
+
+def test_weq_oracle_agrees_with_projective_cofibrant_class():
+    code, out = runj("weq", "--input", FX2, "--map", "mul_x", "--class",
+                     "projectives", "--acyclics", "all", "--oracle")
+    assert code == 0
+    assert out["verdict"] == "yes"
+    assert out["oracle_verdict"] == "yes"
+    assert out["oracle_agrees"] is True
+
+
+@pytest.mark.parametrize(
+    "path, map_name, acyclics, middle_dim",
+    [(QA1, "proj_s0", "all", 17), (str(corpus_path("quiver_a2")), "proj_s1", "injectives", 10)],
+    ids=["quiver_a1", "quiver_a2"],
+)
+def test_weq_oracle_searches_up_to_the_canonical_middle(path, map_name, acyclics, middle_dim):
+    # the canonical factorization's middle is larger than dim dom + dim cod,
+    # so an oracle stopping there answered "no" to a weak equivalence
+    flags = ("--input", path, "--map", map_name, "--class", "all", "--acyclics", acyclics)
+    code, out = runj("factor", *flags)
+    assert code == 0
+    assert out["middle_dim"] == middle_dim
+    code, out = runj("weq", *flags, "--oracle")
+    assert code == 2
+    assert out["error"]["type"] == "budget"
+    assert out["error"]["message"] == (
+        "module enumeration for dimension %d exceeds budget 100000000" % middle_dim
+    )
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_span_resolve_with_projective_class(dual):
+    code, out = runj("span", "--input", FX2, "--op", "resolve", "--span",
+                     "socle_span", "--class", "projectives", *(["--dual"] if dual else []))
+    assert code == 0
+    assert out["dual"] is dual
+    assert out["validated"] is True
+    dims = {key: out[key] for key in ("sub_dims", "mid_dims", "quot_dims")}
+    if dual:
+        assert dims == {
+            "sub_dims": {"left": 1, "apex": 1, "right": 2},
+            "mid_dims": {"left": 1, "apex": 3, "right": 4},
+            "quot_dims": {"left": 0, "apex": 2, "right": 2},
+        }
+    else:
+        assert dims == {
+            "sub_dims": {"left": 1, "apex": 3, "right": 4},
+            "mid_dims": {"left": 2, "apex": 4, "right": 6},
+            "quot_dims": {"left": 1, "apex": 1, "right": 2},
+        }
+
+
+def test_resolve_zp_with_projective_resolving_class():
+    flags = ("--input", FX2, "--module", "A", "--p-class", "projectives")
+    code, out = runj("resolve-zp", *flags)
+    assert code == 0
+    assert out == {
+        "command": "resolve-zp", "module": "A", "steps": 0,
+        "sequences": [], "dims": [],
+    }
+    code, out = runj("resolve-zp", *flags, "--resolution",
+                     "pad_incl:pad_proj,socle:socle_quot")
+    assert code == 1
+    assert out["error"] == {
+        "type": "HypothesisError",
+        "message": "resolution middle at index 0 is not in P",
+    }
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_axioms_draw_objects_from_the_cofibrant_class(seed):
+    # with C = projectives, gluing drew its apex from every module, so it
+    # met a map leaving C (seed 0) or an apex with no cofibration (seed 1)
+    code, out = runj("axioms", "--input", FX2, "--class", "projectives",
+                     "--acyclics", "all", "--checks", "gluing", "--seed", seed)
+    assert code == 0
+    assert out["summary"] == {"PASS": 10, "FAIL": 0, "INAPPLICABLE": 0}
+
+
+def test_axioms_with_an_empty_sample_pool_exits_one():
+    # no nonzero projective of F2[x]/(x^3) has dimension <= 2
+    code, out = runj("axioms", "--input", FX3, "--class", "projectives",
+                     "--acyclics", "all", "--checks", "extension", "--samples", "1")
+    assert code == 1
+    assert out["error"] == {
+        "type": "ValidationError",
+        "message": "no module of the required class to sample from",
+    }
+
+
 def test_enumerate_small_bound():
     code, out = runj("enumerate", "--input", FX2, "--dim-bound", "2")
     assert code == 0
@@ -625,6 +733,48 @@ def test_cli_contract_for_any_seed_budget_and_bound(command, seed, budget, dim_b
             command[0], "--input", FX2, *command[1:], "--seed", str(seed),
             "--budget", str(budget), "--dim-bound", str(dim_bound),
         ])
+    assert code in (0, 1, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()
+
+
+_CORPUS_MAPS = {
+    name: sorted(json.loads(corpus_path(name).read_text())["morphisms"])
+    for name in CORPUS_NAMES
+}
+
+
+@st.composite
+def _class_flag_commands(draw):
+    """argv of a command that reads the class flags, on a corpus algebra."""
+    kind = draw(st.sampled_from(["axioms", "class", "factor", "weq", "span"]))
+    if kind == "span":  # fx2 is the corpus algebra with a span
+        name, tail = "fx2", ["--op", "resolve", "--span", "socle_span"]
+    else:
+        name = draw(st.sampled_from(CORPUS_NAMES))
+        if kind == "axioms":
+            checks = st.sampled_from(["gluing", "extension", "saturation", "properness"])
+            tail = ["--samples", "1", "--checks", draw(checks)]
+        else:
+            tail = ["--map", draw(st.sampled_from(_CORPUS_MAPS[name]))]
+    c_class = draw(st.sampled_from(["all", "projectives"]))
+    acyclics = draw(
+        st.sampled_from(["all", "projectives", "injectives", "finite-inj-dim:1"])
+    )
+    return [kind, "--input", str(corpus_path(name)), *tail,
+            "--class", c_class, "--acyclics", acyclics]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(argv=_class_flag_commands())
+@example(argv=["axioms", "--input", FX3, "--samples", "1", "--checks", "extension",
+               "--class", "projectives", "--acyclics", "all"])
+def test_cli_contract_for_any_class_flags(argv):
+    """Whatever the classes, main answers with a documented exit code and a
+    JSON body, and never lets an exception escape."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert isinstance(json.loads(out.getvalue()), dict)
     assert "Traceback" not in err.getvalue()

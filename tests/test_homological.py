@@ -292,9 +292,9 @@ def test_ext_of_simple_by_simple_over_fx2():
     result = ext1(s, s)
     assert result.dimension == 1
     reg = regular_module(fx2_algebra())
-    split_ses = result.zero_class().realize()
+    split_ses = result.realize((0,))
     assert split_ses.is_split()
-    nonsplit = result.class_from_coefficients((1,)).realize()
+    nonsplit = result.realize((1,))
     assert not nonsplit.is_split()
     assert is_isomorphic(nonsplit.mid, reg) is not None
 
@@ -324,11 +324,11 @@ def test_realized_class_splits_iff_zero():
             if c.dim + b.dim > 3:
                 continue
             result = ext1(c, b)
-            for cls in result.all_classes():
-                ses = cls.realize()
+            for coeffs in itertools.product(range(a.p), repeat=result.dimension):
+                ses = result.realize(coeffs)
                 assert ses.sub.dim == b.dim
                 assert ses.quot.dim == c.dim
-                assert ses.is_split() == cls.is_zero
+                assert ses.is_split() == (not any(coeffs))
 
 
 def _pushout_middles(c, b):
@@ -374,14 +374,14 @@ def test_block_realization_matches_pushout_reference(name):
         reference = _pushout_middles(c, b)
         assert len(reference) == c.p**result.dimension
         got = []
-        for cls in result.all_classes():
-            ses = cls.realize()
+        for coeffs in itertools.product(range(a.p), repeat=result.dimension):
+            ses = result.realize(coeffs)
             assert ses.sub == b and ses.quot == c
             assert ses.mid.validate() == []
             assert ses.mono.is_equivariant() and ses.epi.is_equivariant()
-            assert ses.is_split() == cls.is_zero
+            assert ses.is_split() == (not any(coeffs))
             got.append(_class_index(mods, ses.mid))
-            nonsplit += not cls.is_zero
+            nonsplit += any(coeffs)
         assert sorted(got) == sorted(_class_index(mods, m) for m in reference)
     assert nonsplit > 0
 
@@ -393,7 +393,7 @@ def test_ext_results_are_shared_and_read_only():
         result = ext1(c, b)
         assert ext1(c, b) is result
         if result.dimension:
-            result.class_from_coefficients((1,) * result.dimension).realize()
+            result.realize((1,) * result.dimension)
             table = result.cocycles
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -485,11 +485,15 @@ def test_short_exact_sequences_meet_every_map_loop_triple(name, bound):
     a = load_workspace(corpus_path(name)).only_algebra()
     mods = enumerate_modules(a, bound)
     swept = set()
-    for i_quot, i_sub, ses in short_exact_sequences(mods, bound):
-        assert ses.validate() == []
-        assert ses.sub.digest == mods[i_sub].digest
-        assert ses.quot.digest == mods[i_quot].digest
-        swept.add((i_sub, _iso_index(mods, ses.mid), i_quot))
+    for i_quot, i_sub, mid in short_exact_sequences(mods, bound):
+        sub, quot = mods[i_sub], mods[i_quot]
+        assert mid.validate() == []
+        # mid extends quot by sub through the mono [I; 0] and the epi [0 I]
+        s, q = sub.dim, quot.dim
+        assert mid.dim == s + q
+        assert Morphism(sub, mid, np.eye(s + q, s, dtype=np.int64)).is_mono()
+        assert Morphism(mid, quot, np.eye(q, s + q, s, dtype=np.int64)).is_epi()
+        swept.add((i_sub, _iso_index(mods, mid), i_quot))
     assert swept == _map_loop_triples(mods)
 
 

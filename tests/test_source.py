@@ -1,9 +1,10 @@
 """Source-level checks on the waldcat package and its tests.
 
 Seeded random search must stay off decision paths: every report is a
-deterministic decision, and seeded draws belong to CLI sampling.  The two
-search sites in ``algebra`` still stand in for exact isomorphism and
-decomposition decisions; they leave this list when those become exact.
+deterministic decision, and seeded draws belong to CLI sampling.  The one
+search site in ``algebra``, the beyond-the-cap Hom-span search shared by
+isomorphism and decomposition, still stands in for exact decisions; it
+leaves this list when those become exact.
 
 A module's action matrices are read from its stack ``Module.rho``; no
 module of the package rebuilds that stack from the ``action`` views.
@@ -24,8 +25,7 @@ PACKAGE = Path(waldcat.__file__).parent
 TESTS = Path(__file__).parent
 
 ALLOWED_RNG_SITES = [
-    ("algebra", "_find_invertible_combination"),
-    ("algebra", "_find_splitting_endo"),
+    ("algebra", "_search_span"),
     ("cli", "_rng"),
 ]
 

@@ -482,9 +482,7 @@ def test_decision_matches_exhaustive_search_small():
                 continue
             for f in maps(dom, cod):
                 dec = is_weak_equivalence(w, f)
-                orc = weak_equivalence_oracle(
-                    w, f, extra_dim=dom.dim, enum_budget=10**12
-                )
+                orc = weak_equivalence_oracle(w, f, enum_budget=10**12)
                 assert dec == orc
                 checked += 1
     assert checked >= 20
@@ -499,7 +497,7 @@ def test_decision_matches_exhaustive_search_dim_four_sample():
         dom, cod = pairs[int(rng.integers(0, len(pairs)))]
         f = random_combination(rng, dom, cod)
         dec = is_weak_equivalence(w, f)
-        orc = weak_equivalence_oracle(w, f, extra_dim=dom.dim, enum_budget=10**12)
+        orc = weak_equivalence_oracle(w, f, enum_budget=10**12)
         assert dec == orc
 
 

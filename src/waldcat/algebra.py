@@ -803,17 +803,21 @@ class Ext1Result:
 
     ``cocycles`` is a (dimension, algebra.dim, a.dim, c.dim) array whose
     classes form a basis of the group: coefficients x stand for the class
-    of τ = Σ_k x_k cocycles[k].  Results are shared through the memo of
-    ``ext1``, so nothing in one changes after construction; ``cocycles``
-    is read-only.
+    of τ = Σ_k x_k cocycles[k].  ``coboundaries`` is a (rows,
+    algebra.dim·a.dim·c.dim) array spanning the coboundaries, flattened
+    like ``cocycles``.  Results are shared through the memo of ``ext1``,
+    so nothing in one changes after construction: both arrays are
+    read-only, and ``representatives`` is computed on first use and kept.
     """
 
-    def __init__(self, c, a, cocycles):
+    def __init__(self, c, a, cocycles, coboundaries):
         self.c = c
         self.a = a
         self.p = c.p
         cocycles.setflags(write=False)
+        coboundaries.setflags(write=False)
         self.cocycles = cocycles
+        self.coboundaries = coboundaries
         self.dimension = len(cocycles)
 
     def _middles(self, coeffs):
@@ -823,12 +827,92 @@ class Ext1Result:
         return block_extensions(self.a, self.c, taus)
 
     def middles(self):
-        """The middle of every class, in ``itertools.product`` order of the
+        """The middle of the first class of each orbit in
+        ``representatives``, in ``itertools.product`` order of the
         coefficients, from one ``block_extensions`` call; nothing is
         checked.  Every class shares the mono [I; 0] and the epi [0 I] of
-        ``realize``."""
-        count = self.p**self.dimension
-        return self._middles(_product_coefficients(self.p, self.dimension, slice(0, count)))
+        ``realize``.  Classes of one orbit have isomorphic middles, so the
+        first class of every isomorphism class of middles is among them."""
+        return self._middles(self.representatives)
+
+    @functools.cached_property
+    def representatives(self):
+        """Coefficient rows of the smallest class, in ``itertools.product``
+        order, of each orbit under automorphisms that are cheap to get, as
+        a (count, dimension) array in that order.
+
+        Pushing out along an automorphism of a, or pulling back along one
+        of c, moves a class to one with an isomorphic middle.  For p > 2
+        the scalars λ·1 of a give the lines: only vectors whose first
+        nonzero coordinate is 1 are kept, and they are the smallest of
+        their lines.  Then the invertible elements b and 1 + b, for b in
+        the Hom bases of End(c) and End(a), merge the kept classes by
+        union-find, whose root is the smallest index of its set.  With at
+        most one nonzero class left there is nothing to merge: the
+        automorphisms act linearly, so the zero class is its own orbit.
+        Any set of true automorphisms gives sound orbits.
+        """
+        p, k = self.p, self.dimension
+        coeffs = _product_coefficients(p, k, slice(0, p**k))
+        if p > 2 and k:
+            coeffs = coeffs[_normalize_lines(coeffs, p) == np.arange(len(coeffs))]
+        if k <= 1:
+            return coeffs
+        actions = self._automorphism_actions()
+        if not len(actions):
+            return coeffs
+        weights = p ** np.arange(k - 1, -1, -1)
+        position = np.full(p**k, -1, dtype=np.int64)
+        position[coeffs @ weights] = np.arange(len(coeffs))
+        images = np.einsum("aij,mj->ami", actions, coeffs) % p
+        targets = position[_normalize_lines(images.reshape(-1, k), p)]
+        sources = np.tile(np.arange(len(coeffs)), len(actions))
+        parent = list(range(len(coeffs)))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, j in zip(sources.tolist(), targets.tolist()):
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+        return coeffs[[i for i in range(len(coeffs)) if root(i) == i]]
+
+    def _automorphism_actions(self):
+        """The matrices, on class coefficients, of the automorphisms of
+        ``representatives``: γ of c acts by τ ↦ τγ and α of a by τ ↦ ατ.
+
+        The moved basis cocycles are read in the kept coordinates by one
+        ``solve`` against [coboundaries^T | cocycles^T]; the kept cocycles
+        are independent modulo the coboundaries, so their coefficients are
+        unique.  Returns an (automorphisms, dimension, dimension) array
+        whose [n, i, j] entry is coordinate i of basis class j moved by
+        automorphism n.
+        """
+        p, k = self.p, self.dimension
+        moved = []
+        for module, on_c in ((self.c, True), (self.a, False)):
+            one = np.eye(module.dim, dtype=np.int64)
+            basis = np.array([f.matrix.a for f in hom_basis(module, module)], dtype=np.int64)
+            candidates = np.concatenate([basis, (basis + one) % p])
+            for g in candidates[rank_stack(candidates, p) == module.dim]:
+                if not np.array_equal(g, one):
+                    moved.append(self.cocycles @ g if on_c else g @ self.cocycles)
+        if not moved:
+            return np.zeros((0, k, k), dtype=np.int64)
+        flat = self.cocycles.reshape(k, -1)
+        targets = np.concatenate(moved).reshape(len(moved) * k, -1) % p
+        coords = solve(
+            FieldMatrix(p, np.hstack([self.coboundaries.T, flat.T])),
+            FieldMatrix(p, targets.T),
+        )
+        if coords is None:
+            raise InternalInconsistencyError("a moved cocycle left the cocycle space")
+        kept = coords.a[len(self.coboundaries):]
+        return kept.reshape(k, len(moved), k).transpose(1, 0, 2)
 
     def realize(self, coeffs):
         """Short exact sequence 0 -> a -> E -> c -> 0 for the given class.
@@ -855,7 +939,8 @@ def ext1(c, a):
     its ``kernel_basis``.  The coboundaries are τ_i = ρ_a(e_i) u - u ρ_c(e_i)
     for linear u: c -> a, and split the extension.  The cocycles kept are
     those that ``pivot_blocks`` picks after the coboundaries: a
-    complement of them.
+    complement of them.  The coboundary rows stay on the result, where
+    ``Ext1Result.representatives`` reads class coordinates against them.
 
     Memoized by the digest pair, so every caller of one pair shares one
     result.
@@ -866,7 +951,8 @@ def ext1(c, a):
     p, d = algebra.p, algebra.dim
     s, q = a.dim, c.dim
     if not (s and q):
-        return Ext1Result(c, a, np.zeros((0, d, s, q), dtype=np.int64))
+        empty = np.zeros((0, d, s, q), dtype=np.int64)
+        return Ext1Result(c, a, empty, empty.reshape(0, d * s * q))
     rho_a, rho_c = a.rho, c.rho
     # row (i, j, v, u) is entry (v, u) of equation (i, j); column (k, x, y)
     # is entry (y, x) of tau_k, in LinearSystem's column-major order
@@ -890,7 +976,7 @@ def ext1(c, a):
 
     picked = pivot_blocks([cob.T] + [col[:, None] for col in cocycles], p)
     free = [b - 1 for b in picked if b]
-    return Ext1Result(c, a, cocycles[free].reshape(len(free), d, s, q))
+    return Ext1Result(c, a, cocycles[free].reshape(len(free), d, s, q), cob)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,9 +1089,11 @@ def fingerprint(module):
     These ranks are read off the action in the algebra's chosen basis, so
     the fingerprint depends on that basis: two isomorphic algebras can give
     one module class different fingerprints, and over f2c2 (where every
-    action matrix of g is invertible) it separates few classes.  It is the
-    ordering key of ``enumerate_modules`` and a cheap reject for
-    ``is_isomorphic``, not a decision.
+    action matrix of g is invertible) it separates few classes.  Over one
+    algebra it is an isomorphism invariant.  It is the ordering key of
+    ``enumerate_modules``, a cheap reject for ``is_isomorphic`` and the
+    bucket key of ``ClassIndex``, where it decides alone only against a
+    complete enumeration whose bucket has one member.
     """
     d, n, p = module.algebra.dim, module.dim, module.p
     acts = module.rho
@@ -1048,6 +1136,18 @@ def _product_coefficients(p, k, rows):
     in ``itertools.product(range(p), repeat=k)`` order, as an array."""
     weights = p ** np.arange(k - 1, -1, -1)
     return (np.arange(rows.start, rows.stop)[:, None] // weights) % p
+
+
+def _normalize_lines(rows, p):
+    """Product-order index of each coefficient row scaled so that its first
+    nonzero coordinate is 1, the smallest vector of its line; zero rows
+    stay zero.  ``rows`` is a (count, k) array with k >= 1."""
+    if p > 2:
+        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+        values, where = np.unique(lead, return_inverse=True)
+        inverse = np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
+        rows = rows * inverse[where][:, None] % p
+    return rows @ p ** np.arange(rows.shape[1] - 1, -1, -1)
 
 
 def _first_in_span(mats, p, accept):
@@ -1246,12 +1346,15 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     """All isomorphism classes of modules of dimension <= max_dim, as a tuple.
 
     Builds the list in layers: simples first, then for each dimension the
-    middles of every class of Ext1(base, S), for each previously found
-    base and simple S, deduplicated up to isomorphism.  Every module has a
-    simple submodule, so each class of dimension m extends a class of
-    smaller dimension by a simple and the sweep is exhaustive.  The Ext
-    groups land in the memo of ``ext1``, where later sweeps over the same
-    pairs find them.
+    middles of Ext1(base, S), for each previously found base and simple
+    S, deduplicated up to isomorphism.  Every module has a simple
+    submodule, so each class of dimension m extends a class of smaller
+    dimension by a simple and the sweep is exhaustive.  ``middles()``
+    realizes one class per orbit, the first in ``itertools.product``
+    order, and the first class of every isomorphism class of middles is
+    among them, so the representatives kept are those of a walk over
+    every class.  The Ext groups land in the memo of ``ext1``, where
+    later sweeps over the same pairs find them.
 
     The budget guards p**(max_dim**2), the nominal size of the raw search
     space the layering replaces.
@@ -1282,3 +1385,50 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
         result.extend(by_dim.get(m, []))
     result.sort(key=lambda mod: (mod.dim, fingerprint(mod), mod.digest))
     return tuple(result)
+
+
+class ClassIndex:
+    """Position of any module's isomorphism class in a complete enumeration.
+
+    ``modules`` holds one module of every isomorphism class of dimension
+    <= ``bound``, as ``enumerate_modules`` returns them.  ``find`` tries the
+    digest, then the ``fingerprint`` bucket: the fingerprint is an
+    isomorphism invariant and the list is complete, so the class of a
+    module within the bound is in its bucket, and a one-member bucket is
+    the answer without a witness.  Larger buckets are searched with
+    ``is_isomorphic``.  Answers are kept by digest.
+    """
+
+    def __init__(self, modules):
+        self.modules = tuple(modules)
+        self.algebra = self.modules[0].algebra
+        self.bound = max(m.dim for m in self.modules)
+        self._found = {m.digest: i for i, m in enumerate(self.modules)}
+        self._buckets = {}
+        for i, m in enumerate(self.modules):
+            self._buckets.setdefault(fingerprint(m), []).append(i)
+
+    def find(self, m):
+        """Index of the class of ``m`` in ``modules``, or None when m lies
+        over another algebra or above the bound."""
+        if m.digest not in self._found:
+            self._found[m.digest] = self._search(m)
+        return self._found[m.digest]
+
+    def _search(self, m):
+        if m.algebra.digest != self.algebra.digest or m.dim > self.bound:
+            return None
+        bucket = self._buckets.get(fingerprint(m), [])
+        if len(bucket) == 1:
+            return bucket[0]
+        for i in bucket:
+            if is_isomorphic(m, self.modules[i]) is not None:
+                return i
+        return None
+
+
+@memoized
+def class_index(algebra, max_dim, budget=DEFAULT_BUDGET):
+    """The ``ClassIndex`` of ``enumerate_modules(algebra, max_dim, budget)``,
+    built once per enumeration."""
+    return ClassIndex(enumerate_modules(algebra, max_dim, budget=budget))

@@ -13,10 +13,12 @@ Every short exact sequence 0 -> a -> b -> c -> 0 is equivalent to exactly
 one class of Ext1(c, a) (Auslander, Reiten and Smalø, Representation
 Theory of Artin Algebras, ch. I), so ``short_exact_sequences`` yields
 the middle of every sequence between enumerated end terms, once per
-class, read off ``Ext1Result.middles``.  The K0
-harvest and every closure-hypothesis check (hereditary pairs, extension
-and cokernel closure, 2-out-of-3) walk that one sweep.  The brute-force
-``ext1_class_count_oracle`` counts the same classes without the engine.
+orbit of classes under automorphisms of the end terms, read off
+``Ext1Result.middles``.  The K0 harvest and every closure-hypothesis
+check (hereditary pairs, extension and cokernel closure, 2-out-of-3)
+walk that one sweep; they read only the isomorphism class of each
+middle, which is constant on an orbit.  The brute-force
+``ext1_class_count_oracle`` counts the classes without the engine.
 
 The module also hosts the two module-level cotorsion pairs used
 throughout: (all, injectives) and (projectives, all), each with its
@@ -122,7 +124,7 @@ def is_injective(m):
 
 
 # ---------------------------------------------------------------------------
-# every short exact sequence, once per Ext class
+# every short exact sequence, once per orbit of Ext classes
 # ---------------------------------------------------------------------------
 
 
@@ -131,19 +133,23 @@ DEFAULT_CLASS_BUDGET = 4096
 
 def short_exact_sequences(modules, bound):
     """The middle of every short exact sequence with both end terms in
-    ``modules``, once per Ext class.
+    ``modules``, once per orbit of Ext classes.
 
     For each ordered pair (quot, sub) from ``modules`` with
     quot.dim + sub.dim <= bound, yields (i_quot, i_sub, mid) for the
-    middle of every class of Ext1(quot, sub), in (quot, sub, class) order,
-    where i_quot and i_sub index ``modules``; the sequence is
-    0 -> sub -> mid -> quot -> 0 with mono [I; 0] and epi [0 I].  Those two
-    maps are the same for every class of a pair, so exactness is checked
-    once per pair, on the split class.  When ``modules`` holds every
-    isomorphism class up to ``bound``, the sweep meets every short exact
-    sequence with middle of dimension at most ``bound`` up to isomorphism
-    of its three terms.  Raises BudgetExceededError when one Ext group has
-    more than DEFAULT_CLASS_BUDGET classes.
+    middle of the first class of each orbit of Ext1(quot, sub) under the
+    automorphisms of ``Ext1Result.representatives``, in (quot, sub, class)
+    order, where i_quot and i_sub index ``modules``; the sequence is
+    0 -> sub -> mid -> quot -> 0 with mono [I; 0] and epi [0 I].  Classes
+    of one orbit have isomorphic middles, so a walker that reads only the
+    middle's isomorphism class sees each (sub, mid, quot) triple first
+    where a walk over every class would.  The mono and epi are the same
+    for every class of a pair, so exactness is checked once per pair, on
+    the split class.  When ``modules`` holds every isomorphism class up
+    to ``bound``, the sweep meets every short exact sequence with middle
+    of dimension at most ``bound`` up to isomorphism of its three terms.
+    Raises BudgetExceededError when one Ext group has more than
+    DEFAULT_CLASS_BUDGET classes.
     """
     for i_quot, quot in enumerate(modules):
         for i_sub, sub in enumerate(modules):
@@ -329,7 +335,9 @@ def pair_validate(pair, samples):
     (every isomorphism class up to d) for them to be exhaustive.
     ``checked`` counts the sequences whose two right-hand terms are
     left-class ("epis") and those whose two left-hand terms are
-    right-class ("monos").
+    right-class ("monos").  The sweep yields one sequence per orbit of
+    Ext classes, so the counts and failure lists are per orbit
+    representative.
     """
     left = [m for m in samples if pair.in_left(m)]
     right = [m for m in samples if pair.in_right(m)]

@@ -3,7 +3,8 @@
 A presentation lists one generator per isomorphism class of modules up to
 a dimension bound and one relation [mid] - [sub] - [quot] per short exact
 sequence whose three terms all lie among the generators; the sequences
-are harvested by realizing every Ext class between generator pairs.  No
+are harvested by realizing one Ext class per orbit between generator
+pairs, and each middle is classified once by ``algebra.class_index``.  No
 finite bound sees every sequence, so the honest contract is stability:
 the derived invariant factors must not change when the bound grows.
 
@@ -22,15 +23,10 @@ whole module category, and of the Waldhausen structure, then checks
 right-exactness of the induced two-map sequence.
 """
 
-from .algebra import DEFAULT_BUDGET, enumerate_modules, is_isomorphic, memoized
+from .algebra import DEFAULT_BUDGET, class_index, enumerate_modules
 from .errors import HypothesisError, ValidationError
 from .homological import all_injectives_pair, is_injective, short_exact_sequences
-from .linalg import (
-    IntegerMatrix,
-    RowLattice,
-    smith_invariant_factors,
-    stack,
-)
+from .linalg import IntegerMatrix, RowLattice, stack
 from .waldhausen import WaldhausenData, spec_all
 
 
@@ -58,13 +54,15 @@ class K0Presentation:
     ``invariant_factors`` has one entry per generator (0 meaning a free
     Z summand); ``reduced_factors`` drops the trivial entries and is the
     part that must be stable under growing the enumeration bound.
-    ``generator_index(m)`` is the index of the generator isomorphic to m,
-    or None.
+    ``classes`` is the ``ClassIndex`` of the enumeration the generators
+    were taken from; ``generator_index(m)`` reads m's class off it.
     """
 
-    def __init__(self, generators, modules, relations, description=None):
+    def __init__(self, generators, modules, relations, classes, description=None):
         self.generators = list(generators)
         self.modules = list(modules)
+        self.classes = classes
+        self._position = {classes.find(m): i for i, m in enumerate(self.modules)}
         if relations.cols != len(self.generators):
             raise ValidationError(
                 "relation width %d does not match %d generators"
@@ -81,7 +79,11 @@ class K0Presentation:
             if description is not None
             else describe_group(self.invariant_factors)
         )
-        self.generator_index = memoized(lambda m: _match_generator(self.modules, m))
+
+    def generator_index(self, m):
+        """Index of the generator isomorphic to m, or None: m's class in
+        the enumeration, then that class's place among the generators."""
+        return self._position.get(self.classes.find(m))
 
     def class_vector(self, m):
         """The basis vector of [m], as a list over the generators."""
@@ -114,43 +116,33 @@ class K0Presentation:
         )
 
 
-def _match_generator(generators, m):
-    """Index of the generator with m's digest, else of the first one isomorphic
-    to ``m``, or None (enumerated generators are pairwise non-isomorphic)."""
-    for idx, rep in enumerate(generators):
-        if rep.digest == m.digest:
-            return idx
-    for idx, rep in enumerate(generators):
-        if rep.dim == m.dim and is_isomorphic(m, rep) is not None:
-            return idx
-    return None
-
-
-def _harvest_relations(generators):
+def _harvest_relations(generators, classes):
     """Relation rows from all realizable short exact sequences.
 
-    Walks ``short_exact_sequences(generators, max_dim)``: every Ext class
-    of every ordered generator pair (quot, sub) with total dimension inside
-    the bound, and matches its middle against the generator list;
+    Walks ``short_exact_sequences(generators, max_dim)``: one class per
+    orbit of every Ext group of every ordered generator pair (quot, sub)
+    with total dimension inside the bound.  Each middle's class is looked
+    up once in ``classes``, the ``ClassIndex`` of the complete enumeration
+    the generators come from, then its place among the generators;
     matches contribute [mid]-[sub]-[quot].  Duplicate rows are dropped;
     order is deterministic.
 
-    Only the middle's isomorphism class is used.  The Ext group of a pair
-    comes from the memo of ``ext1``, so a pair seen in an earlier
-    presentation is not presented again, and most non-matching generators
-    are rejected by ``is_isomorphic``'s Hom-dimension test before any span
-    scan.
+    Only the middle's isomorphism class is used, and classes of one orbit
+    have isomorphic middles, so the rows and their order are those of a
+    walk over every class.  The Ext group of a pair comes from the memo
+    of ``ext1``, so a pair seen in an earlier presentation is not
+    presented again.
     """
     count = len(generators)
     if count == 0:
         return IntegerMatrix([], cols=0)
     max_dim = max(m.dim for m in generators)
-    match = memoized(lambda m: _match_generator(generators, m))
+    position = {classes.find(m): i for i, m in enumerate(generators)}
 
     rows = []
     seen = set()
     for i_quot, i_sub, mid in short_exact_sequences(generators, max_dim):
-        i_mid = match(mid)
+        i_mid = position.get(classes.find(mid))
         if i_mid is None:
             continue
         row = [0] * count
@@ -172,10 +164,12 @@ def k0_exact_category(algebra, c_spec, dim_bound, enum_budget=DEFAULT_BUDGET):
     come from every short exact sequence with all three terms among the
     generators.
     """
-    mods = enumerate_modules(algebra, dim_bound, budget=enum_budget)
-    generators = [m for m in mods if c_spec.contains(m)]
-    relations = _harvest_relations(generators)
-    return K0Presentation([m.digest for m in generators], generators, relations)
+    classes = class_index(algebra, dim_bound, budget=enum_budget)
+    generators = [m for m in classes.modules if c_spec.contains(m)]
+    relations = _harvest_relations(generators, classes)
+    return K0Presentation(
+        [m.digest for m in generators], generators, relations, classes
+    )
 
 
 def k0_waldhausen(w, dim_bound, enum_budget=DEFAULT_BUDGET):
@@ -206,7 +200,7 @@ def _kill_acyclics(w, base):
             row[idx] = 1
             kill.append(row)
     relations = stack(base.relations, IntegerMatrix(kill, cols=count))
-    return K0Presentation(base.generators, base.modules, relations)
+    return K0Presentation(base.generators, base.modules, relations, base.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +295,9 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     # A-generator must lie in the acyclic-kill relation lattice
     composite_zero = all(kbw.is_relation(r) for r in first.data)
 
-    # surjectivity of the second map: its image rows together with the
-    # target relations must span the full integer lattice
-    onto_stack = stack(kbw.relations, second)
-    surjective = all(
-        d == 1 for d in smith_invariant_factors(onto_stack)
-    )
+    # the second map is the identity on the generator lattice, so it is
+    # onto by construction
+    surjective = True
 
     # image of the first map = kernel of the second, as sublattices of
     # the generator lattice of K0(B): the second map is the identity, so

@@ -1463,9 +1463,11 @@ def test_extension_candidates_match_term_by_term_reference(algebra):
     bases = list(enumerate_modules(algebra, bound))
     for sub in [*simples, zero_module(algebra)]:
         for quot in bases:
-            got = [m.digest for m in ext1(quot, sub).middles()]
+            result = ext1(quot, sub)
+            got = [m.digest for m in result.middles()]
             ref = [m.digest for m in _extension_candidates_reference(sub, quot)]
-            assert got == ref
+            weights = algebra.p ** np.arange(result.dimension - 1, -1, -1)
+            assert got == [ref[i] for i in result.representatives @ weights]
             for m in ext1(quot, sub).middles():
                 assert m.validate() == []
 
@@ -1548,6 +1550,20 @@ def test_enumerate_budget_guard_matches_exact_power(p):
                 assert len(enumerate_modules(field, max_dim, budget=budget)) == max_dim + 1
             except BudgetExceededError as err:  # the simple-module search has its own
                 assert not str(err).startswith("module enumeration for")
+
+
+@pytest.mark.parametrize("p", [3, 5, 67])
+def test_square_zero_two_loop_enumeration_has_p_plus_four_classes(p):
+    # F_p[x, y]/(x, y)^2 at bound 2: zero, S, S (+) S and one class for each
+    # of the p + 1 lines of Ext1(S, S) = F_p^2.  Each line is one orbit of
+    # the scalars, so enumeration realizes p + 2 middles, not p^2; at
+    # p = 67 the walk over every class took about 40 s.
+    a = algebra_from_quiver(
+        QuiverPresentation(p, 1, [(0, 0, "x"), (0, 0, "y")], nil_bound=2)
+    )
+    s = simple_modules(a)[0]
+    assert len(ext1(s, s).representatives) == p + 2
+    assert [m.dim for m in enumerate_modules(a, 2)] == [0, 1] + [2] * (p + 2)
 
 
 def test_enumerate_budget_guard_skips_huge_powers():

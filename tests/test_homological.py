@@ -23,6 +23,7 @@ from waldcat.algebra import (
     direct_sum,
     dual_regular_module,
     enumerate_modules,
+    fingerprint,
     hom_basis,
     induced_on_cokernel,
     is_isomorphic,
@@ -505,6 +506,136 @@ def test_short_exact_sequences_refuse_an_ext_group_past_the_class_budget():
         BudgetExceededError, match=r"Ext class enumeration \(4099\^1\) exceeds"
     ):
         next(short_exact_sequences([s], 2))
+
+
+def _full_walk_middles(ext):
+    """Reference: the middle of every class of ``ext``, realized one by one
+    in ``itertools.product`` order of the coefficients."""
+    return [
+        ext.realize(coeffs).mid
+        for coeffs in itertools.product(range(ext.p), repeat=ext.dimension)
+    ]
+
+
+def _full_walk_enumeration(algebra, bound):
+    """Reference: ``enumerate_modules``'s layers with every class of every
+    Ext group realized and tested against the layer."""
+    by_dim = {0: [zero_module(algebra)]}
+    for m in range(1, bound + 1):
+        layer = []
+        for s in simple_modules(algebra):
+            for base in by_dim.get(m - s.dim, []):
+                for cand in _full_walk_middles(ext1(base, s)):
+                    if all(is_isomorphic(cand, seen) is None for seen in layer):
+                        layer.append(cand)
+        by_dim[m] = sorted(layer, key=lambda mod: (fingerprint(mod), mod.digest))
+    return [mod for layer in by_dim.values() for mod in layer]
+
+
+def _automorphism_actions_reference(ext):
+    """Reference for ``Ext1Result._automorphism_actions``: the matrices, on
+    class coefficients, of the invertible b and 1 + b other than the
+    identity, for b in the Hom bases of End(c) (acting by τ ↦ τγ) and
+    End(a) (acting by τ ↦ ατ).
+
+    The class of each moved basis cocycle is found by a rank test against
+    coboundaries built here from the elementary maps u: c -> a, one
+    candidate class at a time.
+    """
+    p, k, a, c = ext.p, ext.dimension, ext.a, ext.c
+    coeffs = list(itertools.product(range(p), repeat=k))
+    cob = []
+    for x, y in itertools.product(range(a.dim), range(c.dim)):
+        u = np.zeros((a.dim, c.dim), dtype=np.int64)
+        u[x, y] = 1
+        cob.append(((a.rho @ u - u @ c.rho) % p).reshape(-1))
+    cob = np.array(cob, dtype=np.int64)
+    cob_rank = rank(FieldMatrix(p, cob))
+    basis = ext.cocycles.reshape(k, -1)
+
+    def class_of(tau):
+        for x in coeffs:
+            diff = (tau.reshape(-1) - np.array(x) @ basis) % p
+            if rank(FieldMatrix(p, np.vstack([cob, diff]))) == cob_rank:
+                return np.array(x)
+        raise AssertionError("moved cocycle has no class")
+
+    actions = []
+    for module, on_c in ((c, True), (a, False)):
+        one = np.eye(module.dim, dtype=np.int64)
+        for f in hom_basis(module, module):
+            for g in (f.matrix.a, (f.matrix.a + one) % p):
+                if rank(FieldMatrix(p, g)) < module.dim or (g == one).all():
+                    continue
+                moved = [tau @ g if on_c else g @ tau for tau in ext.cocycles]
+                actions.append(np.column_stack([class_of(tau) for tau in moved]))
+    return actions
+
+
+def _orbit_minima_reference(ext, actions):
+    """The smallest class of each orbit under the scalars and ``actions``,
+    for every class: merges relabel the larger set's minimum with the
+    smaller's."""
+    p, k = ext.p, ext.dimension
+    coeffs = list(itertools.product(range(p), repeat=k))
+    index = {x: i for i, x in enumerate(coeffs)}
+    scalars = [np.eye(k, dtype=np.int64) * lam for lam in range(2, p)]
+    root = list(range(len(coeffs)))
+    for i, x in enumerate(coeffs):
+        for m in scalars + actions:
+            j = index[tuple((m @ np.array(x, dtype=np.int64)) % p)]
+            ri, rj = root[i], root[j]
+            if ri != rj:
+                lo, hi = min(ri, rj), max(ri, rj)
+                root = [lo if r == hi else r for r in root]
+    return root
+
+
+ORBIT_CASES = ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2", "F3[x]/(x^3)", "F5[x]/(x^3)"]
+
+
+def _orbit_case_algebra(name):
+    if name.startswith("F"):
+        p = int(name[1])
+        return algebra_from_quiver(QuiverPresentation(p, 1, [(0, 0, "x")], nil_bound=3))
+    return load_workspace(corpus_path(name)).only_algebra()
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_orbit_walk_matches_full_walk(name):
+    a = _orbit_case_algebra(name)
+    p, bound = a.p, 4
+    mods = enumerate_modules(a, bound, budget=10**12)
+    assert [m.digest for m in mods] == [m.digest for m in _full_walk_enumeration(a, bound)]
+    swept = {
+        (i_sub, _iso_index(mods, mid), i_quot)
+        for i_quot, i_sub, mid in short_exact_sequences(mods, bound)
+    }
+    full = set()
+    merged = 0
+    for (i_quot, quot), (i_sub, sub) in itertools.product(enumerate(mods), repeat=2):
+        if quot.dim + sub.dim > bound:
+            continue
+        ext = ext1(quot, sub)
+        middles = _full_walk_middles(ext)
+        classes = [_iso_index(mods, mid) for mid in middles]
+        full.update((i_sub, c, i_quot) for c in classes)
+        kept = (ext.representatives @ p ** np.arange(ext.dimension - 1, -1, -1)).tolist()
+        actions = []
+        if ext.dimension > 1:
+            actions = _automorphism_actions_reference(ext)
+            got = sorted(m.tobytes() for m in ext._automorphism_actions())
+            assert got == sorted(m.tobytes() for m in actions)
+        orbit_min = _orbit_minima_reference(ext, actions)
+        assert kept == sorted(set(orbit_min))
+        assert [m.digest for m in ext.middles()] == [middles[i].digest for i in kept]
+        # orbits have isomorphic middles, so each first class of an
+        # isomorphism class of middles is kept
+        assert all(classes[j] == classes[i] for j, i in enumerate(orbit_min))
+        assert {classes.index(c) for c in classes} <= set(kept)
+        merged += len(middles) - len(kept)
+    assert swept == full
+    assert merged
 
 
 @pytest.mark.parametrize("name", ["fx2", "quiver_a1"])

@@ -326,9 +326,8 @@ class Module:
     """Left module over a fixed algebra, given by one matrix per basis element.
 
     ``rho`` is the read-only (algebra.dim, dim, dim) stack of action
-    matrices, ρ(e_i) = rho[i]; each ``action[i]`` is a FieldMatrix view of
-    ``rho[i]``.  ``action`` may be a sequence of square matrices or one
-    such stack; it is copied, never aliased.
+    matrices, ρ(e_i) = rho[i].  ``action`` may be a sequence of square
+    matrices or one such stack; it is copied, never aliased.
     """
 
     def __init__(self, algebra, action, check=True):
@@ -348,7 +347,6 @@ class Module:
         rho.setflags(write=False)
         self.rho = rho
         self.dim = rho.shape[1]
-        self.action = tuple(FieldMatrix._reduced(p, m) for m in rho)
         self.digest = _digest(
             b"module", algebra.digest, self.dim, *[m.tobytes() for m in rho]
         )
@@ -489,11 +487,8 @@ def zero_morphism(dom, cod):
 
 
 def hom_basis(dom, cod):
-    """Basis of the space of module maps dom -> cod, as a list of morphisms.
-
-    The defining equations F ρ_dom(e_i) = ρ_cod(e_i) F are solved as one
-    linear system; the solution is memoized by the digest pair.
-    """
+    """Basis of Hom(dom, cod) as morphisms: the kernel of
+    ``coboundary(dom, cod)``, memoized by the digest pair."""
     if dom.algebra.digest != cod.algebra.digest:
         raise ValidationError("hom spaces need a common parent algebra")
     return [Morphism(dom, cod, m, check=False) for m in _hom_matrices(dom, cod)]
@@ -501,24 +496,32 @@ def hom_basis(dom, cod):
 
 @memoized
 def _hom_matrices(dom, cod):
-    system = LinearSystem(dom.p)
-    module_map_var(system, "f", dom, cod)
-    _, basis = system.solution_space()
-    return tuple(entry["f"] for entry in basis)
+    null = kernel_basis(FieldMatrix(dom.p, coboundary(dom, cod))).a
+    shape = (cod.dim, dom.dim)
+    return tuple(FieldMatrix(dom.p, col.reshape(shape, order="F")) for col in null.T)
+
+
+def coboundary(dom, cod):
+    """δ⁰: u ↦ (ρ_cod(e_k) u - u ρ_dom(e_k))_k on linear u: dom -> cod, whose
+    kernel is Hom(dom, cod) and image the coboundaries of Ext¹(dom, cod).
+
+    One (d·cod.dim·dom.dim, cod.dim·dom.dim) array: row (k, i, j) is entry
+    (i, j) of the k-th map, as in ``Ext1Result.cocycles``; column (y, x) is
+    entry (x, y) of u, in ``LinearSystem``'s column-major order.
+    """
+    d, s, q = cod.algebra.dim, cod.dim, dom.dim
+    ys, xs = np.arange(q), np.arange(s)
+    out = np.zeros((d, s, q, q, s), dtype=np.int64)
+    out[:, :, ys, ys, :] = cod.rho[:, :, None, :]
+    out[:, xs, :, :, xs] -= dom.rho.transpose(0, 2, 1)[None]
+    return (out % dom.p).reshape(d * s * q, q * s)
 
 
 def module_map_var(system, name, dom, cod):
-    """Declare an unknown matrix dom -> cod in ``system`` and constrain it
-    to be a module map: F ρ_dom(e_i) = ρ_cod(e_i) F for every basis element.
-
-    Returns the variable, so callers can add further constraints on it.
-    """
+    """Declare an unknown matrix dom -> cod in ``system``, constrained to a
+    module map (δ⁰ of it is zero), and return it for further constraints."""
     var = system.var(name, cod.dim, dom.dim)
-    zero_rhs = FieldMatrix.zeros(dom.p, cod.dim, dom.dim)
-    for i in range(dom.algebra.dim):
-        system.add_equation(
-            [(None, var, dom.action[i]), (-cod.action[i], var, None)], zero_rhs
-        )
+    system.add_rows(var, coboundary(dom, cod))
     return var
 
 
@@ -936,9 +939,9 @@ def ext1(c, a):
     ρ_a(e_i) τ_j + τ_i ρ_c(e_j) = Σ_k c_ijk τ_k and τ zero on the unit,
     which is exactly when ``block_extensions`` gives an extension of c by
     a.  Those equations are one coefficient array, and the cocycles are
-    its ``kernel_basis``.  The coboundaries are τ_i = ρ_a(e_i) u - u ρ_c(e_i)
-    for linear u: c -> a, and split the extension.  The cocycles kept are
-    those that ``pivot_blocks`` picks after the coboundaries: a
+    its ``kernel_basis``: ker δ¹.  The coboundaries, which split the
+    extension, are the image of δ⁰ = ``coboundary(c, a)``.  The cocycles
+    kept are those that ``pivot_blocks`` picks after the coboundaries: a
     complement of them.  The coboundary rows stay on the result, where
     ``Ext1Result.representatives`` reads class coordinates against them.
 
@@ -967,16 +970,10 @@ def ext1(c, a):
     null = kernel_basis(FieldMatrix(p, system)).a
     cocycles = null.T.reshape(-1, d, q, s).transpose(0, 1, 3, 2).reshape(-1, d * s * q)
 
-    # coboundaries: tau_k = rho_a(e_k) u - u rho_c(e_k) for u = E_xy,
-    # so tau_k[i, j] = rho_a(e_k)[i, x] [j == y] - [i == x] rho_c(e_k)[y, j]
-    cob = np.zeros((s, q, d, s, q), dtype=np.int64)
-    cob[:, np.arange(q), :, :, np.arange(q)] = rho_a.transpose(2, 0, 1)
-    cob[np.arange(s), :, :, np.arange(s), :] -= rho_c.transpose(1, 0, 2)
-    cob = (cob % p).reshape(s * q, d * s * q)
-
-    picked = pivot_blocks([cob.T] + [col[:, None] for col in cocycles], p)
+    delta = coboundary(c, a)
+    picked = pivot_blocks([delta] + [col[:, None] for col in cocycles], p)
     free = [b - 1 for b in picked if b]
-    return Ext1Result(c, a, cocycles[free].reshape(len(free), d, s, q), cob)
+    return Ext1Result(c, a, cocycles[free].reshape(len(free), d, s, q), delta.T)
 
 
 # ---------------------------------------------------------------------------

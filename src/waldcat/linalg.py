@@ -388,6 +388,15 @@ class LinearSystem:
         self._rows.append(row.reshape(rcols * lrows, self.total) % self.p)
         self._rhs.append(rhs.a.T.reshape(-1, 1))
 
+    def add_rows(self, v: MatVar, coeffs: np.ndarray) -> None:
+        """Homogeneous equations coeffs @ vec(X) = 0 on the unknown X = v,
+        vectorized column-major; ``coeffs`` has v.size residue columns."""
+        off = self._offsets[v.name]
+        row = np.zeros((coeffs.shape[0], off + v.size), dtype=np.int64)
+        row[:, off:] = coeffs
+        self._rows.append(row)
+        self._rhs.append(np.zeros((coeffs.shape[0], 1), dtype=np.int64))
+
     def _eliminate(self, kernel):
         """One elimination of [A | b]; ``_back_substitute`` reads it off."""
         width = self.total
@@ -451,17 +460,6 @@ class IntegerMatrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix([r[:] for r in self.data], cols=self.cols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
 
     def __repr__(self):
         return f"IntegerMatrix({self.data})"

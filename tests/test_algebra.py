@@ -237,14 +237,14 @@ def _validate_reference(module):
     zero = np.zeros((n, n), dtype=np.int64)
     problems = []
     unit = sum(
-        (int(module.algebra.unit[i]) * module.action[i].a for i in range(d)), zero
+        (int(module.algebra.unit[i]) * module.rho[i] for i in range(d)), zero
     ) % p
     if not np.array_equal(unit, np.eye(n, dtype=np.int64)):
         problems.append("unit does not act as the identity")
     for i in range(d):
         for j in range(d):
-            lhs = (module.action[i].a @ module.action[j].a) % p
-            rhs = sum((int(c[i, j, k]) * module.action[k].a for k in range(d)), zero) % p
+            lhs = (module.rho[i] @ module.rho[j]) % p
+            rhs = sum((int(c[i, j, k]) * module.rho[k] for k in range(d)), zero) % p
             if not np.array_equal(lhs, rhs):
                 problems.append("action not multiplicative at basis pair (%d, %d)" % (i, j))
     return problems
@@ -289,8 +289,9 @@ def test_stacked_validate_matches_pairwise_loop():
 
 def _is_equivariant_reference(f):
     """Reference: F ρ_dom(e_i) == ρ_cod(e_i) F compared one i at a time."""
+    p = f.p
     return all(
-        (f.matrix @ f.dom.action[i]) == (f.cod.action[i] @ f.matrix)
+        (f.matrix @ FieldMatrix(p, f.dom.rho[i])) == (FieldMatrix(p, f.cod.rho[i]) @ f.matrix)
         for i in range(f.dom.algebra.dim)
     )
 
@@ -344,7 +345,7 @@ def test_memoized_keys_by_digest_with_defaults_applied():
         return m.dim + extra
 
     m = regular_module(fx2_algebra())
-    twin = Module(fx2_algebra(), [x.a for x in m.action])
+    twin = Module(fx2_algebra(), m.rho)
     assert twin is not m and twin.algebra is not m.algebra
     assert size(m) == size(m, 1) == size(twin) == size(m, extra=1) == 3
     assert len(calls) == 1
@@ -403,7 +404,7 @@ def test_kernel_cokernel_of_zero_map():
 def test_multiplication_by_x_has_simple_kernel_and_cokernel():
     a = fx2_algebra()
     reg = regular_module(a)
-    xmul = Morphism(reg, reg, reg.action[1])
+    xmul = Morphism(reg, reg, reg.rho[1])
     k, incl = kernel(xmul)
     c, proj = cokernel(xmul)
     s = simple_over_fx2()
@@ -481,7 +482,7 @@ def test_pushout_along_identity_is_isomorphic():
 def test_pushout_of_socle_inclusion_along_collapse():
     a = fx2_algebra()
     reg = regular_module(a)
-    xmul = Morphism(reg, reg, reg.action[1])
+    xmul = Morphism(reg, reg, reg.rho[1])
     soc, incl = kernel(xmul)
     z = zero_module(a)
     p, _, _ = pushout(incl, zero_morphism(soc, z))
@@ -492,7 +493,7 @@ def test_pushout_of_socle_inclusion_along_collapse():
 def test_pullback_of_two_covers_has_dimension_three():
     a = fx2_algebra()
     reg = regular_module(a)
-    xmul = Morphism(reg, reg, reg.action[1])
+    xmul = Morphism(reg, reg, reg.rho[1])
     _, proj = cokernel(xmul)
     p, to_b, to_c = pullback(proj, proj)
     assert p.dim == 3
@@ -556,7 +557,7 @@ def test_pushout_of_mono_is_mono_with_matching_cokernel():
 def test_ses_dimensions_add_up():
     a = fx2_algebra()
     reg = regular_module(a)
-    xmul = Morphism(reg, reg, reg.action[1])
+    xmul = Morphism(reg, reg, reg.rho[1])
     _, incl = kernel(xmul)
     ses = ses_from_mono(incl)
     assert ses.sub.dim + ses.quot.dim == ses.mid.dim
@@ -576,7 +577,7 @@ def test_nonsplit_extension_detected():
     # 0 -> S -> A -> S -> 0 over F_2[x]/(x^2) does not split
     a = fx2_algebra()
     reg = regular_module(a)
-    xmul = Morphism(reg, reg, reg.action[1])
+    xmul = Morphism(reg, reg, reg.rho[1])
     _, incl = kernel(xmul)
     ses = ses_from_mono(incl)
     assert not ses.is_split()
@@ -606,7 +607,7 @@ def test_simples_fx2():
     simples = simple_modules(fx2_algebra())
     assert len(simples) == 1
     assert simples[0].dim == 1
-    assert simples[0].action[1].is_zero()
+    assert not simples[0].rho[1].any()
 
 
 def test_simples_of_quiver_algebras():
@@ -706,7 +707,7 @@ def test_conjugated_action_recognised():
     reg = regular_module(a)
     h = FieldMatrix(2, [[1, 1], [0, 1]])
     hinv = solve(h, FieldMatrix.identity(2, 2))
-    twisted = Module(a, [h @ m @ hinv for m in reg.action])
+    twisted = Module(a, [h @ FieldMatrix(2, m) @ hinv for m in reg.rho])
     iso = is_isomorphic(reg, twisted)
     assert iso is not None
     assert iso.is_iso() and iso.is_equivariant()
@@ -724,7 +725,7 @@ def test_isomorphism_is_equivariant_and_invertible_on_random_conjugates():
             if rank(h) == m.dim:
                 break
         hinv = solve(h, FieldMatrix.identity(2, m.dim))
-        twisted = Module(a, [h @ mm @ hinv for mm in m.action])
+        twisted = Module(a, [h @ FieldMatrix(2, mm) @ hinv for mm in m.rho])
         iso = is_isomorphic(m, twisted)
         assert iso is not None
         assert iso.is_iso() and iso.is_equivariant()
@@ -761,7 +762,7 @@ def _random_conjugate(m, rng):
         if rank(h) == m.dim:
             break
     hinv = solve(h, FieldMatrix.identity(m.p, m.dim))
-    return Module(m.algebra, [h @ a @ hinv for a in m.action])
+    return Module(m.algebra, [h @ FieldMatrix(m.p, a) @ hinv for a in m.rho])
 
 
 def _scalar_invertible_combination(basis, p, dim):
@@ -961,7 +962,7 @@ def test_conjugate_gets_a_verified_isomorphism(name, index, data):
     perm = np.eye(n, dtype=int)[data.draw(st.permutations(range(n)))]
     h = FieldMatrix(p, perm @ lower @ upper)  # invertible: P L U
     hinv = solve(h, FieldMatrix.identity(p, n))
-    twisted = Module(a, [h @ mat @ hinv for mat in m.action])
+    twisted = Module(a, [h @ FieldMatrix(p, mat) @ hinv for mat in m.rho])
     iso = is_isomorphic(m, twisted)
     assert iso is not None
     assert iso.dom == m and iso.cod == twisted
@@ -1007,24 +1008,53 @@ def test_indecomposable_summands_match_scalar_splitting(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# solve_map against the hand-built systems it replaced
+# Hom and solve_map against the hand-built systems they replaced
 # ---------------------------------------------------------------------------
+
+
+def _hand_built_system(dom, cod):
+    """A LinearSystem in one unknown h: dom -> cod with the equivariance
+    equations h ρ_dom(e_i) = ρ_cod(e_i) h, one ``add_equation`` each."""
+    p = dom.p
+    system = LinearSystem(p)
+    h = system.var("h", cod.dim, dom.dim)
+    zero = FieldMatrix.zeros(p, cod.dim, dom.dim)
+    for i in range(dom.algebra.dim):
+        rho_dom, rho_cod = FieldMatrix(p, dom.rho[i]), FieldMatrix(p, cod.rho[i])
+        system.add_equation([(None, h, rho_dom), (-rho_cod, h, None)], zero)
+    return system, h
 
 
 def _hand_built_solve(dom, cod, post=(), pre=()):
     """One map x: dom -> cod as the callers used to build it: equivariance,
     then the x @ f == t equations, then the g @ x == t ones."""
-    system = LinearSystem(dom.p)
-    h = system.var("h", cod.dim, dom.dim)
-    zero = FieldMatrix.zeros(dom.p, cod.dim, dom.dim)
-    for i in range(dom.algebra.dim):
-        system.add_equation([(None, h, dom.action[i]), (-cod.action[i], h, None)], zero)
+    system, h = _hand_built_system(dom, cod)
     for f, t in pre:
         system.add_equation([(None, h, f.matrix)], t.matrix)
     for g, t in post:
         system.add_equation([(g.matrix, h, None)], t.matrix)
     sol = system.solve()
     return None if sol is None else sol["h"]
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [*CORPUS_NAMES, "F3[x]/(x^2)", "F5[x]/(x^3)"],
+)
+def test_hom_basis_matches_linear_system_reference(algebra):
+    """``hom_basis`` reads ker δ⁰; the equivariance system solved by a
+    LinearSystem gives the same basis, term by term, on every ordered pair
+    of nonzero modules up to dimension 4."""
+    if algebra in CORPUS_NAMES:
+        algebra = _corpus_algebra(algebra)
+    else:
+        p, n = (3, 2) if algebra.startswith("F3") else (5, 3)
+        algebra = _truncated_polynomial_algebra(p, n)
+    mods = [m for m in enumerate_modules(algebra, 4, budget=algebra.p**16) if m.dim]
+    for dom, cod in itertools.product(mods, repeat=2):
+        system, _ = _hand_built_system(dom, cod)
+        _, expected = system.solution_space()
+        assert [f.matrix for f in hom_basis(dom, cod)] == [e["h"] for e in expected]
 
 
 def _assert_matches_hand_built(dom, cod, post=(), pre=()):
@@ -1355,10 +1385,9 @@ def _jordan_module(algebra, blocks):
 def _fingerprint_reference(module):
     """Reference: one rank per action matrix and per product."""
     d = module.algebra.dim
-    singles = tuple(rank(module.action[i]) for i in range(d))
-    pairs = tuple(
-        rank(module.action[i] @ module.action[j]) for i in range(d) for j in range(d)
-    )
+    mats = [FieldMatrix(module.p, r) for r in module.rho]
+    singles = tuple(rank(mats[i]) for i in range(d))
+    pairs = tuple(rank(mats[i] @ mats[j]) for i in range(d) for j in range(d))
     return (module.dim, singles, pairs)
 
 
@@ -1399,7 +1428,10 @@ def _extension_candidates_reference(sub, quot):
     zero = FieldMatrix.zeros(p, sub.dim, quot.dim)
     for i in range(d):
         for j in range(d):
-            terms = [(sub.action[i], taus[j], None), (None, taus[i], quot.action[j])]
+            terms = [
+                (FieldMatrix(p, sub.rho[i]), taus[j], None),
+                (None, taus[i], FieldMatrix(p, quot.rho[j])),
+            ]
             for k in range(d):
                 if c[i, j, k]:
                     terms.append((FieldMatrix(p, -int(c[i, j, k]) * eye), taus[k], None))
@@ -1418,7 +1450,7 @@ def _extension_candidates_reference(sub, quot):
             u = np.zeros((sub.dim, quot.dim), dtype=np.int64)
             u[a, b] = 1
             cob_vectors.append(np.concatenate([
-                ((sub.action[k].a @ u - u @ quot.action[k].a) % p).reshape(-1)
+                ((sub.rho[k] @ u - u @ quot.rho[k]) % p).reshape(-1)
                 for k in range(d)
             ]))
     cocycle_flat = [
@@ -1441,9 +1473,9 @@ def _extension_candidates_reference(sub, quot):
                 if c_val:
                     tau = (tau + c_val * entry["t%d" % k].a) % p
             upper = np.zeros((sub.dim + quot.dim,) * 2, dtype=np.int64)
-            upper[: sub.dim, : sub.dim] = sub.action[k].a
+            upper[: sub.dim, : sub.dim] = sub.rho[k]
             upper[: sub.dim, sub.dim :] = tau
-            upper[sub.dim :, sub.dim :] = quot.action[k].a
+            upper[sub.dim :, sub.dim :] = quot.rho[k]
             action.append(upper)
         out.append(Module(algebra, action, check=False))
     return out
@@ -1487,7 +1519,10 @@ def _ext1_cocycles_reference(c, a):
     struct = algebra.structure
     for i in range(d):
         for j in range(d):
-            terms = [(a.action[i], taus[j], None), (None, taus[i], c.action[j])]
+            terms = [
+                (FieldMatrix(p, a.rho[i]), taus[j], None),
+                (None, taus[i], FieldMatrix(p, c.rho[j])),
+            ]
             terms += [
                 (-int(struct[i, j, k]), taus[k], None) for k in range(d) if struct[i, j, k]
             ]
@@ -1504,7 +1539,7 @@ def _ext1_cocycles_reference(c, a):
         for y in range(q):
             u = np.zeros((s, q), dtype=np.int64)
             u[x, y] = 1
-            cob.append([(a.action[k].a @ u - u @ c.action[k].a) % p for k in range(d)])
+            cob.append([(a.rho[k] @ u - u @ c.rho[k]) % p for k in range(d)])
     blocks = [np.array(cob).reshape(s * q, -1).T]
     blocks += [t.reshape(-1, 1) for t in cocycles]
     free = [b - 1 for b in _greedy_blocks(blocks, p) if b]

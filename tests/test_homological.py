@@ -60,7 +60,9 @@ from waldcat.homological import (
     short_exact_sequences,
     strip_injective_summands,
 )
+from waldcat.ktheory import k0_exact_category
 from waldcat.linalg import FieldMatrix, pivot_blocks, rank, solve
+from waldcat.waldhausen import spec_all, spec_projectives
 from waldcat.workspace import corpus_path, load_workspace
 
 
@@ -99,8 +101,8 @@ def simple_over_fx2():
 def a1_vertex_simples():
     """Simples of the two-vertex algebra: (source simple, sink simple)."""
     simples = simple_modules(a1_algebra())
-    s0 = next(s for s in simples if s.action[0].a[0, 0] == 1)
-    s1 = next(s for s in simples if s.action[1].a[0, 0] == 1)
+    s0 = next(s for s in simples if s.rho[0, 0, 0] == 1)
+    s1 = next(s for s in simples if s.rho[1, 0, 0] == 1)
     return s0, s1
 
 
@@ -246,6 +248,9 @@ def _rebased_module(rebased, m, g):
     "name", ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2", "F3[x]/(x^3)"]
 )
 def test_unit_preserving_change_of_algebra_basis_keeps_ext_and_verdicts(name):
+    """A change of algebra basis that fixes the unit keeps Hom and Ext¹
+    dimensions, projectivity and injectivity verdicts and K₀ invariant
+    factors."""
     if name.startswith("F3"):
         c = np.zeros((3, 3, 3), dtype=int)
         for i in range(3):
@@ -261,11 +266,17 @@ def test_unit_preserving_change_of_algebra_basis_keeps_ext_and_verdicts(name):
     mods = enumerate_modules(algebra, 3)
     moved = {m: _rebased_module(rebased, m, g) for m in mods}
     for c, a in itertools.product(mods, repeat=2):
+        assert len(hom_basis(moved[c], moved[a])) == len(hom_basis(c, a))
         if c.dim + a.dim <= 3:
             assert ext1(moved[c], moved[a]).dimension == ext1(c, a).dimension
     for m in mods:
         assert is_injective(moved[m]) == is_injective(m)
         assert is_projective(moved[m]) == is_projective(m)
+    for spec in (spec_all(), spec_projectives()):
+        assert (
+            k0_exact_category(rebased, spec, 3).invariant_factors
+            == k0_exact_category(algebra, spec, 3).invariant_factors
+        )
 
 
 def test_sink_simple_is_projective_not_injective():
@@ -688,9 +699,9 @@ def test_ext_parent_mismatch_rejected():
 def test_induced_on_cokernel_requires_killing_the_image():
     a = fx2_algebra()
     reg = regular_module(a)
-    xmul = Morphism(reg, reg, reg.action[1])
+    xmul = Morphism(reg, reg, reg.rho[1])
     _, proj = cokernel(xmul)
-    survivor = Morphism(reg, reg, reg.action[0])  # identity does not kill im(x)
+    survivor = Morphism(reg, reg, reg.rho[0])  # identity does not kill im(x)
     with pytest.raises(InternalInconsistencyError):
         induced_on_cokernel(proj, survivor)
 

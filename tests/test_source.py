@@ -6,8 +6,8 @@ search site in ``algebra``, the beyond-the-cap Hom-span search shared by
 isomorphism and decomposition, still stands in for exact decisions; it
 leaves this list when those become exact.
 
-A module's action matrices are read from its stack ``Module.rho``; no
-module of the package rebuilds that stack from the ``action`` views.
+Module actions enter linear systems only through δ⁰: no function of the
+package that assembles ``add_equation`` terms reads a module's ``rho``.
 
 Every imported name is referenced in its file, so an import left behind
 by deleted code does not survive.  Likewise every top-level function and
@@ -53,43 +53,49 @@ def test_default_rng_only_at_the_allowed_sites():
     assert sorted(_rng_sites()) == ALLOWED_RNG_SITES
 
 
-def _action_stack_rebuilds(tree):
-    """Line numbers of ``np.array([... for ... in X.action])`` calls (or
-    ``asarray``, ``stack``, or a generator): a stack of action matrices
-    rebuilt from the views that ``Module.rho`` already holds."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and _called_name(node.func) in ("array", "asarray", "stack")
-        and node.args
-        and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
-        and any(
-            isinstance(gen.iter, ast.Attribute) and gen.iter.attr == "action"
-            for gen in node.args[0].generators
-        )
-    )
+def _rho_in_equations(tree):
+    """Line numbers of the ``add_equation`` calls in functions that read a
+    ``rho`` attribute.  Such a function can put action matrices into an
+    equation term, directly or through a local name; they belong in δ⁰
+    (``algebra.coboundary``, added by ``LinearSystem.add_rows``)."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        if any(isinstance(n, ast.Attribute) and n.attr == "rho" for n in nodes):
+            lines.update(
+                n.lineno
+                for n in nodes
+                if isinstance(n, ast.Call) and _called_name(n.func) == "add_equation"
+            )
+    return sorted(lines)
 
 
-def test_no_module_rebuilds_an_action_stack():
-    rebuilt = {}
+def test_actions_enter_linear_systems_only_through_coboundary():
+    found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = _action_stack_rebuilds(ast.parse(path.read_text()))
+        lines = _rho_in_equations(ast.parse(path.read_text()))
         if lines:
-            rebuilt[path.name] = lines
-    assert rebuilt == {}
+            found[path.name] = lines
+    assert found == {}
 
 
-def test_action_stack_scan_flags_only_rebuilt_stacks():
+def test_rho_equation_scan_flags_only_functions_reading_rho():
     tree = ast.parse(
-        "a = np.array([m.a for m in mod.action], dtype=np.int64)\n"
-        "b = np.array([m.a for m in mods])\n"
-        "c = [m.a for m in mod.action]\n"
-        "d = numpy.asarray(list(x.a for x in y.action))\n"
-        "e = np.stack(x.a for x in y.action)\n"
-        "f = mod.rho.copy()\n"
+        "def direct(system, m, v, zero):\n"
+        "    system.add_equation([(FieldMatrix(p, m.rho[0]), v, None)], zero)\n"
+        "def aliased(system, m, v, zero):\n"
+        "    stack = m.rho\n"
+        "    system.add_equation([(None, v, FieldMatrix(p, stack[1]))], zero)\n"
+        "def through_coboundary(system, m, v):\n"
+        "    system.add_rows(v, coboundary(m, m))\n"
+        "def other_terms(system, f, v, zero):\n"
+        "    system.add_equation([(f.matrix, v, None)], zero)\n"
+        "def reads_rho_only(m):\n"
+        "    return m.rho.copy()\n"
     )
-    assert _action_stack_rebuilds(tree) == [1, 5]
+    assert _rho_in_equations(tree) == [2, 5]
 
 
 def _unused_imports(tree):

@@ -299,6 +299,7 @@ def _ses_row(ws, ses):
 
 def _cmd_validate(args):
     ws, failures = load_workspace(args.input, collect_failures=True)
+    failures = list(failures)  # the loaded tuple is shared by later loads
     algebra_reports = {}
     for name, algebra in sorted(ws.algebras.items()):
         result = validate_algebra(algebra)

@@ -185,9 +185,11 @@ def ext1_class_count_oracle(c, a, budget=DEFAULT_BUDGET):
 
         count = sum over E of #pairs(E) * p**dim Hom(c, a) / |Aut(E)|.
 
-    Each division must be exact.  Pairs and automorphisms are counted by
-    batched rank scans over the spans of the Hom bases; no free presentation
-    is used, so the count must equal p**ext1(c, a).dimension independently.
+    Each division must be exact; a middle with no exact pair adds nothing,
+    and its automorphisms are not counted.  Pairs and automorphisms are
+    counted by batched rank scans over the spans of the Hom bases; no free
+    presentation is used, so the count must equal p**ext1(c, a).dimension
+    independently.
     """
     algebra = c.algebra
     p = algebra.p
@@ -198,6 +200,8 @@ def ext1_class_count_oracle(c, a, budget=DEFAULT_BUDGET):
         if e.dim != mid_dim:
             continue
         pairs = _exact_pair_count(a, e, c)
+        if not pairs:
+            continue  # no orbits, and |Aut(E)| can cost a scan of all of End(E)
         orbits, rest = divmod(pairs * stabilizer, _automorphism_count(e))
         if rest:
             raise InternalInconsistencyError(

@@ -5,7 +5,10 @@ presentation), modules, morphisms, spans, and bounded complexes, all
 referenced by name, plus a configuration block with default bounds,
 seeds, and class choices.  Loading validates every object; the
 ``collect_failures`` mode gathers per-object problems instead of raising
-so the `validate` subcommand can report them all at once.
+so the `validate` subcommand can report them all at once.  A loaded
+workspace is read-only, and a file is parsed and validated once per
+process for each distinct (stem, text): later loads of the same bytes
+return the same workspace, and an edited file is read afresh.
 
 The bundled corpus lives next to this module and is regenerated by
 ``standard_corpus`` / ``write_corpus``; files on disk must match the
@@ -14,6 +17,7 @@ builders byte for byte.
 
 import json
 import pathlib
+import types
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .algebra import (
     algebra_from_quiver,
     direct_sum,
     hom_basis,
+    memoized,
     regular_module,
     simple_modules,
 )
@@ -48,7 +53,6 @@ class Workspace:
         self.morphisms = {}
         self.spans = {}
         self.complexes = {}
-        self.raw = {}
 
     def _lookup(self, table, kind, name):
         try:
@@ -251,36 +255,48 @@ def morphism_to_entry(dom_name, cod_name, morphism):
 
 
 def load_workspace(source, collect_failures=False):
-    """Build a Workspace from a path or an already-parsed dict.
+    """Build a read-only Workspace from a path or an already-parsed dict.
 
     With ``collect_failures`` the return value is ``(workspace, failures)``
-    where each failure names the offending object; objects that fail
-    validation (or reference one that did) are skipped instead of
-    raising.  Structural problems with the file itself always raise
+    where ``failures`` is a tuple naming each offending object; objects
+    that fail validation (or reference one that did) are skipped instead
+    of raising.  Structural problems with the file itself always raise
     MalformedInputError.
+
+    A path is read on every call, and its text goes to the memoized
+    ``_workspace_from_text``, so repeated loads of the same bytes share
+    one parse and validation; a dict is built afresh each time.
     """
     if isinstance(source, dict):
-        doc = source
-        name = ""
-    else:
-        path = pathlib.Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (FileNotFoundError, NotADirectoryError):
-            raise MalformedInputError(
-                "input file %r does not exist" % str(source)
-            ) from None
-        except (OSError, UnicodeDecodeError) as err:
-            raise MalformedInputError(
-                "cannot read input file %r: %s" % (str(source), err)
-            ) from None
-        name = path.stem
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise MalformedInputError(
-                "input is not valid JSON: %s" % err
-            ) from None
+        return _build_workspace(source, "", collect_failures)
+    path = pathlib.Path(source)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise MalformedInputError(
+            "input file %r does not exist" % str(source)
+        ) from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise MalformedInputError(
+            "cannot read input file %r: %s" % (str(source), err)
+        ) from None
+    return _workspace_from_text(path.stem, text, collect_failures)
+
+
+@memoized
+def _workspace_from_text(stem, text, collect_failures):
+    """``load_workspace`` of a file with this stem and text.  The key is
+    the whole text, so equal bytes give the same parse and validation."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise MalformedInputError(
+            "input is not valid JSON: %s" % err
+        ) from None
+    return _build_workspace(doc, stem, collect_failures)
+
+
+def _build_workspace(doc, name, collect_failures):
     _require(isinstance(doc, dict), "workspace document must be a JSON object")
     name = doc.get("name", name)
     for key in doc:
@@ -288,7 +304,6 @@ def load_workspace(source, collect_failures=False):
             raise MalformedInputError("unknown workspace section %r" % key)
 
     ws = Workspace(name)
-    ws.raw = doc
     ws.config = _as_dict(doc, "config", optional=True)
     failures = []
     broken = set()
@@ -397,8 +412,11 @@ def load_workspace(source, collect_failures=False):
         except (ValidationError, IndexError) as err:
             fail("complex", cx_name, str(err))
 
+    # read-only tables: a memoized workspace is shared by every later load
+    for table in ("config",) + _SECTIONS:
+        setattr(ws, table, types.MappingProxyType(getattr(ws, table)))
     if collect_failures:
-        return ws, failures
+        return ws, tuple(failures)
     return ws
 
 

@@ -8,9 +8,11 @@ across repeat runs with the same input and seed.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -62,6 +64,105 @@ def test_validate_broken_document_exits_one(tmp_path):
     assert code == 1
     assert out["ok"] is False
     assert any(f["name"] == "badmod" for f in out["failures"])
+
+
+def _nonassociative_document():
+    """One F_2-algebra with basis 1, x, y, x·x = y and y·x = x, so that
+    (x·x)·x = x but x·(x·x) = 0: it loads, and only `validate` rejects it."""
+    structure = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        structure[0][i][i] = structure[i][0][i] = 1
+    structure[1][1][2] = 1
+    structure[2][1][1] = 1
+    return {"algebras": {"bad": {"p": 2, "structure": structure, "unit": [1, 0, 0]}}}
+
+
+def test_validate_twice_reports_the_same_failures(tmp_path):
+    # the memoized load hands out one failure tuple; appending the algebra
+    # failure to it would make the second report list that failure twice
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(_nonassociative_document()))
+    first = run("validate", "--input", str(path))
+    second = run("validate", "--input", str(path))
+    assert first == second
+    assert first[0] == 1
+    out = json.loads(first[1])
+    assert [(f["kind"], f["name"]) for f in out["failures"]] == [("algebra", "bad")]
+
+
+def test_rewritten_workspace_file_is_read_again(tmp_path):
+    doc = json.loads(corpus_path("fx2").read_text())
+    small = {"algebras": doc["algebras"],
+             "modules": {k: doc["modules"][k] for k in ("S", "A")}}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(small))
+    code, out = runj("ext", "--input", str(path), "--quot", "S", "--sub", "S")
+    assert code == 0 and out["dimension"] == 1
+    del small["modules"]["S"]
+    path.write_text(json.dumps(small))
+    code, out = runj("ext", "--input", str(path), "--quot", "S", "--sub", "S")
+    assert code == 3
+    assert "unknown module 'S'" in out["error"]["message"]
+    path.unlink()
+    code, out = runj("ext", "--input", str(path), "--quot", "A", "--sub", "A")
+    assert code == 3
+    assert "does not exist" in out["error"]["message"]
+
+
+def test_equal_files_under_two_stems_keep_their_names(tmp_path):
+    # a document without "name" is named by its file stem, which is part of
+    # the memo key even when the text is the same
+    text = json.dumps(_nonassociative_document())
+    for stem in ("first", "second"):
+        (tmp_path / (stem + ".json")).write_text(text)
+    for stem in ("first", "second", "first"):
+        code, out = runj("validate", "--input", str(tmp_path / (stem + ".json")))
+        assert code == 1
+        assert out["workspace"] == stem
+
+
+# Commands on the corpus that fill every memo: Ext¹ and its oracle, span
+# resolutions on both sides, chain verdicts, loading with failures, K₀ and
+# localization.
+WARM_COLD_COMMANDS = [
+    ("ext", "--input", FX2, "--quot", "A", "--sub", "S", "--oracle"),
+    ("ext", "--input", QA1, "--quot", "s0", "--sub", "s1", "--oracle"),
+    ("span", "--op", "resolve", "--input", FX2, "--span", "socle_span"),
+    ("span", "--op", "resolve", "--input", FX2, "--span", "socle_span", "--dual"),
+    ("chain", "--op", "qiso", "--input", FX2, "--dom", "xcx", "--cod", "xcx",
+     "--components", "0:mul_x,1:mul_x"),
+    ("chain", "--op", "weq", "--input", FX2, "--dom", "xcx", "--cod", "xcx",
+     "--components", "0:id_A,1:id_A"),
+    ("validate", "--input", FX2),
+    ("validate", "--input", QA1),
+    ("k0", "--input", FX2, "--acyclics", "projectives", "--dim-bound", "3"),
+    ("k0", "--input", QA1, "--dim-bound", "3"),
+    ("localize", "--input", FX2, "--acyclics", "projectives", "--dim-bound", "3"),
+    ("localize", "--input", QA1, "--dim-bound", "3"),
+]
+
+
+def _clear_every_memo():
+    """Empty the table of every memoized function in the package; returns
+    the names of the functions cleared."""
+    cleared = set()
+    for info in pkgutil.iter_modules(waldcat.__path__):
+        module = importlib.import_module("waldcat." + info.name)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+                cleared.add(name)
+    return cleared
+
+
+def test_warm_caches_answer_as_cold_ones():
+    warm = {argv: run(*argv) for argv in WARM_COLD_COMMANDS}
+    cleared = _clear_every_memo()
+    assert {"_workspace_from_text", "_hom_matrices", "ext1", "enumerate_modules",
+            "class_index", "_automorphism_count"} <= cleared
+    cold = {argv: run(*argv) for argv in reversed(WARM_COLD_COMMANDS)}
+    assert cold == warm
+    assert all(code == 0 for code, _ in warm.values())
 
 
 def test_weq_verdict_yes():

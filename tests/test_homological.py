@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from waldcat import homological
 from waldcat.algebra import (
     Algebra,
     Module,
@@ -670,6 +671,34 @@ def test_automorphism_count_of_semisimple_powers_is_gl_order():
         orders.append(_automorphism_count(power))
     # |GL_n(F_2)|; End(S^4) has 2**16 elements, beyond _ENUMERATION_CAP
     assert orders == [1, 6, 168, 20160]
+
+
+def test_ext_oracle_counts_automorphisms_only_of_middles_with_pairs(monkeypatch):
+    # over F_2[x]/(x^2), 0 -> S -> E -> A ⊕ S -> 0 never has E = S^4, whose
+    # |Aut| = |GL_4(F_2)| would take a scan of all 2^16 endomorphisms
+    pairs = {}
+    counted = []
+    exact_pair_count = homological._exact_pair_count
+    automorphism_count = homological._automorphism_count
+
+    def pair_spy(a, e, c):
+        pairs[e.digest] = exact_pair_count(a, e, c)
+        return pairs[e.digest]
+
+    def automorphism_spy(m):
+        counted.append(m.digest)
+        return automorphism_count(m)
+
+    monkeypatch.setattr(homological, "_exact_pair_count", pair_spy)
+    monkeypatch.setattr(homological, "_automorphism_count", automorphism_spy)
+    s = simple_over_fx2()
+    reg = regular_module(fx2_algebra())
+    quot, _, _ = direct_sum([reg, s])
+    assert ext1_class_count_oracle(quot, s) == 2 ** ext1(quot, s).dimension
+    s4, _, _ = direct_sum([s] * 4)
+    assert pairs[s4.digest] == 0
+    assert counted == [d for d, n in pairs.items() if n > 0]
+    assert len(counted) < len(pairs)
 
 
 def test_ext_oracle_over_odd_prime_and_zero_modules():

@@ -6,6 +6,10 @@ search site in ``algebra``, the beyond-the-cap Hom-span search shared by
 isomorphism and decomposition, still stands in for exact decisions; it
 leaves this list when those become exact.
 
+Memo tables exist only through ``algebra.memoized``, whose ``cache_clear``
+empties them: the functools caches stay at the sites listed below, and no
+module binds a table of its own at the top level.
+
 Module actions enter linear systems only through δ⁰: no function of the
 package that assembles ``add_equation`` terms reads a module's ``rho``.
 
@@ -51,6 +55,91 @@ def _rng_sites():
 
 def test_default_rng_only_at_the_allowed_sites():
     assert sorted(_rng_sites()) == ALLOWED_RNG_SITES
+
+
+ALLOWED_CACHE_SITES = [
+    ("algebra", "Ext1Result.representatives"),
+    ("cli", "_parser"),
+    ("linalg", "is_prime"),
+]
+
+_FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _is_cache(node):
+    return (
+        (isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES
+         and isinstance(node.value, ast.Name) and node.value.id == "functools")
+        or (isinstance(node, ast.Name) and node.id in _FUNCTOOLS_CACHES - {"cache"})
+        or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(a.name in _FUNCTOOLS_CACHES for a in node.names))
+    )
+
+
+def _cache_sites(body, scope=()):
+    """Qualified names of the definitions in the statements ``body`` that
+    use a functools cache (``functools.cache``, ``lru_cache`` or
+    ``cached_property``, by attribute, by name or by import), once per use;
+    "" for module level."""
+    sites = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = scope + (node.name,)
+            sites += [".".join(name) for d in node.decorator_list
+                      for n in ast.walk(d) if _is_cache(n)]
+            sites += _cache_sites(node.body, name)
+        else:
+            sites += [".".join(scope) for n in ast.walk(node) if _is_cache(n)]
+    return sites
+
+
+def _module_tables(tree):
+    """Line numbers of module-level names bound to ``{}`` or ``dict()``."""
+    lines = []
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or value is None:
+            continue
+        empty_literal = isinstance(value, ast.Dict) and not value.keys
+        empty_call = (isinstance(value, ast.Call) and _called_name(value.func) == "dict"
+                      and not value.args and not value.keywords)
+        if empty_literal or empty_call:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_memo_tables_only_through_memoized():
+    sites = []
+    tables = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites += [(path.stem, site) for site in _cache_sites(tree.body)]
+        if _module_tables(tree):
+            tables[path.name] = _module_tables(tree)
+    assert sorted(sites) == ALLOWED_CACHE_SITES
+    assert tables == {}
+
+
+def test_memo_scans_flag_caches_and_module_tables():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_TABLE = {}\n"
+        "_OTHER: dict = dict()\n"
+        "_NAMES = {'a': 1}\n"
+        "@functools.cache\n"
+        "def cached(x):\n"
+        "    local = {}\n"
+        "    return x\n"
+        "class Holder:\n"
+        "    @functools.cached_property\n"
+        "    def prop(self):\n"
+        "        return lru_cache(maxsize=None)(len)\n"
+        "def plain(cache):\n"
+        "    return cache.get(1)\n"
+    )
+    assert _cache_sites(tree.body) == ["", "cached", "Holder.prop", "Holder.prop"]
+    assert _module_tables(tree) == [3, 4]
 
 
 def _rho_in_equations(tree):

@@ -47,7 +47,7 @@ def test_write_corpus_reproduces_the_committed_files(tmp_path):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_corpus_file_loads_without_failures(name):
     ws, failures = load_workspace(corpus_path(name), collect_failures=True)
-    assert failures == []
+    assert failures == ()
     assert ws.name == name
     for algebra in ws.algebras.values():
         report = validate_algebra(algebra)
@@ -91,6 +91,33 @@ def test_load_from_dict_and_json_text_equivalent():
     ws = load_workspace(doc)
     assert set(ws.modules) == {"S", "A", "AS"}
     assert ws.name == "fx2"
+
+
+@pytest.mark.parametrize("from_file", [True, False])
+def test_loaded_workspace_tables_are_read_only(from_file):
+    ws = load_workspace(corpus_path("fx2") if from_file else fx2_doc())
+    for table in ("config", "algebras", "modules", "morphisms", "spans", "complexes"):
+        with pytest.raises(TypeError):
+            getattr(ws, table)["new"] = None
+    assert not hasattr(ws, "raw")
+
+
+def test_file_loads_share_one_workspace_per_text(tmp_path):
+    assert load_workspace(corpus_path("fx2")) is load_workspace(str(corpus_path("fx2")))
+    ws, failures = load_workspace(corpus_path("fx2"), collect_failures=True)
+    assert failures == ()
+    assert ws is not load_workspace(corpus_path("fx2"))
+    # dicts are built afresh
+    doc = fx2_doc()
+    assert load_workspace(doc) is not load_workspace(doc)
+    # an edited file misses the memo
+    path = tmp_path / "fx2.json"
+    path.write_text(json.dumps(doc))
+    before = load_workspace(path)
+    doc["config"]["dim_bound"] = 3
+    path.write_text(json.dumps(doc))
+    after = load_workspace(path)
+    assert (before.config["dim_bound"], after.config["dim_bound"]) == (4, 3)
 
 
 def test_unknown_section_rejected():

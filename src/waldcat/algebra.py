@@ -28,7 +28,6 @@ from .errors import (
 from .linalg import (
     MODULUS_LIMIT,
     FieldMatrix,
-    LinearSystem,
     column_space_basis,
     is_prime,
     kernel_basis,
@@ -507,7 +506,7 @@ def coboundary(dom, cod):
 
     One (d·cod.dim·dom.dim, cod.dim·dom.dim) array: row (k, i, j) is entry
     (i, j) of the k-th map, as in ``Ext1Result.cocycles``; column (y, x) is
-    entry (x, y) of u, in ``LinearSystem``'s column-major order.
+    entry (x, y) of u, so u is vectorized column-major.
     """
     d, s, q = cod.algebra.dim, cod.dim, dom.dim
     ys, xs = np.arange(q), np.arange(s)
@@ -517,35 +516,97 @@ def coboundary(dom, cod):
     return (out % dom.p).reshape(d * s * q, q * s)
 
 
-def module_map_var(system, name, dom, cod):
-    """Declare an unknown matrix dom -> cod in ``system``, constrained to a
-    module map (δ⁰ of it is zero), and return it for further constraints."""
-    var = system.var(name, cod.dim, dom.dim)
-    system.add_rows(var, coboundary(dom, cod))
-    return var
+def solve_maps(unknowns, equations):
+    """Module maps X_v: dom_v -> cod_v, one for each (dom_v, cod_v) in
+    ``unknowns``, that solve ``equations``; or None when there are none.
+
+    An equation (terms, t) asks that L @ X_v @ R summed over its terms
+    (L, v, R) equal t.  L, R and t are morphisms; None stands for the
+    identity as L or R and for zero as t.  This is for maps that involve a
+    choice: lifts, sections, extensions over an embedding and contracting
+    homotopies.  A map that is unique comes from its structure maps
+    instead: ``corestrict`` into a submodule, ``induced_on_cokernel`` out
+    of a quotient, ``from_pushout`` and ``into_pullback``.
+
+    The equations are solved on Hom-basis coordinates
+    (``_map_coordinates``) with every free coordinate zero.  ``hom_basis``
+    is the standard kernel basis of δ⁰, so its coordinates are the entries
+    of X_v at δ⁰'s free columns, and an equation added to δ⁰ can only turn
+    a free column into a pivot.  So the answer is the one with every free
+    entry zero in the system of δ⁰ and the equations on the entries of the
+    unknowns, and it does not depend on the order of the equations.
+    """
+    if not unknowns:
+        return []
+    x = solve(*_map_coordinates(unknowns, equations))
+    return None if x is None else _maps_at(unknowns, x.a[:, 0])
+
+
+def map_kernel(unknowns, equations):
+    """A basis of the solutions of ``equations`` with every t read as zero,
+    each solution a list of maps in the order of ``unknowns``: the
+    ``kernel_basis`` of the coordinate system of ``solve_maps``, which by
+    the argument there is the kernel basis of the system on the entries."""
+    if not unknowns:
+        return []
+    a, _ = _map_coordinates(unknowns, equations)
+    return [_maps_at(unknowns, col) for col in kernel_basis(a).a.T]
+
+
+def _map_coordinates(unknowns, equations):
+    """(a, t): ``equations`` as a @ c = t on the Hom-basis coordinates c.
+
+    X_v = Σ c_k B_k over the maps B_k of ``hom_basis(dom_v, cod_v)``.  A
+    term L @ X_v @ R gives c_k the column of entries of L @ B_k @ R;
+    columns run over the unknowns in order and over each basis in order,
+    and ``t`` holds the entries of the targets.
+    """
+    p = unknowns[0][0].p
+    bases = []
+    for dom, cod in unknowns:
+        basis = hom_basis(dom, cod)
+        stack = np.array([b.matrix.a for b in basis], dtype=np.int64)
+        bases.append(stack.reshape(len(basis), cod.dim, dom.dim))
+    ends = np.cumsum([len(b) for b in bases])
+    a_rows = [np.zeros((0, ends[-1]), dtype=np.int64)]
+    t_rows = [np.zeros(0, dtype=np.int64)]
+    for terms, target in equations:
+        left, v, right = terms[0]
+        rows = unknowns[v][1].dim if left is None else left.cod.dim
+        cols = unknowns[v][0].dim if right is None else right.dom.dim
+        block = np.zeros((rows * cols, ends[-1]), dtype=np.int64)
+        for left, v, right in terms:
+            m = bases[v]
+            if left is not None:
+                m = left.matrix.a @ m % p
+            if right is not None:
+                m = m @ right.matrix.a % p
+            block[:, ends[v] - len(m) : ends[v]] += m.reshape(len(m), rows * cols).T
+        a_rows.append(block)
+        zero = np.zeros(rows * cols, dtype=np.int64)
+        t_rows.append(zero if target is None else target.matrix.a.reshape(-1))
+    t = np.concatenate(t_rows)[:, None]
+    return FieldMatrix(p, np.vstack(a_rows)), FieldMatrix(p, t)
+
+
+def _maps_at(unknowns, coords):
+    """The maps Σ c_k B_k, one per unknown, at the coordinates ``coords``."""
+    out, start = [], 0
+    for dom, cod in unknowns:
+        basis = hom_basis(dom, cod)
+        out.append(combine(dom, cod, basis, coords[start : start + len(basis)]))
+        start += len(basis)
+    return out
 
 
 def solve_map(dom, cod, post=(), pre=()):
     """A module map x: dom -> cod with g @ x == t for each (g, t) in ``post``
-    and x @ f == t for each (f, t) in ``pre``, or None when there is none.
-
-    One dense system in the entries of x; free coordinates are set to zero,
-    so the answer does not depend on the order of the constraints.  It is
-    for maps that involve a choice: lifts, sections and extensions over
-    an embedding.  A map that is unique comes from its structure maps
-    instead: ``corestrict`` into a submodule, ``induced_on_cokernel`` out
-    of a quotient, ``from_pushout`` and ``into_pullback``.
-    """
-    system = LinearSystem(dom.p)
-    x = module_map_var(system, "x", dom, cod)
-    for g, t in post:
-        system.add_equation([(g.matrix, x, None)], t.matrix)
-    for f, t in pre:
-        system.add_equation([(None, x, f.matrix)], t.matrix)
-    sol = system.solve()
-    if sol is None:
-        return None
-    return Morphism(dom, cod, sol["x"], check=False)
+    and x @ f == t for each (f, t) in ``pre``, or None when there is none:
+    ``solve_maps`` in one unknown."""
+    equations = [([(g, 0, None)], t) for g, t in post]
+    equations += [([(None, 0, f)], t) for f, t in pre]
+    sol = solve_maps([(dom, cod)], equations)
+    return None if sol is None else sol[0]
 
 
 def combine(dom, cod, basis, coeffs):
@@ -958,7 +1019,7 @@ def ext1(c, a):
         return Ext1Result(c, a, empty, empty.reshape(0, d * s * q))
     rho_a, rho_c = a.rho, c.rho
     # row (i, j, v, u) is entry (v, u) of equation (i, j); column (k, x, y)
-    # is entry (y, x) of tau_k, in LinearSystem's column-major order
+    # is entry (y, x) of tau_k: each tau_k column-major, as u in coboundary
     vs, us, ks = np.arange(s), np.arange(q), np.arange(d)
     eqs = np.zeros((d, d, s, q, d, q, s), dtype=np.int64)
     eqs[:, ks[:, None], :, us, ks[:, None], us, :] = rho_a

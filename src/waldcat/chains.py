@@ -17,12 +17,11 @@ from .algebra import (
     identity_morphism,
     induced_on_cokernel,
     kernel,
-    module_map_var,
+    solve_maps,
     zero_module,
     zero_morphism,
 )
 from .errors import InternalInconsistencyError, ValidationError
-from .linalg import FieldMatrix, LinearSystem
 
 
 class ChainComplex:
@@ -201,41 +200,31 @@ def is_quasi_iso(f):
     return True
 
 
-def graded_map_var(system, name, x, y, degree, rhs=None):
-    """Declare unknown module maps h_n: x_n -> y_{n+degree}, one per degree
-    n of x in ascending order and named ``name`` followed by n, and
-    constrain them by d h - (-1)^degree h d = rhs in every degree.
+def graded_map_equations(x, y, degree, rhs=None):
+    """(unknowns, equations) for ``solve_maps``: module maps
+    h_n: x_n -> y_{n+degree}, one per degree n of x in ascending order, and
+    d h - (-1)^degree h d = rhs in every degree.
 
     ``rhs.component(n)`` is the right side in degree n, a map
     x_n -> y_{n+degree-1}: at degree 1 the identity of x asks for a
     contracting homotopy.  None means zero: degree 0 then makes h a chain
     map x -> y, and degree -1 a connecting map with d h + h d = 0.
-    Returns the variables by degree.
     """
-    hs = {
-        n: module_map_var(system, "%s%d" % (name, n), x.obj(n), y.obj(n + degree))
-        for n in x.degrees()
-    }
-    for n in x.degrees():
-        terms = [(y.diff(n + degree).matrix, hs[n], None)]
-        if n - 1 in hs:
-            d = x.diff(n).matrix
-            terms.append((None, hs[n - 1], -d if degree % 2 == 0 else d))
-        if rhs is None:
-            target = FieldMatrix.zeros(
-                x.algebra.p, y.obj(n + degree - 1).dim, x.obj(n).dim
-            )
-        else:
-            target = rhs.component(n).matrix
-        system.add_equation(terms, target)
-    return hs
+    degrees = list(x.degrees())
+    unknowns = [(x.obj(n), y.obj(n + degree)) for n in degrees]
+    equations = []
+    for v, n in enumerate(degrees):
+        terms = [(y.diff(n + degree), v, None)]
+        if v:
+            d = x.diff(n)
+            terms.append((None, v - 1, -d if degree % 2 == 0 else d))
+        equations.append((terms, None if rhs is None else rhs.component(n)))
+    return unknowns, equations
 
 
 def is_contractible(x):
-    """Solve d h + h d = 1 degreewise as one linear system."""
-    system = LinearSystem(x.algebra.p)
-    graded_map_var(system, "h", x, x, 1, rhs=identity_chain_map(x))
-    return system.solve() is not None
+    """Solve d h + h d = 1 degreewise as one ``solve_maps`` call."""
+    return solve_maps(*graded_map_equations(x, x, 1, identity_chain_map(x))) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ the construction hypotheses.
 """
 
 from .algebra import (
-    Morphism,
     ShortExactSequence,
     block,
     cokernel,
@@ -18,7 +17,7 @@ from .algebra import (
     enumerate_modules,
     hom_basis,
     identity_morphism,
-    module_map_var,
+    map_kernel,
     zero_morphism,
 )
 from .chains import (
@@ -26,17 +25,15 @@ from .chains import (
     ChainMap,
     chain_direct_sum,
     cone,
-    graded_map_var,
+    graded_map_equations,
     identity_chain_map,
 )
 from .errors import ValidationError
-from .linalg import FieldMatrix, LinearSystem
 from .spans import (
     SpanMorphism,
     SpanObject,
     SpanSES,
-    solved_span_morphism,
-    span_map_var,
+    span_map_equations,
 )
 from .waldhausen import (
     ExtensionInstance,
@@ -330,28 +327,21 @@ def random_span_extension(rng, sub, quot):
 def random_span_morphism(rng, dom, cod):
     """A uniformly random span morphism between two given spans.
 
-    Samples the solution space of the naturality-and-equivariance system,
-    so the result can be any morphism, not just a block construction.
+    Samples the solutions of the naturality equations, so the result can
+    be any morphism, not just a block construction.
     """
-    system = LinearSystem(dom.apex.p)
-    span_map_var(system, dom, cod)
-    return solved_span_morphism(dom, cod, _sample_solution(rng, system))
+    return SpanMorphism(dom, cod, *_random_solution(rng, *span_map_equations(dom, cod)))
 
 
-def _sample_solution(rng, system):
-    """A random point of the solution space of a consistent linear system."""
-    space = system.solution_space()
-    if space is None:
-        raise ValidationError("constraint system is inconsistent")
-    particular, basis = space
-    parts = dict(particular)
-    for entry in basis:
-        c_val = int(rng.integers(0, system.p))
-        if c_val == 0:
-            continue
-        for name in parts:
-            parts[name] = parts[name] + entry[name].scale(c_val)
-    return parts
+def _random_solution(rng, unknowns, equations):
+    """A uniformly random solution of homogeneous map equations: one
+    coefficient drawn per element of their ``map_kernel`` basis."""
+    kernel = map_kernel(unknowns, equations)
+    coeffs = [int(rng.integers(0, sol[0].p)) for sol in kernel]
+    return [
+        combine(dom, cod, [sol[v] for sol in kernel], coeffs)
+        for v, (dom, cod) in enumerate(unknowns)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +351,20 @@ def _sample_solution(rng, system):
 
 def random_chain_complex(rng, algebra, max_len=3, max_dim=3):
     """A random bounded complex, differentials sampled degree by degree
-    from the d o d = 0 solution space."""
+    from the d o d = 0 solutions."""
     length = int(rng.integers(1, max_len + 1))
     objects = [random_module(rng, algebra, max_dim) for _ in range(length)]
     diffs = []
-    p = algebra.p
     for k in range(1, length):
-        dom, cod = objects[k], objects[k - 1]
-        system = LinearSystem(p)
-        var = module_map_var(system, "d", dom, cod)
-        if diffs:
-            system.add_equation(
-                [(diffs[-1].matrix, var, None)],
-                FieldMatrix.zeros(p, diffs[-1].cod.dim, dom.dim),
-            )
-        sol = _sample_solution(rng, system)
-        diffs.append(Morphism(dom, cod, sol["d"], check=False))
+        equations = [([(diffs[-1], 0, None)], None)] if diffs else []
+        diffs += _random_solution(rng, [(objects[k], objects[k - 1])], equations)
     return ChainComplex(algebra, 0, objects, diffs)
 
 
 def random_chain_map(rng, x, y):
-    """A random chain map, sampled from the full commutation solution space."""
-    system = LinearSystem(x.algebra.p)
-    degrees = graded_map_var(system, "f", x, y, 0)
-    sol = _sample_solution(rng, system)
-    comps = {
-        n: Morphism(x.obj(n), y.obj(n), sol["f%d" % n], check=False)
-        for n in degrees
-    }
-    return ChainMap(x, y, comps)
+    """A random chain map, sampled from all solutions of the commutation equations."""
+    comps = _random_solution(rng, *graded_map_equations(x, y, 0))
+    return ChainMap(x, y, dict(zip(x.degrees(), comps)))
 
 
 def random_quasi_iso(rng, x, max_len=2, max_dim=2):
@@ -425,13 +400,8 @@ def random_chain_extension(rng, sub, quot):
     The middle differential is block triangular with a connecting block
     sampled from the d o d = 0 solution space.
     """
-    system = LinearSystem(sub.algebra.p)
-    degrees = graded_map_var(system, "x", quot, sub, -1)
-    sol = _sample_solution(rng, system)
-    connect = {
-        n: Morphism(quot.obj(n), sub.obj(n - 1), sol["x%d" % n], check=False)
-        for n in degrees
-    }
+    maps = _random_solution(rng, *graded_map_equations(quot, sub, -1))
+    connect = dict(zip(quot.degrees(), maps))
     lo = min(sub.lo, quot.lo)
     hi = max(sub.hi, quot.hi)
     objects, inj_s, proj_q = [], {}, {}

@@ -13,7 +13,6 @@ and lifting.
 import hashlib
 
 from .algebra import (
-    Morphism,
     ShortExactSequence,
     block,
     cokernel,
@@ -23,9 +22,9 @@ from .algebra import (
     induced_on_cokernel,
     into_pullback,
     kernel,
-    module_map_var,
     pullback,
     solve_map,
+    solve_maps,
     zero_module,
     zero_morphism,
 )
@@ -33,7 +32,6 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .linalg import FieldMatrix, LinearSystem
 
 
 _COMPONENTS = ("left", "apex", "right")
@@ -117,6 +115,8 @@ class SpanMorphism:
     def __eq__(self, other):
         return (
             isinstance(other, SpanMorphism)
+            and self.dom == other.dom
+            and self.cod == other.cod
             and self.left == other.left
             and self.apex == other.apex
             and self.right == other.right
@@ -143,59 +143,33 @@ def identity_span_morphism(s):
     )
 
 
-def span_map_var(system, dom, cod):
-    """Declare unknown module maps ``left``, ``apex`` and ``right`` from the
-    components of ``dom`` to those of ``cod`` in ``system``, and constrain
-    them to be a span morphism: both leg squares commute.
-
-    Returns the three variables, so callers can add further constraints.
-    """
-    parts = tuple(
-        module_map_var(system, name, getattr(dom, name), getattr(cod, name))
-        for name in _COMPONENTS
-    )
-    h_left, h_apex, h_right = parts
-    system.add_equation(
-        [(None, h_left, dom.g.matrix), (-cod.g.matrix, h_apex, None)],
-        FieldMatrix.zeros(dom.apex.p, cod.left.dim, dom.apex.dim),
-    )
-    system.add_equation(
-        [(None, h_right, dom.f.matrix), (-cod.f.matrix, h_apex, None)],
-        FieldMatrix.zeros(dom.apex.p, cod.right.dim, dom.apex.dim),
-    )
-    return parts
-
-
-def solved_span_morphism(dom, cod, sol):
-    """The span morphism dom -> cod read off a solution of ``span_map_var``."""
-    return SpanMorphism(
-        dom,
-        cod,
-        *(
-            Morphism(getattr(dom, name), getattr(cod, name), sol[name], check=False)
-            for name in _COMPONENTS
-        ),
-    )
+def span_map_equations(dom, cod):
+    """(unknowns, equations) for ``solve_maps``: the component maps
+    ``left``, ``apex`` and ``right`` of a span morphism dom -> cod, and the
+    two naturality equations that make both leg squares commute."""
+    unknowns = [(getattr(dom, name), getattr(cod, name)) for name in _COMPONENTS]
+    equations = [
+        ([(None, 0, dom.g), (-cod.g, 1, None)], None),
+        ([(None, 2, dom.f), (-cod.f, 1, None)], None),
+    ]
+    return unknowns, equations
 
 
 def solve_span_map(dom, cod, post=(), pre=()):
     """A span morphism x: dom -> cod with g @ x == t for each (g, t) in
     ``post`` and x @ f == t for each (f, t) in ``pre``, or None when there
-    is none: the span twin of ``solve_map``, one system in the three
-    components of x with free coordinates set to zero.
+    is none: the span twin of ``solve_map``, one ``solve_maps`` call in the
+    three components of x.
     """
-    system = LinearSystem(dom.apex.p)
-    parts = span_map_var(system, dom, cod)
+    unknowns, equations = span_map_equations(dom, cod)
     for g, t in post:
-        for var, g_c, t_c in zip(parts, g.components(), t.components()):
-            system.add_equation([(g_c.matrix, var, None)], t_c.matrix)
+        for v, (g_c, t_c) in enumerate(zip(g.components(), t.components())):
+            equations.append(([(g_c, v, None)], t_c))
     for f, t in pre:
-        for var, f_c, t_c in zip(parts, f.components(), t.components()):
-            system.add_equation([(None, var, f_c.matrix)], t_c.matrix)
-    sol = system.solve()
-    if sol is None:
-        return None
-    return solved_span_morphism(dom, cod, sol)
+        for v, (f_c, t_c) in enumerate(zip(f.components(), t.components())):
+            equations.append(([(None, v, f_c)], t_c))
+    sol = solve_maps(unknowns, equations)
+    return None if sol is None else SpanMorphism(dom, cod, *sol)
 
 
 def span_direct_sum(s1, s2):

@@ -495,6 +495,13 @@ def _report(check, digest, verdict, details):
     }
 
 
+def _decided_report(check, digest, verdict, details):
+    """The report of a check that one weak-equivalence verdict decides:
+    yes passes, no fails and indeterminate leaves it inapplicable."""
+    outcome = {"yes": "PASS", "no": "FAIL"}.get(verdict, "INAPPLICABLE")
+    return _report(check, digest, outcome, details)
+
+
 # ---------------------------------------------------------------------------
 # gluing (axiom W2)
 # ---------------------------------------------------------------------------
@@ -556,11 +563,7 @@ def check_gluing(w, inst):
         "pushout_dims": (glued.dim, glued_pr.dim),
         "induced_verdict": verdict,
     }
-    if verdict == "yes":
-        return _report("gluing", digest, "PASS", details)
-    if verdict == "no":
-        return _report("gluing", digest, "FAIL", details)
-    return _report("gluing", digest, "INAPPLICABLE", details)
+    return _decided_report("gluing", digest, verdict, details)
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +615,7 @@ def check_extension_axiom(w, inst):
         return _report("extension", digest, "INAPPLICABLE", {"reason": "outer vertical is not a weak equivalence"})
     vb_v = is_weak_equivalence(w, inst.vb)
     details = {"va": va_v, "vb": vb_v, "vc": vc_v}
-    if vb_v == "yes":
-        return _report("extension", digest, "PASS", details)
-    if vb_v == "no":
-        return _report("extension", digest, "FAIL", details)
-    return _report("extension", digest, "INAPPLICABLE", details)
+    return _decided_report("extension", digest, vb_v, details)
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +703,7 @@ def check_properness(w, inst):
         moved = to_b  # the base change of a, living over the domain of f
     verdict = is_weak_equivalence(w, moved)
     details = {"mode": inst.mode, "moved_verdict": verdict}
-    if verdict == "yes":
-        return _report("properness", digest, "PASS", details)
-    if verdict == "no":
-        return _report("properness", digest, "FAIL", details)
-    return _report("properness", digest, "INAPPLICABLE", details)
+    return _decided_report("properness", digest, verdict, details)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from waldcat.algebra import (
     invariant_subspaces,
     is_isomorphic,
     kernel,
+    map_kernel,
     maps,
     memoized,
     pullback,
@@ -45,10 +46,19 @@ from waldcat.algebra import (
     ses_from_mono,
     simple_modules,
     solve_map,
+    solve_maps,
     submodule_from_columns,
     validate_algebra,
     zero_module,
     zero_morphism,
+)
+from waldcat.chains import (
+    ChainComplex,
+    cone,
+    graded_map_equations,
+    identity_chain_map,
+    is_contractible,
+    zero_complex,
 )
 from waldcat.errors import (
     BudgetExceededError,
@@ -57,7 +67,6 @@ from waldcat.errors import (
 )
 from waldcat.linalg import (
     FieldMatrix,
-    LinearSystem,
     column_space_basis,
     kernel_basis,
     pivot_blocks,
@@ -65,7 +74,17 @@ from waldcat.linalg import (
     rank_stack,
     solve,
 )
+from waldcat.spans import (
+    SpanMorphism,
+    SpanObject,
+    identity_span_morphism,
+    span_map_equations,
+    span_section,
+    span_zero,
+)
 from waldcat.workspace import corpus_path, load_workspace
+
+from linear_system_reference import LinearSystem
 
 CORPUS_NAMES = ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"]
 
@@ -1012,17 +1031,22 @@ def test_indecomposable_summands_match_scalar_splitting(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _hand_built_system(dom, cod):
-    """A LinearSystem in one unknown h: dom -> cod with the equivariance
-    equations h ρ_dom(e_i) = ρ_cod(e_i) h, one ``add_equation`` each."""
+def _reference_unknown(system, name, dom, cod):
+    """Declare h: dom -> cod in ``system`` with the equivariance equations
+    h ρ_dom(e_i) = ρ_cod(e_i) h, one ``add_equation`` each."""
     p = dom.p
-    system = LinearSystem(p)
-    h = system.var("h", cod.dim, dom.dim)
+    h = system.var(name, cod.dim, dom.dim)
     zero = FieldMatrix.zeros(p, cod.dim, dom.dim)
     for i in range(dom.algebra.dim):
         rho_dom, rho_cod = FieldMatrix(p, dom.rho[i]), FieldMatrix(p, cod.rho[i])
         system.add_equation([(None, h, rho_dom), (-rho_cod, h, None)], zero)
-    return system, h
+    return h
+
+
+def _hand_built_system(dom, cod):
+    """A LinearSystem in one unknown h: dom -> cod under equivariance."""
+    system = LinearSystem(dom.p)
+    return system, _reference_unknown(system, "h", dom, cod)
 
 
 def _hand_built_solve(dom, cod, post=(), pre=()):
@@ -1157,6 +1181,124 @@ def test_solve_map_none_on_square_without_filler():
     assert _assert_matches_hand_built(reg, reg, post=[(top, top)], pre=[(socle, zero)]) is None
     assert solve_map(reg, reg, post=[(top, top)]) is not None
     assert solve_map(reg, reg, pre=[(socle, zero)]) is not None
+
+
+def _reference_solution(p, unknowns, equations, homogeneous=False):
+    """The ``solve_maps`` problem written on the entries of its unknowns in
+    one LinearSystem, equivariance included: (particular, kernel basis) as
+    matrices, or None when inconsistent.  ``homogeneous`` reads every
+    target as zero."""
+    system = LinearSystem(p)
+    hs = [_reference_unknown(system, "x%d" % v, dom, cod)
+          for v, (dom, cod) in enumerate(unknowns)]
+    for terms, target in equations:
+        left, v, right = terms[0]
+        rows = unknowns[v][1].dim if left is None else left.cod.dim
+        cols = unknowns[v][0].dim if right is None else right.dom.dim
+        rhs = target.matrix if target is not None and not homogeneous else None
+        system.add_equation(
+            [(None if L is None else L.matrix, hs[v], None if R is None else R.matrix)
+             for L, v, R in terms],
+            FieldMatrix.zeros(p, rows, cols) if rhs is None else rhs,
+        )
+    space = system.solution_space()
+    if space is None:
+        return None
+    particular, kernel = space
+    return [particular[h.name] for h in hs], [[e[h.name] for h in hs] for e in kernel]
+
+
+def _assert_solver_matches_reference(p, unknowns, equations):
+    """``solve_maps`` and ``map_kernel`` against ``_reference_solution``,
+    term by term; returns the solution of ``solve_maps``."""
+    got = solve_maps(unknowns, equations)
+    ref = _reference_solution(p, unknowns, equations)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert [m.matrix for m in got] == ref[0]
+        assert all(m.is_equivariant() for m in got)
+    _, kernel = _reference_solution(p, unknowns, equations, homogeneous=True)
+    assert [[m.matrix for m in sol] for sol in map_kernel(unknowns, equations)] == kernel
+    return got
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_solve_maps_matches_linear_system_reference(name):
+    """``solve_maps`` and ``map_kernel`` give the answers of the system on raw
+    entries, term by term, for: one map between every ordered pair of
+    modules up to dimension 3, the zero module included, under lift
+    constraints that hold and ones that fail; span maps and span sections
+    between spans on those modules; and chain maps, connecting maps and
+    contracting homotopies of two-term complexes, their cones and the zero
+    complex."""
+    a = _corpus_algebra(name)
+    p = a.p
+    rng = random.Random(sum(map(ord, name)) + 2)
+    mods = list(enumerate_modules(a, 3))
+    outcomes, zero_homs, squares = set(), 0, []
+    for dom, cod in itertools.product(mods, repeat=2):
+        zero_homs += not hom_basis(dom, cod)
+        m = rng.choice(mods)
+        h = rng.choice(_some_maps(dom, cod))
+        g = rng.choice(_some_maps(cod, m))
+        f = rng.choice(_some_maps(m, dom))
+        squares.append(h)
+        for kind, post, pre in (
+            ("free", [], []),
+            ("square", [(g, g @ h)], [(f, h @ f)]),
+            ("post", [(g, rng.choice(_some_maps(dom, m)))], []),
+            ("pre", [], [(f, rng.choice(_some_maps(m, cod)))]),
+        ):
+            equations = [([(g_, 0, None)], t) for g_, t in post]
+            equations += [([(None, 0, f_)], t) for f_, t in pre]
+            got = _assert_solver_matches_reference(p, [(dom, cod)], equations)
+            outcomes.add((kind, got is not None))
+    assert zero_homs
+    assert outcomes >= {("square", True), ("post", True), ("post", False),
+                        ("pre", True), ("pre", False)}
+
+    spans = [span_zero(a)] + [
+        SpanObject(rng.choice(_some_maps(apex, rng.choice(mods))),
+                   rng.choice(_some_maps(apex, rng.choice(mods))))
+        for apex in rng.sample(mods, 5)
+    ]
+    sections = set()
+    for s1, s2 in itertools.product(spans, repeat=2):
+        _assert_solver_matches_reference(p, *span_map_equations(s1, s2))
+        # a span map e: s1 -> s2 from those solutions, then its sections
+        parts = [zero_morphism(s1.left, s2.left), zero_morphism(s1.apex, s2.apex),
+                 zero_morphism(s1.right, s2.right)]
+        for sol in map_kernel(*span_map_equations(s1, s2)):
+            if rng.randrange(2):
+                parts = [x + y for x, y in zip(parts, sol)]
+        e = SpanMorphism(s1, s2, *parts)
+        unknowns, equations = span_map_equations(s2, s1)
+        for v, (e_c, t_c) in enumerate(zip(e.components(),
+                                           identity_span_morphism(s2).components())):
+            equations.append(([(e_c, v, None)], t_c))
+        got = _assert_solver_matches_reference(p, unknowns, equations)
+        section = span_section(e)
+        assert (section is None) == (got is None)
+        if got is not None:
+            assert list(section.components()) == got
+        sections.add(got is not None)
+    assert sections == {True, False}
+
+    complexes = [zero_complex(a)] + [
+        ChainComplex(a, 0, [h.cod, h.dom], [h]) for h in rng.sample(squares, 4)
+    ]
+    complexes += [cone(identity_chain_map(x)) for x in complexes[1:]]
+    contractible = set()
+    for x in complexes:
+        homotopy = _assert_solver_matches_reference(
+            p, *graded_map_equations(x, x, 1, identity_chain_map(x))
+        )
+        assert is_contractible(x) == (homotopy is not None)
+        contractible.add(homotopy is not None)
+        for y in complexes:
+            for degree in (0, -1):
+                _assert_solver_matches_reference(p, *graded_map_equations(x, y, degree))
+    assert contractible == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from waldcat.algebra import (
     hom_basis,
     identity_morphism,
     is_isomorphic,
+    map_kernel,
     regular_module,
+    solve_maps,
     zero_morphism,
 )
 from waldcat.chains import (
@@ -36,7 +38,7 @@ from waldcat.chains import (
     cone,
     cone_embedding,
     dwsplit_weq,
-    graded_map_var,
+    graded_map_equations,
     homology,
     identity_chain_map,
     is_contractible,
@@ -46,7 +48,7 @@ from waldcat.chains import (
     zero_complex,
 )
 from waldcat.errors import ValidationError
-from waldcat.linalg import LinearSystem
+from waldcat.linalg import FieldMatrix
 from waldcat.sampling import (
     random_chain_complex,
     random_chain_extension,
@@ -399,26 +401,22 @@ def test_random_extension_strands_validate():
 # ---------------------------------------------------------------------------
 
 
-def _graded_solutions(x, y, degree, rhs=None, cap=729):
-    """Every solution of graded_map_var, as {n: h_n} with h_n checked to be
-    a module map, or None when the system is inconsistent; an empty list
-    when the solution space has more than ``cap`` points."""
-    system = LinearSystem(x.algebra.p)
-    hs = graded_map_var(system, "h", x, y, degree, rhs)
-    space = system.solution_space()
-    if space is None:
-        return None
-    particular, basis = space
+def _graded_solutions(x, y, degree, cap=729):
+    """Every solution of the homogeneous ``graded_map_equations``, as
+    {n: h_n} with h_n checked to be a module map; an empty list when the
+    solutions number more than ``cap``."""
+    unknowns, equations = graded_map_equations(x, y, degree)
+    basis = map_kernel(unknowns, equations)
     p = x.algebra.p
     if p ** len(basis) > cap:
         return []
     out = []
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         sol = {}
-        for n in hs:
-            mat = particular["h%d" % n]
+        for v, n in enumerate(x.degrees()):
+            mat = FieldMatrix.zeros(p, y.obj(n + degree).dim, x.obj(n).dim)
             for c, entry in zip(coeffs, basis):
-                mat = mat + entry["h%d" % n].scale(c)
+                mat = mat + entry[v].matrix.scale(c)
             sol[n] = Morphism(x.obj(n), y.obj(n + degree), mat)
         out.append(sol)
     return out
@@ -469,11 +467,9 @@ def test_graded_map_var_degree_one_finds_contractions(algebra_fn, seed):
     for _ in range(10):
         x = random_chain_complex(rng, algebra, 3, 2)
         c = cone(identity_chain_map(x))
-        system = LinearSystem(algebra.p)
-        hs = graded_map_var(system, "h", c, c, 1, rhs=identity_chain_map(c))
-        sol = system.solve()
+        sol = solve_maps(*graded_map_equations(c, c, 1, rhs=identity_chain_map(c)))
         assert sol is not None
-        h = {n: Morphism(c.obj(n), c.obj(n + 1), sol["h%d" % n]) for n in hs}
+        h = {n: Morphism(hn.dom, hn.cod, hn.matrix) for n, hn in zip(c.degrees(), sol)}
         for n in c.degrees():
             total = c.diff(n + 1) @ h[n]
             if n - 1 in h:
@@ -481,11 +477,7 @@ def test_graded_map_var_degree_one_finds_contractions(algebra_fn, seed):
             assert total == identity_morphism(c.obj(n))
         if not is_exact(x):
             not_exact += 1
-            system = LinearSystem(algebra.p)
-            graded_map_var(system, "h", x, x, 1, rhs=identity_chain_map(x))
-            assert system.solve() is None
+            assert solve_maps(*graded_map_equations(x, x, 1, identity_chain_map(x))) is None
     assert not_exact > 0
-    system = LinearSystem(2)
     cx = x_multiplication_complex()
-    graded_map_var(system, "h", cx, cx, 1, rhs=identity_chain_map(cx))
-    assert system.solve() is None
+    assert solve_maps(*graded_map_equations(cx, cx, 1, identity_chain_map(cx))) is None

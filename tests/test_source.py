@@ -10,8 +10,10 @@ Memo tables exist only through ``algebra.memoized``, whose ``cache_clear``
 empties them: the functools caches stay at the sites listed below, and no
 module binds a table of its own at the top level.
 
-Module actions enter linear systems only through δ⁰: no function of the
-package that assembles ``add_equation`` terms reads a module's ``rho``.
+The module-map equations are δ⁰ = ``algebra.coboundary``, and only Hom
+(``_hom_matrices``, its kernel) and ``ext1`` (its coboundaries) call it.
+Every other map problem is solved on Hom-basis coordinates by
+``algebra.solve_maps``, so the package defines no linear-system class.
 
 Every imported name is referenced in its file, so an import left behind
 by deleted code does not survive.  Likewise every top-level function and
@@ -142,49 +144,75 @@ def test_memo_scans_flag_caches_and_module_tables():
     assert _module_tables(tree) == [3, 4]
 
 
-def _rho_in_equations(tree):
-    """Line numbers of the ``add_equation`` calls in functions that read a
-    ``rho`` attribute.  Such a function can put action matrices into an
-    equation term, directly or through a local name; they belong in δ⁰
-    (``algebra.coboundary``, added by ``LinearSystem.add_rows``)."""
-    lines = set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+COBOUNDARY_CALLERS = [("algebra", "_hom_matrices"), ("algebra", "ext1")]
+
+_SYSTEM_METHODS = {"add_equation", "add_rows", "solution_space"}
+
+
+def _coboundary_callers(tree):
+    """Top-level definitions of ``tree`` that call ``coboundary``, once each
+    in order; "" for a call at module level."""
+    callers = []
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and _called_name(call.func) == "coboundary":
+                name = getattr(node, "name", "")
+                if name not in callers:
+                    callers.append(name)
+    return callers
+
+
+def _linear_system_classes(tree):
+    """Classes of ``tree`` that collect linear equations on unknown matrices:
+    one named ``MatVar`` or ending in ``System``, or one defining a method
+    ``add_equation``, ``add_rows`` or ``solution_space``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
             continue
-        nodes = list(ast.walk(fn))
-        if any(isinstance(n, ast.Attribute) and n.attr == "rho" for n in nodes):
-            lines.update(
-                n.lineno
-                for n in nodes
-                if isinstance(n, ast.Call) and _called_name(n.func) == "add_equation"
-            )
-    return sorted(lines)
+        methods = {item.name for item in node.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if (node.name == "MatVar" or node.name.endswith("System")
+                or methods & _SYSTEM_METHODS):
+            found.append(node.name)
+    return found
 
 
-def test_actions_enter_linear_systems_only_through_coboundary():
-    found = {}
+def test_coboundary_only_in_hom_and_ext1_and_no_linear_system_class():
+    callers, classes = [], {}
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = _rho_in_equations(ast.parse(path.read_text()))
-        if lines:
-            found[path.name] = lines
-    assert found == {}
+        tree = ast.parse(path.read_text())
+        callers += [(path.stem, name) for name in _coboundary_callers(tree)]
+        if _linear_system_classes(tree):
+            classes[path.name] = _linear_system_classes(tree)
+    assert sorted(callers) == COBOUNDARY_CALLERS
+    assert classes == {}
 
 
-def test_rho_equation_scan_flags_only_functions_reading_rho():
+def test_coboundary_and_system_scans_flag_callers_and_classes():
     tree = ast.parse(
-        "def direct(system, m, v, zero):\n"
-        "    system.add_equation([(FieldMatrix(p, m.rho[0]), v, None)], zero)\n"
-        "def aliased(system, m, v, zero):\n"
-        "    stack = m.rho\n"
-        "    system.add_equation([(None, v, FieldMatrix(p, stack[1]))], zero)\n"
-        "def through_coboundary(system, m, v):\n"
-        "    system.add_rows(v, coboundary(m, m))\n"
-        "def other_terms(system, f, v, zero):\n"
-        "    system.add_equation([(f.matrix, v, None)], zero)\n"
-        "def reads_rho_only(m):\n"
-        "    return m.rho.copy()\n"
+        "def hom(dom, cod):\n"
+        "    return kernel_basis(coboundary(dom, cod))\n"
+        "def twice(m):\n"
+        "    return alg.coboundary(m, m), coboundary(m, m)\n"
+        "def names_only(m):\n"
+        "    return coboundary\n"
+        "class Holder:\n"
+        "    def method(self, m):\n"
+        "        return coboundary(m, m)\n"
+        "class LinearSystem:\n"
+        "    pass\n"
+        "class Rows:\n"
+        "    def add_rows(self, coeffs):\n"
+        "        pass\n"
+        "class MatVar:\n"
+        "    pass\n"
+        "class Plain:\n"
+        "    def solve(self):\n"
+        "        pass\n"
     )
-    assert _rho_in_equations(tree) == [2, 5]
+    assert _coboundary_callers(tree) == ["hom", "twice", "Holder"]
+    assert _linear_system_classes(tree) == ["LinearSystem", "Rows", "MatVar"]
 
 
 def _unused_imports(tree):

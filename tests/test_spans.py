@@ -106,6 +106,17 @@ def test_span_morphism_rejects_noncommuting_square():
         SpanMorphism(sp1, sp2, socle, socle, zero_morphism(reg, reg))
 
 
+def test_span_morphisms_compare_their_spans():
+    # S <- S -> A with the socle as right leg, and with the zero map: same
+    # modules, different spans, so their identities are different morphisms
+    a, reg, simple, socle = fx2_parts()
+    sp1 = SpanObject(identity_morphism(simple), socle)
+    sp2 = SpanObject(identity_morphism(simple), zero_morphism(simple, reg))
+    assert sp1 != sp2
+    assert identity_span_morphism(sp1) == identity_span_morphism(sp1)
+    assert identity_span_morphism(sp1) != identity_span_morphism(sp2)
+
+
 def test_span_direct_sum_round_trip():
     a, reg, simple, socle = fx2_parts()
     s1 = span_of_module(simple)

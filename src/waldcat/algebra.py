@@ -222,6 +222,8 @@ def algebra_from_quiver(q):
             for idx, (s, t, _) in enumerate(q.arrows):
                 if s == tail:
                     nxt.append((path[0], path[1] + (idx,)))
+        if not nxt:
+            break  # no path extends, so no longer path exists
         paths.extend(nxt)
         frontier = nxt
         if len(paths) > _MAX_QUIVER_PATHS:

@@ -37,6 +37,11 @@ from .homological import (
     is_injective,
     is_projective,
     projectives_all_pair,
+    spec_all,
+    spec_explicit,
+    spec_finite_inj_dim,
+    spec_injectives,
+    spec_projectives,
 )
 from .ktheory import k0_exact_category, k0_waldhausen, localization_k0_report
 from .sampling import (
@@ -65,11 +70,6 @@ from .waldhausen import (
     factor,
     is_weak_equivalence,
     lift,
-    spec_all,
-    spec_explicit,
-    spec_finite_inj_dim,
-    spec_injectives,
-    spec_projectives,
     weak_equivalence_oracle,
 )
 from .workspace import load_workspace
@@ -188,6 +188,16 @@ def _config_int(ws, value, key, fallback):
     return raw
 
 
+def _config_str(ws, value, key, fallback):
+    """The flag ``value`` when given, else config ``key``, else ``fallback``;
+    a string."""
+    if value is None:
+        value = ws.config.get(key, fallback)
+    if not isinstance(value, str):
+        raise MalformedInputError("config %r must be a string" % key)
+    return value
+
+
 def _nonnegative(value, key):
     """``value``, refusing a negative one as malformed input."""
     if value < 0:
@@ -213,11 +223,10 @@ def _enum_budget(ws, args):
 
 
 def _pick_algebra(ws, args):
-    if args.algebra is not None:
-        return ws.algebra(args.algebra)
-    if isinstance(ws.config.get("algebra"), str):
-        return ws.algebra(ws.config["algebra"])
-    return ws.only_algebra()
+    """--algebra, else config ``algebra``, else the workspace's only one."""
+    if args.algebra is None and ws.config.get("algebra") is None:
+        return ws.only_algebra()
+    return ws.algebra(_config_str(ws, args.algebra, "algebra", None))
 
 
 def _parse_class(ws, text):
@@ -247,15 +256,6 @@ def _parse_class(ws, text):
     raise MalformedInputError("unknown class specification %r" % text)
 
 
-def _class_flag(ws, args, attr, key, fallback):
-    value = getattr(args, attr)
-    if value is None:
-        value = ws.config.get(key, fallback)
-    if not isinstance(value, str):
-        raise MalformedInputError("config %r must be a string" % key)
-    return value
-
-
 _PAIRS = {"all": all_injectives_pair, "projectives": projectives_all_pair}
 
 
@@ -272,12 +272,10 @@ def _cotorsion_pair(algebra, name, what):
 def _build_waldhausen(ws, args, algebra, budget):
     """The Waldhausen structure named by the class flags, enumerating its
     samples within ``budget``."""
-    c_name = _class_flag(ws, args, "c_class", "class", "all")
-    z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
+    c_name = _config_str(ws, args.c_class, "class", "all")
+    z_name = _config_str(ws, args.acyclics, "acyclics", "injectives")
     pair = _cotorsion_pair(algebra, c_name, "the cofibrant class")
-    c_spec = _parse_class(ws, c_name)
-    z_spec = _parse_class(ws, z_name)
-    return WaldhausenData(algebra, c_spec, z_spec, pair, budget=budget)
+    return WaldhausenData(pair, _parse_class(ws, z_name), budget=budget)
 
 
 def _rng(ws, args):
@@ -490,7 +488,7 @@ def _cmd_span(args):
         if args.span is None:
             raise MalformedInputError("--span is required for this operation")
         sp = ws.span(args.span)
-        name = _class_flag(ws, args, "c_class", "class", "all")
+        name = _config_str(ws, args.c_class, "class", "all")
         pair = _cotorsion_pair(sp.apex.algebra, name, "the class")
         if args.op == "membership":
             return {
@@ -524,7 +522,7 @@ def _cmd_span(args):
             dom, cod,
             ws.morphism(args.left), ws.morphism(args.apex), ws.morphism(args.right),
         )
-        name = _class_flag(ws, args, "c_class", "class", "all")
+        name = _config_str(ws, args.c_class, "class", "all")
         pair = _cotorsion_pair(dom.apex.algebra, name, "the class")
         i, p = span_factor(m, pair)
         return {
@@ -604,7 +602,7 @@ def _cmd_k0(args):
         pres = k0_waldhausen(w, bound, enum_budget=budget)
         kind = "waldhausen"
     else:
-        c_spec = _parse_class(ws, _class_flag(ws, args, "c_class", "class", "all"))
+        c_spec = _parse_class(ws, _config_str(ws, args.c_class, "class", "all"))
         pres = k0_exact_category(algebra, c_spec, bound, enum_budget=budget)
         kind = "exact_category"
     return {
@@ -619,7 +617,7 @@ def _cmd_localize(args):
     ws = load_workspace(args.input)
     algebra = _pick_algebra(ws, args)
     bound = _dim_bound(ws, args)
-    z_name = _class_flag(ws, args, "acyclics", "acyclics", "injectives")
+    z_name = _config_str(ws, args.acyclics, "acyclics", "injectives")
     a_spec = _parse_class(ws, z_name)
     report = localization_k0_report(
         algebra, a_spec, bound, enum_budget=_enum_budget(ws, args)

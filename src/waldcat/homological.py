@@ -20,10 +20,13 @@ walk that one sweep; they read only the isomorphism class of each
 middle, which is constant on an orbit.  The brute-force
 ``ext1_class_count_oracle`` counts the classes without the engine.
 
-The module also hosts the two module-level cotorsion pairs used
-throughout: (all, injectives) and (projectives, all), each with its
-completeness resolutions, plus cosyzygy iteration with injective-summand
-stripping for finite-injective-dimension detection.
+Classes of modules are ``SubcategorySpec``s: a name and a membership
+test, built by the ``spec_*`` functions.  A ``CotorsionPair`` holds its
+two classes as specs and reads membership off them; the two module-level
+pairs used throughout, (all, injectives) and (projectives, all), differ
+only in their specs and in the left cover the builder supplies (none,
+and the free cover).  The module also hosts cosyzygy iteration with
+injective-summand stripping for finite-injective-dimension detection.
 """
 
 import numpy as np
@@ -41,6 +44,7 @@ from .algebra import (
     hom_basis,
     identity_morphism,
     indecomposable_summands,
+    is_isomorphic,
     kernel,
     memoized,
     regular_module,
@@ -250,60 +254,108 @@ def _exact_pair_count(a, e, c):
 
 
 # ---------------------------------------------------------------------------
-# cotorsion pairs
+# classes of modules and cotorsion pairs
 # ---------------------------------------------------------------------------
 
 
-class CotorsionPair:
-    """A (left class, right class) pair with completeness resolutions.
+class SubcategorySpec:
+    """A full subcategory of modules, closed under isomorphism: a name for
+    reports and the membership test ``contains``.
 
-    ``kind`` is one of "all_injectives" (left = everything, right =
-    injectives) and "projectives_all" (left = projectives, right =
-    everything).  The chain-complex analogue lives with the chain module.
+    Membership is memoized per instance, since an explicit spec's answer
+    depends on its members.
     """
 
-    def __init__(self, algebra, kind):
-        if kind not in ("all_injectives", "projectives_all"):
-            raise ValidationError("unknown cotorsion pair kind %r" % kind)
+    def __init__(self, name, decide):
+        self.name = name
+        self.contains = memoized(decide)
+
+
+def spec_all():
+    return SubcategorySpec("all", lambda m: True)
+
+
+def spec_projectives():
+    return SubcategorySpec("projectives", is_projective)
+
+
+def spec_injectives():
+    return SubcategorySpec("injectives", is_injective)
+
+
+def spec_finite_inj_dim(bound):
+    """Modules whose injective dimension is at most ``bound``."""
+    if bound < 0:
+        raise ValidationError("finite_inj_dim needs a nonnegative bound")
+    return SubcategorySpec(
+        "finite_inj_dim<=%d" % bound,
+        lambda m: injective_dimension_within(m, bound) is not None,
+    )
+
+
+def spec_explicit(members):
+    """Modules isomorphic to one of the listed representatives."""
+    members = list(members)
+    return SubcategorySpec(
+        "explicit[%d reps]" % len(members),
+        lambda m: any(is_isomorphic(m, rep) is not None for rep in members),
+    )
+
+
+def spec_intersection(parts):
+    parts = list(parts)
+    if not parts:
+        raise ValidationError("intersection needs at least one part")
+    return SubcategorySpec(
+        "intersection(%s)" % ", ".join(part.name for part in parts),
+        lambda m: all(part.contains(m) for part in parts),
+    )
+
+
+class CotorsionPair:
+    """A complete cotorsion pair (left, right) of classes of modules over
+    ``algebra``, with its completeness resolutions.
+
+    ``left_cover(m)``, when given, is a surjection onto m from a
+    left-class module whose kernel is right-class; without it every
+    module is left-class and m covers itself.  The right resolution
+    embeds m into an injective, which every right class contains.  The
+    chain-complex analogue lives with the chain module.
+    """
+
+    def __init__(self, algebra, left, right, left_cover=None):
         self.algebra = algebra
-        self.kind = kind
+        self.left = left
+        self.right = right
+        self.left_cover = left_cover
 
     def in_left(self, m):
         self._check_parent(m)
-        if self.kind == "all_injectives":
-            return True
-        return is_projective(m)
+        return self.left.contains(m)
 
     def in_right(self, m):
         self._check_parent(m)
-        if self.kind == "all_injectives":
-            return is_injective(m)
-        return True
+        return self.right.contains(m)
 
     def resolve_right(self, m):
-        """Sequence 0 -> m -> I -> P -> 0 with I right-class and P left-class."""
-        self._check_parent(m)
-        if self.kind == "all_injectives":
-            if is_injective(m):
-                z = zero_module(self.algebra)
-                return ShortExactSequence(identity_morphism(m), zero_morphism(m, z))
-            emb = injective_embedding(m)
-            _, q = cokernel(emb)
-            return ShortExactSequence(emb, q)
-        # (projectives, all): the right class is everything, so m itself works
-        z = zero_module(self.algebra)
-        return ShortExactSequence(identity_morphism(m), zero_morphism(m, z))
+        """Sequence 0 -> m -> I -> P -> 0 with I right-class and P left-class:
+        m itself when it is right-class, else an injective embedding."""
+        if self.in_right(m):
+            z = zero_module(self.algebra)
+            return ShortExactSequence(identity_morphism(m), zero_morphism(m, z))
+        emb = injective_embedding(m)
+        _, q = cokernel(emb)
+        return ShortExactSequence(emb, q)
 
     def resolve_left(self, m):
         """Sequence 0 -> I' -> P' -> m -> 0 with P' left-class and I' right-class."""
         self._check_parent(m)
-        if self.kind == "projectives_all":
-            cover = free_cover(m)
-            _, incl = kernel(cover)
-            return ShortExactSequence(incl, cover)
-        # (all, injectives): the left class is everything
-        z = zero_module(self.algebra)
-        return ShortExactSequence(zero_morphism(z, m), identity_morphism(m))
+        if self.left_cover is None:
+            z = zero_module(self.algebra)
+            return ShortExactSequence(zero_morphism(z, m), identity_morphism(m))
+        cover = self.left_cover(m)
+        _, incl = kernel(cover)
+        return ShortExactSequence(incl, cover)
 
     def factor(self, f):
         """f = p o i through resolve_right(f.dom) (+) f.cod; returns (i, p).
@@ -321,11 +373,11 @@ class CotorsionPair:
 
 
 def all_injectives_pair(algebra):
-    return CotorsionPair(algebra, "all_injectives")
+    return CotorsionPair(algebra, spec_all(), spec_injectives())
 
 
 def projectives_all_pair(algebra):
-    return CotorsionPair(algebra, "projectives_all")
+    return CotorsionPair(algebra, spec_projectives(), spec_all(), free_cover)
 
 
 def pair_validate(pair, samples):

@@ -25,9 +25,14 @@ right-exactness of the induced two-map sequence.
 
 from .algebra import DEFAULT_BUDGET, class_index, enumerate_modules
 from .errors import HypothesisError, ValidationError
-from .homological import all_injectives_pair, is_injective, short_exact_sequences
+from .homological import (
+    all_injectives_pair,
+    is_injective,
+    short_exact_sequences,
+    spec_all,
+)
 from .linalg import IntegerMatrix, RowLattice, stack
-from .waldhausen import WaldhausenData, spec_all
+from .waldhausen import WaldhausenData
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ def k0_waldhausen(w, dim_bound, enum_budget=DEFAULT_BUDGET):
             "acyclic class lacks the 2-out-of-3 gate; "
             "the acyclic-kill presentation needs saturated weak equivalences"
         )
-    base = k0_exact_category(w.algebra, w.c_spec, dim_bound, enum_budget)
+    base = k0_exact_category(w.algebra, w.pair.left, dim_bound, enum_budget)
     return _kill_acyclics(w, base)
 
 
@@ -243,10 +248,7 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
     w = None
     if not failures:
         try:
-            w = WaldhausenData(
-                algebra, spec_all(), a_spec, all_injectives_pair(algebra),
-                budget=enum_budget,
-            )
+            w = WaldhausenData(all_injectives_pair(algebra), a_spec, budget=enum_budget)
         except HypothesisError as err:
             failures.append(str(err))
         if w is not None:
@@ -266,7 +268,7 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
 
     report = {
         "dim_bound": int(dim_bound),
-        "acyclics": a_spec.describe(),
+        "acyclics": a_spec.name,
         "hypotheses": {
             "injectives_contained": not missing,
             "two_of_three": two_of_three,
@@ -283,7 +285,7 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
 
     ka = k0_exact_category(algebra, a_spec, dim_bound, enum_budget)
     kb = k0_exact_category(algebra, spec_all(), dim_bound, enum_budget)
-    # w's C is spec_all(), so kb is the base presentation of K0(B, w_A)
+    # w's C is every module, so kb is the base presentation of K0(B, w_A)
     kbw = _kill_acyclics(w, kb)
 
     # kbw keeps kb's generator list, so K0(B) -> K0(B, w_A) is the identity
@@ -301,10 +303,9 @@ def localization_k0_report(algebra, a_spec, dim_bound, enum_budget=DEFAULT_BUDGE
 
     # image of the first map = kernel of the second, as sublattices of
     # the generator lattice of K0(B): the second map is the identity, so
-    # its kernel is generated by the target relations
+    # its kernel is the lattice of kbw's relations (kb's plus the kills)
     image = RowLattice(stack(kb.relations, first))
-    kernel = RowLattice(stack(kb.relations, kbw.relations))
-    im_eq_ker = kernel.spans(image) and image.spans(kernel)
+    im_eq_ker = kbw.lattice.spans(image) and image.spans(kbw.lattice)
 
     report["groups"] = {
         "KA": ka.as_dict(),

@@ -1,8 +1,8 @@
 """Waldhausen structures from complete hereditary cotorsion pairs.
 
-Given an algebra, a left class C with its cotorsion pair (C, C-perp), and
-an acyclicity class Z containing C-perp, the module-category structure
-has: cofibrations = injections with cokernel in C; acyclic fibrations =
+Given a cotorsion pair (C, C-perp) of module classes over an algebra and
+an acyclicity class Z containing C-perp, the structure is built from the
+pair and Z alone: C is the pair's left class.  It has: cofibrations = injections with cokernel in C; acyclic fibrations =
 surjections with kernel in C-perp; acyclic cofibrations = injections with
 cokernel in the intersection of Z and C; weak equivalences = composites
 of an acyclic cofibration followed by an acyclic fibration.
@@ -24,10 +24,8 @@ from .algebra import (
     enumerate_modules,
     from_pushout,
     hom_basis,
-    is_isomorphic,
     kernel,
     maps,
-    memoized,
     pullback,
     pushout,
     solve_map,
@@ -40,98 +38,7 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .homological import (
-    injective_dimension_within,
-    is_injective,
-    is_projective,
-    short_exact_sequences,
-)
-
-
-# ---------------------------------------------------------------------------
-# subcategory specifications
-# ---------------------------------------------------------------------------
-
-
-class SubcategorySpec:
-    """A decidable full subcategory of the module category.
-
-    Kinds: "all", "projectives", "injectives", "finite_inj_dim" (with a
-    bound on the witnessed injective dimension), "explicit" (membership =
-    isomorphic to one of the listed representatives), "intersection".
-    """
-
-    def __init__(self, kind, bound=None, members=None, parts=None):
-        if kind not in (
-            "all",
-            "projectives",
-            "injectives",
-            "finite_inj_dim",
-            "explicit",
-            "intersection",
-        ):
-            raise ValidationError("unknown subcategory kind %r" % kind)
-        self.kind = kind
-        self.bound = bound
-        self.members = list(members) if members is not None else None
-        self.parts = list(parts) if parts is not None else None
-        if kind == "finite_inj_dim" and (bound is None or bound < 0):
-            raise ValidationError("finite_inj_dim needs a nonnegative bound")
-        if kind == "explicit" and self.members is None:
-            raise ValidationError("explicit subcategory needs representatives")
-        if kind == "intersection" and not self.parts:
-            raise ValidationError("intersection needs at least one part")
-        # per instance: an explicit spec's answer depends on its members
-        self._contains = memoized(self._decide)
-
-    def contains(self, m):
-        return self._contains(m)
-
-    def _decide(self, m):
-        if self.kind == "all":
-            return True
-        if self.kind == "projectives":
-            return is_projective(m)
-        if self.kind == "injectives":
-            return is_injective(m)
-        if self.kind == "finite_inj_dim":
-            return injective_dimension_within(m, self.bound) is not None
-        if self.kind == "explicit":
-            return any(is_isomorphic(m, rep) is not None for rep in self.members)
-        return all(part.contains(m) for part in self.parts)
-
-    def describe(self):
-        if self.kind == "finite_inj_dim":
-            return "finite_inj_dim<=%d" % self.bound
-        if self.kind == "explicit":
-            return "explicit[%d reps]" % len(self.members)
-        if self.kind == "intersection":
-            return "intersection(%s)" % ", ".join(p.describe() for p in self.parts)
-        return self.kind
-
-
-def spec_all():
-    return SubcategorySpec("all")
-
-
-def spec_projectives():
-    return SubcategorySpec("projectives")
-
-
-def spec_injectives():
-    return SubcategorySpec("injectives")
-
-
-def spec_finite_inj_dim(bound):
-    return SubcategorySpec("finite_inj_dim", bound=bound)
-
-
-def spec_explicit(members):
-    return SubcategorySpec("explicit", members=members)
-
-
-def spec_intersection(parts):
-    return SubcategorySpec("intersection", parts=parts)
+from .homological import short_exact_sequences
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +50,25 @@ SAMPLE_BOUND = 2
 
 
 class WaldhausenData:
-    """Algebra + class C + acyclics Z + the cotorsion pair for (C, C-perp).
+    """The structure of a cotorsion pair (C, C-perp) and acyclics Z.
 
-    On construction the hypotheses are verified on every module up to
-    dimension ``SAMPLE_BOUND``: C agrees with the pair's left class, C-perp
-    lies inside Z, and the completeness resolutions validate.  The closure
-    hypotheses are checked exhaustively over ``short_exact_sequences``:
-    the pair is hereditary (kernels of surjections between left-class
-    objects stay left-class) and the intersection of Z and C is closed
-    under cokernels of injections in C, over every sequence with middle
-    of dimension at most ``SAMPLE_BOUND``; it is closed under extensions
+    C is the pair's left class and the algebra is the pair's.  On
+    construction the hypotheses are verified on every module up to
+    dimension ``SAMPLE_BOUND``, in this order: C and Z contain the zero
+    module, C-perp lies inside Z, and both completeness resolutions exist
+    (their ``ShortExactSequence`` constructors check exactness).  Then
+    the closure hypotheses are checked exhaustively over one
+    ``short_exact_sequences`` sweep of the samples: the pair is
+    hereditary (kernels of surjections between left-class objects stay
+    left-class) and the intersection of Z and C is closed under
+    cokernels of injections in C, over every sequence with middle of
+    dimension at most ``SAMPLE_BOUND``; it is closed under extensions
     over every sequence with middle of dimension at most
     ``SAMPLE_BOUND + 1`` whose end terms have dimension at most
     ``SAMPLE_BOUND``.  Violations raise HypothesisError.
 
     The 2-out-of-3 flag for Z-intersect-C may be supplied (trusted) or
-    left None, in which case ``check_z_two_of_three`` fills it in over
+    left None, in which case ``_two_of_three_witness`` fills it in from
     the same sweep.
 
     ``budget`` caps every module enumeration made for this structure: the
@@ -167,19 +77,11 @@ class WaldhausenData:
     """
 
     def __init__(
-        self,
-        algebra,
-        c_spec,
-        z_spec,
-        pair,
-        z_two_of_three=None,
-        validate=True,
-        budget=DEFAULT_BUDGET,
+        self, pair, z_spec, z_two_of_three=None, validate=True, budget=DEFAULT_BUDGET
     ):
-        self.algebra = algebra
-        self.c_spec = c_spec
-        self.z_spec = z_spec
         self.pair = pair
+        self.algebra = pair.algebra
+        self.z_spec = z_spec
         self.budget = budget
         self.flags = {
             "hereditary_checked": None,
@@ -188,70 +90,66 @@ class WaldhausenData:
             "z_two_of_three": z_two_of_three,
             "z_two_of_three_source": "supplied" if z_two_of_three is not None else None,
         }
+        self.z23_witness = None
+        if not validate and z_two_of_three is not None:
+            return
+        samples = self.modules(SAMPLE_BOUND)
         if validate:
-            self._validate_hypotheses()
-        if self.flags["z_two_of_three"] is None:
-            ok, witness = check_z_two_of_three(
-                algebra, c_spec, z_spec, SAMPLE_BOUND, budget=budget
-            )
-            self.flags["z_two_of_three"] = ok
+            self._check_samples(samples)
+        sequences = list(short_exact_sequences(samples, SAMPLE_BOUND))
+        if validate:
+            self._check_closure(samples, sequences)
+        if z_two_of_three is None:
+            self.z23_witness = self._two_of_three_witness(samples, sequences)
+            self.flags["z_two_of_three"] = self.z23_witness is None
             self.flags["z_two_of_three_source"] = "exhaustive<=%d" % SAMPLE_BOUND
-            self.z23_witness = witness
-        else:
-            self.z23_witness = None
 
     def modules(self, max_dim):
         """Every module class up to ``max_dim``, enumerated within the budget."""
         return enumerate_modules(self.algebra, max_dim, budget=self.budget)
 
     def in_c(self, m):
-        return self.c_spec.contains(m)
+        return self.pair.in_left(m)
 
     def in_z(self, m):
         return self.z_spec.contains(m)
 
     def in_zc(self, m):
-        return self.z_spec.contains(m) and self.c_spec.contains(m)
+        return self.in_z(m) and self.in_c(m)
 
-    def _validate_hypotheses(self):
-        samples = self.modules(SAMPLE_BOUND)
+    def _check_samples(self, samples):
+        """The zero module, C-perp inside Z, and completeness."""
         z = zero_module(self.algebra)
-        if not self.c_spec.contains(z) or not self.z_spec.contains(z):
+        if not self.in_c(z) or not self.in_z(z):
             raise HypothesisError("both C and Z must contain the zero module")
         for m in samples:
-            if self.pair.in_left(m) != self.c_spec.contains(m):
-                raise HypothesisError(
-                    "C disagrees with the pair's left class on a sample module"
-                )
-            if self.pair.in_right(m) and not self.z_spec.contains(m):
+            if self.pair.in_right(m) and not self.in_z(m):
                 raise HypothesisError(
                     "right orthogonal class is not contained in Z (sampled)"
                 )
         self.flags["right_in_z_checked"] = SAMPLE_BOUND
-        # completeness: resolutions exist and validate on the samples
         for m in samples:
-            right = self.pair.resolve_right(m)
-            left = self.pair.resolve_left(m)
-            if right.validate() or left.validate():
-                raise HypothesisError("completeness resolution failed to validate")
+            self.pair.resolve_right(m)
+            self.pair.resolve_left(m)
         self.flags["complete_checked"] = SAMPLE_BOUND
-        sequences = list(short_exact_sequences(samples, SAMPLE_BOUND))
-        # hereditary: kernels of surjections between left-class objects
-        left = self.pair.in_left
+
+    def _check_closure(self, samples, sequences):
+        """Hereditary pair, and Z-intersect-C closed under extensions and
+        under cokernels of injections in C."""
+        left = self.in_c
         for i_quot, i_sub, mid in sequences:
             if left(mid) and left(samples[i_quot]) and not left(samples[i_sub]):
                 raise HypothesisError(
                     "left class not closed under kernels of surjections"
                 )
         self.flags["hereditary_checked"] = SAMPLE_BOUND
-        # Z-intersect-C closed under extensions (all classes of small pairs)
+        # extensions: every class of the small pairs of Z-intersect-C objects
         zc = [m for m in samples if self.in_zc(m)]
         for _, _, mid in short_exact_sequences(zc, SAMPLE_BOUND + 1):
             if not self.in_zc(mid):
                 raise HypothesisError(
                     "Z-intersect-C not closed under extensions (sampled)"
                 )
-        # Z-intersect-C closed under cokernels of injections in C
         for i_quot, i_sub, mid in sequences:
             quot = samples[i_quot]
             if (
@@ -264,35 +162,28 @@ class WaldhausenData:
                     "Z-intersect-C not closed under cokernels of injections"
                 )
 
+    def _two_of_three_witness(self, samples, sequences):
+        """The first sequence of the sweep with all three terms in C and
+        exactly two in Z, or None when 2-out-of-3 holds for Z-intersect-C.
 
-def check_z_two_of_three(algebra, c_spec, z_spec, bound, budget=DEFAULT_BUDGET):
-    """Exhaustive 2-out-of-3 check for Z-intersect-C over short exact sequences.
-
-    Walks ``short_exact_sequences`` over the C-members of every module up
-    to ``bound`` (enumerated within ``budget``), so every sequence in C
-    with middle of dimension at most ``bound`` is met up to isomorphism.
-    Returns (holds, witness); the witness is a violating (sub, mid, quot)
-    dimension triple with digests when the property fails, the middle
-    being the one the sweep built.
-    """
-    members = [
-        m for m in enumerate_modules(algebra, bound, budget=budget)
-        if c_spec.contains(m)
-    ]
-    for i_quot, i_sub, mid in short_exact_sequences(members, bound):
-        if not c_spec.contains(mid):
-            continue
-        terms = (members[i_sub], mid, members[i_quot])
-        # every term lies in C, so membership in Z is membership in Z-intersect-C
-        flags = [z_spec.contains(m) for m in terms]
-        if sum(flags) == 2:
-            witness = {
-                "dims": tuple(m.dim for m in terms),
-                "in_zc": flags,
-                "digests": tuple(m.digest for m in terms),
-            }
-            return False, witness
-    return True, None
+        The sweep meets every sequence in C with middle of dimension at
+        most ``SAMPLE_BOUND`` up to isomorphism.  The witness is the
+        violating (sub, mid, quot) dimension triple with Z-memberships and
+        digests, the middle being the one the sweep built.
+        """
+        for i_quot, i_sub, mid in sequences:
+            terms = (samples[i_sub], mid, samples[i_quot])
+            if not all(self.in_c(m) for m in terms):
+                continue
+            # every term lies in C, so membership in Z is membership in Z-intersect-C
+            flags = [self.in_z(m) for m in terms]
+            if sum(flags) == 2:
+                return {
+                    "dims": tuple(m.dim for m in terms),
+                    "in_zc": flags,
+                    "digests": tuple(m.digest for m in terms),
+                }
+        return None
 
 
 # ---------------------------------------------------------------------------

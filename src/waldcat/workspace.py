@@ -299,6 +299,7 @@ def _workspace_from_text(stem, text, collect_failures):
 def _build_workspace(doc, name, collect_failures):
     _require(isinstance(doc, dict), "workspace document must be a JSON object")
     name = doc.get("name", name)
+    _require(isinstance(name, str), "workspace 'name' must be a string")
     for key in doc:
         if key not in _SECTIONS + ("name", "config"):
             raise MalformedInputError("unknown workspace section %r" % key)

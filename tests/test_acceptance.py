@@ -45,6 +45,10 @@ from waldcat.homological import (
     is_projective,
     iterated_cosyzygies,
     projectives_all_pair,
+    spec_all,
+    spec_explicit,
+    spec_injectives,
+    spec_projectives,
 )
 from waldcat.ktheory import k0_exact_category, localization_k0_report
 from waldcat.sampling import (
@@ -76,10 +80,6 @@ from waldcat.waldhausen import (
     check_saturation,
     factor,
     lift,
-    spec_all,
-    spec_explicit,
-    spec_injectives,
-    spec_projectives,
 )
 from waldcat.workspace import corpus_path, load_workspace
 
@@ -100,8 +100,7 @@ def waldhausen_all(name):
     key = "wall_" + name
     if key not in _CACHE:
         a = corpus_algebra(name)
-        _CACHE[key] = WaldhausenData(a, spec_all(), spec_all(),
-                                     all_injectives_pair(a))
+        _CACHE[key] = WaldhausenData(all_injectives_pair(a), spec_all())
     return _CACHE[key]
 
 
@@ -109,8 +108,8 @@ def fx2_standard():
     """C = everything, projective acyclics over F_2[x]/(x^2)."""
     if "fx2_std" not in _CACHE:
         a = corpus_algebra("fx2")
-        _CACHE["fx2_std"] = WaldhausenData(a, spec_all(), spec_projectives(),
-                                           all_injectives_pair(a))
+        _CACHE["fx2_std"] = WaldhausenData(all_injectives_pair(a),
+                                           spec_projectives())
     return _CACHE["fx2_std"]
 
 
@@ -169,8 +168,7 @@ def test_02_factorization_contract():
     for name in CORPUS_NAMES:
         a = corpus_algebra(name)
         w_all = waldhausen_all(name)
-        w_proj = WaldhausenData(a, spec_projectives(), spec_all(),
-                                projectives_all_pair(a))
+        w_proj = WaldhausenData(projectives_all_pair(a), spec_all())
         mods = enumerate_modules(a, 2)
         proj_pool = projective_pool(a, rng)
         for k in range(500):
@@ -245,12 +243,10 @@ def test_04_axiom_suite_with_negative_controls():
     # structure whose intersection class genuinely lacks it
     a, s, reg, socle, socle_quot = fx2_pieces()
     z = zero_module(a)
-    bad_sr = WaldhausenData(a, spec_all(), spec_explicit([z, s, reg]),
-                            all_injectives_pair(a), z_two_of_three=True,
-                            validate=False)
-    bad_s = WaldhausenData(a, spec_all(), spec_explicit([z, s]),
-                           all_injectives_pair(a), z_two_of_three=True,
-                           validate=False)
+    bad_sr = WaldhausenData(all_injectives_pair(a), spec_explicit([z, s, reg]),
+                            z_two_of_three=True, validate=False)
+    bad_s = WaldhausenData(all_injectives_pair(a), spec_explicit([z, s]),
+                           z_two_of_three=True, validate=False)
     gi = GluingInstance(zero_morphism(z, z), zero_morphism(z, z), socle, socle,
                         zero_morphism(z, s), zero_morphism(z, reg),
                         zero_morphism(z, reg))
@@ -268,8 +264,8 @@ def test_04_axiom_suite_with_negative_controls():
     # acyclics: 0 -> S1 is not a weak equivalence although S1 -> I1 and
     # 0 -> I1 both are
     line = corpus_algebra("quiver_a2")
-    wl = WaldhausenData(line, spec_all(), spec_injectives(),
-                        all_injectives_pair(line), z_two_of_three=True)
+    wl = WaldhausenData(all_injectives_pair(line), spec_injectives(),
+                        z_two_of_three=True)
     mods = enumerate_modules(line, 2)
     s1 = [m for m in mods
           if m.dim == 1 and is_projective(m) and not is_injective(m)][0]
@@ -415,8 +411,7 @@ def test_10_resolution_ladder():
     # valid input over the hereditary line algebra: length-one projective
     # resolution of the source-vertex simple stays length <= 1 in Z-and-P
     line = corpus_algebra("quiver_a2")
-    wl = WaldhausenData(line, spec_all(), spec_all(),
-                        all_injectives_pair(line))
+    wl = WaldhausenData(all_injectives_pair(line), spec_all())
     pair_p = projectives_all_pair(line)
     pieces = [piece for piece, _, _ in
               indecomposable_summands(regular_module(line))]
@@ -433,13 +428,11 @@ def test_10_resolution_ladder():
     assert rows[-1].quot == s0
 
     # corrupted inputs report the precise failed precondition
-    ungated = WaldhausenData(a, spec_all(), spec_explicit([zero_module(a)]),
-                             all_injectives_pair(a), z_two_of_three=False,
-                             validate=False)
+    ungated = WaldhausenData(all_injectives_pair(a), spec_explicit([zero_module(a)]),
+                             z_two_of_three=False, validate=False)
     with pytest.raises(HypothesisError, match="2-out-of-3"):
         build_zp_resolution(ungated, reg, [], all_injectives_pair(a))
-    w_proj_acyclics = WaldhausenData(a, spec_all(), spec_projectives(),
-                                     all_injectives_pair(a))
+    w_proj_acyclics = WaldhausenData(all_injectives_pair(a), spec_projectives())
     with pytest.raises(HypothesisError, match="Z-intersect-C"):
         build_zp_resolution(w_proj_acyclics, s, [socle_ses],
                             all_injectives_pair(a))

@@ -7,6 +7,7 @@ independent brute-force oracles defined at the bottom of this file
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -195,6 +196,14 @@ def test_quiver_single_vertex_no_arrows_is_field():
     assert a.dim == 1
     assert validate_algebra(a)["ok"]
     assert a.structure[0, 0, 0] == 1
+
+
+def test_quiver_without_long_paths_ignores_a_huge_nil_bound():
+    # no path has length 1, so the path search stops after one round
+    start = time.perf_counter()
+    huge = algebra_from_quiver(QuiverPresentation(2, 1, [], nil_bound=10**9))
+    assert time.perf_counter() - start < 1.0
+    assert huge.digest == algebra_from_quiver(QuiverPresentation(2, 1, [])).digest
 
 
 def test_quiver_loop_with_square_relation_matches_truncated_polynomials():

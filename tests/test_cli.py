@@ -46,6 +46,26 @@ def runj(*argv):
     return code, json.loads(text)
 
 
+def _readme_commands():
+    """The ``waldcat`` lines of the README's CLI block, with continuation
+    lines joined and trailing comments dropped, as argument lists."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [ln.split("#", 1)[0].split()[1:] for ln in lines
+                if ln.startswith("waldcat ")]
+    assert commands, "the README's CLI block lists no waldcat command"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_commands_succeed(argv):
+    # $C in the README is the fx2 corpus workspace
+    code, text = run(*[FX2 if a == "$C" else a for a in argv])
+    assert code == 0
+    assert isinstance(json.loads(text), dict)
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_validate_corpus(name):
     code, out = runj("validate", "--input", str(corpus_path(name)))
@@ -564,6 +584,35 @@ def test_exit_three_workspace_not_an_object(tmp_path, command, doc):
     assert out["error"] == {
         "type": "malformed",
         "message": "workspace document must be a JSON object",
+    }
+
+
+@pytest.mark.parametrize("algebra", [5, ["fx2"], True])
+def test_exit_three_bad_config_algebra(tmp_path, algebra):
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["config"]["algebra"] = algebra
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj("enumerate", "--input", str(path), "--dim-bound", "1")
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "config 'algebra' must be a string",
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "enumerate"])
+@pytest.mark.parametrize("name", [[1, 2], 5, None], ids=["list", "int", "null"])
+def test_exit_three_workspace_name_not_a_string(tmp_path, command, name):
+    doc = json.loads(corpus_path("fx2").read_text())
+    doc["name"] = name
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(doc))
+    code, out = runj(command, "--input", str(path), "--dim-bound", "1")
+    assert code == 3
+    assert out["error"] == {
+        "type": "malformed",
+        "message": "workspace 'name' must be a string",
     }
 
 

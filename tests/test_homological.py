@@ -44,7 +44,6 @@ from waldcat.errors import (
     ValidationError,
 )
 from waldcat.homological import (
-    CotorsionPair,
     _automorphism_count,
     all_injectives_pair,
     cosyzygy,
@@ -59,11 +58,12 @@ from waldcat.homological import (
     pair_validate,
     projectives_all_pair,
     short_exact_sequences,
+    spec_all,
+    spec_projectives,
     strip_injective_summands,
 )
 from waldcat.ktheory import k0_exact_category
 from waldcat.linalg import FieldMatrix, pivot_blocks, rank, solve
-from waldcat.waldhausen import spec_all, spec_projectives
 from waldcat.workspace import corpus_path, load_workspace
 
 
@@ -803,11 +803,6 @@ def test_resolutions_validate_on_all_small_modules():
                 assert left.quot == m
                 assert pair.in_left(left.mid)
                 assert pair.in_right(left.sub)
-
-
-def test_unknown_pair_kind_rejected():
-    with pytest.raises(ValidationError):
-        CotorsionPair(fx2_algebra(), "mystery")
 
 
 def test_pair_validate_all_injectives_fx2():

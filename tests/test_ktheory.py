@@ -19,7 +19,15 @@ from waldcat.algebra import (
     regular_module,
 )
 from waldcat.errors import HypothesisError, ValidationError
-from waldcat.homological import all_injectives_pair, is_projective, short_exact_sequences
+from waldcat.homological import (
+    all_injectives_pair,
+    is_projective,
+    short_exact_sequences,
+    spec_all,
+    spec_explicit,
+    spec_injectives,
+    spec_projectives,
+)
 from waldcat.ktheory import (
     K0Presentation,
     describe_group,
@@ -29,13 +37,7 @@ from waldcat.ktheory import (
 )
 from waldcat.linalg import IntegerMatrix, smith_invariant_factors, stack
 from waldcat.sampling import random_weq_from
-from waldcat.waldhausen import (
-    WaldhausenData,
-    spec_all,
-    spec_explicit,
-    spec_injectives,
-    spec_projectives,
-)
+from waldcat.waldhausen import WaldhausenData
 from waldcat.workspace import corpus_path, load_workspace
 
 
@@ -73,9 +75,7 @@ _CACHE = {}
 def fx2_waldhausen():
     if "w2" not in _CACHE:
         a = fx2_algebra()
-        _CACHE["w2"] = WaldhausenData(
-            a, spec_all(), spec_projectives(), all_injectives_pair(a)
-        )
+        _CACHE["w2"] = WaldhausenData(all_injectives_pair(a), spec_projectives())
     return _CACHE["w2"]
 
 
@@ -176,11 +176,7 @@ def test_bound_growth_keeps_invariant_factors():
 def test_waldhausen_k0_needs_the_saturation_gate():
     a = fx2_algebra()
     w = WaldhausenData(
-        a,
-        spec_all(),
-        spec_projectives(),
-        all_injectives_pair(a),
-        z_two_of_three=False,
+        all_injectives_pair(a), spec_projectives(), z_two_of_three=False
     )
     with pytest.raises(HypothesisError):
         k0_waldhausen(w, 3)
@@ -188,7 +184,7 @@ def test_waldhausen_k0_needs_the_saturation_gate():
 
 def test_acyclics_everything_kills_the_group():
     a = fx2_algebra()
-    w = WaldhausenData(a, spec_all(), spec_all(), all_injectives_pair(a))
+    w = WaldhausenData(all_injectives_pair(a), spec_all())
     pres = k0_waldhausen(w, 3)
     assert pres.description == "trivial"
 
@@ -197,12 +193,7 @@ def test_acyclics_zero_only_change_nothing():
     a = fx2_algebra()
     zero_only = spec_explicit([m for m in enumerate_modules(a, 0)])
     w = WaldhausenData(
-        a,
-        spec_all(),
-        zero_only,
-        all_injectives_pair(a),
-        z_two_of_three=True,
-        validate=False,
+        all_injectives_pair(a), zero_only, z_two_of_three=True, validate=False
     )
     pres = k0_waldhausen(w, 3)
     base = k0_exact_category(a, spec_all(), 3)

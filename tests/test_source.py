@@ -15,6 +15,10 @@ The module-map equations are δ⁰ = ``algebra.coboundary``, and only Hom
 Every other map problem is solved on Hom-basis coordinates by
 ``algebra.solve_maps``, so the package defines no linear-system class.
 
+Classes of modules and cotorsion pairs are told apart by the specs and
+covers they hold, never by a kind string: no package code compares a
+``kind`` attribute.
+
 Every imported name is referenced in its file, so an import left behind
 by deleted code does not survive.  Likewise every top-level function and
 class of the package, and every method of its classes, is referenced
@@ -213,6 +217,41 @@ def test_coboundary_and_system_scans_flag_callers_and_classes():
     )
     assert _coboundary_callers(tree) == ["hom", "twice", "Holder"]
     assert _linear_system_classes(tree) == ["LinearSystem", "Rows", "MatVar"]
+
+
+def _kind_comparisons(tree):
+    """Line numbers of comparisons in ``tree`` with a ``.kind`` attribute
+    on either side."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                for side in [node.left, *node.comparators])
+    ]
+
+
+def test_no_dispatch_on_kind_attributes():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _kind_comparisons(ast.parse(path.read_text()))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_kind_scan_flags_only_comparisons_of_kind_attributes():
+    tree = ast.parse(
+        "if self.kind == 'all':\n"
+        "    pass\n"
+        "ok = pair.kind in ('a', 'b')\n"
+        "same = 'x' != spec.kind\n"
+        "kind = 'free'\n"
+        "label = spec.kind\n"
+        "plain = kind == 'free'\n"
+        "other = spec.name == 'all'\n"
+    )
+    assert _kind_comparisons(tree) == [1, 3, 4]
 
 
 def _unused_imports(tree):

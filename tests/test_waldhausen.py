@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+import waldcat.waldhausen as waldhausen
 from waldcat.algebra import (
     Algebra,
     QuiverPresentation,
@@ -41,6 +42,13 @@ from waldcat.homological import (
     is_injective,
     is_projective,
     projectives_all_pair,
+    short_exact_sequences,
+    spec_all,
+    spec_explicit,
+    spec_finite_inj_dim,
+    spec_injectives,
+    spec_intersection,
+    spec_projectives,
 )
 from waldcat.sampling import (
     extension_instance,
@@ -60,17 +68,10 @@ from waldcat.waldhausen import (
     check_gluing,
     check_properness,
     check_saturation,
-    check_z_two_of_three,
     classify_map,
     factor,
     is_weak_equivalence,
     lift,
-    spec_all,
-    spec_explicit,
-    spec_finite_inj_dim,
-    spec_injectives,
-    spec_intersection,
-    spec_projectives,
     weak_equivalence_oracle,
 )
 from waldcat.workspace import corpus_path, load_workspace
@@ -95,9 +96,7 @@ def fx2_waldhausen():
     """All modules with projective acyclics over F_2[x]/(x^2)."""
     if "fx2" not in _CACHE:
         a = fx2_algebra()
-        _CACHE["fx2"] = WaldhausenData(
-            a, spec_all(), spec_projectives(), all_injectives_pair(a)
-        )
+        _CACHE["fx2"] = WaldhausenData(all_injectives_pair(a), spec_projectives())
     return _CACHE["fx2"]
 
 
@@ -107,10 +106,8 @@ def line_waldhausen(force_two_of_three=False):
     if key not in _CACHE:
         a = line_algebra()
         _CACHE[key] = WaldhausenData(
-            a,
-            spec_all(),
-            spec_injectives(),
             all_injectives_pair(a),
+            spec_injectives(),
             z_two_of_three=True if force_two_of_three else None,
         )
     return _CACHE[key]
@@ -200,10 +197,7 @@ def test_waldhausen_flags_over_fx2():
 
 _HOLDS = (True, None)
 _NOT_IN_Z = "right orthogonal class is not contained in Z (sampled)"
-_CLASSES = {
-    "all": (spec_all, all_injectives_pair),
-    "projectives": (spec_projectives, projectives_all_pair),
-}
+_CLASSES = {"all": all_injectives_pair, "projectives": projectives_all_pair}
 _ACYCLICS = {"all": spec_all, "projectives": spec_projectives, "injectives": spec_injectives}
 # outcome per (C, Z) in _CONFIGS order: the HypothesisError message, or the
 # 2-out-of-3 flag with the witness dimensions
@@ -223,14 +217,14 @@ _OUTCOMES = {
 )
 def test_waldhausen_outcome_over_the_corpus(name, c_name, z_name):
     a = load_workspace(corpus_path(name)).only_algebra()
-    c_spec, pair = _CLASSES[c_name]
+    pair = _CLASSES[c_name]
     expected = _OUTCOMES[name][_CONFIGS.index((c_name, z_name))]
     if isinstance(expected, str):
         with pytest.raises(HypothesisError) as err:
-            WaldhausenData(a, c_spec(), _ACYCLICS[z_name](), pair(a))
+            WaldhausenData(pair(a), _ACYCLICS[z_name]())
         assert str(err.value) == expected
         return
-    w = WaldhausenData(a, c_spec(), _ACYCLICS[z_name](), pair(a))
+    w = WaldhausenData(pair(a), _ACYCLICS[z_name]())
     assert w.flags == {
         "hereditary_checked": 2,
         "complete_checked": 2,
@@ -240,21 +234,6 @@ def test_waldhausen_outcome_over_the_corpus(name, c_name, z_name):
     }
     witness = w.z23_witness
     assert (witness["dims"] if witness else None) == expected[1]
-
-
-class _RelabeledPair(CotorsionPair):
-    """The resolutions of (all, injectives) with other class predicates, so
-    the closure checks see classes that break them."""
-
-    def __init__(self, algebra, left, right):
-        super().__init__(algebra, "all_injectives")
-        self.left, self.right = left, right
-
-    def in_left(self, m):
-        return self.left.contains(m)
-
-    def in_right(self, m):
-        return self.right.contains(m)
 
 
 def _line_nonsplit():
@@ -273,9 +252,10 @@ def test_waldhausen_rejects_left_class_open_under_kernels():
     sub, _, _ = _line_nonsplit()
     a = sub.algebra
     left = spec_explicit([m for m in enumerate_modules(a, 2) if not hom_basis(m, sub)])
-    pair = _RelabeledPair(a, left, spec_explicit([zero_module(a)]))
+    # a pair with classes that break the closure checks
+    pair = CotorsionPair(a, left, spec_explicit([zero_module(a)]))
     with pytest.raises(HypothesisError) as err:
-        WaldhausenData(a, left, spec_all(), pair)
+        WaldhausenData(pair, spec_all())
     assert str(err.value) == "left class not closed under kernels of surjections"
 
 
@@ -285,16 +265,10 @@ def test_waldhausen_rejects_zc_open_under_cokernels():
     _, _, quot = _line_nonsplit()
     a = quot.algebra
     z = spec_explicit([m for m in enumerate_modules(a, 3) if not hom_basis(quot, m)])
-    pair = _RelabeledPair(a, spec_all(), spec_explicit([zero_module(a)]))
+    pair = CotorsionPair(a, spec_all(), spec_explicit([zero_module(a)]))
     with pytest.raises(HypothesisError) as err:
-        WaldhausenData(a, spec_all(), z, pair)
+        WaldhausenData(pair, z)
     assert str(err.value) == "Z-intersect-C not closed under cokernels of injections"
-
-
-def test_waldhausen_rejects_mismatched_left_class():
-    a = fx2_algebra()
-    with pytest.raises(HypothesisError):
-        WaldhausenData(a, spec_projectives(), spec_all(), all_injectives_pair(a))
 
 
 def test_waldhausen_rejects_right_class_outside_z():
@@ -302,7 +276,7 @@ def test_waldhausen_rejects_right_class_outside_z():
     # over the line algebra contains non-projective injectives
     a = line_algebra()
     with pytest.raises(HypothesisError):
-        WaldhausenData(a, spec_all(), spec_projectives(), all_injectives_pair(a))
+        WaldhausenData(all_injectives_pair(a), spec_projectives())
 
 
 def test_two_of_three_fails_for_injective_acyclics_on_line():
@@ -314,9 +288,26 @@ def test_two_of_three_fails_for_injective_acyclics_on_line():
 
 
 def test_two_of_three_holds_for_projective_acyclics_on_fx2():
-    a = fx2_algebra()
-    ok, witness = check_z_two_of_three(a, spec_all(), spec_projectives(), 2)
-    assert ok and witness is None
+    w = fx2_waldhausen()
+    assert w.flags["z_two_of_three"] is True
+    assert w.z23_witness is None
+
+
+def test_construction_sweeps_the_samples_once(monkeypatch):
+    # one sweep of the samples serves the closure checks and 2-out-of-3;
+    # the only other sweep is the extension check's, over Z-intersect-C
+    bounds = []
+
+    def spy(modules, bound):
+        bounds.append(bound)
+        return short_exact_sequences(modules, bound)
+
+    monkeypatch.setattr(waldhausen, "short_exact_sequences", spy)
+    a = load_workspace(corpus_path("quiver_a2")).only_algebra()
+    w = WaldhausenData(all_injectives_pair(a), spec_injectives())
+    assert bounds == [2, 3]
+    assert w.flags["z_two_of_three"] is False
+    assert w.z23_witness["dims"] == (1, 2, 1)
 
 
 def test_supplied_two_of_three_flag_is_trusted():

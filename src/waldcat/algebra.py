@@ -1273,7 +1273,7 @@ def is_isomorphic(m1, m2):
     ``_ENUMERATION_CAP`` elements, one batched rank scan over all of it
     decides exactly; larger hom spaces try the basis, its pairwise sums
     and seeded random combinations (``_search_span``), then fall back to
-    matching indecomposable summands.
+    matching indecomposable summands (``_isomorphism_by_decomposition``).
     """
     if m1.algebra.digest != m2.algebra.digest or m1.dim != m2.dim:
         return None
@@ -1292,7 +1292,29 @@ def is_isomorphic(m1, m2):
     return _isomorphism_by_decomposition(m1, m2)
 
 
+def indecomposable_isomorphism(m1, m2):
+    """Isomorphism m1 -> m2 between indecomposable modules, or None.
+
+    End(m1) is local, so the non-isomorphisms m1 -> m2 form a subspace,
+    rad(m1, m2) (Auslander, Reiten and Smalø, ch. I–II), which is proper
+    when m1 ≅ m2: then some element of ``hom_basis(m1, m2)`` lies outside
+    it and has full rank.  One rank scan of the basis decides exactly, and
+    the first full-rank basis element is the answer.
+    """
+    if m1.algebra.digest != m2.algebra.digest or m1.dim != m2.dim:
+        return None
+    basis = hom_basis(m1, m2)
+    if not basis:
+        return None
+    ranks = rank_stack(np.stack([f.matrix.a for f in basis]), m1.p)
+    hits = np.flatnonzero(ranks == m1.dim)
+    return basis[hits[0]] if hits.size else None
+
+
 def _isomorphism_by_decomposition(m1, m2):
+    """Match the indecomposable summands of m1 and m2 one to one by
+    ``indecomposable_isomorphism`` (Krull–Schmidt), and assemble the
+    piecewise isomorphisms; the result is checked before it is returned."""
     pieces1 = indecomposable_summands(m1)
     pieces2 = indecomposable_summands(m2)
     if len(pieces1) != len(pieces2):
@@ -1302,15 +1324,12 @@ def _isomorphism_by_decomposition(m1, m2):
     for mod1, incl1, proj1 in pieces1:
         matched = None
         for idx, (mod2, incl2, proj2) in enumerate(pieces2):
-            if used[idx] or mod2.dim != mod1.dim:
+            if used[idx]:
                 continue
-            if fingerprint(mod1) != fingerprint(mod2):
-                continue
-            small_basis = hom_basis(mod1, mod2)
-            mat = _find_invertible_combination(small_basis, mod1.p, mod1.dim)
-            if mat is not None:
+            iso = indecomposable_isomorphism(mod1, mod2)
+            if iso is not None:
                 used[idx] = True
-                matched = (idx, Morphism(mod1, mod2, mat, check=False))
+                matched = (idx, iso)
                 break
         if matched is None:
             return None

@@ -43,6 +43,7 @@ from .algebra import (
     ext1,
     hom_basis,
     identity_morphism,
+    indecomposable_isomorphism,
     indecomposable_summands,
     is_isomorphic,
     kernel,
@@ -190,9 +191,11 @@ def ext1_class_count_oracle(c, a, budget=DEFAULT_BUDGET):
         count = sum over E of #pairs(E) * p**dim Hom(c, a) / |Aut(E)|.
 
     Each division must be exact; a middle with no exact pair adds nothing,
-    and its automorphisms are not counted.  Pairs and automorphisms are
-    counted by batched rank scans over the spans of the Hom bases; no free
-    presentation is used, so the count must equal p**ext1(c, a).dimension
+    and its automorphisms are not counted.  Pairs are counted by batched
+    rank scans over the spans of the Hom bases, and |Aut(E)| by
+    Krull–Schmidt from the endomorphism rings of E's indecomposable
+    summands (``_automorphism_count``); neither uses ``ext1`` or a free
+    presentation, so the count must equal p**ext1(c, a).dimension
     independently.
     """
     algebra = c.algebra
@@ -205,7 +208,7 @@ def ext1_class_count_oracle(c, a, budget=DEFAULT_BUDGET):
             continue
         pairs = _exact_pair_count(a, e, c)
         if not pairs:
-            continue  # no orbits, and |Aut(E)| can cost a scan of all of End(E)
+            continue  # no orbits, and |Aut(E)| needs E decomposed
         orbits, rest = divmod(pairs * stabilizer, _automorphism_count(e))
         if rest:
             raise InternalInconsistencyError(
@@ -225,10 +228,60 @@ def _hom_stacks(dom, cod):
 
 @memoized
 def _automorphism_count(m):
-    """|Aut(m)|: the number of full-rank elements of End(m)."""
-    return sum(
-        int((rank_stack(stack, m.p) == m.dim).sum()) for stack in _hom_stacks(m, m)
+    """|Aut(m)| by Krull–Schmidt (Auslander, Reiten and Smalø, ch. I–II).
+
+    m = ⊕ M_i^(n_i) with M_i indecomposable and pairwise non-isomorphic,
+    End(M_i)/rad = F_(q_i) with q_i = p^(r_i), and End(m)/rad is
+    ∏ M_(n_i)(F_(q_i)), of dimension Σ n_i² r_i over F_p.  An endomorphism
+    is invertible iff its image there is, so
+
+        |Aut m| = p^(dim End m − Σ n_i² r_i) · ∏ |GL_(n_i)(F_(q_i))|.
+
+    The summands come from ``indecomposable_summands`` and are grouped by
+    ``indecomposable_isomorphism``; only the endomorphism ring of one
+    summand per class is scanned, by ``_residue_degree``, which also
+    proves it local (and so the summand indecomposable) or raises.
+    """
+    p = m.p
+    classes = []  # [representative, r, n]
+    for piece, _, _ in indecomposable_summands(m):
+        for entry in classes:
+            if indecomposable_isomorphism(entry[0], piece) is not None:
+                entry[2] += 1
+                break
+        else:
+            classes.append([piece, _residue_degree(piece), 1])
+    count = p ** (len(hom_basis(m, m)) - sum(n * n * r for _, r, n in classes))
+    for _, r, n in classes:
+        q = p**r
+        for k in range(n):
+            count *= q**n - q**k
+    return count
+
+
+def _residue_degree(m):
+    """The degree r of the residue field End(m)/rad = F_(p^r) of an
+    indecomposable module m, from one rank scan of End(m).
+
+    In a finite ring R with radical J the non-units number
+    |J| · (|R/J| − |(R/J)^×|).  The second factor is 1 when R/J is a field.
+    Otherwise R/J is a product of at least two matrix rings over fields,
+    or one of size at least 2, and the factor is a power of p times a
+    number above 1 and prime to p, so not a power of p.  Hence the
+    non-units number p^(d−r), d = dim End(m), exactly when End(m) is
+    local; any other count means m is decomposable, and raises
+    InternalInconsistencyError.
+    """
+    p, d = m.p, len(hom_basis(m, m))
+    units = sum(
+        int((rank_stack(stack, p) == m.dim).sum()) for stack in _hom_stacks(m, m)
     )
+    r = next((r for r in range(1, d + 1) if p ** (d - r) == p**d - units), None)
+    if r is None:
+        raise InternalInconsistencyError(
+            "summand of dimension %d has a non-local endomorphism ring" % m.dim
+        )
+    return r
 
 
 def _exact_pair_count(a, e, c):

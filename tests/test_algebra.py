@@ -33,6 +33,7 @@ from waldcat.algebra import (
     hom_basis,
     identity_morphism,
     image_factorization,
+    indecomposable_isomorphism,
     indecomposable_summands,
     into_pullback,
     invariant_subspaces,
@@ -772,6 +773,50 @@ def test_indecomposable_summands_of_mixed_sum():
         assert (proj @ incl) == identity_morphism(piece)
         acc = acc + (incl @ proj)
     assert acc == identity_morphism(total)
+
+
+def _decomposition_cases(name):
+    """(pieces, pieces in another order, same-dimension sum of other
+    pieces): A ⊕ S, S ⊕ A and S² over fx2; P_0 ⊕ P_1, P_1 ⊕ P_0 and P_1³
+    from the regular module of quiver_a1."""
+    a = _corpus_algebra(name)
+    if name == "fx2":
+        s, reg = simple_modules(a)[0], regular_module(a)
+        return [reg, s], [s, reg], [s, s]
+    small, large = sorted(
+        (piece for piece, _, _ in indecomposable_summands(regular_module(a))),
+        key=lambda piece: piece.dim,
+    )
+    return [large, small], [small, large], [small] * large.dim
+
+
+@pytest.mark.parametrize("name", ["fx2", "quiver_a1"])
+def test_isomorphism_by_decomposition_matches_summands(name):
+    pieces, reordered, others = _decomposition_cases(name)
+    m1 = direct_sum(pieces)[0]
+    iso = alg._isomorphism_by_decomposition(m1, direct_sum(reordered)[0])
+    assert iso is not None and iso.dom.digest == m1.digest
+    assert iso.is_iso() and iso.is_equivariant()
+    # same dimension, different summands
+    assert alg._isomorphism_by_decomposition(pieces[0], direct_sum(others)[0]) is None
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_indecomposable_isomorphism_matches_is_isomorphic(name):
+    a = _corpus_algebra(name)
+    rng = np.random.default_rng(11 + sum(map(ord, name)))
+    pieces = [
+        m for m in enumerate_modules(a, 3)
+        if m.dim > 0 and len(indecomposable_summands(m)) == 1
+    ]
+    verdicts = []
+    for m1, m2 in itertools.product(pieces, repeat=2):
+        twisted = _random_conjugate(m2, rng)
+        iso = indecomposable_isomorphism(m1, twisted)
+        assert (iso is None) == (is_isomorphic(m1, twisted) is None)
+        assert iso is None or (iso.is_iso() and iso.is_equivariant())
+        verdicts.append(iso is not None)
+    assert verdicts.count(True) == len(pieces) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------

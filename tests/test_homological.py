@@ -8,6 +8,7 @@ reference for that count.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from waldcat.algebra import (
     enumerate_modules,
     fingerprint,
     hom_basis,
+    identity_morphism,
     induced_on_cokernel,
     is_isomorphic,
     kernel,
@@ -63,7 +65,7 @@ from waldcat.homological import (
     strip_injective_summands,
 )
 from waldcat.ktheory import k0_exact_category
-from waldcat.linalg import FieldMatrix, pivot_blocks, rank, solve
+from waldcat.linalg import FieldMatrix, pivot_blocks, rank, rank_stack, solve
 from waldcat.workspace import corpus_path, load_workspace
 
 
@@ -609,7 +611,8 @@ ORBIT_CASES = ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2", "F3[x]/(x^3)", "F
 def _orbit_case_algebra(name):
     if name.startswith("F"):
         p = int(name[1])
-        return algebra_from_quiver(QuiverPresentation(p, 1, [(0, 0, "x")], nil_bound=3))
+        nil_bound = int(name[-2])
+        return algebra_from_quiver(QuiverPresentation(p, 1, [(0, 0, "x")], nil_bound=nil_bound))
     return load_workspace(corpus_path(name)).only_algebra()
 
 
@@ -673,9 +676,108 @@ def test_automorphism_count_of_semisimple_powers_is_gl_order():
     assert orders == [1, 6, 168, 20160]
 
 
+def _scanned_automorphism_count(m):
+    """Reference for ``_automorphism_count``: the full-rank elements of
+    End(m), counted by a rank scan of all of End(m)."""
+    return sum(
+        int((rank_stack(stack, m.p) == m.dim).sum())
+        for stack in homological._hom_stacks(m, m)
+    )
+
+
+AUTOMORPHISM_CASES = (
+    [(name, 3) for name in ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"]]
+    + [(name, 4) for name in ["f2c2", "fx2", "fx3"]]
+    + [("F3[x]/(x^2)", 3)]
+)
+
+
+@pytest.mark.parametrize("name,bound", AUTOMORPHISM_CASES)
+def test_automorphism_count_matches_endomorphism_scan(name, bound):
+    a = _orbit_case_algebra(name)
+    checked = 0
+    for m in enumerate_modules(a, bound):
+        if a.p ** len(hom_basis(m, m)) > 2**16:
+            continue
+        assert _automorphism_count(m) == _scanned_automorphism_count(m)
+        checked += 1
+    assert checked >= 6
+
+
+def test_automorphism_count_refuses_a_summand_with_non_local_endomorphisms(monkeypatch):
+    s2, _, _ = direct_sum([simple_over_fx2()] * 2)
+    whole = [(s2, identity_morphism(s2), identity_morphism(s2))]
+    monkeypatch.setattr(homological, "indecomposable_summands", lambda m: whole)
+    _automorphism_count.cache_clear()
+    # End(S^2) = M_2(F_2): 10 non-units, not a power of 2
+    with pytest.raises(InternalInconsistencyError, match="non-local"):
+        _automorphism_count(s2)
+
+
+def _matrices(p, n):
+    """Every n x n matrix over F_p, as a (p**(n*n), n, n) stack."""
+    digits = np.arange(p ** (n * n))[:, None] // p ** np.arange(n * n) % p
+    return digits.reshape(-1, n, n)
+
+
+def _nilpotent_of_order(k):
+    """Relation X**k = 0, on a stack."""
+    def holds(x, p):
+        power = x
+        for _ in range(k - 1):
+            power = power @ x % p
+        return ~power.any(axis=(1, 2))
+    return holds
+
+
+def _involution(x, p):
+    """Relation X**2 = I, on a stack."""
+    return ((x @ x - np.eye(x.shape[1], dtype=np.int64)) % p == 0).all(axis=(1, 2))
+
+
+def _gl_order(p, n):
+    order = 1
+    for k in range(n):
+        order *= p**n - p**k
+    return order
+
+
+# Each algebra has basis 1, g, g^2, ... for one generator g, so a module
+# structure on F_p^n is the image X of g, subject to g's relation.
+ORBIT_IDENTITY_CASES = [
+    ("fx2", _nilpotent_of_order(2), 4),
+    ("fx3", _nilpotent_of_order(3), 4),
+    ("f2c2", _involution, 4),
+    ("F3[x]/(x^2)", _nilpotent_of_order(2), 3),
+]
+
+
+def test_nilpotent_matrix_scan_matches_fine_herstein():
+    # Fine and Herstein: there are q**(n*n - n) nilpotent n x n matrices over F_q
+    for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        assert int(_nilpotent_of_order(n)(_matrices(p, n), p).sum()) == p ** (n * n - n)
+
+
+@pytest.mark.parametrize("name,relation,bound", ORBIT_IDENTITY_CASES)
+def test_enumeration_satisfies_the_orbit_counting_identity(name, relation, bound):
+    # GL_n(F_p) acts on the module structures Rep_n(A) on F_p^n with the
+    # isomorphism classes as orbits and Aut(M) as stabilizers, so
+    # Σ_[M] 1/|Aut M| = |Rep_n(A)| / |GL_n(F_p)|: a missed class lowers
+    # the left side and a duplicate raises it
+    a = _orbit_case_algebra(name)
+    p = a.p
+    generator = regular_module(a).rho[1]
+    assert relation(generator[None], p).all()
+    mods = enumerate_modules(a, bound)
+    for n in range(1, bound + 1):
+        reps = int(relation(_matrices(p, n), p).sum())
+        orbit_sum = sum(Fraction(1, _automorphism_count(m)) for m in mods if m.dim == n)
+        assert orbit_sum == Fraction(reps, _gl_order(p, n))
+
+
 def test_ext_oracle_counts_automorphisms_only_of_middles_with_pairs(monkeypatch):
-    # over F_2[x]/(x^2), 0 -> S -> E -> A ⊕ S -> 0 never has E = S^4, whose
-    # |Aut| = |GL_4(F_2)| would take a scan of all 2^16 endomorphisms
+    # over F_2[x]/(x^2), 0 -> S -> E -> A ⊕ S -> 0 never has E = S^4;
+    # |Aut(S^4)| = |GL_4(F_2)| needs S^4 split into its four summands
     pairs = {}
     counted = []
     exact_pair_count = homological._exact_pair_count

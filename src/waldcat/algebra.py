@@ -56,9 +56,11 @@ def _digest(*parts):
 
 def memoized(fn):
     """``fn`` with a table of its results, keyed by the arguments with defaults
-    applied and each Algebra or Module replaced by its digest.  ``fn`` takes
-    positional-or-keyword parameters only and returns immutable data, since
-    every caller gets the stored value.  ``cache_clear()`` empties the table."""
+    applied and each Algebra, Module or Morphism replaced by its digest, so
+    equal arguments built apart share one entry and the table holds no
+    reference to them.  ``fn`` takes positional-or-keyword parameters only
+    and returns immutable data, since every caller gets the stored value;
+    a call that raises stores nothing.  ``cache_clear()`` empties the table."""
     sig = inspect.signature(fn)
     defaults = tuple(p.default for p in sig.parameters.values())
     required = sum(d is inspect.Parameter.empty for d in defaults)
@@ -71,7 +73,8 @@ def memoized(fn):
             bound.apply_defaults()
             args = bound.args
         args += defaults[len(args):]
-        key = tuple([a.digest if isinstance(a, (Algebra, Module)) else a for a in args])
+        key = tuple([a.digest if isinstance(a, (Algebra, Module, Morphism)) else a
+                     for a in args])
         if key not in table:
             table[key] = fn(*args)
         return table[key]
@@ -425,6 +428,13 @@ class Morphism:
         self.matrix = m
         if check and not self.is_equivariant():
             raise ValidationError("matrix does not commute with the algebra action")
+
+    @property
+    def digest(self):
+        """SHA-256 of the end modules' digests and the matrix.  Computed on
+        access: most maps are never a memo key."""
+        return _digest(b"morphism", self.dom.digest, self.cod.digest,
+                       self.matrix.a.tobytes())
 
     def is_equivariant(self):
         """F ρ_dom(e_i) = ρ_cod(e_i) F for every i, as one stacked comparison."""
@@ -792,22 +802,29 @@ def block_extensions(sub, quot, taus):
 def pushout(f, g):
     """Pushout of f: A -> B and g: A -> C; returns (module, from_B, from_C).
 
-    Computed as the cokernel of (f, -g): A -> B (+) C.
+    Computed as the cokernel of (f, -g): A -> B (+) C; the legs are the
+    cokernel map's columns on B and on C.
     """
     if f.dom != g.dom:
         raise ValidationError("pushout legs must share a domain")
-    _, (inj_b, inj_c), _ = direct_sum([f.cod, g.cod])
     _, proj = cokernel(block([[f], [-g]]))
-    return proj.cod, proj @ inj_b, proj @ inj_c
+    q, b = proj.cod, f.cod.dim
+    return (q, Morphism(f.cod, q, proj.matrix.a[:, :b], check=False),
+            Morphism(g.cod, q, proj.matrix.a[:, b:], check=False))
 
 
 def pullback(f, g):
-    """Pullback of f: B -> A and g: C -> A; returns (module, to_B, to_C)."""
+    """Pullback of f: B -> A and g: C -> A; returns (module, to_B, to_C).
+
+    Computed as the kernel of (f, -g): B (+) C -> A; the legs are the
+    kernel inclusion's rows on B and on C.
+    """
     if f.cod != g.cod:
         raise ValidationError("pullback legs must share a codomain")
-    _, _, (proj_b, proj_c) = direct_sum([f.dom, g.dom])
     ker, incl = kernel(block([[f, -g]]))
-    return ker, proj_b @ incl, proj_c @ incl
+    b = f.dom.dim
+    return (ker, Morphism(ker, f.dom, incl.matrix.a[:b], check=False),
+            Morphism(ker, g.dom, incl.matrix.a[b:], check=False))
 
 
 class ShortExactSequence:

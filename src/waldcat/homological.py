@@ -414,11 +414,12 @@ class CotorsionPair:
         """f = p o i through resolve_right(f.dom) (+) f.cod; returns (i, p).
 
         With 0 -> dom -(j)-> I -> P -> 0, the injection is x |-> (j x, f x)
-        and p keeps the second coordinate, so p o i is exactly f.
+        and p = [0 | I] keeps the second coordinate, so p o i is exactly f.
         """
         j = self.resolve_right(f.dom).mono
-        _, _, (_, proj_b) = direct_sum([j.cod, f.cod])
-        return block([[j], [f]]), proj_b
+        i = block([[j], [f]])
+        keep = np.eye(f.cod.dim, i.cod.dim, j.cod.dim, dtype=np.int64)
+        return i, Morphism(i.cod, f.cod, keep, check=False)
 
     def _check_parent(self, m):
         if m.algebra.digest != self.algebra.digest:

@@ -2,10 +2,11 @@
 
 Given a cotorsion pair (C, C-perp) of module classes over an algebra and
 an acyclicity class Z containing C-perp, the structure is built from the
-pair and Z alone: C is the pair's left class.  It has: cofibrations = injections with cokernel in C; acyclic fibrations =
-surjections with kernel in C-perp; acyclic cofibrations = injections with
-cokernel in the intersection of Z and C; weak equivalences = composites
-of an acyclic cofibration followed by an acyclic fibration.
+pair and Z alone, C being the pair's left class.  Its cofibrations are the
+injections with cokernel in C, its acyclic fibrations the surjections with
+kernel in C-perp, its acyclic cofibrations the injections with cokernel in
+the intersection of Z and C, and its weak equivalences the composites of
+an acyclic cofibration followed by an acyclic fibration.
 
 Everything here is decision procedures and executable checkers: map
 classification, the canonical cofibration/acyclic-fibration
@@ -26,6 +27,7 @@ from .algebra import (
     hom_basis,
     kernel,
     maps,
+    memoized,
     pullback,
     pushout,
     solve_map,
@@ -74,6 +76,11 @@ class WaldhausenData:
     ``budget`` caps every module enumeration made for this structure: the
     hypothesis samples here, the samplers of ``sampling`` and the P-perp
     sample of ``build_zp_resolution``; see ``modules``.
+
+    For a fixed structure the weak-equivalence verdict and the
+    classification of a map depend on the map alone, so each structure
+    keeps one table of each, keyed by the map's digest (see
+    ``is_weak_equivalence`` and ``classify_map``).
     """
 
     def __init__(
@@ -91,6 +98,8 @@ class WaldhausenData:
             "z_two_of_three_source": "supplied" if z_two_of_three is not None else None,
         }
         self.z23_witness = None
+        self._verdict = memoized(lambda f: _weak_equivalence_verdict(self, f))
+        self._classification = memoized(lambda f: _classify(self, f))
         if not validate and z_two_of_three is not None:
             return
         samples = self.modules(SAMPLE_BOUND)
@@ -220,7 +229,16 @@ def _require_in_c(w, f):
 
 
 def classify_map(w, f):
-    """Compute all structural flags of a map between C-objects."""
+    """All structural flags of a map between C-objects.
+
+    Decided once per structure and map: ``w`` memoizes the classification
+    by the map's digest.  Endpoints outside C raise ValidationError on
+    every call.
+    """
+    return w._classification(f)
+
+
+def _classify(w, f):
     _require_in_c(w, f)
     mono = f.is_mono()
     epi = f.is_epi()
@@ -301,7 +319,15 @@ def is_weak_equivalence(w, f):
     Z-intersect-C.  When it does not, "no" is only sound if the weak
     equivalences are saturated, equivalently Z-intersect-C has 2-out-of-3;
     otherwise the verdict is "indeterminate".
+
+    Decided once per structure and map: ``w`` memoizes the verdict by the
+    map's digest, so equal maps are factored once.  Endpoints outside C
+    raise ValidationError on every call.
     """
+    return w._verdict(f)
+
+
+def _weak_equivalence_verdict(w, f):
     fac = factor(w, f)
     if w.in_zc(fac.coker_i):
         return "yes"

@@ -5,9 +5,11 @@ independent brute-force oracles defined at the bottom of this file
 (quiver-representation orbit counting, Jordan-type partition counting).
 """
 
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +387,40 @@ def test_memoized_keys_by_digest_with_defaults_applied():
     assert len(calls) == 3
 
 
+def test_memoized_keys_morphisms_by_content():
+    calls = []
+
+    @memoized
+    def injective(f):
+        calls.append(f.digest)
+        return f.is_mono()
+
+    a = fx2_algebra()
+    reg = regular_module(a)
+    xmul = Morphism(reg, reg, reg.rho[1])
+    twin_reg = Module(fx2_algebra(), reg.rho)
+    twin = Morphism(twin_reg, twin_reg, reg.rho[1].copy())
+    assert twin is not xmul and twin.digest == xmul.digest
+    assert injective(xmul) is injective(twin) is False
+    assert len(calls) == 1
+    # another matrix, and the same zero matrix between other end modules
+    s = simple_over_fx2()
+    semisimple, _, _ = direct_sum([s, s])
+    assert injective(identity_morphism(reg))
+    for dom, cod in ((reg, reg), (reg, semisimple), (semisimple, reg)):
+        injective(zero_morphism(dom, cod))
+    assert len(calls) == len(set(calls)) == 5
+    # the table keeps the digest, not the map
+    shifted = identity_morphism(reg) + xmul
+    alive = weakref.ref(shifted)
+    assert injective(shifted)
+    del shifted
+    gc.collect()
+    assert alive() is None
+    assert injective(identity_morphism(reg) + xmul)
+    assert len(calls) == 6
+
+
 def test_hom_basis_callers_get_their_own_list():
     reg = regular_module(fx2_algebra())
     first = hom_basis(reg, reg)
@@ -545,6 +581,30 @@ def test_pushout_square_commutes():
         g = gs[rng.randrange(len(gs))]
         _, from_b, from_c = pushout(f, g)
         assert (from_b @ f) == (from_c @ g)
+
+
+def test_pushout_and_pullback_legs_are_the_sum_maps_composed():
+    # the legs read off the block map's sum equal the canonical injections
+    # and projections of a separately built sum, composed, byte for byte
+    a = a1_algebra()
+    mods = enumerate_modules(a, 2)
+    checked = 0
+    for apex, b, c in itertools.product(mods, repeat=3):
+        for f, g in itertools.product(hom_basis(apex, b)[:2], hom_basis(apex, c)[:2]):
+            _, proj = cokernel(block([[f], [-g]]))
+            _, (inj_b, inj_c), _ = direct_sum([b, c])
+            _, from_b, from_c = pushout(f, g)
+            assert from_b.digest == (proj @ inj_b).digest
+            assert from_c.digest == (proj @ inj_c).digest
+            checked += 1
+        for f, g in itertools.product(hom_basis(b, apex)[:2], hom_basis(c, apex)[:2]):
+            _, incl = kernel(block([[f, -g]]))
+            _, _, (proj_b, proj_c) = direct_sum([b, c])
+            _, to_b, to_c = pullback(f, g)
+            assert to_b.digest == (proj_b @ incl).digest
+            assert to_c.digest == (proj_c @ incl).digest
+            checked += 1
+    assert checked > 50
 
 
 def test_pushout_of_mono_is_mono_with_matching_cokernel():

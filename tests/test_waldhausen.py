@@ -8,6 +8,8 @@ hereditary two-vertex algebra with injective acyclics, whose
 intersection class genuinely lacks 2-out-of-3.
 """
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 import waldcat.waldhausen as waldhausen
 from waldcat.algebra import (
     Algebra,
+    Module,
+    Morphism,
     QuiverPresentation,
     ShortExactSequence,
     algebra_from_quiver,
@@ -30,6 +34,7 @@ from waldcat.algebra import (
     zero_module,
     zero_morphism,
 )
+from waldcat.cli import main
 from waldcat.errors import (
     HypothesisError,
     ValidationError,
@@ -400,6 +405,18 @@ def test_factor_random_maps():
         assert fac.middle.dim == fac.i.cod.dim == fac.p.dom.dim
 
 
+def test_factor_projection_is_the_sum_projection():
+    # p = [0 | I] read off the injection's sum is the canonical projection
+    w = fx2_waldhausen()
+    mods = enumerate_modules(w.algebra, 2)
+    for dom, cod in itertools.product(mods, repeat=2):
+        for f in maps(dom, cod):
+            i, p = w.pair.factor(f)
+            j = w.pair.resolve_right(f.dom).mono
+            _, _, (_, proj) = direct_sum([j.cod, f.cod])
+            assert p.digest == proj.digest
+
+
 def test_factor_identity_has_acyclic_injection_cokernel():
     w = fx2_waldhausen()
     reg = regular_module(w.algebra)
@@ -524,6 +541,108 @@ def test_indeterminate_without_two_of_three():
     assert len(s1) == 1
     f = zero_morphism(zero_module(a), s1[0])
     assert is_weak_equivalence(w, f) == "indeterminate"
+
+
+def _spy_factor(monkeypatch):
+    """Record (structure, map digest) of every ``factor`` call."""
+    factored = []
+    real = waldhausen.factor
+
+    def spy(w, f):
+        factored.append((id(w), f.digest))
+        return real(w, f)
+
+    monkeypatch.setattr(waldhausen, "factor", spy)
+    return factored
+
+
+def _rebuilt(f):
+    """An equal map built from scratch: new end modules, new matrix."""
+    a = f.dom.algebra
+    return Morphism(Module(a, f.dom.rho), Module(a, f.cod.rho), f.matrix.a.copy())
+
+
+def test_weak_equivalence_factors_each_map_once(monkeypatch):
+    a = fx2_algebra()
+    w = WaldhausenData(all_injectives_pair(a), spec_projectives())
+    factored = _spy_factor(monkeypatch)
+    mods = enumerate_modules(a, 2)
+    every = [f for dom, cod in itertools.product(mods, repeat=2) for f in maps(dom, cod)]
+    first = [is_weak_equivalence(w, f) for f in every]
+    assert [is_weak_equivalence(w, _rebuilt(f)) for f in every] == first
+    assert [is_weak_equivalence(w, f) for f in every] == first
+    assert len(factored) == len(set(factored)) == len(every)
+    assert {"yes", "no"} <= set(first)
+    for f in every:
+        assert classify_map(w, f) is classify_map(w, _rebuilt(f))
+
+
+def test_structures_keep_separate_verdicts(monkeypatch):
+    # projectives = injectives over the self-injective F_2[x]/(x^2), so the
+    # first two structures agree; with Z = all every map is a weak equivalence
+    a = fx2_algebra()
+    structures = {
+        name: WaldhausenData(all_injectives_pair(a), spec())
+        for name, spec in (("projectives", spec_projectives),
+                           ("injectives", spec_injectives), ("all", spec_all))
+    }
+    factored = _spy_factor(monkeypatch)
+    s = [m for m in enumerate_modules(a, 1) if m.dim == 1][0]
+    f = zero_morphism(s, s)
+    for _ in range(2):
+        verdicts = {name: is_weak_equivalence(w, f) for name, w in structures.items()}
+        assert verdicts == {"projectives": "no", "injectives": "no", "all": "yes"}
+    assert len(factored) == len(set(factored)) == 3
+
+
+def test_memoized_decisions_match_unmemoized_over_axiom_runs(monkeypatch):
+    asked = []
+    for name in ("is_weak_equivalence", "classify_map"):
+        real = getattr(waldhausen, name)
+
+        def spy(w, f, real=real, name=name):
+            answer = real(w, f)
+            asked.append((name, w, f, answer))
+            return answer
+
+        monkeypatch.setattr(waldhausen, name, spy)
+    for corpus, samples in (("fx2", 25), ("quiver_a1", 10)):
+        for seed in (3, 7):
+            argv = ["axioms", "--input", str(corpus_path(corpus)),
+                    "--samples", str(samples), "--seed", str(seed)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+    for name, w, f, answer in asked:
+        if name == "is_weak_equivalence":
+            assert answer == waldhausen._weak_equivalence_verdict(w, f)
+        else:
+            assert answer.as_dict() == waldhausen._classify(w, f).as_dict()
+    distinct = {(name, id(w), f.digest) for name, w, f, _ in asked}
+    assert {name for name, _, _ in distinct} == {"is_weak_equivalence", "classify_map"}
+    assert len(distinct) < len(asked)
+
+
+def test_maps_outside_c_raise_on_every_call(monkeypatch):
+    a = fx2_algebra()
+    w = WaldhausenData(projectives_all_pair(a), spec_all())
+    required = []
+    real = waldhausen._require_in_c
+
+    def spy(w, f):
+        required.append(f.digest)
+        return real(w, f)
+
+    monkeypatch.setattr(waldhausen, "_require_in_c", spy)
+    s = [m for m in enumerate_modules(a, 1) if m.dim == 1][0]
+    f = identity_morphism(s)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            is_weak_equivalence(w, f)
+        with pytest.raises(ValidationError):
+            classify_map(w, f)
+    assert len(required) == 4
+    reg = regular_module(a)
+    assert is_weak_equivalence(w, identity_morphism(reg)) == "yes"
 
 
 def test_acyclic_cofibration_then_fibration_decides_yes_on_line():

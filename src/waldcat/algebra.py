@@ -721,16 +721,8 @@ def into_pullback(to_b, to_c, u, v):
 
 def direct_sum(modules):
     """Direct sum with canonical injections and projections."""
-    if not modules:
-        raise ValidationError("direct sum needs at least one summand")
-    algebra = modules[0].algebra
-    total = sum(m.dim for m in modules)
-    action = np.zeros((algebra.dim, total, total), dtype=np.int64)
-    offset = 0
-    for m in modules:
-        action[:, offset : offset + m.dim, offset : offset + m.dim] = m.rho
-        offset += m.dim
-    summed = Module(algebra, action, check=False)
+    summed = _summed_module(modules)
+    total = summed.dim
     injections = []
     projections = []
     offset = 0
@@ -741,6 +733,20 @@ def direct_sum(modules):
         projections.append(Morphism(summed, m, inj.T, check=False))
         offset += m.dim
     return summed, injections, projections
+
+
+def _summed_module(modules):
+    """The module (+) modules, with the block-diagonal action."""
+    if not modules:
+        raise ValidationError("direct sum needs at least one summand")
+    algebra = modules[0].algebra
+    total = sum(m.dim for m in modules)
+    action = np.zeros((algebra.dim, total, total), dtype=np.int64)
+    offset = 0
+    for m in modules:
+        action[:, offset : offset + m.dim, offset : offset + m.dim] = m.rho
+        offset += m.dim
+    return Module(algebra, action, check=False)
 
 
 def block(rows):
@@ -761,8 +767,8 @@ def block(rows):
         _block_end([row[c].dom for row in rows if row[c] is not None])
         for c in range(width)
     ]
-    dom = doms[0] if width == 1 else direct_sum(doms)[0]
-    cod = cods[0] if len(rows) == 1 else direct_sum(cods)[0]
+    dom = doms[0] if width == 1 else _summed_module(doms)
+    cod = cods[0] if len(rows) == 1 else _summed_module(cods)
     row_at = np.cumsum([0] + [m.dim for m in cods])
     col_at = np.cumsum([0] + [m.dim for m in doms])
     mat = np.zeros((cod.dim, dom.dim), dtype=np.int64)

@@ -3,11 +3,13 @@ cotorsion-pair resolutions.
 
 Ext1 comes from ``algebra.ext1``, the one engine, which computes it as
 cocycles modulo coboundaries and realizes each class on a (+) c with a
-block action; module enumeration, the sweep below and the projectivity
-and injectivity tests share its memo.  Projectivity and injectivity are
-decided by Ext1 against the simple modules: over a finite-dimensional
-algebra a module m is projective iff Ext1(m, S) = 0 for every simple S,
-and injective iff Ext1(S, m) = 0 for every simple S.
+block action; module enumeration and the sweep below share its memo.
+Projectivity and injectivity are decided by counting against the
+``simple_table`` of each simple S with its indecomposable projective P(S)
+and injective I(S): m is projective iff dim m is the dimension of the
+projective cover of its top, and injective iff dim m is the dimension of
+the injective envelope of its socle, both read off Hom between m and the
+simples.
 
 Every short exact sequence 0 -> a -> b -> c -> 0 is equivalent to exactly
 one class of Ext1(c, a) (Auslander, Reiten and Smalø, Representation
@@ -29,10 +31,13 @@ and the free cover).  The module also hosts cosyzygy iteration with
 injective-summand stripping for finite-injective-dimension detection.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .algebra import (
     DEFAULT_BUDGET,
+    Module,
     Morphism,
     ShortExactSequence,
     block,
@@ -116,16 +121,95 @@ def injective_embedding(m):
 # ---------------------------------------------------------------------------
 
 
+class SimpleRow(NamedTuple):
+    """One simple S with dim End S and its indecomposable projective P(S)
+    (top S) and indecomposable injective I(S) (socle S)."""
+
+    simple: Module
+    end_dim: int
+    projective: Module
+    injective: Module
+
+
+def _multiplicity(hom_dim, end_dim):
+    """Copies of S in a top or socle, from dim Hom(m, S) or dim Hom(S, m):
+    Hom with a semisimple S^n is End(S)^n, so the division is exact."""
+    n, rest = divmod(hom_dim, end_dim)
+    if rest:
+        raise InternalInconsistencyError(
+            "Hom dimension %d is not a multiple of dim End S = %d" % (hom_dim, end_dim)
+        )
+    return n
+
+
+@memoized
+def simple_table(algebra):
+    """One ``SimpleRow`` per simple module, in ``simple_modules`` order.
+
+    P(S) is the first summand of ``indecomposable_summands(A)`` whose top
+    is S, and I(S) the first summand of ``indecomposable_summands(D(A))``
+    whose socle is S.  The table certifies itself: every summand of A must
+    have a simple top and every summand of D(A) a simple socle (one copy of
+    one S), and every simple must get both modules; otherwise it raises
+    InternalInconsistencyError.  A module with a simple top or socle is
+    indecomposable, so this also catches a summand left unsplit.
+    """
+    simples = simple_modules(algebra)
+    end_dims = [len(hom_basis(s, s)) for s in simples]
+
+    def by_simple(module, name, layer, hom_dim):
+        found = [None] * len(simples)
+        for piece, _, _ in indecomposable_summands(module):
+            counts = [_multiplicity(hom_dim(piece, s), e)
+                      for s, e in zip(simples, end_dims)]
+            if sum(counts) != 1:
+                raise InternalInconsistencyError(
+                    "summand of dimension %d has a %s of %d simples"
+                    % (piece.dim, layer, sum(counts))
+                )
+            i = counts.index(1)
+            if found[i] is None:
+                found[i] = piece
+        if None in found:
+            raise InternalInconsistencyError(
+                "some simple is the %s of no summand of %s" % (layer, name)
+            )
+        return found
+
+    projectives = by_simple(regular_module(algebra), "A", "top",
+                            lambda m, s: len(hom_basis(m, s)))
+    injectives = by_simple(dual_regular_module(algebra), "D(A)", "socle",
+                           lambda m, s: len(hom_basis(s, m)))
+    return tuple(map(SimpleRow, simples, end_dims, projectives, injectives))
+
+
 @memoized
 def is_projective(m):
-    """Ext1(m, S) = 0 for every simple module S."""
-    return all(ext1(m, s).dimension == 0 for s in simple_modules(m.algebra))
+    """dim m = dim P(top m) = Σ_S n_S · dim P(S), where n_S =
+    dim Hom(m, S) / dim End S copies of S make up the top of m.
+
+    The projective cover P(top m) -> m is onto, so m is projective iff it
+    is an isomorphism iff the dimensions agree (Auslander, Reiten and
+    Smalø, ch. I); equivalently Ext1(m, S) = 0 for every simple S.
+    """
+    cover = sum(_multiplicity(len(hom_basis(m, row.simple)), row.end_dim)
+                * row.projective.dim for row in simple_table(m.algebra))
+    return m.dim == cover
 
 
 @memoized
 def is_injective(m):
-    """Ext1(S, m) = 0 for every simple module S."""
-    return all(ext1(s, m).dimension == 0 for s in simple_modules(m.algebra))
+    """dim m = dim I(soc m) = Σ_S n_S · dim I(S), where n_S =
+    dim Hom(S, m) / dim End S copies of S make up the socle of m.
+
+    m embeds in the injective envelope I(soc m), so m is injective iff
+    that embedding is an isomorphism iff the dimensions agree (Auslander,
+    Reiten and Smalø, ch. I); equivalently Ext1(S, m) = 0 for every
+    simple S.
+    """
+    envelope = sum(_multiplicity(len(hom_basis(row.simple, m)), row.end_dim)
+                   * row.injective.dim for row in simple_table(m.algebra))
+    return m.dim == envelope
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import waldcat.algebra as alg
 from waldcat import homological
 from waldcat.algebra import (
     Algebra,
@@ -28,6 +29,7 @@ from waldcat.algebra import (
     fingerprint,
     hom_basis,
     identity_morphism,
+    indecomposable_summands,
     induced_on_cokernel,
     is_isomorphic,
     kernel,
@@ -38,6 +40,7 @@ from waldcat.algebra import (
     ses_from_mono,
     simple_modules,
     solve_map,
+    validate_algebra,
     zero_module,
 )
 from waldcat.errors import (
@@ -288,6 +291,134 @@ def test_sink_simple_is_projective_not_injective():
     assert not is_injective(s1)
     assert not is_projective(s0)
     assert not is_injective(s0)
+
+
+def _polynomial_quotient(p, f):
+    """F_p[x]/(f) for monic f, coefficients listed from x^0 up to x^n, on the
+    basis 1, x, ..., x^(n-1): e_i e_j = x^(i+j) = C^(i+j) e_0 for the
+    companion matrix C of f."""
+    n = len(f) - 1
+    companion = np.eye(n, k=-1, dtype=np.int64)
+    companion[:, -1] = -np.asarray(f[:-1])
+    powers = [np.eye(n, dtype=np.int64)[:, 0]]
+    for _ in range(2 * n - 2):
+        powers.append(companion @ powers[-1] % p)
+    structure = [[powers[i + j] for j in range(n)] for i in range(n)]
+    return Algebra(p, structure, powers[0])
+
+
+def _matrix_algebra_f2():
+    """M_2(F_2) on the matrix units E11, E12, E21, E22: E_ij E_kl = δ_jk E_il."""
+    c = np.zeros((4, 4, 4), dtype=int)
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        if j == k:
+            c[2 * i + j, 2 * k + l, 2 * i + l] = 1
+    return Algebra(2, c, [1, 0, 0, 1])
+
+
+# name -> (algebra, enumeration bound).  F_2[x]/(x^2+x+1) = F_4 and
+# F_2[x]/((x^2+x+1)^2) have dim End S = 2; M_2(F_2) has dim S = 2.
+TABLE_CASES = {
+    **{name: (lambda name=name: load_workspace(corpus_path(name)).only_algebra(), 4)
+       for name in ("f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2")},
+    "F3[x]/(x^2)": (lambda: _polynomial_quotient(3, [0, 0, 1]), 4),
+    "F5[x]/(x^3)": (lambda: _polynomial_quotient(5, [0, 0, 0, 1]), 3),
+    "F2[x]/(x^2+x+1)": (lambda: _polynomial_quotient(2, [1, 1, 1]), 4),
+    "F2[x]/((x^2+x+1)^2)": (lambda: _polynomial_quotient(2, [1, 0, 1, 0, 1]), 4),
+    "M2(F2)": (_matrix_algebra_f2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_membership_verdicts_match_ext_against_the_simples(name):
+    """is_projective and is_injective equal their Ext¹ definitions on the
+    enumerated modules, on A, D(A) and A², and on injective embeddings
+    and their cokernels."""
+    build, bound = TABLE_CASES[name]
+    algebra = build()
+    assert validate_algebra(algebra)["ok"]
+    simples = simple_modules(algebra)
+    mods = list(enumerate_modules(algebra, bound))
+    reg = regular_module(algebra)
+    mods += [reg, dual_regular_module(algebra), direct_sum([reg, reg])[0]]
+    for m in mods[1:4]:
+        emb = injective_embedding(m)
+        mods += [emb.cod, cokernel(emb)[0]]
+    for m in mods:
+        assert is_projective(m) == all(ext1(m, s).dimension == 0 for s in simples)
+        assert is_injective(m) == all(ext1(s, m).dimension == 0 for s in simples)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_simple_table_holds_covers_and_envelopes_of_each_simple(name):
+    """Top P(S) = S = socle I(S), and A = ⊕ P(S)^(dim S / dim End S), and
+    likewise D(A) = ⊕ I(S)^(dim S / dim End S)."""
+    algebra = TABLE_CASES[name][0]()
+    rows = homological.simple_table(algebra)
+    assert [row.simple for row in rows] == list(simple_modules(algebra))
+    for row in rows:
+        assert row.end_dim == len(hom_basis(row.simple, row.simple))
+        top = [len(hom_basis(row.projective, s.simple)) // s.end_dim for s in rows]
+        socle = [len(hom_basis(s.simple, row.injective)) // s.end_dim for s in rows]
+        assert top == socle == [int(s is row) for s in rows]
+        assert is_projective(row.projective) and is_injective(row.injective)
+    for attr in ("projective", "injective"):
+        total = sum(Fraction(row.simple.dim, row.end_dim) * getattr(row, attr).dim
+                    for row in rows)
+        assert total == algebra.dim
+
+
+def test_simple_table_matches_the_cartan_matrix_of_quiver_a1():
+    # Cartan matrix [[2, 1], [0, 1]] with rows [P(S)]: dim P = row sums,
+    # dim I = column sums
+    rows = homological.simple_table(load_workspace(corpus_path("quiver_a1")).only_algebra())
+    assert [row.projective.dim for row in rows] == [3, 1]
+    assert [row.injective.dim for row in rows] == [2, 2]
+
+
+def test_membership_calls_no_ext_and_builds_the_table_once(monkeypatch):
+    a = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    mods = enumerate_modules(a, 4)
+    extra = [regular_module(a), dual_regular_module(a)]
+    ext_calls, split = [], []
+
+    def ext_spy(c, m):
+        ext_calls.append((c.digest, m.digest))
+        return ext1(c, m)
+
+    def split_spy(m):
+        split.append(m.digest)
+        return indecomposable_summands(m)
+
+    monkeypatch.setattr(alg, "ext1", ext_spy)
+    monkeypatch.setattr(homological, "ext1", ext_spy)
+    monkeypatch.setattr(homological, "indecomposable_summands", split_spy)
+    for fn in (homological.simple_table, is_projective, is_injective):
+        fn.cache_clear()
+    verdicts = [(is_projective(m), is_injective(m)) for m in (*mods, *extra)]
+    assert [(is_projective(m), is_injective(m)) for m in (*mods, *extra)] == verdicts
+    assert ext_calls == []
+    assert split == [regular_module(a).digest, dual_regular_module(a).digest]
+    assert verdicts[-2:] == [(True, False), (False, True)]
+
+
+def test_simple_table_refuses_an_unsplit_dual_regular_module(monkeypatch):
+    # the socle of D(A) over quiver_a1 is S_1 (+) S_2, two simples
+    a = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    da = dual_regular_module(a)
+
+    def unsplit(m):
+        if m == da:
+            return [(m, identity_morphism(m), identity_morphism(m))]
+        return indecomposable_summands(m)
+
+    monkeypatch.setattr(homological, "indecomposable_summands", unsplit)
+    homological.simple_table.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError, match="socle of 2 simples"):
+            homological.simple_table(a)
+    finally:
+        homological.simple_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -56,31 +56,60 @@ def _digest(*parts):
 
 def memoized(fn):
     """``fn`` with a table of its results, keyed by the arguments with defaults
-    applied and each Algebra, Module or Morphism replaced by its digest, so
-    equal arguments built apart share one entry and the table holds no
-    reference to them.  ``fn`` takes positional-or-keyword parameters only
-    and returns immutable data, since every caller gets the stored value;
-    a call that raises stores nothing.  ``cache_clear()`` empties the table."""
+    applied, each Algebra, Module or Morphism replaced by its digest and
+    each FieldMatrix by (p, shape, bytes), so equal arguments built apart
+    share one entry and the table holds no reference to them.  ``fn``
+    takes positional-or-keyword parameters only and returns immutable
+    data, since every caller gets the stored value; a call that raises
+    stores nothing.  Keywords are placed by a table of parameter positions
+    built here, so a keyword call shares the entry of the positional one.
+    ``cache_clear()`` empties the table."""
     sig = inspect.signature(fn)
+    position = {name: i for i, name in enumerate(sig.parameters)}
     defaults = tuple(p.default for p in sig.parameters.values())
     required = sum(d is inspect.Parameter.empty for d in defaults)
     table = {}
 
+    def bind(args, kwargs):
+        """``args`` with ``kwargs`` put at their positions and the
+        remaining defaults filled in, raising TypeError as a call would."""
+        full = list(args) + list(defaults[len(args):])
+        for name, value in kwargs.items():
+            i = position.get(name)
+            if i is None:
+                raise TypeError("%s() got an unexpected keyword argument %r"
+                                % (fn.__name__, name))
+            if i < len(args):
+                raise TypeError("%s() got multiple values for argument %r"
+                                % (fn.__name__, name))
+            full[i] = value
+        missing = [name for name, a in zip(position, full) if a is inspect.Parameter.empty]
+        if missing:
+            raise TypeError("%s() missing required argument %r" % (fn.__name__, missing[0]))
+        return tuple(full)
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         if kwargs or len(args) < required:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        args += defaults[len(args):]
-        key = tuple([a.digest if isinstance(a, (Algebra, Module, Morphism)) else a
-                     for a in args])
+            args = bind(args, kwargs)
+        else:
+            args += defaults[len(args):]
+        key = tuple([_memo_key(a) for a in args])
         if key not in table:
             table[key] = fn(*args)
         return table[key]
 
     wrapper.cache_clear = table.clear
     return wrapper
+
+
+def _memo_key(arg):
+    """What ``memoized`` stores for one argument in place of the argument."""
+    if isinstance(arg, (Algebra, Module, Morphism)):
+        return arg.digest
+    if isinstance(arg, FieldMatrix):
+        return (arg.p, arg.shape, arg.a.tobytes())
+    return arg
 
 
 class Algebra:
@@ -389,6 +418,7 @@ class Module:
         return "Module(dim=%d over %r)" % (self.dim, self.algebra)
 
 
+@memoized
 def zero_module(algebra):
     empty = [FieldMatrix.zeros(algebra.p, 0, 0) for _ in range(algebra.dim)]
     return Module(algebra, empty, check=False)
@@ -426,15 +456,19 @@ class Morphism:
                 "matrix shape %r does not match map %d -> %d" % (m.shape, dom.dim, cod.dim)
             )
         self.matrix = m
+        self._digest = None
         if check and not self.is_equivariant():
             raise ValidationError("matrix does not commute with the algebra action")
 
     @property
     def digest(self):
         """SHA-256 of the end modules' digests and the matrix.  Computed on
-        access: most maps are never a memo key."""
-        return _digest(b"morphism", self.dom.digest, self.cod.digest,
-                       self.matrix.a.tobytes())
+        first access, since most maps are never a memo key, and then kept:
+        a morphism never changes."""
+        if self._digest is None:
+            self._digest = _digest(b"morphism", self.dom.digest, self.cod.digest,
+                                   self.matrix.a.tobytes())
+        return self._digest
 
     def is_equivariant(self):
         """F ρ_dom(e_i) = ρ_cod(e_i) F for every i, as one stacked comparison."""
@@ -484,6 +518,7 @@ class Morphism:
         return "Morphism(%d -> %d)" % (self.dom.dim, self.cod.dim)
 
 
+@memoized
 def identity_morphism(module):
     return Morphism(module, module, FieldMatrix.identity(module.p, module.dim), check=False)
 
@@ -647,11 +682,13 @@ def maps(dom, cod):
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def kernel(f):
     """Kernel submodule with its inclusion map; returns (module, mono)."""
     return submodule_from_columns(f.dom, kernel_basis(f.matrix))
 
 
+@memoized
 def cokernel(f):
     """Cokernel quotient with its projection map; returns (module, epi).
 
@@ -1115,6 +1152,7 @@ def _is_invariant(module, cols):
     return cols.shape[1] == 0 or _restricted_action(module, cols) is not None
 
 
+@memoized
 def submodule_from_columns(module, cols):
     """Package an invariant column space as a module with its inclusion."""
     k = cols.shape[1]
@@ -1371,24 +1409,19 @@ def _isomorphism_by_decomposition(m1, m2):
     return candidate
 
 
+@memoized
 def indecomposable_summands(module):
-    """Decompose into indecomposables; list of (piece, inclusion, projection).
+    """Decompose into indecomposables; tuple of (piece, inclusion, projection).
 
     Inclusions and projections compose to the identity of the original
     module when summed, so the pieces witness an internal direct sum.
     Uses powers of endomorphisms to split off kernel/image pairs.
     """
     if module.dim == 0:
-        return []
+        return ()
     splitting = _find_splitting_endo(module)
     if splitting is None:
-        return [
-            (
-                module,
-                identity_morphism(module),
-                identity_morphism(module),
-            )
-        ]
+        return ((module, identity_morphism(module), identity_morphism(module)),)
     ker_cols, im_cols = splitting
     return _split_and_recurse(module, ker_cols, im_cols)
 
@@ -1408,7 +1441,7 @@ def _split_and_recurse(module, ker_cols, im_cols):
     for sub, incl, proj in ((sub_k, incl_k, proj_k), (sub_i, incl_i, proj_i)):
         for piece, p_incl, p_proj in indecomposable_summands(sub):
             pieces.append((piece, incl @ p_incl, p_proj @ proj))
-    return pieces
+    return tuple(pieces)
 
 
 def _find_splitting_endo(module):

@@ -90,6 +90,7 @@ def free_cover(m):
     return cover
 
 
+@memoized
 def injective_embedding(m):
     """Injection of m into a power of the dual regular module.
 

@@ -6,6 +6,7 @@ independent brute-force oracles defined at the bottom of this file
 """
 
 import gc
+import inspect
 import itertools
 import random
 import time
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waldcat.algebra as alg
+import waldcat.homological as homological
 from waldcat.algebra import (
     Algebra,
     Module,
@@ -419,6 +421,136 @@ def test_memoized_keys_morphisms_by_content():
     assert alive() is None
     assert injective(identity_morphism(reg) + xmul)
     assert len(calls) == 6
+
+
+def _table(fn):
+    """The dict behind a memoized ``fn``: ``cache_clear`` is its ``clear``."""
+    return fn.cache_clear.__self__
+
+
+def test_memoized_places_keywords_without_binding_a_signature(monkeypatch):
+    calls = []
+
+    @memoized
+    def shift(m, by, extra=0):
+        calls.append((m.digest, by, extra))
+        return m.dim + by + extra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inspect.Signature.bind was called")
+
+    monkeypatch.setattr(inspect.Signature, "bind", refuse)
+    m = regular_module(fx2_algebra())
+    assert (shift(m, 1) == shift(m, by=1) == shift(m=m, by=1) == shift(by=1, m=m)
+            == shift(m, 1, extra=0) == shift(m, 1, 0) == 3)
+    assert len(calls) == 1
+    assert shift(m, by=1, extra=2) == shift(m, 1, 2) == 5
+    assert len(calls) == 2
+    bad_calls = [
+        ((m, 1), {"bye": 1}, "unexpected keyword argument 'bye'"),
+        ((m, 1), {"by": 2}, "multiple values for argument 'by'"),
+        ((m,), {"extra": 1}, "missing required argument 'by'"),
+        ((), {}, "missing required argument 'm'"),
+    ]
+    for args, kwargs, message in bad_calls:
+        with pytest.raises(TypeError, match=message):
+            shift(*args, **kwargs)
+    assert len(calls) == 2
+
+
+def test_memoized_keys_field_matrices_by_content():
+    calls = []
+
+    @memoized
+    def total(cols):
+        calls.append(cols.shape)
+        return int(cols.a.sum())
+
+    data = [[1, 0, 1], [0, 1, 1]]
+    assert total(FieldMatrix(2, data)) == total(FieldMatrix(2, np.array(data))) == 4
+    assert len(calls) == 1
+    # the same bytes in another shape, and the same entries over F_3
+    assert total(FieldMatrix(2, np.reshape(data, (3, 2)))) == 4
+    assert total(FieldMatrix(3, data)) == 4
+    assert calls == [(2, 3), (3, 2), (2, 3)]
+    keys = list(_table(total))
+    assert len(keys) == 3
+    assert all(not isinstance(part, FieldMatrix) for key in keys for part in key)
+
+
+def test_morphism_digest_is_hashed_once(monkeypatch):
+    hashed = []
+    digest = alg._digest
+
+    def spy(*parts):
+        hashed.append(parts[0])
+        return digest(*parts)
+
+    reg = regular_module(fx2_algebra())
+    xmul = Morphism(reg, reg, reg.rho[1])
+    monkeypatch.setattr(alg, "_digest", spy)
+    first = xmul.digest
+    assert xmul.digest is first
+    assert hashed == [b"morphism"]
+    twin = Morphism(reg, reg, reg.rho[1].copy())
+    assert twin.digest == first
+    assert hashed == [b"morphism"] * 2
+
+
+def _fresh_fx2_regular():
+    """fx2's regular module over a new algebra object, with new arrays."""
+    return Module(fx2_algebra(), regular_module(fx2_algebra()).rho.copy())
+
+
+def _fresh_fx2_xmul():
+    reg = _fresh_fx2_regular()
+    return Morphism(reg, reg, reg.rho[1].copy())
+
+
+def _frozen_arrays(value):
+    """The arrays inside a memoized value; any sequence must be a tuple."""
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _frozen_arrays(part)
+    elif isinstance(value, Module):
+        yield value.rho
+    elif isinstance(value, Morphism):
+        yield from (value.matrix.a, value.dom.rho, value.cod.rho)
+    else:
+        raise AssertionError("unexpected part of a memoized value: %r" % (value,))
+
+
+CONSTRUCTION_TABLES = [
+    (kernel, lambda: (_fresh_fx2_xmul(),)),
+    (cokernel, lambda: (_fresh_fx2_xmul(),)),
+    (submodule_from_columns,
+     lambda: (_fresh_fx2_regular(), kernel_basis(FieldMatrix(2, [[0, 0], [1, 0]])))),
+    (indecomposable_summands,
+     lambda: (direct_sum([_fresh_fx2_regular(), simple_over_fx2()])[0],)),
+    (homological.injective_embedding, lambda: (_fresh_fx2_regular(),)),
+    (zero_module, lambda: (fx2_algebra(),)),
+    (identity_morphism, lambda: (_fresh_fx2_regular(),)),
+]
+
+
+@pytest.mark.parametrize("fn, build", CONSTRUCTION_TABLES,
+                         ids=[fn.__name__ for fn, _ in CONSTRUCTION_TABLES])
+def test_construction_tables_share_entries_and_hand_out_frozen_values(fn, build):
+    table = _table(fn)
+    fn.cache_clear()
+    assert not table
+    args, twin_args = build(), build()
+    assert all(a is not b for a, b in zip(args, twin_args))
+    first = fn(*args)
+    entries = len(table)
+    assert entries >= 1
+    assert fn(*twin_args) is first
+    assert len(table) == entries
+    assert all(not a.flags.writeable for a in _frozen_arrays(first))
+    fn.cache_clear()
+    assert not table
+    assert fn(*twin_args) == first
+    assert len(table) == entries
 
 
 def test_hom_basis_callers_get_their_own_list():
@@ -1112,8 +1244,20 @@ def test_conjugate_gets_a_verified_isomorphism(name, index, data):
             assert ses.mono.is_equivariant() and ses.epi.is_equivariant()
 
 
+@pytest.fixture
+def clear_summand_table():
+    """Empties the ``indecomposable_summands`` table before and after the
+    test and hands the test the function that does it, so that a pass under
+    a patched splitter cannot read pieces split before the patch."""
+    indecomposable_summands.cache_clear()
+    yield indecomposable_summands.cache_clear
+    indecomposable_summands.cache_clear()
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_indecomposable_summands_match_scalar_splitting(name, monkeypatch):
+def test_indecomposable_summands_match_scalar_splitting(
+    name, monkeypatch, clear_summand_table
+):
     a = _corpus_algebra(name)
     rng = np.random.default_rng(7 + sum(map(ord, name)))
     mods = [m for m in enumerate_modules(a, 2) if m.dim > 0]
@@ -1133,6 +1277,7 @@ def test_indecomposable_summands_match_scalar_splitting(name, monkeypatch):
         ]
 
     batched = [summands(m) for m in fixtures]
+    clear_summand_table()
     original = alg._find_splitting_endo
     monkeypatch.setattr(
         alg, "_find_splitting_endo", lambda m: _scalar_splitting_endo(m, original)

@@ -23,7 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import waldcat
+import waldcat.algebra as alg
 from waldcat.cli import _parser, main
+from waldcat.linalg import kernel_basis
 from waldcat.workspace import corpus_path
 
 FX2 = str(corpus_path("fx2"))
@@ -175,11 +177,32 @@ def _clear_every_memo():
     return cleared
 
 
+def test_repeated_chain_query_adds_no_kernel_basis_call(monkeypatch):
+    # algebra is the one module that calls kernel_basis
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(alg, "kernel_basis", spy)
+    _clear_every_memo()
+    argv = ("chain", "--op", "qiso", "--input", FX2, "--dom", "xcx", "--cod", "xcx",
+            "--components", "0:id_A,1:id_A")
+    first = run(*argv)
+    cold = len(calls)
+    assert first[0] == 0 and cold > 0
+    assert run(*argv) == first
+    assert len(calls) == cold
+
+
 def test_warm_caches_answer_as_cold_ones():
     warm = {argv: run(*argv) for argv in WARM_COLD_COMMANDS}
     cleared = _clear_every_memo()
     assert {"_workspace_from_text", "_hom_matrices", "ext1", "enumerate_modules",
-            "class_index", "_automorphism_count"} <= cleared
+            "class_index", "_automorphism_count", "kernel", "cokernel",
+            "submodule_from_columns", "indecomposable_summands",
+            "injective_embedding", "zero_module", "identity_morphism"} <= cleared
     cold = {argv: run(*argv) for argv in reversed(WARM_COLD_COMMANDS)}
     assert cold == warm
     assert all(code == 0 for code, _ in warm.values())

@@ -613,12 +613,23 @@ def iterated_cosyzygies(m, steps):
 
 
 def injective_dimension_within(m, cutoff):
-    """Injective dimension if it is at most cutoff, else None ("not within bound")."""
+    """Injective dimension if it is at most cutoff, else None ("not within bound").
+
+    Reduced cosyzygies are well defined up to isomorphism (Krull–Schmidt),
+    so once one is isomorphic to an earlier term the sequence is periodic
+    and never reaches 0: the injective dimension is infinite, and the walk
+    stops there whatever the cutoff.
+    """
     if cutoff < 0:
         raise ValidationError("cutoff must be nonnegative")
     current = strip_injective_summands(m)
+    seen = []
     for n in range(cutoff + 1):
         if current.dim == 0:
             return n
+        # is_isomorphic compares dimensions and digests before any Hom space
+        if any(is_isomorphic(current, earlier) is not None for earlier in seen):
+            return None
+        seen.append(current)
         current = strip_injective_summands(cosyzygy(current))
     return None

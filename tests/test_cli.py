@@ -701,16 +701,71 @@ def test_waldhausen_commands_read_config_budget(tmp_path, argv):
     }
 
 
+def _fresh_interpreter(code, args=(), environ=None):
+    """``python -c code *args`` with waldcat on the path, in ``environ``
+    (default: this process's environment); killed after 120 s."""
+    src = str(Path(waldcat.__file__).resolve().parents[1])
+    env = dict(os.environ if environ is None else environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+
+
 def _separate_process(argv):
     """Exit code and stdout of ``main(argv)`` in a fresh interpreter."""
-    src = str(Path(waldcat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys; from waldcat.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    proc = _fresh_interpreter(code, argv)
     return proc.returncode, proc.stdout
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# prints the process's thread count (None without /proc) after importing
+# waldcat.cli, and whether os.environ is what it was before; with the
+# argument "numpy-first" it imports numpy before waldcat
+_THREAD_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import waldcat.cli
+tasks = "/proc/self/task"
+print(json.dumps({
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "environ_unchanged": dict(os.environ) == before,
+    "blas_variables": [v for v in %r if v in os.environ],
+}))
+""" % (_BLAS_THREAD_VARIABLES,)
+
+
+def _probe_threads(preset=None, args=()):
+    environ = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    environ.update(preset or {})
+    proc = _fresh_interpreter(_THREAD_PROBE, args, environ)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_waldcat_loads_numpy_with_one_blas_thread_and_restores_the_environment():
+    # the package's arithmetic is int64 mod p, so OpenBLAS's worker pool is
+    # never used; tests/conftest.py imports numpy first, so only a fresh
+    # interpreter reaches the pinning branch
+    out = _probe_threads()
+    assert out["environ_unchanged"] and out["blas_variables"] == []
+    if out["threads"] is not None and (os.cpu_count() or 1) >= 2:
+        assert out["threads"] == 1
+
+
+@pytest.mark.parametrize(
+    "preset, args",
+    [({"OMP_NUM_THREADS": "2"}, ()), (None, ("numpy-first",))],
+    ids=["thread-count-preset", "numpy-imported-first"],
+)
+def test_waldcat_leaves_a_chosen_blas_setup_alone(preset, args):
+    out = _probe_threads(preset, args)
+    assert out["environ_unchanged"]
+    assert out["blas_variables"] == sorted(preset or {})
 
 
 def test_one_parser_serves_every_main_call_in_a_process():
@@ -837,6 +892,23 @@ def test_localize_finite_inj_dim_matches_projectives_on_self_injective_fx2():
     assert by_inj_dim.pop("acyclics") == "finite_inj_dim<=1"
     assert by_projectives.pop("acyclics") == "projectives"
     assert by_inj_dim == by_projectives
+
+
+@pytest.mark.parametrize("path", [FX2, QA1], ids=["fx2", "quiver_a1"])
+def test_localize_finite_inj_dim_stops_at_the_first_repeated_cosyzygy(path):
+    # every reduced cosyzygy sequence here either reaches 0 or repeats an
+    # isomorphism class within a few steps, so a huge cutoff answers as
+    # fast as a small one; in a fresh interpreter, so a walk to the cutoff
+    # is cut off by the timeout instead of hanging the suite
+    args = ["localize", "--input", path, "--dim-bound", "3", "--acyclics"]
+    start = time.perf_counter()
+    code, text = _separate_process([*args, "finite-inj-dim:99999999"])
+    assert code == 0
+    assert time.perf_counter() - start < 30
+    huge = json.loads(text)
+    _, small = runj(*args, "finite-inj-dim:20")
+    assert huge["groups"] == small["groups"]
+    assert huge["cokernel"] == small["cokernel"]
 
 
 _BOUNDED_COMMANDS = [

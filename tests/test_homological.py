@@ -8,6 +8,7 @@ reference for that count.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -906,6 +907,54 @@ def test_enumeration_satisfies_the_orbit_counting_identity(name, relation, bound
         assert orbit_sum == Fraction(reps, _gl_order(p, n))
 
 
+def _quiver_representation_count(p, arrows, d):
+    """Number of representations of dimension vector d in which every
+    composite of two arrows is zero: one matrix of shape (d[t], d[s]) per
+    arrow (s, t), scanned as one batch of all entry choices."""
+    shapes = [(d[t], d[s]) for s, t in arrows]
+    sizes = [rows * cols for rows, cols in shapes]
+    total = sum(sizes)
+    digits = np.arange(p ** total)[:, None] // p ** np.arange(total) % p
+    blocks = np.split(digits, np.cumsum(sizes)[:-1], axis=1)
+    mats = [b.reshape(len(digits), *shape) for b, shape in zip(blocks, shapes)]
+    holds = np.ones(len(digits), dtype=bool)
+    for (_, t), first in zip(arrows, mats):
+        for (s, _), then in zip(arrows, mats):
+            if s == t:
+                holds &= ~(then @ first % p).any(axis=(1, 2))
+    return int(holds.sum())
+
+
+@pytest.mark.parametrize("name", ["quiver_a1", "quiver_a2"])
+def test_quiver_enumeration_satisfies_the_orbit_counting_identity(name):
+    # per dimension vector d, ∏ GL_{d_v}(F_p) acts on Rep(Q, d) with the
+    # isomorphism classes of dimension vector d as orbits, so
+    # Σ_[M] 1/|Aut M| = |Rep(Q, d)| / ∏ |GL_{d_v}(F_p)|
+    quiver = json.loads(corpus_path(name).read_text())["algebras"][name]["quiver"]
+    # nilpotency bound 2: every path of length 2 is zero, which implies the
+    # listed relations, so Rep(Q, d) is "every composite of two arrows is 0"
+    assert quiver["nil_bound"] == 2
+    arrows = [(s, t) for s, t, _ in quiver["arrows"]]
+    vertices = quiver["vertices"]
+    a = load_workspace(corpus_path(name)).only_algebra()
+    p = a.p
+    # the trivial paths e_v come first in the basis and sum to the unit
+    assert a.unit.tolist() == [1] * vertices + [0] * (a.dim - vertices)
+    orbit_sums = {}
+    for m in enumerate_modules(a, 3):
+        d = tuple(int(r) for r in rank_stack(m.rho[:vertices], p))
+        assert sum(d) == m.dim
+        orbit_sums[d] = orbit_sums.get(d, 0) + Fraction(1, _automorphism_count(m))
+    vectors = [d for d in itertools.product(range(4), repeat=vertices) if 0 < sum(d) <= 3]
+    for d in vectors:
+        gl = 1
+        for size in d:
+            gl *= _gl_order(p, size)
+        reps = _quiver_representation_count(p, arrows, d)
+        assert orbit_sums.get(d, 0) == Fraction(reps, gl), d
+    assert set(orbit_sums) - {(0,) * vertices} <= set(vectors)
+
+
 def test_ext_oracle_counts_automorphisms_only_of_middles_with_pairs(monkeypatch):
     # over F_2[x]/(x^2), 0 -> S -> E -> A ⊕ S -> 0 never has E = S^4;
     # |Aut(S^4)| = |GL_4(F_2)| needs S^4 split into its four summands
@@ -1094,6 +1143,26 @@ def test_injective_dimension_examples():
     assert injective_dimension_within(regular_module(a), 3) == 0
     assert injective_dimension_within(simple_over_fx2(), 6) is None
     assert injective_dimension_within(zero_module(a), 2) == 0
+
+
+def _walked_injective_dimension(m, cutoff):
+    """Reference: up to cutoff + 1 reduced cosyzygy steps, no repeat check."""
+    current = strip_injective_summands(m)
+    for n in range(cutoff + 1):
+        if current.dim == 0:
+            return n
+        current = strip_injective_summands(cosyzygy(current))
+    return None
+
+
+@pytest.mark.parametrize("name", ["f2c2", "fx2", "fx3", "quiver_a1", "quiver_a2"])
+def test_injective_dimension_within_matches_the_walk_to_the_cutoff(name):
+    # stopping at a repeated reduced cosyzygy changes no answer; every
+    # sequence here reaches 0 or repeats within six steps
+    a = load_workspace(corpus_path(name)).only_algebra()
+    for m in enumerate_modules(a, 3):
+        for cutoff in range(8):
+            assert injective_dimension_within(m, cutoff) == _walked_injective_dimension(m, cutoff)
 
 
 def test_hereditary_algebra_has_injective_dimension_at_most_one():

@@ -19,6 +19,12 @@ Classes of modules and cotorsion pairs are told apart by the specs and
 covers they hold, never by a kind string: no package code compares a
 ``kind`` attribute.
 
+The package's arithmetic is int64 mod p: no module uses ``np.linalg``,
+names a float dtype (``float``, ``np.float64``, ``np.float32``, ``"f8"``
+and the like) or casts with ``astype(float)``.  Nothing calls BLAS, and
+that is what lets ``waldcat/__init__`` load numpy with OpenBLAS pinned to
+one thread at no cost.
+
 Every imported name is referenced in its file, so an import left behind
 by deleted code does not survive.  Likewise every top-level function and
 class of the package, and every method of its classes, is referenced
@@ -252,6 +258,63 @@ def test_kind_scan_flags_only_comparisons_of_kind_attributes():
         "other = spec.name == 'all'\n"
     )
     assert _kind_comparisons(tree) == [1, 3, 4]
+
+
+_FLOAT_DTYPE_STRINGS = {"f2", "f4", "f8", "float", "float16", "float32", "float64", "double"}
+
+
+def _imports_numpy_linalg(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.linalg") for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and (
+        (node.module or "").startswith("numpy.linalg")
+        or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+    )
+
+
+def _float_uses(tree):
+    """Line numbers of uses of floating point or of numpy's ``linalg`` in
+    ``tree``: the name ``float``, an attribute ``float16``/``float32``/
+    ``float64``, ``np.linalg`` or ``numpy.linalg``, a float dtype string,
+    and an import of ``numpy.linalg``.  The package's own GF(p) ``linalg``
+    module is not flagged."""
+    lines = set()
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == "float")
+            or (isinstance(node, ast.Attribute) and node.attr.startswith("float"))
+            or (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+            or (isinstance(node, ast.Constant) and node.value in _FLOAT_DTYPE_STRINGS)
+            or _imports_numpy_linalg(node)
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_floating_point_or_blas_in_the_package():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _float_uses(ast.parse(path.read_text()))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_float_scan_flags_float_dtypes_and_linalg():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "x = np.zeros(3, dtype=np.int64).astype(float)\n"
+        "y = np.linalg.matrix_rank(x)\n"
+        "z = np.zeros(2, dtype='f8')\n"
+        "w = np.float32(1) + np.float64(2)\n"
+        "from numpy import linalg\n"
+        "import numpy.linalg\n"
+        "from .linalg import rank\n"
+        "msg = 'a float is not a field element'\n"
+        "v = np.zeros(2, dtype=np.int64) // 2\n"
+    )
+    assert _float_uses(tree) == [2, 3, 4, 5, 6, 7]
 
 
 def _unused_imports(tree):

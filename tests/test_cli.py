@@ -719,8 +719,6 @@ def _separate_process(argv):
     return proc.returncode, proc.stdout
 
 
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 # prints the process's thread count (None without /proc) after importing
 # waldcat.cli, and whether os.environ is what it was before; with the
 # argument "numpy-first" it imports numpy before waldcat
@@ -736,11 +734,12 @@ print(json.dumps({
     "environ_unchanged": dict(os.environ) == before,
     "blas_variables": [v for v in %r if v in os.environ],
 }))
-""" % (_BLAS_THREAD_VARIABLES,)
+""" % (waldcat._BLAS_THREAD_VARIABLES,)
 
 
 def _probe_threads(preset=None, args=()):
-    environ = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    environ = {k: v for k, v in os.environ.items()
+               if k not in waldcat._BLAS_THREAD_VARIABLES}
     environ.update(preset or {})
     proc = _fresh_interpreter(_THREAD_PROBE, args, environ)
     assert proc.returncode == 0, proc.stderr

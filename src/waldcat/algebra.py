@@ -1480,16 +1480,31 @@ def _find_splitting_endo(module):
 def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     """All isomorphism classes of modules of dimension <= max_dim, as a tuple.
 
-    Builds the list in layers: simples first, then for each dimension the
-    middles of Ext1(base, S), for each previously found base and simple
-    S, deduplicated up to isomorphism.  Every module has a simple
-    submodule, so each class of dimension m extends a class of smaller
-    dimension by a simple and the sweep is exhaustive.  ``middles()``
-    realizes one class per orbit, the first in ``itertools.product``
-    order, and the first class of every isomorphism class of middles is
-    among them, so the representatives kept are those of a walk over
-    every class.  The Ext groups land in the memo of ``ext1``, where
-    later sweeps over the same pairs find them.
+    Builds the list in layers: simples first, then for each dimension m
+    and each simple S, in ``simple_modules`` order, the middles of
+    Ext1(base, S) over every class ``base`` of dimension m - dim S.  Every
+    module has a simple submodule, so each class of dimension m extends a
+    class of smaller dimension by a simple and the sweep is exhaustive.
+    ``middles()`` realizes one class per orbit, the first in
+    ``itertools.product`` order, and the first class of every isomorphism
+    class of middles is among them.  Each class is kept under the first
+    simple of its socle, by two exact rules (McKay's isomorph rejection
+    by a canonical construction path, J. Algorithms 26, 1998):
+
+    - a middle E into which an earlier simple T embeds is dropped unseen.
+      It is the middle of a class of Ext1(E/T, T) with E/T in the
+      complete lower layer, so the walk met its class under T.  Hom(T, S)
+      = 0 (Schur), so Hom(T, E) embeds in Hom(T, base): only the T with
+      Hom(T, base) != 0 are tried, once per base;
+    - any other middle is compared by ``is_isomorphic`` only with the
+      classes kept under S: every class kept under an earlier T contains
+      T, and this middle does not.
+
+    Every middle met under S contains S, so each class is met first under
+    the first simple of its socle, and the representatives kept are those
+    of a walk that compares every middle with the whole layer.  The Ext
+    groups land in the memo of ``ext1``, where later sweeps over the same
+    pairs find them.
 
     The budget guards p**(max_dim**2), the nominal size of the raw search
     space the layering replaces.
@@ -1506,13 +1521,18 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     by_dim = {0: [zero_module(algebra)]}
     for m in range(1, max_dim + 1):
         layer = []
-        for s in simples:
+        for j, s in enumerate(simples):
             if s.dim > m:
                 continue
+            kept = []
             for base in by_dim.get(m - s.dim, []):
+                earlier = [t for t in simples[:j] if hom_basis(t, base)]
                 for cand in ext1(base, s).middles():
-                    if all(is_isomorphic(cand, seen) is None for seen in layer):
-                        layer.append(cand)
+                    if any(hom_basis(t, cand) for t in earlier):
+                        continue
+                    if all(is_isomorphic(cand, seen) is None for seen in kept):
+                        kept.append(cand)
+            layer.extend(kept)
         layer.sort(key=lambda mod: (fingerprint(mod), mod.digest))
         by_dim[m] = layer
     result = []

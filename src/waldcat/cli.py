@@ -82,7 +82,76 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
-def build_parser():
+# The arguments of each subcommand beyond the common ones, in the order of
+# the subcommand list of the top-level help.
+_SUBCOMMAND_ARGUMENTS = {
+    "validate": (),
+    "ext": (
+        (("--quot",), dict(required=True, help="module being extended")),
+        (("--sub",), dict(required=True, help="module doing the extending")),
+    ),
+    "class": (
+        (("--module",), dict(default=None)),
+        (("--map",), dict(default=None)),
+    ),
+    "factor": (
+        (("--map",), dict(required=True)),
+    ),
+    "lift": (
+        (("--i",), dict(required=True, help="cofibration morphism name")),
+        (("--p",), dict(required=True, help="acyclic fibration morphism name")),
+        (("--top",), dict(required=True)),
+        (("--bottom",), dict(required=True)),
+    ),
+    "weq": (
+        (("--map",), dict(required=True)),
+    ),
+    "axioms": (
+        (("--checks",), dict(default="gluing,extension,saturation,properness")),
+        (("--samples",), dict(type=int, default=10)),
+    ),
+    "span": (
+        (("--op",), dict(required=True, choices=("membership", "resolve", "factor", "lift"))),
+        (("--span",), dict(default=None)),
+        (("--dual",), dict(action="store_true",
+                           help="resolve with the object on the left of the sequence")),
+        (("--dom",), dict(default=None)),
+        (("--cod",), dict(default=None)),
+        (("--left",), dict(default=None)),
+        (("--apex",), dict(default=None)),
+        (("--right",), dict(default=None)),
+        (("--i",), dict(default=None, help="span morphism spec for the cofibration")),
+        (("--p",), dict(default=None, help="span morphism spec for the fibration")),
+        (("--top",), dict(default=None, help="span morphism spec")),
+        (("--bottom",), dict(default=None, help="span morphism spec")),
+    ),
+    "chain": (
+        (("--op",), dict(required=True, choices=("homology", "qiso", "weq"))),
+        (("--complex",), dict(dest="complex_name", default=None)),
+        (("--degree",), dict(type=int, default=None)),
+        (("--dom",), dict(default=None)),
+        (("--cod",), dict(default=None)),
+        (("--components",), dict(default="", help="comma-separated degree:morphism pairs")),
+        (("--ungated",), dict(action="store_true",
+                              help="withhold the exactness 2-out-of-3 gate")),
+    ),
+    "k0": (),
+    "localize": (),
+    "resolve-zp": (
+        (("--module",), dict(required=True, help="the resolved object")),
+        (("--resolution",), dict(default="",
+                                 help="comma-separated mono:epi morphism name pairs, "
+                                      "listed from the sequence ending at the object")),
+        (("--p-class",), dict(default="all", help="resolving class: all | projectives")),
+    ),
+    "enumerate": (),
+}
+
+
+def build_parser(command=None):
+    """The top-level parser with every subcommand, or with only ``command``
+    when it names one: parsing that subcommand's arguments gives the same
+    namespace, errors and help either way."""
     common = _Parser(add_help=False)
     common.add_argument("--input", required=True, help="workspace JSON file")
     common.add_argument("--seed", type=int, default=None, help="sampling seed")
@@ -103,73 +172,11 @@ def build_parser():
 
     parser = _Parser(prog="waldcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[common])
-
-    p = sub.add_parser("ext", parents=[common])
-    p.add_argument("--quot", required=True, help="module being extended")
-    p.add_argument("--sub", required=True, help="module doing the extending")
-
-    p = sub.add_parser("class", parents=[common])
-    p.add_argument("--module", default=None)
-    p.add_argument("--map", default=None)
-
-    p = sub.add_parser("factor", parents=[common])
-    p.add_argument("--map", required=True)
-
-    p = sub.add_parser("lift", parents=[common])
-    p.add_argument("--i", required=True, help="cofibration morphism name")
-    p.add_argument("--p", required=True, help="acyclic fibration morphism name")
-    p.add_argument("--top", required=True)
-    p.add_argument("--bottom", required=True)
-
-    p = sub.add_parser("weq", parents=[common])
-    p.add_argument("--map", required=True)
-
-    p = sub.add_parser("axioms", parents=[common])
-    p.add_argument("--checks", default="gluing,extension,saturation,properness")
-    p.add_argument("--samples", type=int, default=10)
-
-    p = sub.add_parser("span", parents=[common])
-    p.add_argument("--op", required=True,
-                   choices=("membership", "resolve", "factor", "lift"))
-    p.add_argument("--span", default=None)
-    p.add_argument("--dual", action="store_true",
-                   help="resolve with the object on the left of the sequence")
-    p.add_argument("--dom", default=None)
-    p.add_argument("--cod", default=None)
-    p.add_argument("--left", default=None)
-    p.add_argument("--apex", default=None)
-    p.add_argument("--right", default=None)
-    p.add_argument("--i", default=None, help="span morphism spec for the cofibration")
-    p.add_argument("--p", default=None, help="span morphism spec for the fibration")
-    p.add_argument("--top", default=None, help="span morphism spec")
-    p.add_argument("--bottom", default=None, help="span morphism spec")
-
-    p = sub.add_parser("chain", parents=[common])
-    p.add_argument("--op", required=True, choices=("homology", "qiso", "weq"))
-    p.add_argument("--complex", dest="complex_name", default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--dom", default=None)
-    p.add_argument("--cod", default=None)
-    p.add_argument("--components", default="",
-                   help="comma-separated degree:morphism pairs")
-    p.add_argument("--ungated", action="store_true",
-                   help="withhold the exactness 2-out-of-3 gate")
-
-    sub.add_parser("k0", parents=[common])
-
-    sub.add_parser("localize", parents=[common])
-
-    p = sub.add_parser("resolve-zp", parents=[common])
-    p.add_argument("--module", required=True, help="the resolved object")
-    p.add_argument("--resolution", default="",
-                   help="comma-separated mono:epi morphism name pairs, "
-                        "listed from the sequence ending at the object")
-    p.add_argument("--p-class", default="all",
-                   help="resolving class: all | projectives")
-
-    sub.add_parser("enumerate", parents=[common])
+    for name, arguments in _SUBCOMMAND_ARGUMENTS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common])
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -726,15 +733,18 @@ def _emit(payload, fmt, stream):
 
 
 @functools.cache
-def _parser():
-    """The one parser of this process, built on the first ``main`` call."""
-    return build_parser()
+def _parser(command=None):
+    """The parser of this process for ``command`` (one subcommand), or the
+    full parser for None; each is built on first use."""
+    return build_parser(command)
 
 
 def main(argv=None):
     stream = sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in _SUBCOMMAND_ARGUMENTS else None
+        args = _parser(command).parse_args(argv)
         payload = _COMMANDS[args.command](args)
     except MalformedInputError as err:
         _emit({"error": {"type": "malformed", "message": str(err)}}, "json", stream)

@@ -904,6 +904,24 @@ def test_enumerate_is_deterministic():
     assert first == second
 
 
+def test_enumeration_compares_each_middle_only_under_its_first_socle_simple(monkeypatch):
+    # a middle with an earlier simple in its socle is dropped unseen, and
+    # the rest meet only the classes kept under their own simple: 306
+    # isomorphism tests and 24 span searches when every middle meets the
+    # whole layer
+    a = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    simple_modules(a)
+    counts = {"is_isomorphic": 0, "_find_invertible_combination": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(alg, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(alg, name, counted)
+    enumerate_modules.cache_clear()
+    assert len(enumerate_modules(a, 4)) == 33
+    assert counts == {"is_isomorphic": 146, "_find_invertible_combination": 6}
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------------

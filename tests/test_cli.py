@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 import waldcat
 import waldcat.algebra as alg
-from waldcat.cli import _parser, main
+from waldcat.cli import _COMMANDS, _parser, build_parser, main
+from waldcat.errors import MalformedInputError
 from waldcat.linalg import kernel_basis
 from waldcat.workspace import corpus_path
 
@@ -777,6 +778,57 @@ def test_one_parser_serves_every_main_call_in_a_process():
     in_process = [run(*argv) for argv in calls]
     assert _parser() is _parser()
     assert in_process == [_separate_process(argv) for argv in calls]
+
+
+# the options each subcommand requires beyond --input
+_REQUIRED_OPTIONS = {
+    "validate": [], "class": [], "axioms": [], "k0": [], "localize": [], "enumerate": [],
+    "ext": ["--quot", "A", "--sub", "S"],
+    "factor": ["--map", "socle"],
+    "weq": ["--map", "socle"],
+    "lift": ["--i", "f", "--p", "g", "--top", "t", "--bottom", "b"],
+    "span": ["--op", "resolve"],
+    "chain": ["--op", "homology"],
+    "resolve-zp": ["--module", "A"],
+}
+
+
+def _parse_outcome(parser, argv):
+    """The namespace, or the ``MalformedInputError`` text, or the help text
+    on a ``SystemExit``, of ``parser.parse_args(argv)``."""
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            return ("namespace", vars(parser.parse_args(argv)))
+    except MalformedInputError as err:
+        return ("malformed", str(err))
+    except SystemExit:
+        return ("help", buf.getvalue())
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_OPTIONS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    required = _REQUIRED_OPTIONS[command]
+    valid = [command, "--input", FX2, *required, "--dim-bound", "3", "--format", "text"]
+    argvs = [
+        valid,
+        [command, "--input", FX2, *required, "--bogus"],
+        [command, "--input", FX2, *required, "--seed", "x"],
+        [command, *required],
+        [command, "-h"],
+    ]
+    assert set(_REQUIRED_OPTIONS) == set(_COMMANDS)
+    one, full = build_parser(command), build_parser()
+    outcomes = [_parse_outcome(one, argv) for argv in argvs]
+    assert outcomes == [_parse_outcome(full, argv) for argv in argvs]
+    assert [kind for kind, _ in outcomes] == ["namespace", "malformed", "malformed",
+                                              "malformed", "help"]
+    assert "--input" in outcomes[3][1]
+    # main builds only the parser of the command it runs
+    _parser.cache_clear()
+    assert run(*argvs[1])[0] == 3
+    assert _parser(command) is _parser(command) is not _parser()
+    assert _parser.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(

@@ -785,6 +785,35 @@ def test_orbit_walk_matches_full_walk(name):
     assert merged
 
 
+SEVERAL_SIMPLES_CASES = {
+    # path algebra of 0 -> 1 -> 2: three simples
+    "A3": QuiverPresentation(2, 3, [(0, 1, "a"), (1, 2, "b")], nil_bound=3),
+    # Kronecker quiver, two arrows 0 -> 1: two simples, wild
+    "kronecker": QuiverPresentation(2, 2, [(0, 1, "a"), (0, 1, "b")], nil_bound=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_SIMPLES_CASES))
+def test_walk_over_several_simples_matches_full_walk(name):
+    # a class is kept under the first simple of its socle, so with several
+    # simples most middles skip the isomorphism search; the classes and
+    # their representatives must be those of the full walk
+    quiver = SEVERAL_SIMPLES_CASES[name]
+    a = algebra_from_quiver(quiver)
+    assert len(simple_modules(a)) == quiver.vertices
+    mods = enumerate_modules(a, 4)
+    assert [m.digest for m in mods] == [m.digest for m in _full_walk_enumeration(a, 4)]
+
+
+def test_a3_enumeration_matches_gabriel_count():
+    # Gabriel: the indecomposables over the path algebra of A3 are its 6
+    # interval modules (dimensions 1, 1, 1, 2, 2, 3), so the classes of
+    # dimension n are the multisets of intervals of total dimension n
+    mods = enumerate_modules(algebra_from_quiver(SEVERAL_SIMPLES_CASES["A3"]), 4)
+    counts = [sum(1 for m in mods if m.dim == n) for n in range(5)]
+    assert counts == [1, 3, 8, 17, 33]
+
+
 @pytest.mark.parametrize("name", ["fx2", "quiver_a1"])
 def test_orbit_oracle_matches_ladder_reference(name):
     a = load_workspace(corpus_path(name)).only_algebra()

@@ -571,6 +571,64 @@ def test_solve_and_kernel_match_reference(p):
                     assert x is not None and np.array_equal(x.a, ref)
 
 
+def _sympy_cases(p, rng, count=50):
+    """Seeded random matrices over GF(p) up to 8 x 8, some with zero rows
+    and some of low rank, and the empty matrices with no rows."""
+    yield from (np.zeros((0, cols), dtype=np.int64) for cols in (1, 5))
+    for _ in range(count):
+        rows, cols = rng.integers(1, 9, size=2)
+        a = rng.integers(0, p, size=(rows, cols))
+        if rng.random() < 0.4:
+            a[rng.random(rows) < 0.4] = 0
+        if rng.random() < 0.3:
+            inner = rng.integers(0, min(rows, cols) + 1)
+            a = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols)) % p
+        yield a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 67])
+def test_rref_solve_and_kernel_match_sympy_over_gf_p(p):
+    # an implementation of GF(p) linear algebra independent of waldcat's:
+    # the reduced row echelon form is unique, and so are the kernel basis
+    # with an identity block on the free columns and the solution with
+    # every free coordinate zero
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(p)
+
+    def to_sympy(a):
+        return DomainMatrix([[field(int(x)) for x in row] for row in a], a.shape, field)
+
+    def to_numpy(dm):
+        return np.array([[int(x) % p for x in row] for row in dm.to_list()],
+                        dtype=np.int64).reshape(dm.shape)
+
+    rng = np.random.default_rng(3000 + p)
+    for a in _sympy_cases(p, rng):
+        m, dm = FieldMatrix(p, a), to_sympy(a)
+        red, piv = rref(m)
+        ref_red, ref_piv = dm.rref()
+        assert np.array_equal(red.a, to_numpy(ref_red)) and piv == tuple(ref_piv)
+        free = np.setdiff1d(np.arange(a.shape[1]), ref_piv)
+        null = kernel_basis(m).a
+        if free.size:
+            # sympy's rows span the kernel; rescale to the identity on the free columns
+            rows = dm.nullspace()
+            rows = rows.extract(range(free.size), free.tolist()).inv() * rows
+            assert np.array_equal(null, to_numpy(rows).T)
+        else:
+            assert null.shape == (a.shape[1], 0)
+        for b in (a @ rng.integers(0, p, size=(a.shape[1], 2)) % p,
+                  rng.integers(0, p, size=(a.shape[0], 2))):
+            x = solve(m, FieldMatrix(p, b))
+            if dm.rank() < to_sympy(np.hstack([a, b])).rank():
+                assert x is None
+            else:
+                assert x is not None and np.array_equal(a @ x.a % p, b)
+                assert not x.a[free].any()
+
+
 def _term_cases(p, rng):
     """(L, var, R) terms covering every side: matrix, None and int for L;
     matrix and None for R; zero-sized unknowns and result shapes."""

@@ -1219,9 +1219,8 @@ def fingerprint(module):
     d, n, p = module.algebra.dim, module.dim, module.p
     acts = module.rho
     products = np.matmul(acts[:, None], acts[None, :]).reshape(d * d, n, n)
-    singles = tuple(int(r) for r in rank_stack(acts, p))
-    pairs = tuple(int(r) for r in rank_stack(products, p))
-    return (module.dim, singles, pairs)
+    ranks = tuple(int(r) for r in rank_stack(np.concatenate([acts, products]), p))
+    return (module.dim, ranks[:d], ranks[d:])
 
 
 _ENUMERATION_CAP = 4096

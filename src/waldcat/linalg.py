@@ -1,32 +1,42 @@
 """Exact dense linear algebra over GF(p) and over the integers.
 
 All field computations are done with numpy int64 arrays holding residues
-in [0, p).  Every kernel here, ``rank_stack`` and the batched span scans
-built on it included, forms products of two residues and sums them, so
-the prime must satisfy p < MODULUS_LIMIT = 2**16: then each product is
-below 2**32 and a sum of up to 2**31 of them (any matrix product or
-elimination step at desk scale) is exact in int64.  ``FieldMatrix``,
-``Algebra`` and workspace loading reject larger p.  Integer matrices use
+in [0, p).  Every odd-prime kernel here, ``rank_stack`` and the batched
+span scans built on it included, forms products of two residues and sums
+them, so the prime must satisfy p < MODULUS_LIMIT = 2**16: then each
+product is below 2**32 and a sum of up to 2**31 of them (any matrix
+product or elimination step at desk scale) is exact in int64.  The F_2
+bodies of ``_rref_array`` and ``rank_stack`` form no products of
+residues: they XOR rows packed into bits.  ``FieldMatrix``, ``Algebra``
+and workspace loading reject larger p.  Integer matrices use
 arbitrary-precision Python ints so Smith normal form is exact.
 
-There is one elimination kernel, ``_rref_array``.  For each pivot row r
-it clears the pivot column with one outer-product update of the rows
-that have a nonzero entry there and no others: ``sub = m[hit]``,
-``sub -= sub[:, :1] * m[r]``, ``sub %= p``, written back to ``m[hit]``,
-with the pivot row saved before and restored after (its own update
-zeroes it).  Rows with a zero in the pivot column would be left
+There is one elimination entry point, ``_rref_array(a, p)``, with two
+bodies chosen by the field.  Over F_2 each row is one Python int, bit j
+holding column j, and clearing the pivot column is one XOR into each row
+that has the bit.  The systems that module work solves are tiny (the
+median captured system of a K_0 command is 4 x 4), so the cost of a numpy
+elimination is the fixed cost of its ten or so array calls per pivot
+column, not arithmetic.  Bit rows make a few array calls per elimination:
+systems of 3 to 16 columns take 30 to 60 % less time, and those of one
+or two columns slightly more (the fixed cost of packing).  For odd p,
+for each pivot row r it clears the pivot column with one outer-product update of
+the rows that have a nonzero entry there and no others: ``sub =
+m[hit]``, ``sub -= sub[:, :1] * m[r]``, ``sub %= p``, written back to
+``m[hit]``, with the pivot row saved before and restored after (its own
+update zeroes it).  Rows with a zero in the pivot column would be left
 unchanged by a full update, so skipping them gives the same matrix; on
 the tall, half-empty cocycle systems of ``ext1`` that skips most rows.
 Both factors are residues, so every product is below p**2 < 2**32 and
 the difference lies in (-2**32, p): int64 stays exact.  A row space has
-exactly one reduced echelon form, so pivots, particular solutions (free
-coordinates zero) and kernel bases are those of a row-at-a-time
-elimination.  Four readers take their answers off that one form:
-``solve`` and ``kernel_basis`` through one back-substitution,
-``_back_substitute``; ``pivot_blocks``, the greedy left-to-right choice
-of column blocks; and ``quotient_coordinates``, coordinates modulo a row
-space.  Unknown module maps are solved by ``algebra.solve_maps`` on
-Hom-basis coordinates with these readers.
+exactly one reduced echelon form, so both bodies return the same form,
+and pivots, particular solutions (free coordinates zero) and kernel bases
+are those of a row-at-a-time elimination.  Four readers take their
+answers off that one form: ``solve`` and ``kernel_basis`` through one
+back-substitution, ``_back_substitute``; ``pivot_blocks``, the greedy
+left-to-right choice of column blocks; and ``quotient_coordinates``,
+coordinates modulo a row space.  Unknown module maps are solved by
+``algebra.solve_maps`` on Hom-basis coordinates with these readers.
 
 ``FieldMatrix(p, data)`` checks p and reduces its data.  The private
 ``FieldMatrix._reduced(p, array)`` does neither: it is for results of this
@@ -43,6 +53,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 MODULUS_LIMIT = 2**16
+
+# Over F_2 a row of at most _WORD columns packs into one int64 word, bit j
+# weighted _BIT[j] = 2**j: a packed word is at most 2**63 - 1, so the
+# packing product is exact.
+_WORD = 63
+_BIT = np.int64(1) << np.arange(_WORD, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,12 +165,55 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     The pivot of each column is its first nonzero entry at or below the
     current row, which makes the result and the pivot list deterministic.
-    Each pivot clears its column with one outer-product update of the
-    rows that are nonzero in it; the pivot row is among them and is put
-    back afterwards.  Entries left of the pivot column are zero in the
+
+    Over F_2 each row is one Python int, bit j holding column j: a row of
+    at most ``_WORD`` columns is packed by one int64 product with
+    ``_BIT``, a wider one by ``np.packbits``.  A pivot clears its column
+    with one XOR into each row that has the bit.  The pivot row is the
+    only row with its bit afterwards and is put back.  Rows below the rank
+    end up zero.
+
+    For odd p each pivot clears its column with one outer-product update
+    of the rows that are nonzero in it; the pivot row is among them and is
+    put back afterwards.  Entries left of the pivot column are zero in the
     pivot row, so the update and the row swap touch only the columns from
     the pivot on.
     """
+    if p == 2:
+        m = np.asarray(a, dtype=np.int64) & 1
+        count, cols = m.shape
+        if not m.size:
+            return m, []
+        wide = cols > _WORD
+        if wide:
+            packed = np.packbits(m, axis=1, bitorder="little")
+            rows = [int.from_bytes(row, "little") for row in packed]
+        else:
+            rows = (m @ _BIT[:cols]).tolist()
+        pivots = []
+        r = 0
+        for c in range(cols):
+            bit = 1 << c
+            for i in range(r, count):
+                if rows[i] & bit:
+                    break
+            else:
+                continue
+            x = rows[i]
+            rows[i] = rows[r]
+            rows = [y ^ x if y & bit else y for y in rows]
+            rows[r] = x
+            pivots.append(c)
+            r += 1
+            if r == count:
+                break
+        if wide:
+            size = packed.shape[1]
+            packed = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in rows), np.uint8)
+            bits = np.unpackbits(packed.reshape(count, size), axis=1, count=cols, bitorder="little")
+            return bits.astype(np.int64), pivots
+        # every entry of the mask is 0 or a power of two
+        return np.sign(np.array(rows, dtype=np.int64)[:, None] & _BIT[:cols]), pivots
     m = np.asarray(a, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
@@ -229,7 +288,32 @@ def rank_stack(stack, p: int) -> np.ndarray:
     by the nonzero pivot keeps the rank, so no inverse is needed, and the
     pivot row itself becomes zero and drops out.  A matrix gains one rank
     for each column in which it still had a nonzero entry.
+
+    Over F_2 the step is an XOR of the pivot row into the rows that have
+    the bit, on rows packed into int64 words of ``_WORD`` bits.  Each
+    stack is packed along its shorter side (rank A^T = rank A), so the
+    steps are as few as they can be and one word holds a row unless both
+    sides are wider than a word.
     """
+    if p == 2:
+        a = np.asarray(stack, dtype=np.int64) & 1
+        count, rows, cols = a.shape
+        ranks = np.zeros(count, dtype=np.int64)
+        if cols > rows:
+            a, cols = a.transpose(0, 2, 1), rows
+        if not cols:
+            return ranks
+        words = np.stack(
+            [a[:, :, s : s + _WORD] @ _BIT[: cols - s] for s in range(0, cols, _WORD)], axis=2
+        )
+        picks = np.arange(count)
+        for c in range(cols):
+            w, b = divmod(c, _WORD)
+            hit = words[:, :, w] >> b & 1
+            pivot_row = words[picks, hit.argmax(axis=1)]
+            words ^= hit[:, :, None] * pivot_row[:, None, :]
+            ranks += pivot_row[:, w] >> b & 1
+        return ranks
     a = np.array(stack, dtype=np.int64) % p
     count, rows, cols = a.shape
     ranks = np.zeros(count, dtype=np.int64)

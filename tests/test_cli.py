@@ -8,6 +8,7 @@ across repeat runs with the same input and seed.
 """
 
 import contextlib
+import copy
 import importlib
 import io
 import json
@@ -1074,6 +1075,72 @@ def test_cli_contract_for_any_class_flags(argv):
     assert code in (0, 1, 2, 3)
     assert isinstance(json.loads(out.getvalue()), dict)
     assert "Traceback" not in err.getvalue()
+
+
+_CORPUS_DOCS = {name: json.loads(corpus_path(name).read_text()) for name in CORPUS_NAMES}
+# wrong types, values out of range, a float, a huge int, empty and ragged
+# lists and a tensor of the wrong rank
+_LEAF_POOL = [None, True, False, -1, 0, 2, 65537, 1.5, "", 10**30,
+              [], [[]], [[1], [0, 1]], [[[[1]]]]]
+_DOCUMENT_COMMANDS = [
+    ["validate"],
+    ["enumerate", "--dim-bound", "2"],
+    ["k0", "--dim-bound", "2"],
+    ["localize", "--acyclics", "projectives", "--dim-bound", "2"],
+    ["axioms", "--samples", "1", "--seed", "0"],
+]
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar and every empty list or object in a
+    JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, (dict, list)) and child:
+            yield from _leaf_paths(child, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """(corpus name, document): a corpus document with one or two leaves
+    replaced from ``_LEAF_POOL`` or deleted."""
+    name = draw(st.sampled_from(CORPUS_NAMES))
+    doc = copy.deepcopy(_CORPUS_DOCS[name])
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_leaf_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_LEAF_POOL)))
+    return name, doc
+
+
+@pytest.fixture(scope="module")
+def document_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_mutated_documents())
+def test_cli_contract_for_any_mutated_workspace_document(document_dir, case):
+    """Whatever a workspace document holds, every command answers with a
+    documented exit code and a JSON body, and never lets an exception
+    escape."""
+    name, doc = case
+    path = document_dir / (name + ".json")
+    path.write_text(json.dumps(doc))
+    for command in _DOCUMENT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--input", str(path), *command[1:]])
+        assert code in (0, 1, 2, 3)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert "Traceback" not in err.getvalue()
 
 
 def test_exit_two_budget_exceeded():

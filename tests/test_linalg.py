@@ -586,47 +586,134 @@ def _sympy_cases(p, rng, count=50):
         yield a
 
 
+def _to_sympy(a, p):
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(p)
+    return DomainMatrix([[field(int(x)) for x in row] for row in a], a.shape, field)
+
+
+def _from_sympy(dm, p):
+    return np.array([[int(x) % p for x in row] for row in dm.to_list()],
+                    dtype=np.int64).reshape(dm.shape)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 67])
 def test_rref_solve_and_kernel_match_sympy_over_gf_p(p):
     # an implementation of GF(p) linear algebra independent of waldcat's:
     # the reduced row echelon form is unique, and so are the kernel basis
     # with an identity block on the free columns and the solution with
     # every free coordinate zero
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
-
-    field = GF(p)
-
-    def to_sympy(a):
-        return DomainMatrix([[field(int(x)) for x in row] for row in a], a.shape, field)
-
-    def to_numpy(dm):
-        return np.array([[int(x) % p for x in row] for row in dm.to_list()],
-                        dtype=np.int64).reshape(dm.shape)
-
     rng = np.random.default_rng(3000 + p)
     for a in _sympy_cases(p, rng):
-        m, dm = FieldMatrix(p, a), to_sympy(a)
+        m, dm = FieldMatrix(p, a), _to_sympy(a, p)
         red, piv = rref(m)
         ref_red, ref_piv = dm.rref()
-        assert np.array_equal(red.a, to_numpy(ref_red)) and piv == tuple(ref_piv)
+        assert np.array_equal(red.a, _from_sympy(ref_red, p)) and piv == tuple(ref_piv)
         free = np.setdiff1d(np.arange(a.shape[1]), ref_piv)
         null = kernel_basis(m).a
         if free.size:
             # sympy's rows span the kernel; rescale to the identity on the free columns
             rows = dm.nullspace()
             rows = rows.extract(range(free.size), free.tolist()).inv() * rows
-            assert np.array_equal(null, to_numpy(rows).T)
+            assert np.array_equal(null, _from_sympy(rows, p).T)
         else:
             assert null.shape == (a.shape[1], 0)
         for b in (a @ rng.integers(0, p, size=(a.shape[1], 2)) % p,
                   rng.integers(0, p, size=(a.shape[0], 2))):
             x = solve(m, FieldMatrix(p, b))
-            if dm.rank() < to_sympy(np.hstack([a, b])).rank():
+            if dm.rank() < _to_sympy(np.hstack([a, b]), p).rank():
                 assert x is None
             else:
                 assert x is not None and np.array_equal(a @ x.a % p, b)
                 assert not x.a[free].any()
+
+
+def _f2_matrices_past_one_word(rng):
+    """Matrices over F_2 on both sides of one packed word (63, 64, 65 and
+    130 columns, and 70 x 70), random, of low rank and with zero rows, one
+    of each width with raw entries in [-3, 3], and a tall sparse 300 x 20
+    matrix with a dependent column."""
+    out = []
+    for rows, cols in ((5, 63), (40, 64), (64, 65), (20, 130), (70, 70)):
+        out.append(rng.integers(0, 2, size=(rows, cols)))
+        inner = min(rows, cols) // 3
+        out.append(rng.integers(0, 2, size=(rows, inner)) @ rng.integers(0, 2, size=(inner, cols)))
+        holes = rng.integers(0, 2, size=(rows, cols))
+        holes[::3] = 0
+        out.append(holes)
+        out.append(rng.integers(-3, 4, size=(rows, cols)))
+    sparse = (rng.random((300, 20)) < 0.05).astype(np.int64)
+    sparse[:, -1] = sparse[:, 0] ^ sparse[:, 1]
+    out.append(sparse)
+    return out
+
+
+def test_f2_bit_rows_match_references_past_one_word():
+    # the widths straddle the 63 bits that one int64 row word holds
+    assert la._WORD == 63
+    rng = np.random.default_rng(64)
+    for a in _f2_matrices_past_one_word(rng):
+        before = a.copy()
+        red, piv = la._rref_array(a, 2)
+        assert np.array_equal(a, before)
+        ref_red, ref_piv = _rref_rowwise(a, 2)
+        assert red.dtype == np.int64 and piv == ref_piv and np.array_equal(red, ref_red)
+        assert not red[len(piv):].any()
+        dm_red, dm_piv = _to_sympy(a, 2).rref()
+        assert np.array_equal(red, _from_sympy(dm_red, 2)) and piv == list(dm_piv)
+        m = FieldMatrix(2, a)
+        assert np.array_equal(kernel_basis(m).a, _kernel_reference(a, 2))
+        for b in (a @ rng.integers(0, 2, size=(a.shape[1], 2)) % 2,
+                  rng.integers(0, 2, size=(a.shape[0], 1))):
+            x = solve(m, FieldMatrix(2, b))
+            ref = _solve_reference(a, b, 2)
+            assert (x is None) == (ref is None)
+            assert x is None or np.array_equal(x.a, ref)
+
+
+def test_rank_stack_over_f2_matches_rowwise_pivots_past_one_word():
+    # 64 x 64 and 70 x 70 rows take two words each; 3 x 70 is packed along
+    # its three rows
+    assert la._WORD < 64
+    rng = np.random.default_rng(65)
+    for rows, cols in ((1, 1), (64, 64), (3, 70), (70, 70)):
+        members = [rng.integers(0, 2, size=(rows, cols)) for _ in range(10)]
+        for k in range(290):
+            inner = k % (min(rows, cols, 8) + 1)
+            # unreduced products of low rank, entries up to 8
+            members.append(rng.integers(0, 2, size=(rows, inner))
+                           @ rng.integers(0, 2, size=(inner, cols)))
+        full = np.stack(members)
+        expected = [len(_rref_rowwise(m, 2)[1]) for m in full]
+        assert len(set(expected)) > min(rows, cols, 8)
+        for count in (0, 1, 300):
+            assert rank_stack(full[:count], 2).tolist() == expected[:count]
+
+
+_RREF_READERS = {
+    "rref": rref,
+    "rank": rank,
+    "solve": lambda m: solve(m, FieldMatrix(m.p, m.a[:, :1])),
+    "kernel_basis": kernel_basis,
+    "column_space_basis": column_space_basis,
+    "pivot_blocks": lambda m: la.pivot_blocks([m.a[:, :1], m.a[:, 1:]], m.p),
+    "quotient_coordinates": quotient_coordinates,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("reader", sorted(_RREF_READERS))
+def test_every_reader_eliminates_once_through_the_traced_entry_point(reader, p):
+    # perfbench's tracer counts eliminations and their cells by wrapping
+    # _rref_array(a, p), so every reader must make exactly one such call
+    m = FieldMatrix(p, [[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 1]])
+    with mock.patch.object(la, "_rref_array", wraps=la._rref_array) as spy:
+        _RREF_READERS[reader](m)
+    assert spy.call_count == 1
+    args, kwargs = spy.call_args
+    assert len(args) == 2 and not kwargs and args[1] == p
 
 
 def _term_cases(p, rng):

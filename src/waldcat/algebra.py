@@ -589,17 +589,6 @@ def solve_maps(unknowns, equations):
     return None if x is None else _maps_at(unknowns, x.a[:, 0])
 
 
-def map_kernel(unknowns, equations):
-    """A basis of the solutions of ``equations`` with every t read as zero,
-    each solution a list of maps in the order of ``unknowns``: the
-    ``kernel_basis`` of the coordinate system of ``solve_maps``, which by
-    the argument there is the kernel basis of the system on the entries."""
-    if not unknowns:
-        return []
-    a, _ = _map_coordinates(unknowns, equations)
-    return [_maps_at(unknowns, col) for col in kernel_basis(a).a.T]
-
-
 def _map_coordinates(unknowns, equations):
     """(a, t): ``equations`` as a @ c = t on the Hom-basis coordinates c.
 
@@ -700,12 +689,6 @@ def cokernel(f):
     q_mat, free = quotient_coordinates(f.matrix.transpose())
     cok = Module(f.cod.algebra, q_mat.a @ f.cod.rho[:, :, free], check=False)
     return cok, Morphism(f.cod, cok, q_mat, check=False)
-
-
-def image_factorization(f):
-    """Split f as (mono) o (epi) through its image; returns (img, epi, mono)."""
-    img, incl = submodule_from_columns(f.cod, column_space_basis(f.matrix))
-    return img, corestrict(f, incl), incl
 
 
 def corestrict(f, mono):
@@ -898,25 +881,8 @@ class ShortExactSequence:
             problems.append("dimensions are not additive")
         return problems
 
-    def is_split(self):
-        """True when the epi admits a module-map section."""
-        section = solve_map(
-            self.quot, self.mid, post=[(self.epi, identity_morphism(self.quot))]
-        )
-        return section is not None
-
     def __repr__(self):
         return "SES(%d -> %d -> %d)" % (self.sub.dim, self.mid.dim, self.quot.dim)
-
-
-def ses_from_mono(mono):
-    cok, proj = cokernel(mono)
-    return ShortExactSequence(mono, proj, check=False)
-
-
-def ses_from_epi(epi):
-    ker, incl = kernel(epi)
-    return ShortExactSequence(incl, epi, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1505,6 +1471,10 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     groups land in the memo of ``ext1``, where later sweeps over the same
     pairs find them.
 
+    Each layer is sorted by (``fingerprint``, digest), and a fingerprint
+    starts with the dimension, so the tuple joined from the layers in
+    order of dimension is sorted by (dim, ``fingerprint``, digest).
+
     The budget guards p**(max_dim**2), the nominal size of the raw search
     space the layering replaces.
     """
@@ -1534,11 +1504,7 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
             layer.extend(kept)
         layer.sort(key=lambda mod: (fingerprint(mod), mod.digest))
         by_dim[m] = layer
-    result = []
-    for m in range(0, max_dim + 1):
-        result.extend(by_dim.get(m, []))
-    result.sort(key=lambda mod: (mod.dim, fingerprint(mod), mod.digest))
-    return tuple(result)
+    return tuple(mod for m in range(max_dim + 1) for mod in by_dim[m])
 
 
 class ClassIndex:

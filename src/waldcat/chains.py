@@ -81,14 +81,6 @@ class ChainComplex:
         return "ChainComplex([%d..%d] dims %s)" % (self.lo, self.hi, dims)
 
 
-def single_complex(m, degree=0):
-    return ChainComplex(m.algebra, degree, [m], [])
-
-
-def zero_complex(algebra):
-    return ChainComplex(algebra, 0, [], [])
-
-
 class ChainMap:
     """Degreewise components commuting with both differentials."""
 

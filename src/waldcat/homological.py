@@ -27,8 +27,8 @@ test, built by the ``spec_*`` functions.  A ``CotorsionPair`` holds its
 two classes as specs and reads membership off them; the two module-level
 pairs used throughout, (all, injectives) and (projectives, all), differ
 only in their specs and in the left cover the builder supplies (none,
-and the free cover).  The module also hosts cosyzygy iteration with
-injective-summand stripping for finite-injective-dimension detection.
+and the free cover).  The module also hosts cosyzygies with
+injective-summand stripping and the injective-dimension walk over them.
 """
 
 from typing import NamedTuple
@@ -440,16 +440,6 @@ def spec_explicit(members):
     )
 
 
-def spec_intersection(parts):
-    parts = list(parts)
-    if not parts:
-        raise ValidationError("intersection needs at least one part")
-    return SubcategorySpec(
-        "intersection(%s)" % ", ".join(part.name for part in parts),
-        lambda m: all(part.contains(m) for part in parts),
-    )
-
-
 class CotorsionPair:
     """A complete cotorsion pair (left, right) of classes of modules over
     ``algebra``, with its completeness resolutions.
@@ -519,55 +509,6 @@ def projectives_all_pair(algebra):
     return CotorsionPair(algebra, spec_projectives(), spec_all(), free_cover)
 
 
-def pair_validate(pair, samples):
-    """Check orthogonality and the hereditary closure properties on a sample.
-
-    Reports Ext^1(left, right) != 0 violations, kernels of surjections
-    between left-class objects leaving the left class, and cokernels of
-    injections between right-class objects leaving the right class.  The
-    closure checks walk ``short_exact_sequences(samples, d)`` for the
-    largest sample dimension d, so ``samples`` must be a full enumeration
-    (every isomorphism class up to d) for them to be exhaustive.
-    ``checked`` counts the sequences whose two right-hand terms are
-    left-class ("epis") and those whose two left-hand terms are
-    right-class ("monos").  The sweep yields one sequence per orbit of
-    Ext classes, so the counts and failure lists are per orbit
-    representative.
-    """
-    left = [m for m in samples if pair.in_left(m)]
-    right = [m for m in samples if pair.in_right(m)]
-    orth_failures = []
-    for c_obj in left:
-        for r_obj in right:
-            if ext1(c_obj, r_obj).dimension != 0:
-                orth_failures.append((c_obj.digest, r_obj.digest))
-    left_kernel_failures = []
-    right_cokernel_failures = []
-    checked_epis = checked_monos = 0
-    bound = max((m.dim for m in samples), default=0)
-    for i_quot, i_sub, mid in short_exact_sequences(samples, bound):
-        sub, quot = samples[i_sub], samples[i_quot]
-        if pair.in_left(mid) and pair.in_left(quot):
-            checked_epis += 1
-            if not pair.in_left(sub):
-                left_kernel_failures.append((mid.digest, quot.digest))
-        if pair.in_right(sub) and pair.in_right(mid):
-            checked_monos += 1
-            if not pair.in_right(quot):
-                right_cokernel_failures.append((sub.digest, mid.digest))
-    return {
-        "ok": not (orth_failures or left_kernel_failures or right_cokernel_failures),
-        "orthogonality_failures": orth_failures,
-        "left_kernel_failures": left_kernel_failures,
-        "right_cokernel_failures": right_cokernel_failures,
-        "checked": {
-            "cross_pairs": len(left) * len(right),
-            "epis": checked_epis,
-            "monos": checked_monos,
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # cosyzygies and injective dimension witnesses
 # ---------------------------------------------------------------------------
@@ -592,24 +533,6 @@ def strip_injective_summands(m):
         return m
     total, _, _ = direct_sum(keep)
     return total
-
-
-def iterated_cosyzygies(m, steps):
-    """Reduced cosyzygy sequence: strip injective summands after each step.
-
-    Returns the list of successive reduced cosyzygies, stopping early once
-    the zero module appears.
-    """
-    out = []
-    current = strip_injective_summands(m)
-    for _ in range(steps):
-        if current.dim == 0:
-            break
-        current = strip_injective_summands(cosyzygy(current))
-        out.append(current)
-        if current.dim == 0:
-            break
-    return out
 
 
 def injective_dimension_within(m, cutoff):

@@ -133,9 +133,6 @@ class FieldMatrix:
     def __neg__(self) -> "FieldMatrix":
         return FieldMatrix._reduced(self.p, (-self.a) % self.p)
 
-    def scale(self, c: int) -> "FieldMatrix":
-        return FieldMatrix._reduced(self.p, (self.a * (c % self.p)) % self.p)
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix._reduced(self.p, self.a.T)
 
@@ -555,15 +552,6 @@ class RowLattice:
     def spans(self, other: "RowLattice") -> bool:
         """Does this lattice contain every generating row of ``other``?"""
         return all(r in self for r in other.generators)
-
-
-def smith_invariant_factors(m: IntegerMatrix) -> tuple[int, ...]:
-    """Invariant factors of Z^cols / rowspace(m), one per column.
-
-    Rows of m are relations on `cols` generators.  The quotient group is
-    the direct sum of Z/d_i over the returned tuple, where Z/0 = Z.
-    """
-    return RowLattice(m).invariant_factors
 
 
 def stack(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:

@@ -4,10 +4,10 @@ A span is a diagram left <-(g)- apex -(f)-> right.  A complete cotorsion
 pair (P, I) on modules induces a pair on spans: the left class consists
 of spans with all three components in P whose right leg is a cofibration;
 the right class of spans with components in I whose left leg is an
-acyclic fibration.  This module provides the span types, membership and
-map-class tests, both completeness resolutions (built step by step with
-every intermediate membership validated), the canonical factorization,
-and lifting.
+acyclic fibration.  This module provides the span types, membership
+tests, both completeness resolutions (built step by step with every
+intermediate membership validated), the canonical factorization, and
+lifting.
 """
 
 import hashlib
@@ -25,7 +25,6 @@ from .algebra import (
     pullback,
     solve_map,
     solve_maps,
-    zero_module,
     zero_morphism,
 )
 from .errors import (
@@ -67,16 +66,6 @@ class SpanObject:
             self.apex.dim,
             self.right.dim,
         )
-
-
-def span_zero(algebra):
-    z = zero_module(algebra)
-    return SpanObject(zero_morphism(z, z), zero_morphism(z, z))
-
-
-def span_of_module(m):
-    """The span m <- m -> m with identity legs."""
-    return SpanObject(identity_morphism(m), identity_morphism(m))
 
 
 class SpanMorphism:
@@ -130,17 +119,6 @@ class SpanMorphism:
 
     def is_epi(self):
         return all(c.is_epi() for c in self.components())
-
-
-def identity_span_morphism(s):
-    return SpanMorphism(
-        s,
-        s,
-        identity_morphism(s.left),
-        identity_morphism(s.apex),
-        identity_morphism(s.right),
-        check=False,
-    )
 
 
 def span_map_equations(dom, cod):
@@ -218,15 +196,6 @@ class SpanSES:
             getattr(self.mono, name), getattr(self.epi, name), check=False
         )
 
-    def is_split(self):
-        """Look for a section of the epi that is a map of spans."""
-        return span_section(self.epi) is not None
-
-
-def span_section(e):
-    """A span morphism s with e o s = identity, or None."""
-    return solve_span_map(e.cod, e.dom, post=[(e, identity_span_morphism(e.cod))])
-
 
 # ---------------------------------------------------------------------------
 # induced classes
@@ -278,25 +247,6 @@ def span_kernel(m):
     span = SpanObject(g, f)
     inc = SpanMorphism(span, m.dom, inc_l, inc_a, inc_r)
     return span, inc
-
-
-def span_is_cofibration(m, pair):
-    """Componentwise injections between left-class spans whose cokernel span
-    is again in the left class."""
-    if not span_in_P(m.dom, pair) or not span_in_P(m.cod, pair):
-        return False
-    if not m.is_mono():
-        return False
-    cok_span, _ = span_cokernel(m)
-    return span_in_P(cok_span, pair)
-
-
-def span_is_acyclic_fibration(m, pair):
-    """Componentwise surjections whose kernel span is in the right class."""
-    if not m.is_epi():
-        return False
-    ker_span, _ = span_kernel(m)
-    return span_in_I(ker_span, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""Reference checks and oracles that tests compare the package against.
+
+A hereditary-pair validator on a sample, reduced cosyzygy sequences,
+class intersection, the image factorization, splitting of module and
+span sequences by solving for a section, composition factors (the
+closed form of a class in K0), and the span map classes (cofibrations
+and acyclic fibrations) read off componentwise cokernels and kernels.
+Each is built from the package's own constructions.
+"""
+
+from waldcat.algebra import (
+    corestrict,
+    ext1,
+    hom_basis,
+    identity_morphism,
+    solve_map,
+    submodule_from_columns,
+)
+from waldcat.errors import ValidationError
+from waldcat.homological import (
+    SubcategorySpec,
+    cosyzygy,
+    short_exact_sequences,
+    simple_table,
+    strip_injective_summands,
+)
+from waldcat.linalg import column_space_basis
+from waldcat.spans import (
+    SpanMorphism,
+    solve_span_map,
+    span_cokernel,
+    span_in_I,
+    span_in_P,
+    span_kernel,
+)
+
+
+def image_factorization(f):
+    """Split f as (mono) o (epi) through its image; returns (img, epi, mono)."""
+    img, incl = submodule_from_columns(f.cod, column_space_basis(f.matrix))
+    return img, corestrict(f, incl), incl
+
+
+def is_split(ses):
+    """True when the epi of the short exact sequence ``ses`` admits a
+    module-map section."""
+    section = solve_map(
+        ses.quot, ses.mid, post=[(ses.epi, identity_morphism(ses.quot))]
+    )
+    return section is not None
+
+
+def spec_intersection(parts):
+    parts = list(parts)
+    if not parts:
+        raise ValidationError("intersection needs at least one part")
+    return SubcategorySpec(
+        "intersection(%s)" % ", ".join(part.name for part in parts),
+        lambda m: all(part.contains(m) for part in parts),
+    )
+
+
+def pair_validate(pair, samples):
+    """Check orthogonality and the hereditary closure properties on a sample.
+
+    Reports Ext^1(left, right) != 0 violations, kernels of surjections
+    between left-class objects leaving the left class, and cokernels of
+    injections between right-class objects leaving the right class.  The
+    closure checks walk ``short_exact_sequences(samples, d)`` for the
+    largest sample dimension d, so ``samples`` must be a full enumeration
+    (every isomorphism class up to d) for them to be exhaustive.
+    ``checked`` counts the sequences whose two right-hand terms are
+    left-class ("epis") and those whose two left-hand terms are
+    right-class ("monos").  The sweep yields one sequence per orbit of
+    Ext classes, so the counts and failure lists are per orbit
+    representative.
+    """
+    left = [m for m in samples if pair.in_left(m)]
+    right = [m for m in samples if pair.in_right(m)]
+    orth_failures = []
+    for c_obj in left:
+        for r_obj in right:
+            if ext1(c_obj, r_obj).dimension != 0:
+                orth_failures.append((c_obj.digest, r_obj.digest))
+    left_kernel_failures = []
+    right_cokernel_failures = []
+    checked_epis = checked_monos = 0
+    bound = max((m.dim for m in samples), default=0)
+    for i_quot, i_sub, mid in short_exact_sequences(samples, bound):
+        sub, quot = samples[i_sub], samples[i_quot]
+        if pair.in_left(mid) and pair.in_left(quot):
+            checked_epis += 1
+            if not pair.in_left(sub):
+                left_kernel_failures.append((mid.digest, quot.digest))
+        if pair.in_right(sub) and pair.in_right(mid):
+            checked_monos += 1
+            if not pair.in_right(quot):
+                right_cokernel_failures.append((sub.digest, mid.digest))
+    return {
+        "ok": not (orth_failures or left_kernel_failures or right_cokernel_failures),
+        "orthogonality_failures": orth_failures,
+        "left_kernel_failures": left_kernel_failures,
+        "right_cokernel_failures": right_cokernel_failures,
+        "checked": {
+            "cross_pairs": len(left) * len(right),
+            "epis": checked_epis,
+            "monos": checked_monos,
+        },
+    }
+
+
+def composition_vector(m):
+    """The composition factors of m, one count per simple S in
+    ``simple_table`` order: [m : S] = dim Hom(P(S), m) / dim End S, with
+    P(S) the projective cover of S.  Composition factors are additive on
+    short exact sequences, so this is the class of m in K0 = Z^n."""
+    counts = []
+    for row in simple_table(m.algebra):
+        count, rest = divmod(len(hom_basis(row.projective, m)), row.end_dim)
+        assert rest == 0, "dim Hom(P(S), m) is not a multiple of dim End S"
+        counts.append(count)
+    return counts
+
+
+def iterated_cosyzygies(m, steps):
+    """Reduced cosyzygy sequence: strip injective summands after each step.
+
+    Returns the list of successive reduced cosyzygies, stopping early once
+    the zero module appears.
+    """
+    out = []
+    current = strip_injective_summands(m)
+    for _ in range(steps):
+        if current.dim == 0:
+            break
+        current = strip_injective_summands(cosyzygy(current))
+        out.append(current)
+        if current.dim == 0:
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
+# spans
+# ---------------------------------------------------------------------------
+
+
+def identity_span_morphism(s):
+    return SpanMorphism(
+        s,
+        s,
+        identity_morphism(s.left),
+        identity_morphism(s.apex),
+        identity_morphism(s.right),
+        check=False,
+    )
+
+
+def span_is_split(ses):
+    """Look for a section of the epi of the span sequence ``ses`` that is
+    a map of spans."""
+    return span_section(ses.epi) is not None
+
+
+def span_section(e):
+    """A span morphism s with e o s = identity, or None."""
+    return solve_span_map(e.cod, e.dom, post=[(e, identity_span_morphism(e.cod))])
+
+
+def span_is_cofibration(m, pair):
+    """Componentwise injections between left-class spans whose cokernel span
+    is again in the left class."""
+    if not span_in_P(m.dom, pair) or not span_in_P(m.cod, pair):
+        return False
+    if not m.is_mono():
+        return False
+    cok_span, _ = span_cokernel(m)
+    return span_in_P(cok_span, pair)
+
+
+def span_is_acyclic_fibration(m, pair):
+    """Componentwise surjections whose kernel span is in the right class."""
+    if not m.is_epi():
+        return False
+    ker_span, _ = span_kernel(m)
+    return span_in_I(ker_span, pair)

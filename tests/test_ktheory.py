@@ -23,6 +23,7 @@ from waldcat.homological import (
     all_injectives_pair,
     is_projective,
     short_exact_sequences,
+    simple_table,
     spec_all,
     spec_explicit,
     spec_injectives,
@@ -35,10 +36,12 @@ from waldcat.ktheory import (
     k0_waldhausen,
     localization_k0_report,
 )
-from waldcat.linalg import IntegerMatrix, smith_invariant_factors, stack
+from waldcat.linalg import IntegerMatrix, RowLattice, stack
 from waldcat.sampling import random_weq_from
 from waldcat.waldhausen import WaldhausenData
 from waldcat.workspace import corpus_path, load_workspace
+
+from reference_checks import composition_vector
 
 
 def field_algebra():
@@ -313,7 +316,7 @@ def test_surjective_verdict_matches_smith_reference(name):
         assert rep["maps"]["KB_to_KBwA"] == identity
         relations = rep["presentations"]["KBwA"].relations
     onto = stack(relations, IntegerMatrix(identity, cols=n))
-    assert all(d == 1 for d in smith_invariant_factors(onto))
+    assert all(d == 1 for d in RowLattice(onto).invariant_factors)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -354,3 +357,58 @@ def test_acyclics_equal_everything_is_surfaced_as_degenerate():
     assert not rep["ok"]
     assert rep["hypotheses"]["degenerate_overlap"]
     assert rep["hypotheses"]["failures"]
+
+
+def _non_unit_factors(rows):
+    return [d for d in RowLattice(IntegerMatrix(rows)).invariant_factors if d != 1]
+
+
+# frozen: the non-unit invariant factors of K0(B, w_A) wherever localize is
+# ok, and the Cartan matrices (rows [P(S)] in simple_table order)
+CLOSED_FORM_COKERNELS = {
+    ("fx2", "projectives"): [2], ("fx2", "injectives"): [2],
+    ("fx3", "projectives"): [3], ("fx3", "injectives"): [3],
+    ("f2c2", "projectives"): [2], ("f2c2", "injectives"): [2],
+    ("quiver_a1", "injectives"): [2],
+}
+CARTAN = {"quiver_a1": [[2, 1], [0, 1]], "quiver_a2": [[1, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize("bound", [3, 4])
+def test_k0_matches_the_closed_form_from_composition_factors(bound):
+    """K0 of all modules is Z^n (n simples) through composition factors:
+    the presentation has n free factors and no torsion, and every
+    harvested relation [mid] - [sub] - [quot] has zero composition
+    vector.  Killing the projectives or the injectives leaves Z^n modulo
+    the vectors of the P(S) or the I(S), so wherever the localization
+    report is ok its K0(B, w_A) has those invariant factors."""
+    specs = {"projectives": spec_projectives, "injectives": spec_injectives}
+    ok = {}
+    for name in CORPUS_NAMES:
+        a = load_workspace(corpus_path(name)).only_algebra()
+        table = simple_table(a)
+        kb = k0_exact_category(a, spec_all(), bound)
+        assert kb.reduced_factors == (0,) * len(table)
+        vectors = [composition_vector(m) for m in kb.modules]
+        for row in kb.relations.data:
+            assert [sum(r * v[s] for r, v in zip(row, vectors))
+                    for s in range(len(table))] == [0] * len(table)
+        cartan = [composition_vector(r.projective) for r in table]
+        if name in CARTAN:
+            assert cartan == CARTAN[name]
+        closed = {
+            "projectives": _non_unit_factors(cartan),
+            "injectives": _non_unit_factors([composition_vector(r.injective)
+                                             for r in table]),
+        }
+        for cls, spec in specs.items():
+            rep = localization_k0_report(a, spec(), bound)
+            if rep["ok"]:
+                kbw = rep["presentations"]["KBwA"]
+                ok[name, cls] = list(kbw.reduced_factors)
+                assert ok[name, cls] == closed[cls]
+        if name == "quiver_a2":
+            # |det| of a square matrix is the product of its invariant
+            # factors, so these say det(Cartan) = ±1
+            assert RowLattice(IntegerMatrix(cartan)).invariant_factors == (1, 1)
+    assert ok == CLOSED_FORM_COKERNELS

@@ -28,11 +28,16 @@ one thread at no cost.
 Every imported name is referenced in its file, so an import left behind
 by deleted code does not survive.  Likewise every top-level function and
 class of the package, and every method of its classes, is referenced
-somewhere in the package or its tests.
+somewhere in the package or its tests.  The package holds only what it
+runs: each definition is read by package code outside its own body and
+outside other definitions that nothing reads, or it is named API in the
+README with a reader outside the package (``NAMED_API``).  Helpers only
+tests use live under ``tests/``.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import waldcat
@@ -349,17 +354,17 @@ def test_unused_import_scan_flags_only_unread_names():
 
 
 def _definitions(tree):
-    """(name, owner) of each top-level function and class in ``tree`` and of
-    each method of its top-level classes; owner is the method's class name,
-    None for a top-level definition."""
+    """(name, owner, node) of each top-level function and class in ``tree``
+    and of each method of its top-level classes; owner is the method's
+    class name, None for a top-level definition."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield node.name, None
+            yield node.name, None, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, functions):
-                    yield item.name, node.name
+                    yield item.name, node.name, item
 
 
 def _references(tree):
@@ -378,7 +383,7 @@ def _dead_definitions(tree, references, inherited):
     """
     return sorted(
         name
-        for name, owner in _definitions(tree)
+        for name, owner, _ in _definitions(tree)
         if name not in references
         and not (name.startswith("__") and name.endswith("__"))
         and not (owner and inherited(owner, name))
@@ -423,4 +428,105 @@ def test_dead_definition_scan_flags_only_unreferenced_names():
 
     assert _dead_definitions(tree, _references(tree), inherited) == [
         "Dropped", "stale", "unused",
+    ]
+
+
+# Definitions the package keeps although no package code reads them, each
+# with its reader outside the package; README.md names every one.
+NAMED_API = {
+    "random_span": "perfbench/make_inputs.py draws the benchmark's spans",
+    "corpus_path": "perfbench/make_inputs.py locates the corpus files",
+    "write_corpus": "regenerates src/waldcat/corpus/",
+}
+
+
+def _reads(node):
+    """How often ``node`` reads each name, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _unread_definitions(trees, inherited, keep=()):
+    """(module, name) of each definition in ``trees`` (module name to
+    tree) that no code of ``trees`` reads, sorted.
+
+    A definition's own body does not count, so recursion cannot keep it.
+    Reads from unread definitions do not count either, repeated until
+    nothing changes, so a helper used only by unread helpers is unread
+    too.  Names in ``keep``, dunder methods and methods for which
+    ``inherited(module, owner, name)`` holds are never reported.
+    """
+    candidates = [
+        (module, name, owner, node)
+        for module, tree in trees.items()
+        for name, owner, node in _definitions(tree)
+        if name not in keep
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (owner and inherited(module, owner, name))
+    ]
+    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = []
+    while True:
+        # a method of an unread class went with its class
+        classes = {(module, name) for module, name, owner, _ in unread if owner is None}
+        outer = [node for module, _, owner, node in unread if (module, owner) not in classes]
+        reads = total - sum(map(_reads, outer), Counter())
+        found = []
+        for d in candidates:
+            module, name, owner, node = d
+            own = 0 if (module, owner) in classes else _reads(node)[name]
+            if d not in unread and reads[name] - own <= 0:
+                found.append(d)
+        if not found:
+            return sorted((module, name) for module, name, _, _ in unread)
+        unread += found
+
+
+def test_every_definition_is_read_by_the_package_or_named_api():
+    trees, modules = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        trees[path.stem] = ast.parse(path.read_text())
+        modules[path.stem] = importlib.import_module(
+            "waldcat" if path.stem == "__init__" else "waldcat." + path.stem
+        )
+
+    def inherited(module, owner, name):
+        return _inherited_in(modules[module])(owner, name)
+
+    assert _unread_definitions(trees, inherited, keep=NAMED_API) == []
+    readme = (TESTS.parent / "README.md").read_text()
+    assert [name for name in NAMED_API if "`%s`" % name not in readme] == []
+
+
+def test_unread_definition_scan_follows_only_package_reads():
+    trees = {
+        "a": ast.parse(
+            "def main():\n"
+            "    return helper() + Kept().method()\n"
+            "def helper(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def only_for_tests(): return inner()\n"
+            "def inner(): pass\n"
+            "def api(): pass\n"
+            "class Kept:\n"
+            "    def __eq__(self, other): pass\n"
+            "    def method(self): pass\n"
+            "    def hook(self): pass\n"
+            "    def stale(self): return self.stale()\n"
+            "class Dropped:\n"
+            "    def run(self): return Dropped()\n"
+        ),
+        "b": ast.parse("main()\n"),
+    }
+
+    def inherited(module, owner, name):
+        return (module, owner, name) == ("a", "Kept", "hook")
+
+    assert _unread_definitions(trees, inherited, keep={"api"}) == [
+        ("a", "Dropped"), ("a", "inner"), ("a", "only_for_tests"),
+        ("a", "recursive"), ("a", "run"), ("a", "stale"),
     ]

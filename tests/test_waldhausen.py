@@ -52,14 +52,12 @@ from waldcat.homological import (
     spec_explicit,
     spec_finite_inj_dim,
     spec_injectives,
-    spec_intersection,
     spec_projectives,
 )
 from waldcat.sampling import (
     extension_instance,
     gluing_instance,
     properness_instance,
-    random_acyclic_cofibration,
     random_acyclic_fibration,
     random_cofibration,
     random_combination,
@@ -80,6 +78,10 @@ from waldcat.waldhausen import (
     weak_equivalence_oracle,
 )
 from waldcat.workspace import corpus_path, load_workspace
+
+from reference_checks import spec_intersection
+from samplers import random_acyclic_cofibration
+from test_homological import _rebased, _unit_preserving_basis_change
 
 
 def fx2_algebra():
@@ -736,6 +738,52 @@ def test_saturation_fails_on_line_with_forced_flag():
     rep = check_saturation(w, f, g)
     assert rep["verdict"] == "FAIL"
     assert rep["details"]["verdicts"] == {"f": "no", "g": "yes", "gf": "yes"}
+
+
+def _saturation_verdicts(algebra, z_spec):
+    """Verdict counts of ``check_saturation`` over every composable pair
+    of maps f: a -> b, g: b -> c between C-classes of dimension <= 2 in
+    the structure on (all, injectives) with acyclics ``z_spec``, or
+    "HypothesisError" when the structure is refused."""
+    try:
+        w = WaldhausenData(all_injectives_pair(algebra), z_spec)
+    except HypothesisError:
+        return "HypothesisError"
+    mods = [m for m in enumerate_modules(algebra, 2) if w.in_c(m)]
+    hom = {(x, y): maps(x, y) for x, y in itertools.product(mods, repeat=2)}
+    counts = {}
+    for a, b, c in itertools.product(mods, repeat=3):
+        for f, g in itertools.product(hom[a, b], hom[b, c]):
+            verdict = check_saturation(w, f, g)["verdict"]
+            counts[verdict] = counts.get(verdict, 0) + 1
+    return counts
+
+
+# frozen: verdict counts per corpus algebra for Z = (projectives, injectives)
+SATURATION_VERDICTS = {
+    "fx2": ({"PASS": 843}, {"PASS": 843}),
+    "fx3": ({"PASS": 843}, {"PASS": 843}),
+    "f2c2": ({"PASS": 843}, {"PASS": 843}),
+    "quiver_a1": ("HypothesisError", {"PASS": 3427}),
+    "quiver_a2": ("HypothesisError", {"INAPPLICABLE": 2627}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_VERDICTS))
+def test_saturation_decided_over_every_pair_up_to_dimension_two(name):
+    """Saturation holds on every composable pair of maps between modules
+    of dimension <= 2, not only on sampled ones, and the verdicts do not
+    depend on the algebra's basis: a unit-preserving change of basis
+    gives the same counts.  On quiver_a2 2-out-of-3 fails, so every
+    instance is INAPPLICABLE."""
+    algebra = load_workspace(corpus_path(name)).only_algebra()
+    g = _unit_preserving_basis_change(algebra, np.random.default_rng(len(name)))
+    twin = _rebased(algebra, g)
+    assert twin != algebra
+    for z_spec, expected in zip((spec_projectives(), spec_injectives()),
+                                SATURATION_VERDICTS[name]):
+        assert _saturation_verdicts(algebra, z_spec) == expected
+        assert _saturation_verdicts(twin, z_spec) == expected
 
 
 def test_report_shape():

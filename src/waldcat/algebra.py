@@ -899,7 +899,8 @@ class Ext1Result:
     algebra.dim·a.dim·c.dim) array spanning the coboundaries, flattened
     like ``cocycles``.  Results are shared through the memo of ``ext1``,
     so nothing in one changes after construction: both arrays are
-    read-only, and ``representatives`` is computed on first use and kept.
+    read-only, and ``middles`` is computed on first use and kept, so each
+    Ext group's middles are built once per process.
     """
 
     def __init__(self, c, a, cocycles, coboundaries):
@@ -918,16 +919,18 @@ class Ext1Result:
         taus = np.tensordot(coeffs, self.cocycles, axes=1) % self.p
         return block_extensions(self.a, self.c, taus)
 
+    @functools.cached_property
     def middles(self):
         """The middle of the first class of each orbit in
         ``representatives``, in ``itertools.product`` order of the
-        coefficients, from one ``block_extensions`` call; nothing is
-        checked.  Every class shares the mono [I; 0] and the epi [0 I] of
-        ``realize``.  Classes of one orbit have isomorphic middles, so the
-        first class of every isomorphism class of middles is among them."""
-        return self._middles(self.representatives)
+        coefficients, as a tuple from one ``block_extensions`` call;
+        nothing is checked.  Computed on first use and kept.  Every class
+        shares the mono [I; 0] and the epi [0 I] of ``realize``.  Classes
+        of one orbit have isomorphic middles, so the first class of every
+        isomorphism class of middles is among them."""
+        return tuple(self._middles(self.representatives))
 
-    @functools.cached_property
+    @property
     def representatives(self):
         """Coefficient rows of the smallest class, in ``itertools.product``
         order, of each orbit under automorphisms that are cheap to get, as
@@ -1450,7 +1453,7 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
     Ext1(base, S) over every class ``base`` of dimension m - dim S.  Every
     module has a simple submodule, so each class of dimension m extends a
     class of smaller dimension by a simple and the sweep is exhaustive.
-    ``middles()`` realizes one class per orbit, the first in
+    ``middles`` realizes one class per orbit, the first in
     ``itertools.product`` order, and the first class of every isomorphism
     class of middles is among them.  Each class is kept under the first
     simple of its socle, by two exact rules (McKay's isomorph rejection
@@ -1496,7 +1499,7 @@ def enumerate_modules(algebra, max_dim, budget=DEFAULT_BUDGET):
             kept = []
             for base in by_dim.get(m - s.dim, []):
                 earlier = [t for t in simples[:j] if hom_basis(t, base)]
-                for cand in ext1(base, s).middles():
+                for cand in ext1(base, s).middles:
                     if any(hom_basis(t, cand) for t in earlier):
                         continue
                     if all(is_isomorphic(cand, seen) is None for seen in kept):

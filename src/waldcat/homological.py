@@ -233,14 +233,17 @@ def short_exact_sequences(modules, bound):
     0 -> sub -> mid -> quot -> 0 with mono [I; 0] and epi [0 I].  Classes
     of one orbit have isomorphic middles, so a walker that reads only the
     middle's isomorphism class sees each (sub, mid, quot) triple first
-    where a walk over every class would.  The mono and epi are the same
-    for every class of a pair, so exactness is checked once per pair, on
-    the split class.  When ``modules`` holds every isomorphism class up
-    to ``bound``, the sweep meets every short exact sequence with middle
-    of dimension at most ``bound`` up to isomorphism of its three terms.
-    Raises BudgetExceededError when one Ext group has more than
-    DEFAULT_CLASS_BUDGET classes.
+    where a walk over every class would.  The mono [I; 0] and epi [0 I]
+    depend only on the two dimensions, and so does everything
+    ``ShortExactSequence.validate`` reads, so exactness is checked once
+    per (quot.dim, sub.dim) pair in a sweep, on the split class of the
+    first pair with those dimensions.  When ``modules`` holds every
+    isomorphism class up to ``bound``, the sweep meets every short exact
+    sequence with middle of dimension at most ``bound`` up to isomorphism
+    of its three terms.  Raises BudgetExceededError when one Ext group
+    has more than DEFAULT_CLASS_BUDGET classes.
     """
+    checked = set()
     for i_quot, quot in enumerate(modules):
         for i_sub, sub in enumerate(modules):
             if quot.dim + sub.dim > bound:
@@ -251,8 +254,10 @@ def short_exact_sequences(modules, bound):
                     "Ext class enumeration (%d^%d) exceeds the budget"
                     % (quot.p, ext.dimension)
                 )
-            ext.realize((0,) * ext.dimension)  # raises unless exact
-            for mid in ext.middles():
+            if (quot.dim, sub.dim) not in checked:
+                ext.realize((0,) * ext.dimension)  # raises unless exact
+                checked.add((quot.dim, sub.dim))
+            for mid in ext.middles:
                 yield i_quot, i_sub, mid
 
 

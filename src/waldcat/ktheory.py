@@ -124,38 +124,49 @@ class K0Presentation:
 def _harvest_relations(generators, classes):
     """Relation rows from all realizable short exact sequences.
 
-    Walks ``short_exact_sequences(generators, max_dim)``: one class per
-    orbit of every Ext group of every ordered generator pair (quot, sub)
-    with total dimension inside the bound.  Each middle's class is looked
-    up once in ``classes``, the ``ClassIndex`` of the complete enumeration
-    the generators come from, then its place among the generators;
-    matches contribute [mid]-[sub]-[quot].  Duplicate rows are dropped;
-    order is deterministic.
+    Walks ``short_exact_sequences`` over the nonzero generators, with
+    bound the largest generator dimension: one class per orbit of every
+    Ext group of every ordered pair (quot, sub) with total dimension
+    inside the bound.  Each middle's class is looked up once in
+    ``classes``, the ``ClassIndex`` of the complete enumeration the
+    generators come from, then its place among the generators; matches
+    contribute [mid]-[sub]-[quot].  Duplicate rows are dropped; order is
+    deterministic.
+
+    Every pair with the zero module as an end term has the other end term
+    as its middle and gives the row -[0], so that row is written once and
+    first, with no walk.  Generators come in enumeration order, so the
+    zero module, when it is one, is ``generators[0]``, and the (0, 0)
+    pair is the first of a sweep over all generators.  A pair of nonzero
+    modules gives neither -[0] nor the zero row, since its middle is
+    larger than either end term, so the rows and their order are those of
+    that sweep.
 
     Only the middle's isomorphism class is used, and classes of one orbit
     have isomorphic middles, so the rows and their order are those of a
-    walk over every class.  The Ext group of a pair comes from the memo
-    of ``ext1``, so a pair seen in an earlier presentation is not
-    presented again.
+    walk over every class.  The Ext group of a pair and its middles come
+    from the memo of ``ext1``, so a pair seen earlier in the process is
+    not presented or built again.
     """
     count = len(generators)
     if count == 0:
         return IntegerMatrix([], cols=0)
     max_dim = max(m.dim for m in generators)
     position = {classes.find(m): i for i, m in enumerate(generators)}
+    first = 0 if generators[0].dim else 1
 
-    rows = []
+    rows = [[-1] + [0] * (count - 1)] if first else []
     seen = set()
-    for i_quot, i_sub, mid in short_exact_sequences(generators, max_dim):
+    for j_quot, j_sub, mid in short_exact_sequences(generators[first:], max_dim):
         i_mid = position.get(classes.find(mid))
         if i_mid is None:
             continue
         row = [0] * count
         row[i_mid] += 1
-        row[i_sub] -= 1
-        row[i_quot] -= 1
+        row[first + j_sub] -= 1
+        row[first + j_quot] -= 1
         key = tuple(row)
-        if key not in seen and any(row):
+        if key not in seen:
             seen.add(key)
             rows.append(row)
     return IntegerMatrix(rows, cols=count)

@@ -3,11 +3,17 @@
 A hereditary-pair validator on a sample, reduced cosyzygy sequences,
 class intersection, the image factorization, splitting of module and
 span sequences by solving for a section, composition factors (the
-closed form of a class in K0), and the span map classes (cofibrations
-and acyclic fibrations) read off componentwise cokernels and kernels.
-Each is built from the package's own constructions.
+closed form of a class in K0), the K0 relation harvest over every
+generator pair, and the span map classes (cofibrations and acyclic
+fibrations) read off componentwise cokernels and kernels.  Each is built
+from the package's own constructions.  ``clear_memo_tables`` puts the
+package's memo tables back to the state of a fresh process.
 """
 
+import importlib
+import pkgutil
+
+import waldcat
 from waldcat.algebra import (
     corestrict,
     ext1,
@@ -120,6 +126,51 @@ def composition_vector(m):
         assert rest == 0, "dim Hom(P(S), m) is not a multiple of dim End S"
         counts.append(count)
     return counts
+
+
+def harvest_reference(generators, classes):
+    """The K0 relation rows of ``generators``, as lists in order, from a
+    walk over every ordered generator pair (quot, sub) with
+    quot.dim + sub.dim at most the largest generator dimension, zero-term
+    pairs included, realizing each pair's split class to check
+    exactness.  Each orbit middle found among the generators (through
+    the ``ClassIndex`` ``classes``) gives [mid] - [sub] - [quot]; rows
+    after their first copy and the zero row are dropped."""
+    if not generators:
+        return []
+    bound = max(m.dim for m in generators)
+    position = {classes.find(m): i for i, m in enumerate(generators)}
+    rows = []
+    for i_quot, quot in enumerate(generators):
+        for i_sub, sub in enumerate(generators):
+            if quot.dim + sub.dim > bound:
+                continue
+            ext = ext1(quot, sub)
+            ext.realize((0,) * ext.dimension)  # raises unless exact
+            for mid in ext.middles:
+                i_mid = position.get(classes.find(mid))
+                if i_mid is None:
+                    continue
+                row = [0] * len(generators)
+                row[i_mid] += 1
+                row[i_sub] -= 1
+                row[i_quot] -= 1
+                if any(row) and row not in rows:
+                    rows.append(row)
+    return rows
+
+
+def clear_memo_tables():
+    """Empty every ``memoized`` table of the package, as in a fresh
+    process: each module-level object of a waldcat module with a
+    ``cache_clear`` has its table emptied.  The per-instance tables of
+    specs and Waldhausen structures go with their objects."""
+    for info in pkgutil.iter_modules(waldcat.__path__):
+        module = importlib.import_module("waldcat." + info.name)
+        for value in vars(module).values():
+            clear = getattr(value, "cache_clear", None)
+            if callable(clear):
+                clear()
 
 
 def iterated_cosyzygies(m, steps):

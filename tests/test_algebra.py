@@ -1920,12 +1920,14 @@ def test_extension_candidates_match_term_by_term_reference(algebra):
     for sub in [*simples, zero_module(algebra)]:
         for quot in bases:
             result = ext1(quot, sub)
-            got = [m.digest for m in result.middles()]
+            got = [m.digest for m in result.middles]
             ref = [m.digest for m in _extension_candidates_reference(sub, quot)]
             weights = algebra.p ** np.arange(result.dimension - 1, -1, -1)
             assert got == [ref[i] for i in result.representatives @ weights]
-            for m in ext1(quot, sub).middles():
+            for m in ext1(quot, sub).middles:
                 assert m.validate() == []
+            # built on first use and kept on the memoized result
+            assert ext1(quot, sub).middles is result.middles
 
 
 def _ext1_cocycles_reference(c, a):

@@ -657,6 +657,35 @@ def test_short_exact_sequences_refuse_an_ext_group_past_the_class_budget():
         next(short_exact_sequences([s], 2))
 
 
+def test_short_exact_sequences_check_exactness_once_per_dimension_pair(monkeypatch):
+    a = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    mods = enumerate_modules(a, 3)
+    realized = []
+    realize = alg.Ext1Result.realize
+
+    def spy(self, coeffs):
+        realized.append((self.c.dim, self.a.dim, tuple(coeffs)))
+        return realize(self, coeffs)
+
+    monkeypatch.setattr(alg.Ext1Result, "realize", spy)
+    list(short_exact_sequences(mods, 3))
+    dims = [(q.dim, s.dim) for q in mods for s in mods if q.dim + s.dim <= 3]
+    # the split class of the first pair of each (quot.dim, sub.dim)
+    assert [r[:2] for r in realized] == list(dict.fromkeys(dims))
+    assert all(not any(coeffs) for _, _, coeffs in realized)
+
+    def refuse(self, coeffs):
+        raise ValidationError("not a short exact sequence")
+
+    # the check still raises from the sweep and from the harvest, which
+    # skips the pairs with a zero end term
+    monkeypatch.setattr(alg.Ext1Result, "realize", refuse)
+    with pytest.raises(ValidationError, match="not a short exact sequence"):
+        list(short_exact_sequences(mods, 3))
+    with pytest.raises(ValidationError, match="not a short exact sequence"):
+        k0_exact_category(a, spec_all(), 3)
+
+
 def _full_walk_middles(ext):
     """Reference: the middle of every class of ``ext``, realized one by one
     in ``itertools.product`` order of the coefficients."""
@@ -778,7 +807,7 @@ def test_orbit_walk_matches_full_walk(name):
             assert got == sorted(m.tobytes() for m in actions)
         orbit_min = _orbit_minima_reference(ext, actions)
         assert kept == sorted(set(orbit_min))
-        assert [m.digest for m in ext.middles()] == [middles[i].digest for i in kept]
+        assert [m.digest for m in ext.middles] == [middles[i].digest for i in kept]
         # orbits have isomorphic middles, so each first class of an
         # isomorphism class of middles is kept
         assert all(classes[j] == classes[i] for j, i in enumerate(orbit_min))

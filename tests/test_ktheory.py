@@ -6,11 +6,20 @@ F_2[x]/(x^2) and F_2[x]/(x^3) with projective acyclics yields the
 expected Z -> Z -> Z/n -> 0 shape with stable invariant factors.
 """
 
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
+from waldcat import algebra as alg
+from waldcat import cli
 from waldcat.algebra import (
     Algebra,
+    QuiverPresentation,
+    algebra_from_quiver,
     class_index,
     direct_sum,
     enumerate_modules,
@@ -31,6 +40,7 @@ from waldcat.homological import (
 )
 from waldcat.ktheory import (
     K0Presentation,
+    _harvest_relations,
     describe_group,
     k0_exact_category,
     k0_waldhausen,
@@ -41,7 +51,7 @@ from waldcat.sampling import random_weq_from
 from waldcat.waldhausen import WaldhausenData
 from waldcat.workspace import corpus_path, load_workspace
 
-from reference_checks import composition_vector
+from reference_checks import clear_memo_tables, composition_vector, harvest_reference
 
 
 def field_algebra():
@@ -412,3 +422,100 @@ def test_k0_matches_the_closed_form_from_composition_factors(bound):
             # factors, so these say det(Cartan) = ±1
             assert RowLattice(IntegerMatrix(cartan)).invariant_factors == (1, 1)
     assert ok == CLOSED_FORM_COKERNELS
+
+
+# ---------------------------------------------------------------------------
+# the relation harvest against a walk over every generator pair
+# ---------------------------------------------------------------------------
+
+
+HARVEST_CASES = [*CORPUS_NAMES, "F3[x]/(x^3)", "F5[x]/(x^3)"]
+
+
+def _harvest_case_algebra(name):
+    """A corpus algebra, or F_p[x]/(x^n) for the name "Fp[x]/(x^n)"."""
+    if name.startswith("F"):
+        return algebra_from_quiver(
+            QuiverPresentation(int(name[1]), 1, [(0, 0, "x")], nil_bound=int(name[-2]))
+        )
+    return load_workspace(corpus_path(name)).only_algebra()
+
+
+@pytest.mark.parametrize("bound", [3, 4])
+@pytest.mark.parametrize("name", HARVEST_CASES)
+def test_harvest_matches_the_walk_over_every_generator_pair(name, bound):
+    # the harvest skips the pairs with a zero end term and writes their one
+    # row, -[0], first; the reference walks them all and checks exactness
+    # on every pair's split class
+    a = _harvest_case_algebra(name)
+    classes = class_index(a, bound, budget=10**12)
+    nonzero = [m for m in classes.modules if m.dim]
+    specs = {
+        "all": spec_all(),
+        "projectives": spec_projectives(),
+        "explicit": spec_explicit(nonzero[::2]),
+    }
+    for cls, spec in specs.items():
+        generators = [m for m in classes.modules if spec.contains(m)]
+        assert (generators[0].dim == 0) == (cls != "explicit")
+        got = _harvest_relations(generators, classes).tolist()
+        assert got == harvest_reference(generators, classes), cls
+        if cls != "explicit":
+            assert got[0] == [-1] + [0] * (len(generators) - 1)
+
+
+# ---------------------------------------------------------------------------
+# work a fresh CLI process does
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, counts, original, name, sized=None):
+    """Count calls of ``original`` under ``name`` wherever a waldcat module
+    binds it, and the lengths of its results under ``sized``."""
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        counts[name] += 1
+        if sized:
+            counts[sized] += len(result)
+        return result
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "waldcat"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+
+
+# from a cold state, the Ext groups the enumeration walked are walked once
+# more by the harvest, and the pairs with a zero end term not at all:
+# block_extensions calls, middle modules built, realize calls (one split
+# class per dimension pair of a sweep) and is_isomorphic calls, which
+# the parent's walk made just as often
+COLD_COUNTS = {
+    "k0": (["k0", "--dim-bound", "3"], "quiver_a1",
+           {"block_extensions": 29, "modules_built": 42, "realize": 3,
+            "is_isomorphic": 36}),
+    "localize": (["localize", "--acyclics", "projectives", "--dim-bound", "4"], "fx2",
+                 {"block_extensions": 36, "modules_built": 45, "realize": 16,
+                  "is_isomorphic": 10}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COLD_COUNTS))
+def test_cold_commands_build_each_orbit_middle_once(command, monkeypatch):
+    argv, name, expected = COLD_COUNTS[command]
+    counts = Counter()
+    _count_calls(monkeypatch, counts, alg.block_extensions, "block_extensions",
+                 sized="modules_built")
+    _count_calls(monkeypatch, counts, alg.is_isomorphic, "is_isomorphic")
+    realize = alg.Ext1Result.realize
+
+    def counted_realize(self, coeffs):
+        counts["realize"] += 1
+        return realize(self, coeffs)
+
+    monkeypatch.setattr(alg.Ext1Result, "realize", counted_realize)
+    clear_memo_tables()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--input", str(corpus_path(name))]) == 0
+    assert dict(counts) == expected

@@ -1,9 +1,11 @@
 """Bounded chain complexes with the degreewise-split exact structure.
 
 Complexes are finite: objects in degrees lo..hi, differentials
-d_n: X_n -> X_{n-1}, zero outside the window.  The pair (everything,
-contractibles) is complete on this category because every complex embeds
-degreewise split into the cone on its identity, which is contractible;
+d_n: X_n -> X_{n-1}, zero outside the window.  They are a shape of
+``diagrams``, which gives their chain maps, sums, kernels and cokernels
+degreewise.  The pair (everything, contractibles) is complete on this
+category because every complex embeds degreewise split into the cone on
+its identity, which is contractible;
 that embedding drives the canonical factorization, and the induced
 three-valued weak-equivalence decision agrees with quasi-isomorphism
 when the acyclic class is taken to be the exact complexes.
@@ -14,25 +16,44 @@ from .algebra import (
     cokernel,
     corestrict,
     direct_sum,
-    identity_morphism,
     induced_on_cokernel,
     kernel,
     solve_maps,
     zero_module,
-    zero_morphism,
+)
+from .diagrams import (
+    Diagram,
+    DiagramMorphism,
+    diagram_cokernel,
+    diagram_identity,
+    diagram_kernel,
+    diagram_map_equations,
+    diagram_sum,
+    into_sum,
+    joint_window,
 )
 from .errors import InternalInconsistencyError, ValidationError
 
 
-class ChainComplex:
-    """Objects indexed lo..hi with differentials lowering degree by one."""
+class ChainMap(DiagramMorphism):
+    """Degreewise components commuting with both differentials."""
+
+    WRONG_ENDS = "component at degree {v} has wrong endpoints"
+    NOT_NATURAL = "chain map does not commute with d at degree {s}"
+    NOT_COMPOSABLE = "chain maps are not composable"
+    NOT_EXACT = "chain sequence is not exact"
+    NOT_CHAINED = "mono and epi do not share the middle complex"
+
+
+class ChainComplex(Diagram):
+    """Objects indexed lo..hi with differentials lowering degree by one:
+    the diagram with arrows d_n: n -> n - 1."""
+
+    Map = ChainMap
 
     def __init__(self, algebra, lo, objects, differentials, check=True):
-        self.algebra = algebra
-        self.lo = int(lo)
-        self.objects = list(objects)
         self.differentials = list(differentials)
-        self.hi = self.lo + len(self.objects) - 1
+        super().__init__(algebra, int(lo), objects, self.differentials)
         if check:
             if len(self.differentials) != max(len(self.objects) - 1, 0):
                 raise ValidationError(
@@ -54,93 +75,20 @@ class ChainComplex:
                         "d o d is nonzero at degree %d" % (self.lo + k + 2)
                     )
 
-    def obj(self, n):
-        if self.lo <= n <= self.hi:
-            return self.objects[n - self.lo]
-        return zero_module(self.algebra)
+    @staticmethod
+    def targets(n):
+        return (n - 1,)
 
     def diff(self, n):
         """d_n: X_n -> X_{n-1}; zero morphism outside the window."""
-        if self.lo + 1 <= n <= self.hi:
-            return self.differentials[n - self.lo - 1]
-        return zero_morphism(self.obj(n), self.obj(n - 1))
+        return self.arrow(n, n - 1)
 
     def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainComplex)
-            and self.lo == other.lo
-            and self.objects == other.objects
-            and self.differentials == other.differentials
-        )
+        return self.vertices()
 
     def __repr__(self):
         dims = ",".join(str(m.dim) for m in self.objects)
         return "ChainComplex([%d..%d] dims %s)" % (self.lo, self.hi, dims)
-
-
-class ChainMap:
-    """Degreewise components commuting with both differentials."""
-
-    def __init__(self, dom, cod, components, check=True):
-        self.dom = dom
-        self.cod = cod
-        self.components = dict(components)
-        if check:
-            for n, f in self.components.items():
-                if f.dom != dom.obj(n) or f.cod != cod.obj(n):
-                    raise ValidationError(
-                        "component at degree %d has wrong endpoints" % n
-                    )
-            lo = min(dom.lo, cod.lo)
-            hi = max(dom.hi, cod.hi)
-            for n in range(lo, hi + 1):
-                lhs = self.cod.diff(n) @ self.component(n)
-                rhs = self.component(n - 1) @ self.dom.diff(n)
-                if lhs != rhs:
-                    raise ValidationError(
-                        "chain map does not commute with d at degree %d" % n
-                    )
-
-    def component(self, n):
-        if n in self.components:
-            return self.components[n]
-        return zero_morphism(self.dom.obj(n), self.cod.obj(n))
-
-    def __matmul__(self, other):
-        if other.cod is not self.dom and other.cod != self.dom:
-            raise ValidationError("chain maps are not composable")
-        lo = min(other.dom.lo, self.cod.lo)
-        hi = max(other.dom.hi, self.cod.hi)
-        comps = {
-            n: self.component(n) @ other.component(n) for n in range(lo, hi + 1)
-        }
-        return ChainMap(other.dom, self.cod, comps, check=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainMap):
-            return False
-        if self.dom != other.dom or self.cod != other.cod:
-            return False
-        lo = min(self.dom.lo, self.cod.lo)
-        hi = max(self.dom.hi, self.cod.hi)
-        return all(
-            self.component(n) == other.component(n) for n in range(lo, hi + 1)
-        )
-
-    def is_mono(self):
-        return all(self.component(n).is_mono() for n in self.dom.degrees())
-
-    def is_epi(self):
-        return all(self.component(n).is_epi() for n in self.cod.degrees())
-
-
-def identity_chain_map(x):
-    return ChainMap(
-        x, x, {n: identity_morphism(x.obj(n)) for n in x.degrees()}, check=False
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +132,7 @@ def is_exact(x):
 
 def is_quasi_iso(f):
     """True iff every induced homology map is an isomorphism."""
-    lo = min(f.dom.lo, f.cod.lo)
-    hi = max(f.dom.hi, f.cod.hi)
-    for n in range(lo, hi + 1):
+    for n in joint_window(f.dom, f.cod):
         if not induced_on_homology(f, n).is_iso():
             return False
     return True
@@ -195,28 +141,24 @@ def is_quasi_iso(f):
 def graded_map_equations(x, y, degree, rhs=None):
     """(unknowns, equations) for ``solve_maps``: module maps
     h_n: x_n -> y_{n+degree}, one per degree n of x in ascending order, and
-    d h - (-1)^degree h d = rhs in every degree.
+    d h - (-1)^degree h d = rhs in every degree, the
+    ``diagram_map_equations`` of x and y shifted by ``degree``.
 
     ``rhs.component(n)`` is the right side in degree n, a map
     x_n -> y_{n+degree-1}: at degree 1 the identity of x asks for a
     contracting homotopy.  None means zero: degree 0 then makes h a chain
     map x -> y, and degree -1 a connecting map with d h + h d = 0.
     """
-    degrees = list(x.degrees())
-    unknowns = [(x.obj(n), y.obj(n + degree)) for n in degrees]
-    equations = []
-    for v, n in enumerate(degrees):
-        terms = [(y.diff(n + degree), v, None)]
-        if v:
-            d = x.diff(n)
-            terms.append((None, v - 1, -d if degree % 2 == 0 else d))
-        equations.append((terms, None if rhs is None else rhs.component(n)))
+    unknowns, equations = diagram_map_equations(x, y, degree, 1 if degree % 2 else -1)
+    if rhs is not None:
+        equations = [(terms, rhs.component(n))
+                     for (terms, _), n in zip(equations, x.degrees())]
     return unknowns, equations
 
 
 def is_contractible(x):
     """Solve d h + h d = 1 degreewise as one ``solve_maps`` call."""
-    return solve_maps(*graded_map_equations(x, x, 1, identity_chain_map(x))) is not None
+    return solve_maps(*graded_map_equations(x, x, 1, diagram_identity(x))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +181,7 @@ def cone(f):
 
 def cone_embedding(x):
     """The degreewise-split inclusion of x into the cone on its identity."""
-    c = cone(identity_chain_map(x))
+    c = cone(diagram_identity(x))
     comps = {}
     for n in x.degrees():
         total, (inj_first, _), _ = direct_sum([x.obj(n), x.obj(n - 1)])
@@ -247,64 +189,6 @@ def cone_embedding(x):
             raise InternalInconsistencyError("cone degree does not match")
         comps[n] = inj_first
     return ChainMap(x, c, comps)
-
-
-def chain_direct_sum(x, y):
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    objects = []
-    inj_x, inj_y, proj_x, proj_y = {}, {}, {}, {}
-    for n in range(lo, hi + 1):
-        total, (i1, i2), (p1, p2) = direct_sum([x.obj(n), y.obj(n)])
-        objects.append(total)
-        inj_x[n], inj_y[n], proj_x[n], proj_y[n] = i1, i2, p1, p2
-    diffs = [
-        block([[x.diff(n), None], [None, y.diff(n)]]) for n in range(lo + 1, hi + 1)
-    ]
-    total_cx = ChainComplex(x.algebra, lo, objects, diffs)
-    return (
-        total_cx,
-        (
-            ChainMap(x, total_cx, inj_x, check=False),
-            ChainMap(y, total_cx, inj_y, check=False),
-        ),
-        (
-            ChainMap(total_cx, x, proj_x, check=False),
-            ChainMap(total_cx, y, proj_y, check=False),
-        ),
-    )
-
-
-def chain_cokernel(f):
-    """Degreewise cokernel complex with the induced differentials."""
-    projs = {}
-    objects = []
-    y = f.cod
-    for n in y.degrees():
-        cok, proj = cokernel(f.component(n))
-        objects.append(cok)
-        projs[n] = proj
-    diffs = []
-    for n in range(y.lo + 1, y.hi + 1):
-        diffs.append(induced_on_cokernel(projs[n], projs[n - 1] @ y.diff(n)))
-    cok_cx = ChainComplex(y.algebra, y.lo, objects, diffs)
-    return cok_cx, ChainMap(y, cok_cx, projs, check=False)
-
-
-def chain_kernel(f):
-    """Degreewise kernel complex with the restricted differentials."""
-    incls = {}
-    objects = []
-    x = f.dom
-    for n in x.degrees():
-        ker, incl = kernel(f.component(n))
-        objects.append(ker)
-        incls[n] = incl
-    diffs = []
-    for n in range(x.lo + 1, x.hi + 1):
-        diffs.append(corestrict(x.diff(n) @ incls[n], incls[n - 1]))
-    ker_cx = ChainComplex(x.algebra, x.lo, objects, diffs)
-    return ker_cx, ChainMap(ker_cx, x, incls, check=False)
 
 
 def chain_factor(f):
@@ -316,17 +200,11 @@ def chain_factor(f):
     (everything, contractibles) pair.
     """
     emb = cone_embedding(f.dom)
-    middle, _, (_, proj_y) = chain_direct_sum(emb.cod, f.cod)
-    lo = min(f.dom.lo, middle.lo)
-    hi = max(f.dom.hi, middle.hi)
-    comps = {
-        n: block([[emb.component(n)], [f.component(n)]]) for n in range(lo, hi + 1)
-    }
-    i = ChainMap(f.dom, middle, comps)
-    p = proj_y
+    middle, _, (_, p) = diagram_sum(emb.cod, f.cod)
+    i = into_sum(emb, f, middle)
     if (p @ i) != f:
         raise InternalInconsistencyError("chain factorization does not compose")
-    ker_cx, _ = chain_kernel(p)
+    ker_cx, _ = diagram_kernel(p)
     if not is_contractible(ker_cx):
         raise InternalInconsistencyError("kernel of the projection is not contractible")
     return i, p, middle
@@ -344,7 +222,7 @@ def dwsplit_weq(f, z_two_of_three=True):
     to withhold that hypothesis and observe "indeterminate".
     """
     i, _, _ = chain_factor(f)
-    cok_cx, _ = chain_cokernel(i)
+    cok_cx, _ = diagram_cokernel(i)
     if is_exact(cok_cx):
         return "yes"
     if z_two_of_three:

@@ -82,72 +82,6 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
-# The arguments of each subcommand beyond the common ones, in the order of
-# the subcommand list of the top-level help.
-_SUBCOMMAND_ARGUMENTS = {
-    "validate": (),
-    "ext": (
-        (("--quot",), dict(required=True, help="module being extended")),
-        (("--sub",), dict(required=True, help="module doing the extending")),
-    ),
-    "class": (
-        (("--module",), dict(default=None)),
-        (("--map",), dict(default=None)),
-    ),
-    "factor": (
-        (("--map",), dict(required=True)),
-    ),
-    "lift": (
-        (("--i",), dict(required=True, help="cofibration morphism name")),
-        (("--p",), dict(required=True, help="acyclic fibration morphism name")),
-        (("--top",), dict(required=True)),
-        (("--bottom",), dict(required=True)),
-    ),
-    "weq": (
-        (("--map",), dict(required=True)),
-    ),
-    "axioms": (
-        (("--checks",), dict(default="gluing,extension,saturation,properness")),
-        (("--samples",), dict(type=int, default=10)),
-    ),
-    "span": (
-        (("--op",), dict(required=True, choices=("membership", "resolve", "factor", "lift"))),
-        (("--span",), dict(default=None)),
-        (("--dual",), dict(action="store_true",
-                           help="resolve with the object on the left of the sequence")),
-        (("--dom",), dict(default=None)),
-        (("--cod",), dict(default=None)),
-        (("--left",), dict(default=None)),
-        (("--apex",), dict(default=None)),
-        (("--right",), dict(default=None)),
-        (("--i",), dict(default=None, help="span morphism spec for the cofibration")),
-        (("--p",), dict(default=None, help="span morphism spec for the fibration")),
-        (("--top",), dict(default=None, help="span morphism spec")),
-        (("--bottom",), dict(default=None, help="span morphism spec")),
-    ),
-    "chain": (
-        (("--op",), dict(required=True, choices=("homology", "qiso", "weq"))),
-        (("--complex",), dict(dest="complex_name", default=None)),
-        (("--degree",), dict(type=int, default=None)),
-        (("--dom",), dict(default=None)),
-        (("--cod",), dict(default=None)),
-        (("--components",), dict(default="", help="comma-separated degree:morphism pairs")),
-        (("--ungated",), dict(action="store_true",
-                              help="withhold the exactness 2-out-of-3 gate")),
-    ),
-    "k0": (),
-    "localize": (),
-    "resolve-zp": (
-        (("--module",), dict(required=True, help="the resolved object")),
-        (("--resolution",), dict(default="",
-                                 help="comma-separated mono:epi morphism name pairs, "
-                                      "listed from the sequence ending at the object")),
-        (("--p-class",), dict(default="all", help="resolving class: all | projectives")),
-    ),
-    "enumerate": (),
-}
-
-
 def build_parser(command=None):
     """The top-level parser with every subcommand, or with only ``command``
     when it names one: parsing that subcommand's arguments gives the same
@@ -172,7 +106,7 @@ def build_parser(command=None):
 
     parser = _Parser(prog="waldcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, arguments in _SUBCOMMAND_ARGUMENTS.items():
+    for name, (arguments, _) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, parents=[common])
             for flags, kwargs in arguments:
@@ -662,20 +596,69 @@ def _cmd_resolve_zp(args):
     }
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "enumerate": _cmd_enumerate,
-    "ext": _cmd_ext,
-    "class": _cmd_class,
-    "factor": _cmd_factor,
-    "lift": _cmd_lift,
-    "weq": _cmd_weq,
-    "axioms": _cmd_axioms,
-    "span": _cmd_span,
-    "chain": _cmd_chain,
-    "k0": _cmd_k0,
-    "localize": _cmd_localize,
-    "resolve-zp": _cmd_resolve_zp,
+# Each subcommand in the order of the top-level help: its arguments beyond
+# the common ones, and its handler.
+_SUBCOMMANDS = {
+    "validate": ((), _cmd_validate),
+    "ext": ((
+        (("--quot",), dict(required=True, help="module being extended")),
+        (("--sub",), dict(required=True, help="module doing the extending")),
+    ), _cmd_ext),
+    "class": ((
+        (("--module",), dict(default=None)),
+        (("--map",), dict(default=None)),
+    ), _cmd_class),
+    "factor": ((
+        (("--map",), dict(required=True)),
+    ), _cmd_factor),
+    "lift": ((
+        (("--i",), dict(required=True, help="cofibration morphism name")),
+        (("--p",), dict(required=True, help="acyclic fibration morphism name")),
+        (("--top",), dict(required=True)),
+        (("--bottom",), dict(required=True)),
+    ), _cmd_lift),
+    "weq": ((
+        (("--map",), dict(required=True)),
+    ), _cmd_weq),
+    "axioms": ((
+        (("--checks",), dict(default="gluing,extension,saturation,properness")),
+        (("--samples",), dict(type=int, default=10)),
+    ), _cmd_axioms),
+    "span": ((
+        (("--op",), dict(required=True, choices=("membership", "resolve", "factor", "lift"))),
+        (("--span",), dict(default=None)),
+        (("--dual",), dict(action="store_true",
+                           help="resolve with the object on the left of the sequence")),
+        (("--dom",), dict(default=None)),
+        (("--cod",), dict(default=None)),
+        (("--left",), dict(default=None)),
+        (("--apex",), dict(default=None)),
+        (("--right",), dict(default=None)),
+        (("--i",), dict(default=None, help="span morphism spec for the cofibration")),
+        (("--p",), dict(default=None, help="span morphism spec for the fibration")),
+        (("--top",), dict(default=None, help="span morphism spec")),
+        (("--bottom",), dict(default=None, help="span morphism spec")),
+    ), _cmd_span),
+    "chain": ((
+        (("--op",), dict(required=True, choices=("homology", "qiso", "weq"))),
+        (("--complex",), dict(dest="complex_name", default=None)),
+        (("--degree",), dict(type=int, default=None)),
+        (("--dom",), dict(default=None)),
+        (("--cod",), dict(default=None)),
+        (("--components",), dict(default="", help="comma-separated degree:morphism pairs")),
+        (("--ungated",), dict(action="store_true",
+                              help="withhold the exactness 2-out-of-3 gate")),
+    ), _cmd_chain),
+    "k0": ((), _cmd_k0),
+    "localize": ((), _cmd_localize),
+    "resolve-zp": ((
+        (("--module",), dict(required=True, help="the resolved object")),
+        (("--resolution",), dict(default="",
+                                 help="comma-separated mono:epi morphism name pairs, "
+                                      "listed from the sequence ending at the object")),
+        (("--p-class",), dict(default="all", help="resolving class: all | projectives")),
+    ), _cmd_resolve_zp),
+    "enumerate": ((), _cmd_enumerate),
 }
 
 
@@ -743,9 +726,10 @@ def main(argv=None):
     stream = sys.stdout
     argv = sys.argv[1:] if argv is None else argv
     try:
-        command = argv[0] if argv and argv[0] in _SUBCOMMAND_ARGUMENTS else None
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
         args = _parser(command).parse_args(argv)
-        payload = _COMMANDS[args.command](args)
+        _, handler = _SUBCOMMANDS[args.command]
+        payload = handler(args)
     except MalformedInputError as err:
         _emit({"error": {"type": "malformed", "message": str(err)}}, "json", stream)
         return 3

@@ -4,28 +4,36 @@ A span is a diagram left <-(g)- apex -(f)-> right.  A complete cotorsion
 pair (P, I) on modules induces a pair on spans: the left class consists
 of spans with all three components in P whose right leg is a cofibration;
 the right class of spans with components in I whose left leg is an
-acyclic fibration.  This module provides the span types, membership
-tests, both completeness resolutions (built step by step with every
-intermediate membership validated), the canonical factorization, and
-lifting.
+acyclic fibration.  This module provides the span types, a shape of
+``diagrams`` whose layer gives their morphisms, sums, kernels, cokernels
+and short exact sequences; membership tests, both completeness
+resolutions (built step by step with every intermediate membership
+validated), the canonical factorization, and lifting.
 """
 
 import hashlib
 
 from .algebra import (
-    ShortExactSequence,
     block,
     cokernel,
     corestrict,
-    direct_sum,
     identity_morphism,
     induced_on_cokernel,
     into_pullback,
     kernel,
     pullback,
     solve_map,
-    solve_maps,
     zero_morphism,
+)
+from .diagrams import (
+    Diagram,
+    DiagramMorphism,
+    DiagramSES,
+    diagram_cokernel,
+    diagram_kernel,
+    diagram_sum,
+    into_sum,
+    solve_diagram_map,
 )
 from .errors import (
     InternalInconsistencyError,
@@ -33,26 +41,55 @@ from .errors import (
 )
 
 
-_COMPONENTS = ("left", "apex", "right")
+class SpanMorphism(DiagramMorphism):
+    """Three component maps making both leg squares commute."""
+
+    WRONG_ENDS = "{v} component endpoints do not match"
+    NOT_NATURAL = "{t} naturality square does not commute"
+    NOT_COMPOSABLE = "span morphisms are not composable"
+    NOT_EXACT = "span sequence is not exact"
+    NOT_CHAINED = "mono and epi do not share the middle span"
+
+    def __init__(self, dom, cod, left, apex, right, check=True):
+        self.left, self.apex, self.right = left, apex, right
+        super().__init__(dom, cod, {0: left, 1: apex, 2: right}, check)
+
+    @classmethod
+    def _of(cls, dom, cod, components, check=True):
+        return cls(dom, cod, *(components[v] for v in range(3)), check=check)
 
 
-class SpanObject:
-    """A diagram left <- apex -> right of modules over one algebra."""
+class SpanObject(Diagram):
+    """A diagram left <- apex -> right of modules over one algebra: the
+    vertices 0, 1, 2 and the legs g: 1 -> 0 and f: 1 -> 2."""
+
+    Map = SpanMorphism
 
     def __init__(self, g, f):
         if g.dom != f.dom:
             raise ValidationError("span legs must share their apex")
+        super().__init__(g.dom.algebra, 0, [g.cod, g.dom, f.cod], [g, f])
         self.g = g
         self.f = f
-        self.apex = g.dom
-        self.left = g.cod
-        self.right = f.cod
+        self.left, self.apex, self.right = self.objects
         h = hashlib.sha256()
         for part in (self.left.digest, self.apex.digest, self.right.digest):
             h.update(part.encode())
         h.update(g.matrix.a.tobytes())
         h.update(f.matrix.a.tobytes())
         self.digest = h.hexdigest()
+
+    @classmethod
+    def _of(cls, algebra, lo, objects, maps):
+        return cls(*maps)
+
+    @staticmethod
+    def targets(v):
+        return (0, 2) if v == 1 else ()
+
+    @staticmethod
+    def name(v):
+        return ("left", "apex", "right")[v]
 
     def __eq__(self, other):
         return isinstance(other, SpanObject) and self.digest == other.digest
@@ -65,135 +102,6 @@ class SpanObject:
             self.left.dim,
             self.apex.dim,
             self.right.dim,
-        )
-
-
-class SpanMorphism:
-    """Three component maps making both leg squares commute."""
-
-    def __init__(self, dom, cod, left, apex, right, check=True):
-        self.dom = dom
-        self.cod = cod
-        self.left = left
-        self.apex = apex
-        self.right = right
-        if check:
-            if left.dom != dom.left or left.cod != cod.left:
-                raise ValidationError("left component endpoints do not match")
-            if apex.dom != dom.apex or apex.cod != cod.apex:
-                raise ValidationError("apex component endpoints do not match")
-            if right.dom != dom.right or right.cod != cod.right:
-                raise ValidationError("right component endpoints do not match")
-            if (left @ dom.g) != (cod.g @ apex):
-                raise ValidationError("left naturality square does not commute")
-            if (right @ dom.f) != (cod.f @ apex):
-                raise ValidationError("right naturality square does not commute")
-
-    def __matmul__(self, other):
-        if other.cod != self.dom:
-            raise ValidationError("span morphisms are not composable")
-        return SpanMorphism(
-            other.dom,
-            self.cod,
-            self.left @ other.left,
-            self.apex @ other.apex,
-            self.right @ other.right,
-            check=False,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpanMorphism)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.left == other.left
-            and self.apex == other.apex
-            and self.right == other.right
-        )
-
-    def components(self):
-        return (self.left, self.apex, self.right)
-
-    def is_mono(self):
-        return all(c.is_mono() for c in self.components())
-
-    def is_epi(self):
-        return all(c.is_epi() for c in self.components())
-
-
-def span_map_equations(dom, cod):
-    """(unknowns, equations) for ``solve_maps``: the component maps
-    ``left``, ``apex`` and ``right`` of a span morphism dom -> cod, and the
-    two naturality equations that make both leg squares commute."""
-    unknowns = [(getattr(dom, name), getattr(cod, name)) for name in _COMPONENTS]
-    equations = [
-        ([(None, 0, dom.g), (-cod.g, 1, None)], None),
-        ([(None, 2, dom.f), (-cod.f, 1, None)], None),
-    ]
-    return unknowns, equations
-
-
-def solve_span_map(dom, cod, post=(), pre=()):
-    """A span morphism x: dom -> cod with g @ x == t for each (g, t) in
-    ``post`` and x @ f == t for each (f, t) in ``pre``, or None when there
-    is none: the span twin of ``solve_map``, one ``solve_maps`` call in the
-    three components of x.
-    """
-    unknowns, equations = span_map_equations(dom, cod)
-    for g, t in post:
-        for v, (g_c, t_c) in enumerate(zip(g.components(), t.components())):
-            equations.append(([(g_c, v, None)], t_c))
-    for f, t in pre:
-        for v, (f_c, t_c) in enumerate(zip(f.components(), t.components())):
-            equations.append(([(None, v, f_c)], t_c))
-    sol = solve_maps(unknowns, equations)
-    return None if sol is None else SpanMorphism(dom, cod, *sol)
-
-
-def span_direct_sum(s1, s2):
-    """Componentwise direct sum with injection and projection span maps."""
-    _, (il1, il2), (pl1, pl2) = direct_sum([s1.left, s2.left])
-    _, (ia1, ia2), (pa1, pa2) = direct_sum([s1.apex, s2.apex])
-    _, (ir1, ir2), (pr1, pr2) = direct_sum([s1.right, s2.right])
-    total = SpanObject(
-        block([[s1.g, None], [None, s2.g]]), block([[s1.f, None], [None, s2.f]])
-    )
-    inj1 = SpanMorphism(s1, total, il1, ia1, ir1)
-    inj2 = SpanMorphism(s2, total, il2, ia2, ir2)
-    proj1 = SpanMorphism(total, s1, pl1, pa1, pr1)
-    proj2 = SpanMorphism(total, s2, pl2, pa2, pr2)
-    return total, (inj1, inj2), (proj1, proj2)
-
-
-class SpanSES:
-    """A short exact sequence of spans, validated strand by strand."""
-
-    def __init__(self, mono, epi, check=True):
-        self.mono = mono
-        self.epi = epi
-        self.sub = mono.dom
-        self.mid = mono.cod
-        self.quot = epi.cod
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValidationError("span sequence is not exact", problems)
-
-    def validate(self):
-        problems = []
-        if self.mono.cod != self.epi.dom:
-            return ["mono and epi do not share the middle span"]
-        for name in _COMPONENTS:
-            m = getattr(self.mono, name)
-            e = getattr(self.epi, name)
-            strand = ShortExactSequence(m, e, check=False)
-            for issue in strand.validate():
-                problems.append("%s strand: %s" % (name, issue))
-        return problems
-
-    def strand(self, name):
-        return ShortExactSequence(
-            getattr(self.mono, name), getattr(self.epi, name), check=False
         )
 
 
@@ -223,30 +131,6 @@ def span_in_I(s, pair):
         return False
     ker_mod, _ = kernel(s.g)
     return pair.in_right(ker_mod)
-
-
-def span_cokernel(m):
-    """Componentwise cokernel span of an injective span morphism."""
-    cok_l, proj_l = cokernel(m.left)
-    cok_a, proj_a = cokernel(m.apex)
-    cok_r, proj_r = cokernel(m.right)
-    g = induced_on_cokernel(proj_a, proj_l @ m.cod.g)
-    f = induced_on_cokernel(proj_a, proj_r @ m.cod.f)
-    span = SpanObject(g, f)
-    proj = SpanMorphism(m.cod, span, proj_l, proj_a, proj_r)
-    return span, proj
-
-
-def span_kernel(m):
-    """Componentwise kernel span of a surjective span morphism."""
-    ker_l, inc_l = kernel(m.left)
-    ker_a, inc_a = kernel(m.apex)
-    ker_r, inc_r = kernel(m.right)
-    g = corestrict(m.dom.g @ inc_a, inc_l)
-    f = corestrict(m.dom.f @ inc_a, inc_r)
-    span = SpanObject(g, f)
-    inc = SpanMorphism(span, m.dom, inc_l, inc_a, inc_r)
-    return span, inc
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +211,7 @@ def span_resolve_right(x, pair):
     p_span = SpanObject(g_p, i_map)
     mono = SpanMorphism(i_span, p_span, gamma2, mono2, incl_b)
     epi = SpanMorphism(p_span, x, gamma1, epi2, epi_b)
-    out = SpanSES(mono, epi)
+    out = DiagramSES(mono, epi)
     _require(span_in_I(i_span, pair), "kernel span failed the right-class test")
     _require(span_in_P(p_span, pair), "middle span failed the left-class test")
     return out
@@ -401,7 +285,7 @@ def span_resolve_dual(x, pair):
     p_span = SpanObject(c_left, i_c_map)
     mono = SpanMorphism(x, i_span, gamma, mono_a, mono_b)
     epi = SpanMorphism(i_span, p_span, pi_c, pi_a, to_q)
-    out = SpanSES(mono, epi)
+    out = DiagramSES(mono, epi)
     _require(span_in_I(i_span, pair), "middle span failed the right-class test")
     _require(span_in_P(p_span, pair), "quotient span failed the left-class test")
     return out
@@ -420,25 +304,21 @@ def span_factor(m, pair):
     """
     dr = span_resolve_dual(m.dom, pair)
     j = dr.mono                       # dom into the right-class span
-    middle, _, (_, p) = span_direct_sum(j.cod, m.cod)
-    i = SpanMorphism(
-        m.dom,
-        middle,
-        *(block([[j_c], [m_c]]) for j_c, m_c in zip(j.components(), m.components())),
-    )
+    middle, _, (_, p) = diagram_sum(j.cod, m.cod)
+    i = into_sum(j, m, middle)
     if (p @ i) != m:
         raise InternalInconsistencyError("span factorization does not compose")
     failures = []
     if not i.is_mono():
         failures.append("injection leg is not componentwise injective")
     else:
-        cok_span, _ = span_cokernel(i)
+        cok_span, _ = diagram_cokernel(i)
         if not span_in_P(cok_span, pair):
             failures.append("cokernel span of the injection is not left-class")
     if not p.is_epi():
         failures.append("projection leg is not componentwise surjective")
     else:
-        ker_span, _ = span_kernel(p)
+        ker_span, _ = diagram_kernel(p)
         if not span_in_I(ker_span, pair):
             failures.append("kernel span of the projection is not right-class")
     if failures:
@@ -455,7 +335,7 @@ def span_lift(i, p, top, bottom):
     """
     if (p @ top) != (bottom @ i):
         raise ValidationError("span lifting square does not commute")
-    h = solve_span_map(i.cod, p.dom, post=[(p, bottom)], pre=[(i, top)])
+    h = solve_diagram_map(i.cod, p.dom, post=[(p, bottom)], pre=[(i, top)])
     if h is None:
         raise InternalInconsistencyError(
             "no span lift exists; preconditions were not satisfied"

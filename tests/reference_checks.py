@@ -30,15 +30,14 @@ from waldcat.homological import (
     simple_table,
     strip_injective_summands,
 )
-from waldcat.linalg import column_space_basis
-from waldcat.spans import (
-    SpanMorphism,
-    solve_span_map,
-    span_cokernel,
-    span_in_I,
-    span_in_P,
-    span_kernel,
+from waldcat.diagrams import (
+    diagram_cokernel,
+    diagram_identity,
+    diagram_kernel,
+    solve_diagram_map,
 )
+from waldcat.linalg import column_space_basis
+from waldcat.spans import span_in_I, span_in_P
 
 
 def image_factorization(f):
@@ -196,17 +195,6 @@ def iterated_cosyzygies(m, steps):
 # ---------------------------------------------------------------------------
 
 
-def identity_span_morphism(s):
-    return SpanMorphism(
-        s,
-        s,
-        identity_morphism(s.left),
-        identity_morphism(s.apex),
-        identity_morphism(s.right),
-        check=False,
-    )
-
-
 def span_is_split(ses):
     """Look for a section of the epi of the span sequence ``ses`` that is
     a map of spans."""
@@ -215,7 +203,7 @@ def span_is_split(ses):
 
 def span_section(e):
     """A span morphism s with e o s = identity, or None."""
-    return solve_span_map(e.cod, e.dom, post=[(e, identity_span_morphism(e.cod))])
+    return solve_diagram_map(e.cod, e.dom, post=[(e, diagram_identity(e.cod))])
 
 
 def span_is_cofibration(m, pair):
@@ -225,7 +213,7 @@ def span_is_cofibration(m, pair):
         return False
     if not m.is_mono():
         return False
-    cok_span, _ = span_cokernel(m)
+    cok_span, _ = diagram_cokernel(m)
     return span_in_P(cok_span, pair)
 
 
@@ -233,5 +221,5 @@ def span_is_acyclic_fibration(m, pair):
     """Componentwise surjections whose kernel span is in the right class."""
     if not m.is_epi():
         return False
-    ker_span, _ = span_kernel(m)
+    ker_span, _ = diagram_kernel(m)
     return span_in_I(ker_span, pair)

@@ -17,10 +17,14 @@ from waldcat.algebra import (
 from waldcat.chains import (
     ChainComplex,
     ChainMap,
-    chain_direct_sum,
     cone,
     graded_map_equations,
-    identity_chain_map,
+)
+from waldcat.diagrams import (
+    DiagramSES,
+    diagram_identity,
+    diagram_map_equations,
+    diagram_sum,
 )
 from waldcat.linalg import kernel_basis
 from waldcat.sampling import (
@@ -30,12 +34,7 @@ from waldcat.sampling import (
     random_module,
     zc_samples,
 )
-from waldcat.spans import (
-    SpanMorphism,
-    SpanObject,
-    SpanSES,
-    span_map_equations,
-)
+from waldcat.spans import SpanMorphism, SpanObject
 
 
 def map_kernel(unknowns, equations):
@@ -109,7 +108,7 @@ def random_span_extension(rng, sub, quot):
     mid = SpanObject(g, f)
     mono = SpanMorphism(sub, mid, il_s, ia_s, ir_s)
     epi = SpanMorphism(mid, quot, pl_q, pa_q, pr_q)
-    return SpanSES(mono, epi)
+    return DiagramSES(mono, epi)
 
 
 def random_span_morphism(rng, dom, cod):
@@ -118,7 +117,7 @@ def random_span_morphism(rng, dom, cod):
     Samples the solutions of the naturality equations, so the result can
     be any morphism, not just a block construction.
     """
-    return SpanMorphism(dom, cod, *_random_solution(rng, *span_map_equations(dom, cod)))
+    return SpanMorphism(dom, cod, *_random_solution(rng, *diagram_map_equations(dom, cod)))
 
 
 def _random_solution(rng, unknowns, equations):
@@ -164,8 +163,8 @@ def random_quasi_iso(rng, x, max_len=2, max_dim=2):
     homology, but is no longer a block inclusion.
     """
     z = random_chain_complex(rng, x.algebra, max_len, max_dim)
-    c = cone(identity_chain_map(z))
-    y, (inj_x, _), _ = chain_direct_sum(x, c)
+    c = cone(diagram_identity(z))
+    y, (inj_x, _), _ = diagram_sum(x, c)
     comps = {}
     lo = min(x.lo, y.lo)
     hi = max(x.hi, y.hi)

@@ -59,9 +59,9 @@ from waldcat.chains import (
     ChainComplex,
     cone,
     graded_map_equations,
-    identity_chain_map,
     is_contractible,
 )
+from waldcat.diagrams import diagram_identity, diagram_map_equations
 from waldcat.errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -76,16 +76,11 @@ from waldcat.linalg import (
     rank_stack,
     solve,
 )
-from waldcat.spans import (
-    SpanMorphism,
-    SpanObject,
-    span_map_equations,
-)
+from waldcat.spans import SpanMorphism, SpanObject
 from waldcat.workspace import corpus_path, load_workspace
 
 from linear_system_reference import LinearSystem
 from reference_checks import (
-    identity_span_morphism,
     image_factorization,
     is_split,
     span_section,
@@ -1546,34 +1541,34 @@ def test_solve_maps_matches_linear_system_reference(name):
     ]
     sections = set()
     for s1, s2 in itertools.product(spans, repeat=2):
-        _assert_solver_matches_reference(p, *span_map_equations(s1, s2))
+        _assert_solver_matches_reference(p, *diagram_map_equations(s1, s2))
         # a span map e: s1 -> s2 from those solutions, then its sections
         parts = [zero_morphism(s1.left, s2.left), zero_morphism(s1.apex, s2.apex),
                  zero_morphism(s1.right, s2.right)]
-        for sol in map_kernel(*span_map_equations(s1, s2)):
+        for sol in map_kernel(*diagram_map_equations(s1, s2)):
             if rng.randrange(2):
                 parts = [x + y for x, y in zip(parts, sol)]
         e = SpanMorphism(s1, s2, *parts)
-        unknowns, equations = span_map_equations(s2, s1)
-        for v, (e_c, t_c) in enumerate(zip(e.components(),
-                                           identity_span_morphism(s2).components())):
-            equations.append(([(e_c, v, None)], t_c))
+        unknowns, equations = diagram_map_equations(s2, s1)
+        for v in range(3):
+            equations.append(([(e.component(v), v, None)],
+                              diagram_identity(s2).component(v)))
         got = _assert_solver_matches_reference(p, unknowns, equations)
         section = span_section(e)
         assert (section is None) == (got is None)
         if got is not None:
-            assert list(section.components()) == got
+            assert [section.component(v) for v in range(3)] == got
         sections.add(got is not None)
     assert sections == {True, False}
 
     complexes = [ChainComplex(a, 0, [], [])] + [
         ChainComplex(a, 0, [h.cod, h.dom], [h]) for h in rng.sample(squares, 4)
     ]
-    complexes += [cone(identity_chain_map(x)) for x in complexes[1:]]
+    complexes += [cone(diagram_identity(x)) for x in complexes[1:]]
     contractible = set()
     for x in complexes:
         homotopy = _assert_solver_matches_reference(
-            p, *graded_map_equations(x, x, 1, identity_chain_map(x))
+            p, *graded_map_equations(x, x, 1, diagram_identity(x))
         )
         assert is_contractible(x) == (homotopy is not None)
         contractible.add(homotopy is not None)

@@ -30,19 +30,22 @@ from waldcat.algebra import (
 from waldcat.chains import (
     ChainComplex,
     ChainMap,
-    chain_cokernel,
-    chain_direct_sum,
     chain_factor,
-    chain_kernel,
     cone,
     cone_embedding,
     dwsplit_weq,
     graded_map_equations,
     homology,
-    identity_chain_map,
     is_contractible,
     is_exact,
     is_quasi_iso,
+)
+from waldcat.diagrams import (
+    DiagramSES,
+    diagram_cokernel,
+    diagram_identity,
+    diagram_kernel,
+    diagram_sum,
 )
 from waldcat.errors import ValidationError
 from waldcat.linalg import FieldMatrix
@@ -181,7 +184,7 @@ def test_single_module_homology_is_itself():
 
 def test_identity_chain_map_is_quasi_iso():
     cx = x_multiplication_complex()
-    assert is_quasi_iso(identity_chain_map(cx))
+    assert is_quasi_iso(diagram_identity(cx))
 
 
 def test_inclusion_of_zero_into_contractible_is_quasi_iso():
@@ -230,7 +233,7 @@ def test_cone_of_identity_is_contractible_on_samples():
     rng = np.random.default_rng(23)
     for _ in range(10):
         x = random_chain_complex(rng, a, 3, 3)
-        assert is_contractible(cone(identity_chain_map(x)))
+        assert is_contractible(cone(diagram_identity(x)))
 
 
 def test_cone_embedding_is_degreewise_split_mono():
@@ -247,7 +250,7 @@ def test_cone_detects_quasi_iso():
     f = ChainMap(ChainComplex(a, 0, [simple], []), ChainComplex(a, 0, [reg], []),
                  {0: socle})
     assert not is_exact(cone(f))
-    g = identity_chain_map(x_multiplication_complex())
+    g = diagram_identity(x_multiplication_complex())
     assert is_exact(cone(g))
 
 
@@ -261,9 +264,9 @@ def test_chain_kernel_and_cokernel_shapes():
     rng = np.random.default_rng(29)
     x = random_chain_complex(rng, a, 3, 2)
     y = random_chain_complex(rng, a, 3, 2)
-    total, (inj_x, _), (_, proj_y) = chain_direct_sum(x, y)
-    cok_cx, _ = chain_cokernel(inj_x)
-    ker_cx, _ = chain_kernel(proj_y)
+    total, (inj_x, _), (_, proj_y) = diagram_sum(x, y)
+    cok_cx, _ = diagram_cokernel(inj_x)
+    ker_cx, _ = diagram_kernel(proj_y)
     for n in total.degrees():
         assert cok_cx.obj(n).dim == y.obj(n).dim
         assert ker_cx.obj(n).dim == x.obj(n).dim
@@ -277,7 +280,7 @@ def test_chain_factor_contract():
     assert (p @ i) == f
     assert i.is_mono()
     assert p.is_epi()
-    ker_cx, _ = chain_kernel(p)
+    ker_cx, _ = diagram_kernel(p)
     assert is_contractible(ker_cx)
 
 
@@ -298,7 +301,7 @@ def test_chain_factor_on_random_maps():
 
 
 def test_weq_identity_is_yes():
-    assert dwsplit_weq(identity_chain_map(x_multiplication_complex())) == "yes"
+    assert dwsplit_weq(diagram_identity(x_multiplication_complex())) == "yes"
 
 
 def test_weq_socle_inclusion_is_no():
@@ -375,8 +378,8 @@ def test_exactness_two_of_three_with_forced_exact_ends():
     a, _, _, _, _ = fx2_parts()
     rng = np.random.default_rng(53)
     for _ in range(15):
-        exact_sub = cone(identity_chain_map(random_chain_complex(rng, a, 2, 2)))
-        exact_quot = cone(identity_chain_map(random_chain_complex(rng, a, 2, 2)))
+        exact_sub = cone(diagram_identity(random_chain_complex(rng, a, 2, 2)))
+        exact_quot = cone(diagram_identity(random_chain_complex(rng, a, 2, 2)))
         other = random_chain_complex(rng, a, 2, 2)
         _, _, mid = random_chain_extension(rng, exact_sub, exact_quot)
         assert is_exact(mid)
@@ -395,6 +398,7 @@ def test_random_extension_strands_validate():
         mono, epi, mid = random_chain_extension(rng, sub, quot)
         assert mono.is_mono()
         assert epi.is_epi()
+        assert DiagramSES(mono, epi).validate() == []
         for n in mid.degrees():
             assert mid.obj(n).dim == sub.obj(n).dim + quot.obj(n).dim
 
@@ -469,8 +473,8 @@ def test_graded_map_var_degree_one_finds_contractions(algebra_fn, seed):
     not_exact = 0
     for _ in range(10):
         x = random_chain_complex(rng, algebra, 3, 2)
-        c = cone(identity_chain_map(x))
-        sol = solve_maps(*graded_map_equations(c, c, 1, rhs=identity_chain_map(c)))
+        c = cone(diagram_identity(x))
+        sol = solve_maps(*graded_map_equations(c, c, 1, rhs=diagram_identity(c)))
         assert sol is not None
         h = {n: Morphism(hn.dom, hn.cod, hn.matrix) for n, hn in zip(c.degrees(), sol)}
         for n in c.degrees():
@@ -480,7 +484,7 @@ def test_graded_map_var_degree_one_finds_contractions(algebra_fn, seed):
             assert total == identity_morphism(c.obj(n))
         if not is_exact(x):
             not_exact += 1
-            assert solve_maps(*graded_map_equations(x, x, 1, identity_chain_map(x))) is None
+            assert solve_maps(*graded_map_equations(x, x, 1, diagram_identity(x))) is None
     assert not_exact > 0
     cx = x_multiplication_complex()
-    assert solve_maps(*graded_map_equations(cx, cx, 1, identity_chain_map(cx))) is None
+    assert solve_maps(*graded_map_equations(cx, cx, 1, diagram_identity(cx))) is None

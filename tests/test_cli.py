@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import waldcat
 import waldcat.algebra as alg
-from waldcat.cli import _COMMANDS, _parser, build_parser, main
+from waldcat.cli import _SUBCOMMANDS, _parser, build_parser, main
 from waldcat.errors import MalformedInputError
 from waldcat.linalg import kernel_basis
 from waldcat.workspace import corpus_path
@@ -818,7 +818,7 @@ def test_one_command_parser_parses_as_the_full_parser(command):
         [command, *required],
         [command, "-h"],
     ]
-    assert set(_REQUIRED_OPTIONS) == set(_COMMANDS)
+    assert set(_REQUIRED_OPTIONS) == set(_SUBCOMMANDS)
     one, full = build_parser(command), build_parser()
     outcomes = [_parse_outcome(one, argv) for argv in argvs]
     assert outcomes == [_parse_outcome(full, argv) for argv in argvs]

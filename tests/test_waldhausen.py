@@ -243,6 +243,82 @@ def test_waldhausen_outcome_over_the_corpus(name, c_name, z_name):
     assert (witness["dims"] if witness else None) == expected[1]
 
 
+def _sweep_with_zero_end_terms(w):
+    """(samples, sequences): ``w``'s samples, the zero module included,
+    and the ``short_exact_sequences`` sweep over all of them."""
+    samples = w.modules(waldhausen.SAMPLE_BOUND)
+    return samples, list(short_exact_sequences(samples, waldhausen.SAMPLE_BOUND))
+
+
+def _spy_on_sweeps(monkeypatch):
+    """The (modules, middles) of every ``short_exact_sequences`` sweep the
+    structure makes."""
+    sweeps = []
+
+    def spy(modules, bound):
+        middles = list(short_exact_sequences(modules, bound))
+        sweeps.append((modules, middles))
+        return iter(middles)
+
+    monkeypatch.setattr(waldhausen, "short_exact_sequences", spy)
+    return sweeps
+
+
+_BUILT = [(name, c, z) for name in _OUTCOMES for c, z in _CONFIGS
+          if not isinstance(_OUTCOMES[name][_CONFIGS.index((c, z))], str)]
+
+
+@pytest.mark.parametrize("name, c_name, z_name", _BUILT)
+def test_closure_sweeps_skip_zero_end_terms(name, c_name, z_name, monkeypatch):
+    """0 lies in C ∩ Z, so a sequence with a zero end term decides no
+    closure check and no 2-out-of-3 witness: the sweeps leave it out, and
+    the flags and the witness (dimensions, memberships and digests) are
+    those of a sweep that keeps it."""
+    a = load_workspace(corpus_path(name)).only_algebra()
+    sweeps = _spy_on_sweeps(monkeypatch)
+    w = WaldhausenData(_CLASSES[c_name](a), _ACYCLICS[z_name]())
+    monkeypatch.undo()
+    assert [m.dim for modules, _ in sweeps for m in modules if not m.dim] == []
+    assert w.flags["hereditary_checked"] == 2
+    samples, sequences = _sweep_with_zero_end_terms(w)
+    w._check_closure(samples, sequences)
+    assert w.z23_witness == w._two_of_three_witness(samples, sequences)
+
+
+def test_closure_sweeps_on_quiver_a1_skip_twenty_of_twenty_six_middles(monkeypatch):
+    # the structure of quiver_a1's configuration, which ``axioms`` builds
+    a = load_workspace(corpus_path("quiver_a1")).only_algebra()
+    sweeps = _spy_on_sweeps(monkeypatch)
+    w = WaldhausenData(all_injectives_pair(a), spec_injectives())
+    monkeypatch.undo()
+    assert [len(middles) for _, middles in sweeps] == [6, 0]
+    samples, sequences = _sweep_with_zero_end_terms(w)
+    zc = [m for m in samples if w.in_zc(m)]
+    extensions = list(short_exact_sequences(zc, waldhausen.SAMPLE_BOUND + 1))
+    assert (len(sequences), len(extensions)) == (21, 5)
+
+
+def test_unvalidated_structures_sweep_zero_end_terms_unless_zero_is_in_zc():
+    # Z = every nonzero module: 0 -> S -> S -> 0 -> 0 has exactly two
+    # terms in Z, and without validation nothing has refused this Z
+    a = line_algebra()
+    nonzero = spec_explicit([m for m in enumerate_modules(a, 2) if m.dim])
+    w = WaldhausenData(all_injectives_pair(a), nonzero, validate=False)
+    assert w.flags["z_two_of_three"] is False
+    assert w.z23_witness["dims"] == (1, 1, 0)
+    assert w.z23_witness == w._two_of_three_witness(*_sweep_with_zero_end_terms(w))
+    # with 0 in Z the sweep skips zero end terms and finds the same witness
+    for z_spec in (spec_injectives(), spec_projectives()):
+        unvalidated = WaldhausenData(all_injectives_pair(a), z_spec, validate=False)
+        swept = _sweep_with_zero_end_terms(unvalidated)
+        assert unvalidated.z23_witness == unvalidated._two_of_three_witness(*swept)
+        assert unvalidated.flags["z_two_of_three"] == (unvalidated.z23_witness is None)
+    fx2 = fx2_waldhausen()
+    unvalidated = WaldhausenData(fx2.pair, fx2.z_spec, validate=False)
+    assert unvalidated.z23_witness is None and fx2.z23_witness is None
+    assert unvalidated.flags["z_two_of_three"] is True
+
+
 def _line_nonsplit():
     """(sub, mid, quot) of the non-split sequence of simples over the line."""
     a = line_algebra()
@@ -896,6 +972,27 @@ def test_zp_ladder_single_step_and_empty():
     assert len(rows) == 1
     assert rows[0].quot == reg and w.in_zc(rows[0].mid)
     assert build_zp_resolution(w, reg, [], all_injectives_pair(a)) == []
+
+
+def test_zp_ladder_validates_every_chain_it_returns(monkeypatch):
+    # the single-step ladder takes the loop's path with no iteration, so it
+    # too goes through _validate_chain
+    w = fx2_waldhausen()
+    a = w.algebra
+    reg = regular_module(a)
+    s = [m for m in enumerate_modules(a, 1) if m.dim == 1][0]
+    validated = []
+    validate = waldhausen._validate_chain
+
+    def spy(sequences, target):
+        validated.append(len(sequences))
+        return validate(sequences, target)
+
+    monkeypatch.setattr(waldhausen, "_validate_chain", spy)
+    pair = all_injectives_pair(a)
+    build_zp_resolution(w, reg, [_fx2_split_ses(s, reg)], pair)
+    build_zp_resolution(w, reg, [_fx2_split_ses(s, reg), _fx2_socle_ses(a)], pair)
+    assert validated == [1, 2]
 
 
 def test_zp_ladder_with_projective_resolving_pair():
